@@ -10,8 +10,33 @@ Index conventions
 -----------------
 Covariate cells are raveled C-order over ``x_cards``; each type's condition
 and data cells are raveled C-order over that type's covariates in covariate
-order.  ``CompiledType`` holds the cell-index maps and one-hot aggregation
-matrices tying the three spaces together.
+order.  The *stacked* cell axis concatenates every type's condition cells in
+type order (``CompiledScenario.offsets`` marks the blocks), and the stacked
+data axis does the same for data cells.
+
+Compiled linear map
+-------------------
+Every data moment a perceived effect needs is linear in the strategies:
+the mass ``p(a, x_D)`` and the outcome mass ``p(a, y=1, x_D)`` of each
+type's data cell are sums over (taste, covariate cell) of ``p(t, x)``,
+the outcome kernel and the type weight times the probability that the
+playing type takes action ``a``.  ``compile_scenario`` folds all of that
+into ``mass_map``, one matrix from the stacked strategy ``(2 tastes,
+stacked cells)`` to every type's data-cell moments.  ``profile_effects``
+multiplies it by the stacked pair ``[1 - sigma, sigma]``, so the a=0 mass is
+the sum of each type's own ``lam * (1 - sigma)``: an exactly pure profile
+leaves exactly zero mass on the unplayed action even when the type weights
+sum to 1 only up to roundoff (``1 - sum(lam * sigma)`` would leave about
+1e-16 there and call an unseen event observed).  One divide gives the
+conditional outcome rates, one matmul with the block-diagonal ``adjust``
+matrix averages them into beliefs, and one with the block-diagonal
+``missing`` matrix flags condition cells that need an unseen event.
+
+Dynamics
+--------
+``equilibrium._dynamics_batch`` iterates one ``(batch, 2, stacked cells)``
+state array: scores, best-reply codes, step halving, convergence, snapping
+and revisit keys are each one array operation for all types and starts.
 """
 
 from __future__ import annotations
@@ -62,12 +87,7 @@ def ladder_rungs(
 @dataclass
 class CompiledType:
     nc: int
-    nd: int
     c_cards: tuple[int, ...]
-    x_to_c: np.ndarray  # (nx,) covariate cell -> condition cell
-    agg_d: np.ndarray  # (nx, nd) one-hot: covariate cell -> data cell
-    agg_c: np.ndarray  # (nd, nc) one-hot: data cell -> condition cell
-    w_d: np.ndarray  # (nd,) adjustment weights p(x_D) / p(x_C), 0 off-support
     reachable: np.ndarray  # (nc,) bool
     tcm: np.ndarray  # (2, nc) taste-cell mass p(t, x_C)
     active: np.ndarray  # (2, nc) bool: tcm > 0
@@ -76,13 +96,16 @@ class CompiledType:
 @dataclass
 class CompiledScenario:
     scenario: Scenario
-    nx: int
-    ptx: np.ndarray  # (2, nx)
-    kernel: np.ndarray  # (2, nx)
-    lam: np.ndarray
     types: list[CompiledType]
     score_base: np.ndarray  # (2,) = beta - c, beta + c
     effect_weight: float  # 1 - beta
+    offsets: tuple[int, ...]  # n_types + 1 block bounds on the stacked cell axis
+    reachable: np.ndarray  # (S,) bool, stacked over types
+    active: np.ndarray  # (2, S) bool, stacked over types
+    # (2 * S, 2 * D): stacked strategy, taste-major, -> [p(a, x_D) | p(a, y=1, x_D)]
+    mass_map: np.ndarray
+    adjust: np.ndarray  # (D, S) block-diagonal w_d * agg_c
+    missing: np.ndarray  # (D, S) block-diagonal agg_c where w_d > 0
 
 
 def _ravel_cells(cards: tuple[int, ...], coords: np.ndarray) -> np.ndarray:
@@ -101,6 +124,10 @@ def compile_scenario(scenario: Scenario) -> CompiledScenario:
 
     grid = np.indices(cards).reshape(len(cards), nx).T if cards else np.zeros((1, 0), int)
     compiled = []
+    offsets = [0]
+    # per type, in stacked indices: covariate cell -> condition cell, data
+    # cell -> condition cell; and one-hot covariate cell -> data cell
+    c_cols, adj_cols, in_d, w_d = [], [], [], []
     for i in range(scenario.n_types):
         c_axes = scenario.c_axes(i)
         d_axes = scenario.d_axes(i)
@@ -108,7 +135,6 @@ def compile_scenario(scenario: Scenario) -> CompiledScenario:
         d_cards = tuple(cards[k] for k in d_axes)
         nc = int(np.prod(c_cards)) if c_cards else 1
         nd = int(np.prod(d_cards)) if d_cards else 1
-        x_to_c = _ravel_cells(c_cards, grid[:, list(c_axes)])
         x_to_d = _ravel_cells(d_cards, grid[:, list(d_axes)])
         # data cell -> condition cell (C ⊆ D, both in covariate order)
         d_grid = np.indices(d_cards).reshape(len(d_cards), nd).T if d_cards else np.zeros((1, 0), int)
@@ -123,32 +149,38 @@ def compile_scenario(scenario: Scenario) -> CompiledScenario:
         pd = px @ agg_d
         pc = pd @ agg_c
         pc_of_d = pc[d_to_c]
-        w_d = np.divide(pd, pc_of_d, out=np.zeros_like(pd), where=pc_of_d > 0)
+        w_d.append(np.divide(pd, pc_of_d, out=np.zeros_like(pd), where=pc_of_d > 0))
         tcm = ptx @ agg_d @ agg_c
         compiled.append(
-            CompiledType(
-                nc=nc,
-                nd=nd,
-                c_cards=c_cards,
-                x_to_c=x_to_c,
-                agg_d=agg_d,
-                agg_c=agg_c,
-                w_d=w_d,
-                reachable=pc > 0,
-                tcm=tcm,
-                active=tcm > 0,
-            )
+            CompiledType(nc=nc, c_cards=c_cards, reachable=pc > 0, tcm=tcm, active=tcm > 0)
         )
+        c_cols.append(offsets[-1] + d_to_c[x_to_d])
+        adj_cols.append(offsets[-1] + d_to_c)
+        in_d.append(agg_d)
+        offsets.append(offsets[-1] + nc)
+
+    n_s = offsets[-1]
+    lam_x = np.zeros((nx, n_s))  # covariate cell -> stacked condition cells, times lam
+    lam_x[np.arange(nx)[:, None], np.stack(c_cols, axis=1)] = scenario.lam
+    in_d = np.concatenate(in_d, axis=1)  # covariate cell -> stacked data cells
+    n_d = in_d.shape[1]
+    moments = np.stack([ptx, ptx * kernel])  # (moment, taste, nx)
+    mass_map = (lam_x.T * moments[:, :, None, :]) @ in_d  # (moment, taste, S, D)
+    adjust = np.zeros((n_d, n_s))
+    adjust[np.arange(n_d), np.concatenate(adj_cols)] = np.concatenate(w_d)
+
     beta, c = scenario.beta, scenario.c
     return CompiledScenario(
         scenario=scenario,
-        nx=nx,
-        ptx=ptx,
-        kernel=kernel,
-        lam=np.array(scenario.lam),
         types=compiled,
         score_base=np.array([beta - c, beta + c]),
         effect_weight=1.0 - beta,
+        offsets=tuple(offsets),
+        reachable=np.concatenate([ct.reachable for ct in compiled]),
+        active=np.concatenate([ct.active for ct in compiled], axis=1),
+        mass_map=mass_map.transpose(1, 2, 0, 3).reshape(2 * n_s, 2 * n_d),
+        adjust=adjust,
+        missing=(adjust > 0).astype(np.float64),
     )
 
 
@@ -169,6 +201,11 @@ def unflatten_profile(cs: CompiledScenario, flats: list[np.ndarray]) -> Strategy
     for flat, ct in zip(flats, cs.types):
         sigmas.append(np.asarray(flat, dtype=np.float64).reshape((2,) + ct.c_cards))
     return StrategyProfile(tuple(sigmas))
+
+
+def profile_key(flats) -> bytes:
+    """Identity of a profile up to 10 decimals, for deduplicating rest points."""
+    return b"".join(np.round(np.asarray(f), 10).tobytes() for f in flats)
 
 
 # -- trembles ---------------------------------------------------------------
@@ -270,45 +307,40 @@ def flip_floor(flats: list[np.ndarray], floor: float = BR_FLOOR) -> list[np.ndar
 # -- perceived effects and best replies ------------------------------------
 
 
-def aggregate_flat(cs: CompiledScenario, flats: list[np.ndarray]) -> np.ndarray:
-    """Population p(a=1 | t, x) over covariate cells, batch-aware."""
-    out = 0.0
-    for lam_i, flat, ct in zip(cs.lam, flats, cs.types):
-        out = out + lam_i * flat[..., ct.x_to_c]
-    return out
+def split_cells(cs: CompiledScenario, stacked: np.ndarray) -> list[np.ndarray]:
+    """Per-type views of an array whose last axis is the stacked cell axis."""
+    return [stacked[..., a:b] for a, b in zip(cs.offsets[:-1], cs.offsets[1:])]
 
 
-def type_effects(cs: CompiledScenario, ct: CompiledType, agg: np.ndarray):
-    """Perceived effect and definedness per condition cell for one type.
-
-    ``agg`` is p(a=1 | t, x) shaped (batch..., 2, nx).  Returns
-    (delta, defined) shaped (batch..., nc); delta is 0 where undefined.
-    """
-    mass_a1 = (cs.ptx * agg).sum(axis=-2)  # (batch..., nx): p(a=1, x)
-    mass_a0 = (cs.ptx * (1.0 - agg)).sum(axis=-2)
-    ymass_a1 = (cs.ptx * cs.kernel * agg).sum(axis=-2)
-    ymass_a0 = (cs.ptx * cs.kernel * (1.0 - agg)).sum(axis=-2)
-
-    def belief(mass_x, ymass_x):
-        mass_d = mass_x @ ct.agg_d
-        ymass_d = ymass_x @ ct.agg_d
-        cond = np.divide(ymass_d, mass_d, out=np.zeros_like(mass_d), where=mass_d > 0)
-        missing = (ct.w_d > 0) & (mass_d <= 0)
-        value = (ct.w_d * cond) @ ct.agg_c
-        ok = (missing.astype(np.float64) @ ct.agg_c) == 0
-        return value, ok
-
-    b1, ok1 = belief(mass_a1, ymass_a1)
-    b0, ok0 = belief(mass_a0, ymass_a0)
-    defined = ok1 & ok0 & ct.reachable
-    delta = np.where(defined, b1 - b0, 0.0)
-    return delta, defined
+def join_effects(effects) -> tuple[np.ndarray, np.ndarray]:
+    """Per-type (delta, defined) pairs back on the stacked cell axis."""
+    return (
+        np.concatenate([d for d, _ in effects], axis=-1),
+        np.concatenate([ok for _, ok in effects], axis=-1),
+    )
 
 
 def profile_effects(cs: CompiledScenario, flats: list[np.ndarray]):
-    """Per-type (delta, defined) lists for a batch of profiles."""
-    agg = aggregate_flat(cs, flats)
-    return [type_effects(cs, ct, agg) for ct in cs.types]
+    """Per-type (delta, defined) lists for a batch of profiles.
+
+    ``flats`` holds per-type arrays shaped (batch..., 2, nc); every type and
+    every batch entry goes through the compiled maps in one pass.  delta is
+    0 where undefined.
+    """
+    stacked = np.concatenate(flats, axis=-1)
+    lead, n_s = stacked.shape[:-2], stacked.shape[-1]
+    n_d = cs.adjust.shape[0]
+    sigma = stacked.reshape(-1, 1, 2 * n_s)
+    both = np.concatenate([1.0 - sigma, sigma], axis=1)  # (n, action, 2 * S)
+    moments = (both.reshape(-1, 2 * n_s) @ cs.mass_map).reshape(-1, 2, 2 * n_d)
+    mass, ymass = moments[..., :n_d], moments[..., n_d:]
+    seen = mass > 0
+    cond = np.divide(ymass, mass, out=np.zeros_like(mass), where=seen)
+    belief = (cond.reshape(-1, n_d) @ cs.adjust).reshape(-1, 2, n_s)
+    unseen = (~seen).any(axis=1).astype(np.float64)
+    defined = ((unseen @ cs.missing) == 0) & cs.reachable
+    delta = np.where(defined, belief[:, 1] - belief[:, 0], 0.0).reshape(lead + (n_s,))
+    return list(zip(split_cells(cs, delta), split_cells(cs, defined.reshape(lead + (n_s,)))))
 
 
 def check_rungs(
@@ -324,21 +356,17 @@ def check_rungs(
     played above the threshold is a best reply on every active, defined cell
     and no active cell is undefined.
     """
-    effects = profile_effects(cs, trembled)
-    eps_col = eps.reshape(eps.shape + (1,) * (trembled[0].ndim - 1))
-    ok = True
-    undef = False
-    viol = 0.0
-    for (delta, defined), flat, ct in zip(effects, trembled, cs.types):
-        scores = cs.score_base.reshape((2, 1)) + cs.effect_weight * delta[..., None, :]
-        bad1 = (flat > eps_col + PLAY_SLACK) & (scores < -tie_tol)
-        bad0 = ((1.0 - flat) > eps_col + PLAY_SLACK) & (scores > tie_tol)
-        cell_und = ct.active & ~defined[..., None, :]
-        bad = (bad1 | bad0) & ct.active & defined[..., None, :]
-        mag = np.where(bad, np.abs(scores), 0.0)
-        ok = ok & ~bad.any(axis=(-2, -1)) & ~cell_und.any(axis=(-2, -1))
-        undef = undef | cell_und.any(axis=(-2, -1))
-        viol = np.maximum(viol, mag.max(axis=(-2, -1)))
+    delta, defined = join_effects(profile_effects(cs, trembled))
+    flat = np.concatenate(trembled, axis=-1)
+    eps_col = eps.reshape(eps.shape + (1,) * (flat.ndim - 1))
+    scores = cs.score_base.reshape((2, 1)) + cs.effect_weight * delta[..., None, :]
+    bad1 = (flat > eps_col + PLAY_SLACK) & (scores < -tie_tol)
+    bad0 = ((1.0 - flat) > eps_col + PLAY_SLACK) & (scores > tie_tol)
+    live = cs.active & defined[..., None, :]
+    bad = (bad1 | bad0) & live
+    undef = (cs.active & ~defined[..., None, :]).any(axis=(-2, -1))
+    ok = ~bad.any(axis=(-2, -1)) & ~undef
+    viol = np.where(bad, np.abs(scores), 0.0).max(axis=(-2, -1))
     return ok, undef, viol
 
 

@@ -86,13 +86,15 @@ def _belief_arrays(scenario: Scenario, profile: StrategyProfile, type_index: int
     d_axes = scenario.d_axes(type_index)
     rest_axes = tuple(k for k in d_axes if k not in c_axes)
 
-    pa1 = aggregate_behavior(scenario, profile)
     px = scenario.ptx.sum(axis=0)  # over x, taste marginalized
     x_all = tuple(range(len(scenario.x_names)))
     drop = tuple(k for k in x_all if k not in d_axes)
 
-    # Dataset moments over (x_D, a): event mass and mass with y=1.
-    action = np.stack([1.0 - pa1, pa1], axis=-1)  # (t, x..., a)
+    # Dataset moments over (x_D, a): event mass and mass with y=1.  Both
+    # action rates are summed type by type, so a=0 is never 1 - p(a=1).
+    action = np.stack(
+        [aggregate_behavior(scenario, profile, a) for a in (0, 1)], axis=-1
+    )  # (t, x..., a)
     mass_txa = scenario.ptx[..., None] * action
     y_txa = mass_txa * scenario.kernel[..., None]
     sum_axes = (0,) + tuple(1 + k for k in drop)

@@ -18,6 +18,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from . import _engine as eng
 from . import document as docmod
 from . import scenarios as builtins_mod
 from . import worstcase as wc
@@ -426,9 +427,7 @@ def _cmd_solve(args) -> int:
         if result.status == "converged":
             any_converged = True
             entry["verdict"] = result.report.verdict
-            key = b"".join(
-                np.round(np.asarray(s), 10).tobytes() for s in result.profile.sigmas
-            )
+            key = eng.profile_key(result.profile.sigmas)
             if result.report.verdict == "equilibrium_limit" and key not in seen:
                 seen.add(key)
                 equilibria.append(

@@ -312,61 +312,66 @@ def _dynamics_batch(
     Per-cell steps start at ``damping`` and halve whenever that cell's strict
     best reply flips, which settles oscillations onto interior mixing points;
     cells at (or within tolerance of) indifference hold their current value.
-    Returns final arrays plus per-init status.
+    All types ride one (batch, 2, stacked cells) state array.  Returns final
+    per-type arrays plus per-init status.
     """
-    n_init = flats[0].shape[0]
-    flats = [f.copy() for f in flats]
-    steps = [np.full(f.shape, damping) for f in flats]
-    prev = [np.full(f.shape, -1, dtype=np.int8) for f in flats]
+    state = np.concatenate(flats, axis=-1)
+    n_init = state.shape[0]
+    steps = np.full(state.shape, damping)
+    prev = np.full(state.shape, -1, dtype=np.int8)
     done = np.zeros(n_init, dtype=bool)
     cycled = np.zeros(n_init, dtype=bool)
     iters = np.zeros(n_init, dtype=int)
     seen: list[set[bytes]] = [set() for _ in range(n_init)]
 
+    def scored(st):
+        delta, defined = eng.join_effects(
+            eng.profile_effects(cs, eng.split_cells(cs, eng.flip_floor([st])[0]))
+        )
+        scores = cs.score_base.reshape(2, 1) + cs.effect_weight * delta[:, None, :]
+        return scores, cs.active & defined[:, None, :]
+
     for it in range(max_iters):
-        effects = eng.profile_effects(cs, eng.flip_floor(flats))
-        max_change = np.zeros(n_init)
-        for k, ((delta, defined), ct) in enumerate(zip(effects, cs.types)):
-            flat = flats[k]
-            scores = cs.score_base.reshape(2, 1) + cs.effect_weight * delta[..., None, :]
-            code = np.where(scores > tol, 1, np.where(scores < -tol, 0, -1)).astype(np.int8)
-            code = np.where(ct.active & defined[..., None, :], code, -1)
-            target = np.where(code < 0, flat, code.astype(np.float64))
-            flipped = (prev[k] >= 0) & (code >= 0) & (prev[k] != code)
-            steps[k] = np.where(flipped, steps[k] * 0.5, steps[k])
-            prev[k] = np.where(code >= 0, code, prev[k])
-            upd = flat + steps[k] * (target - flat)
-            upd = np.where(done[:, None, None], flat, upd)
-            max_change = np.maximum(max_change, np.abs(upd - flat).max(axis=(1, 2)))
-            flats[k] = upd
+        scores, live = scored(state)
+        code = np.where(scores > tol, 1, np.where(scores < -tol, 0, -1)).astype(np.int8)
+        code = np.where(live, code, -1)
+        target = np.where(code < 0, state, code.astype(np.float64))
+        flipped = (prev >= 0) & (code >= 0) & (prev != code)
+        steps = np.where(flipped, steps * 0.5, steps)
+        prev = np.where(code >= 0, code, prev)
+        upd = state + steps * (target - state)
+        upd = np.where(done[:, None, None], state, upd)
+        max_change = np.abs(upd - state).max(axis=(1, 2))
+        state = upd
         just_converged = ~done & (max_change < eng.CONVERGENCE_TOL)
         iters = np.where(~done, it + 1, iters)
         done |= just_converged
         # Revisit detection runs only while the state still moves at a scale
         # well above the rounding used for keys; a settling trajectory would
         # otherwise alias consecutive near-identical states into a "cycle".
-        for b in range(n_init):
-            if done[b] or max_change[b] < 1e-7:
-                continue
-            key = b"".join(np.round(f[b], 9).tobytes() for f in flats)
-            if key in seen[b]:
-                cycled[b] = True
-                done[b] = True
-            else:
-                seen[b].add(key)
+        # Keys round to 9 decimals, one coarser than ``eng.profile_key``:
+        # they must catch a return to an earlier state up to accumulated
+        # roundoff, while the 1e-7 gate keeps the movement far above the grid.
+        moving = np.nonzero(~done & (max_change >= 1e-7))[0]
+        if moving.size:
+            keys = np.round(state[moving], 9).tobytes()
+            width = len(keys) // moving.size
+            for j, b in enumerate(moving.tolist()):
+                key = keys[j * width : (j + 1) * width]
+                if key in seen[b]:
+                    cycled[b] = True
+                    done[b] = True
+                else:
+                    seen[b].add(key)
         if done.all():
             break
 
     converged = done & ~cycled
     # Snap strictly-best-reply cells of converged runs to the pure action.
-    effects = eng.profile_effects(cs, eng.flip_floor(flats))
-    for k, ((delta, defined), ct) in enumerate(zip(effects, cs.types)):
-        scores = cs.score_base.reshape(2, 1) + cs.effect_weight * delta[..., None, :]
-        strict1 = (scores > tol) & ct.active & defined[..., None, :]
-        strict0 = (scores < -tol) & ct.active & defined[..., None, :]
-        snap = np.where(strict1, 1.0, np.where(strict0, 0.0, flats[k]))
-        flats[k] = np.where(converged[:, None, None], snap, flats[k])
-    return flats, converged, cycled, iters
+    scores, live = scored(state)
+    snap = np.where((scores > tol) & live, 1.0, np.where((scores < -tol) & live, 0.0, state))
+    state = np.where(converged[:, None, None], snap, state)
+    return [f.copy() for f in eng.split_cells(cs, state)], converged, cycled, iters
 
 
 def best_response_dynamics(

@@ -358,13 +358,21 @@ def apply_trembles(
 # -- induced behavior and outcomes ----------------------------------------
 
 
-def aggregate_behavior(scenario: Scenario, profile: StrategyProfile) -> np.ndarray:
-    """Population action rule p(a = 1 | t, x), shaped (2, *x_cards)."""
+def aggregate_behavior(
+    scenario: Scenario, profile: StrategyProfile, action: int = 1
+) -> np.ndarray:
+    """Population action rule p(a = action | t, x), shaped (2, *x_cards).
+
+    Each type contributes its own probability of ``action``, so an exactly
+    pure profile puts exactly zero mass on the action nobody plays even when
+    the type weights sum to 1 only up to roundoff.
+    """
     profile.conforms(scenario)
     out = np.zeros((2,) + tuple(scenario.x_cards))
     for i, w in enumerate(scenario.lam):
         if w:
-            out += w * profile.expanded(scenario, i)
+            sig = profile.expanded(scenario, i)
+            out += w * (sig if action == 1 else 1.0 - sig)
     return out
 
 

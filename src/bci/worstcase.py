@@ -478,10 +478,6 @@ def random_scenario(cfg: SearchConfig, rng: np.random.Generator) -> Scenario:
     return _materialize(structure, cfg, theta)
 
 
-def _profile_key(flats: Sequence[np.ndarray]) -> bytes:
-    return b"".join(np.round(f, 10).tobytes() for f in flats)
-
-
 def verified_equilibria(
     scenario: Scenario,
     rng: np.random.Generator,
@@ -503,7 +499,7 @@ def verified_equilibria(
     n_slots = int(sum(ct.active.sum() for ct in cs.types))
     if n_slots < 63 and 2**n_slots <= enumeration_limit:
         for prof, rep in enumerate_pure_equilibria(scenario, tie_tol=tie_tol):
-            found[_profile_key(eng.flatten_profile(cs, prof))] = (prof, rep)
+            found[eng.profile_key(eng.flatten_profile(cs, prof))] = (prof, rep)
 
     inits = []
     for pattern in ("taste", "zero", "one"):
@@ -526,7 +522,7 @@ def verified_equilibria(
         if not converged[b] or cycled[b]:
             continue
         prof_flats = [f[b] for f in out]
-        key = _profile_key(prof_flats)
+        key = eng.profile_key(prof_flats)
         if key in found:
             continue
         prof = eng.unflatten_profile(cs, prof_flats)

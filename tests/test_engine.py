@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from bci import _engine as eng
 from bci.causal import delta_table
-from bci.model import StrategyProfile, TrembleSchedule, TrembleSpec, apply_trembles
+from bci.model import Scenario, StrategyProfile, TrembleSchedule, TrembleSpec, apply_trembles
 from bci.scenarios import example_3_1, prop2_cycle, prop4
 
 from test_causal import random_small_scenario
@@ -117,7 +120,51 @@ def test_batch_axis_broadcasts(rng):
     flats_batch = [
         np.stack([eng.flatten_profile(cs, p)[i] for p in profs]) for i in range(s.n_types)
     ]
-    agg_batch = eng.aggregate_flat(cs, flats_batch)
+    batch = eng.profile_effects(cs, flats_batch)
     for b, p in enumerate(profs):
-        single = eng.aggregate_flat(cs, eng.flatten_profile(cs, p))
-        assert np.allclose(agg_batch[b], single, atol=1e-15)
+        single = eng.profile_effects(cs, eng.flatten_profile(cs, p))
+        for (d_batch, ok_batch), (d_one, ok_one) in zip(batch, single):
+            assert np.array_equal(ok_batch[b], ok_one)
+            assert np.allclose(d_batch[b], d_one, atol=1e-15)
+
+
+ONE_ULP_SHORT = -1.1102230246251565e-16  # sum(lam) - 1 one ulp below 1
+
+
+def _lam_one_ulp_short(lam):
+    """Nudge the last weight until the weights sum to one ulp below 1."""
+    lam = [float(w) for w in lam]
+    lam[-1] = (1.0 + ONE_ULP_SHORT) - sum(lam[:-1])
+    for _ in range(8):
+        gap = sum(lam) - 1.0
+        if gap == ONE_ULP_SHORT:
+            return tuple(lam)
+        lam[-1] = float(np.nextafter(lam[-1], np.inf if gap < ONE_ULP_SHORT else -np.inf))
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_pure_profiles_under_inexact_weights_agree_with_oracle(seed):
+    # With weights summing to 1 - 1.1e-16, an exactly pure profile must still
+    # leave exactly zero mass on the action nobody plays.
+    rng = np.random.default_rng(seed)
+    s, _ = random_small_scenario(rng)
+    lam = _lam_one_ulp_short(s.lam)
+    if lam is None:
+        return
+    s = Scenario(s.x_names, s.x_cards, s.ptx, s.kernel, s.types, lam, s.c)
+    assert sum(s.lam) - 1.0 == ONE_ULP_SHORT
+    prof = StrategyProfile(
+        tuple(rng.integers(0, 2, s.sigma_shape(i)).astype(float) for i in range(s.n_types))
+    )
+    cs = eng.compile_scenario(s)
+    effects = eng.profile_effects(cs, eng.flatten_profile(cs, prof))
+    for i, ((d, ok), tab) in enumerate(zip(effects, delta_table(s, prof))):
+        ref = oracles.brute_delta(s, prof, i)
+        for cell, expected in ref.items():
+            flat = np.ravel_multi_index(cell, tab.defined.shape) if cell else 0
+            assert bool(ok[flat]) == bool(tab.defined[cell]) == (expected is not None), (i, cell)
+            if expected is not None:
+                assert abs(float(d[flat]) - expected) <= 1e-12, (i, cell)
+                assert abs(float(tab.values[cell]) - expected) <= 1e-12, (i, cell)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from bci import _engine as eng
 from bci.equilibrium import (
     EquilibriumError,
+    _dynamics_batch,
     best_response_dynamics,
     certify_equilibrium,
     enumerate_pure_equilibria,
@@ -21,7 +23,7 @@ from bci.scenarios import (
     pandemic_profile,
     prop2_incomplete,
 )
-from bci.worstcase import witness_incomplete
+from bci.worstcase import SearchConfig, random_scenario, witness_incomplete
 
 
 def test_eps_equilibrium_golden_two_covariates():
@@ -153,3 +155,26 @@ def test_report_delta_tables_included():
     report = verify_eps_equilibrium(s, matching_on_own_covariate(s), 0.01)
     assert len(report.delta_tables) == 2
     assert report.delta_tables[0].values[(1,)] == pytest.approx(8.0 / 9.0, abs=1e-12)
+
+
+def test_dynamics_batch_starts_are_independent():
+    # criterion 06's ordered family; this draw mixes early, late and capped starts
+    cfg = SearchConfig(
+        gamma=0.3,
+        t_only_outcome=True,
+        simple_types=True,
+        p_structure="complete_qt",
+        metric="error_probability",
+        param_scale=4.0,
+        seed=11,
+    )
+    rng = np.random.default_rng(102)
+    cs = eng.compile_scenario(random_scenario(cfg, rng))
+    flats = [rng.random((15, 2, ct.nc)) for ct in cs.types]
+    out, converged, cycled, iters = _dynamics_batch(cs, flats, 0.5, 400, 1e-9)
+    assert len(set(iters.tolist())) > 2 and converged.any() and not converged.all()
+    for b in range(15):
+        one, conv1, cyc1, iters1 = _dynamics_batch(cs, [f[b : b + 1] for f in flats], 0.5, 400, 1e-9)
+        assert (conv1[0], cyc1[0], iters1[0]) == (converged[b], cycled[b], iters[b]), b
+        for got, alone in zip(out, one):
+            assert np.allclose(got[b], alone[0], rtol=0.0, atol=1e-12), b
