@@ -46,7 +46,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .causal import tie_tolerance
 from .model import Scenario, StrategyProfile, TrembleSchedule
 
 DEFAULT_LADDER_START = 0.1
@@ -227,9 +226,9 @@ class CompiledSchedule:
     codes: list[np.ndarray]  # per type: (2,) ints
 
     @classmethod
-    def from_schedule(cls, cs: CompiledScenario, schedule: TrembleSchedule) -> "CompiledSchedule":
+    def from_schedule(cls, schedule: TrembleSchedule, n_types: int) -> "CompiledSchedule":
         exps, codes = [], []
-        for i in range(len(cs.types)):
+        for i in range(n_types):
             e = np.ones(2)
             k = np.full(2, _TARGET_NONE)
             for taste in (0, 1):
@@ -320,27 +319,41 @@ def join_effects(effects) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def profile_effects(cs: CompiledScenario, flats: list[np.ndarray]):
-    """Per-type (delta, defined) lists for a batch of profiles.
+def profile_beliefs(cs: CompiledScenario, flats: list[np.ndarray]):
+    """Do-beliefs b(y=1 | x_C, do(a)) for a batch of profiles, per action.
 
     ``flats`` holds per-type arrays shaped (batch..., 2, nc); every type and
-    every batch entry goes through the compiled maps in one pass.  delta is
-    0 where undefined.
+    every batch entry goes through the compiled maps in one pass.  Returns
+    (belief, defined), both shaped (batch..., 2 actions, stacked cells).  A
+    belief is defined where its condition cell is reachable and every data
+    cell it averages over with positive weight has seen that action; belief
+    is meaningless where it is not defined.
     """
     stacked = np.concatenate(flats, axis=-1)
     lead, n_s = stacked.shape[:-2], stacked.shape[-1]
     n_d = cs.adjust.shape[0]
     sigma = stacked.reshape(-1, 1, 2 * n_s)
     both = np.concatenate([1.0 - sigma, sigma], axis=1)  # (n, action, 2 * S)
-    moments = (both.reshape(-1, 2 * n_s) @ cs.mass_map).reshape(-1, 2, 2 * n_d)
-    mass, ymass = moments[..., :n_d], moments[..., n_d:]
+    moments = (both.reshape(-1, 2 * n_s) @ cs.mass_map).reshape(-1, 2 * n_d)
+    mass, ymass = moments[:, :n_d], moments[:, n_d:]
     seen = mass > 0
     cond = np.divide(ymass, mass, out=np.zeros_like(mass), where=seen)
-    belief = (cond.reshape(-1, n_d) @ cs.adjust).reshape(-1, 2, n_s)
-    unseen = (~seen).any(axis=1).astype(np.float64)
-    defined = ((unseen @ cs.missing) == 0) & cs.reachable
-    delta = np.where(defined, belief[:, 1] - belief[:, 0], 0.0).reshape(lead + (n_s,))
-    return list(zip(split_cells(cs, delta), split_cells(cs, defined.reshape(lead + (n_s,)))))
+    belief = (cond @ cs.adjust).reshape(lead + (2, n_s))
+    unseen = (~seen).astype(np.float64)
+    defined = ((unseen @ cs.missing) == 0).reshape(lead + (2, n_s)) & cs.reachable
+    return belief, defined
+
+
+def profile_effects(cs: CompiledScenario, flats: list[np.ndarray]):
+    """Per-type (delta, defined) lists for a batch of profiles.
+
+    delta = b(do(1)) - b(do(0)) from ``profile_beliefs``, defined where both
+    beliefs are, and 0 where undefined.
+    """
+    belief, defined = profile_beliefs(cs, flats)
+    both = defined.all(axis=-2)
+    delta = np.where(both, belief[..., 1, :] - belief[..., 0, :], 0.0)
+    return list(zip(split_cells(cs, delta), split_cells(cs, both)))
 
 
 def check_rungs(

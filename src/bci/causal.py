@@ -16,6 +16,11 @@ probability, or when some needed conditional p(y | a, x_D) would condition on
 a zero-mass event while carrying positive adjustment weight.  Undefined
 values propagate as ``None`` (scalar API) or masked entries (table API);
 nothing is imputed.
+
+Every belief and effect here is read from the compiled engine
+(``_engine.profile_beliefs`` and ``_engine.profile_effects``), the same
+computation that decides equilibrium verdicts; this module only lays its
+output out per type and condition cell.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .model import ModelError, Scenario, StrategyProfile, aggregate_behavior
+from . import _engine as eng
+from .model import ModelError, Scenario, StrategyProfile
 
 DEFAULT_TIE_TOL = 1e-9
 
@@ -74,64 +80,9 @@ def _cell_index(names: tuple[str, ...], cell: Mapping[str, int] | Sequence[int])
     return idx
 
 
-def _belief_arrays(scenario: Scenario, profile: StrategyProfile, type_index: int):
-    """Interventional beliefs for one type, over (condition cells, action).
-
-    Returns (belief, belief_defined, reachable) with shapes
-    (C_cards..., 2), (C_cards..., 2), (C_cards...,).
-    """
+def _check_type(scenario: Scenario, type_index: int) -> None:
     if not 0 <= type_index < scenario.n_types:
         raise ModelError(f"no type with index {type_index}")
-    c_axes = scenario.c_axes(type_index)
-    d_axes = scenario.d_axes(type_index)
-    rest_axes = tuple(k for k in d_axes if k not in c_axes)
-
-    px = scenario.ptx.sum(axis=0)  # over x, taste marginalized
-    x_all = tuple(range(len(scenario.x_names)))
-    drop = tuple(k for k in x_all if k not in d_axes)
-
-    # Dataset moments over (x_D, a): event mass and mass with y=1.  Both
-    # action rates are summed type by type, so a=0 is never 1 - p(a=1).
-    action = np.stack(
-        [aggregate_behavior(scenario, profile, a) for a in (0, 1)], axis=-1
-    )  # (t, x..., a)
-    mass_txa = scenario.ptx[..., None] * action
-    y_txa = mass_txa * scenario.kernel[..., None]
-    sum_axes = (0,) + tuple(1 + k for k in drop)
-    mass_da = mass_txa.sum(axis=sum_axes)  # (x_D..., a) in covariate order
-    y_da = y_txa.sum(axis=sum_axes)
-    seen = mass_da > 0.0
-    cond = np.where(seen, y_da / np.where(seen, mass_da, 1.0), np.nan)
-
-    # Adjustment weights p(x_{D\C} | x_C) over (x_C..., x_rest...).
-    p_d = px.sum(axis=drop) if drop else px
-    c_pos = tuple(d_axes.index(k) for k in c_axes)
-    rest_pos = tuple(d_axes.index(k) for k in rest_axes)
-    p_d = np.transpose(p_d, c_pos + rest_pos)
-    cond = np.transpose(cond, c_pos + rest_pos + (len(d_axes),))
-    seen = np.transpose(seen, c_pos + rest_pos + (len(d_axes),))
-    rest_nd = len(rest_axes)
-    rest_dims = tuple(range(len(c_axes), len(c_axes) + rest_nd))
-    p_c = p_d.sum(axis=rest_dims) if rest_dims else p_d
-    reachable = p_c > 0.0
-    safe_pc = np.where(reachable, p_c, 1.0)
-    w = p_d / safe_pc.reshape(p_c.shape + (1,) * rest_nd)
-
-    # belief[cell, a] = sum over rest cells of w * cond, defined when every
-    # positively weighted term has a seen (a, x_D) event.
-    needed = w[..., None] > 0.0
-    if rest_nd:
-        ok = np.all(~needed | seen, axis=rest_dims)
-        flat_w = w.reshape(p_c.shape + (-1,))
-        flat_cond = cond.reshape(p_c.shape + (-1, 2))
-        # zero-weight nan terms must not poison the sum
-        belief = np.where(flat_w[..., None] > 0, flat_w[..., None] * flat_cond, 0.0).sum(axis=-2)
-    else:
-        ok = seen
-        belief = np.where(seen, cond, 0.0)
-    belief_defined = ok & reachable[..., None]
-    belief = np.where(belief_defined, belief, np.nan)
-    return belief, belief_defined, reachable
 
 
 def subjective_do_belief(
@@ -144,23 +95,38 @@ def subjective_do_belief(
     """b(y=1 | x_C = cell, do(a)) for one type, or None where undefined."""
     if action not in (0, 1):
         raise ModelError("action must be 0 or 1")
-    belief, defined, _ = _belief_arrays(scenario, profile, type_index)
-    idx = _cell_index(scenario.c_names(type_index), cell)
-    if not bool(defined[idx + (action,)]):
+    _check_type(scenario, type_index)
+    cs = eng.compile_scenario(scenario)
+    shape = (2,) + cs.types[type_index].c_cards
+    belief, defined = (
+        eng.split_cells(cs, arr)[type_index].reshape(shape)
+        for arr in eng.profile_beliefs(cs, eng.flatten_profile(cs, profile))
+    )
+    idx = (action,) + _cell_index(scenario.c_names(type_index), cell)
+    if not bool(defined[idx]):
         return None
-    return float(belief[idx + (action,)])
+    return float(belief[idx])
 
 
 def delta_table(
     scenario: Scenario, profile: StrategyProfile, type_index: int | None = None
 ) -> DeltaTable | tuple[DeltaTable, ...]:
     """Perceived effects per condition cell: one type, or all when unspecified."""
-    if type_index is None:
-        return tuple(delta_table(scenario, profile, i) for i in range(scenario.n_types))
-    belief, defined, reachable = _belief_arrays(scenario, profile, type_index)
-    both = defined[..., 0] & defined[..., 1]
-    values = np.where(both, belief[..., 1] - belief[..., 0], np.nan)
-    return DeltaTable(type_index, scenario.c_names(type_index), values, both, reachable)
+    if type_index is not None:
+        _check_type(scenario, type_index)
+    cs = eng.compile_scenario(scenario)
+    effects = eng.profile_effects(cs, eng.flatten_profile(cs, profile))
+    tables = tuple(
+        DeltaTable(
+            i,
+            scenario.c_names(i),
+            np.where(ok, d, np.nan).reshape(ct.c_cards),
+            ok.reshape(ct.c_cards),
+            ct.reachable.reshape(ct.c_cards),
+        )
+        for i, ((d, ok), ct) in enumerate(zip(effects, cs.types))
+    )
+    return tables if type_index is None else tables[type_index]
 
 
 def delta(

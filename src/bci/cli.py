@@ -22,10 +22,13 @@ from . import _engine as eng
 from . import document as docmod
 from . import scenarios as builtins_mod
 from . import worstcase as wc
-from .causal import delta_table
+from .causal import delta_table, tie_tolerance
 from .equilibrium import (
     EquilibriumError,
     EquilibriumReport,
+    _dynamics_batch,
+    _dynamics_results,
+    _dynamics_starts,
     best_response_dynamics,
     certify_equilibrium,
     enumerate_pure_equilibria,
@@ -399,26 +402,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    scenario, builtin = _resolve_scenario(args)
-    rng = np.random.default_rng(args.seed)
-    inits: list[tuple[str, StrategyProfile]] = [
-        ("taste", StrategyProfile.matching(scenario)),
-        ("zero", StrategyProfile.constant(scenario, 0.0)),
-        ("one", StrategyProfile.constant(scenario, 1.0)),
-    ]
-    for k in range(args.inits):
-        sigmas = tuple(
-            rng.random(scenario.sigma_shape(i)) for i in range(scenario.n_types)
-        )
-        inits.append((f"random{k}", StrategyProfile(sigmas)))
+    scenario, _ = _resolve_scenario(args)
+    cs = eng.compile_scenario(scenario)
+    labels, starts = _dynamics_starts(cs, np.random.default_rng(args.seed), args.inits)
+    batch = _dynamics_batch(cs, starts, args.damping, args.max_iters, tie_tolerance())
     runs = []
     equilibria = []
     seen: set[bytes] = set()
     any_converged = False
-    for label, init in inits:
-        result = best_response_dynamics(
-            scenario, init, max_iters=args.max_iters, damping=args.damping
-        )
+    for label, result in zip(labels, _dynamics_results(scenario, cs, batch)):
         entry: dict[str, Any] = {
             "init": label,
             "status": result.status,

@@ -220,7 +220,7 @@ def verify_limit(
     tol = tie_tolerance(tie_tol)
     cs = eng.compile_scenario(scenario)
     flats = eng.flatten_profile(cs, profile)
-    compiled_sched = eng.CompiledSchedule.from_schedule(cs, schedule)
+    compiled_sched = eng.CompiledSchedule.from_schedule(schedule, len(cs.types))
     trembled = eng.apply_compiled_trembles(flats, compiled_sched, rungs)
     ok, undef, viol = eng.check_rungs(cs, trembled, rungs, tol)
     trace = tuple(
@@ -315,6 +315,8 @@ def _dynamics_batch(
     All types ride one (batch, 2, stacked cells) state array.  Returns final
     per-type arrays plus per-init status.
     """
+    if not 0 < damping <= 1:
+        raise EquilibriumError("damping must lie in (0, 1]")
     state = np.concatenate(flats, axis=-1)
     n_init = state.shape[0]
     steps = np.full(state.shape, damping)
@@ -374,6 +376,57 @@ def _dynamics_batch(
     return [f.copy() for f in eng.split_cells(cs, state)], converged, cycled, iters
 
 
+# Deterministic dynamics starts by name: the action each taste plays everywhere.
+_FIXED_STARTS = {"taste": (0.0, 1.0), "zero": (0.0, 0.0), "one": (1.0, 1.0)}
+
+
+def _dynamics_starts(
+    cs: eng.CompiledScenario, rng: np.random.Generator, n_random: int
+) -> tuple[list[str], list[np.ndarray]]:
+    """Labels and per-type start batches for ``_dynamics_batch``.
+
+    The fixed starts come first, then ``n_random`` uniform draws from
+    ``rng``, one type after another within each start.
+    """
+    starts = [
+        [np.repeat(np.array(actions)[:, None], ct.nc, axis=1) for ct in cs.types]
+        for actions in _FIXED_STARTS.values()
+    ]
+    starts += [[rng.random((2, ct.nc)) for ct in cs.types] for _ in range(n_random)]
+    labels = [*_FIXED_STARTS, *(f"random{k}" for k in range(n_random))]
+    return labels, [np.stack([start[k] for start in starts]) for k in range(len(cs.types))]
+
+
+def _dynamics_results(
+    scenario: Scenario,
+    cs: eng.CompiledScenario,
+    batch,
+    schedule: TrembleSchedule | None = None,
+    tie_tol: float | None = None,
+) -> list[DynamicsResult]:
+    """One result per start of a ``_dynamics_batch`` output.
+
+    A converged profile is verified with ``schedule`` when given, else
+    certified against the default schedule try-list.
+    """
+    out, converged, cycled, iters = batch
+    results = []
+    for b in range(len(iters)):
+        profile = eng.unflatten_profile(cs, [f[b] for f in out])
+        if cycled[b]:
+            results.append(DynamicsResult("cycle_detected", profile, None, int(iters[b])))
+            continue
+        if not converged[b]:
+            results.append(DynamicsResult("max_iters", profile, None, int(iters[b])))
+            continue
+        if schedule is not None and not schedule.is_empty:
+            report = verify_limit(scenario, profile, schedule, tie_tol=tie_tol)
+        else:
+            report = certify_equilibrium(scenario, profile, tie_tol=tie_tol)
+        results.append(DynamicsResult("converged", profile, report, int(iters[b])))
+    return results
+
+
 def best_response_dynamics(
     scenario: Scenario,
     init: StrategyProfile,
@@ -389,22 +442,10 @@ def best_response_dynamics(
     as non-convergence.  A converged profile is verified with ``schedule``
     when given, else certified against the default schedule try-list.
     """
-    if not 0 < damping <= 1:
-        raise EquilibriumError("damping must lie in (0, 1]")
-    tol = tie_tolerance(tie_tol)
     cs = eng.compile_scenario(scenario)
     flats = [f[None] for f in eng.flatten_profile(cs, init)]
-    out, converged, cycled, iters = _dynamics_batch(cs, flats, damping, max_iters, tol)
-    profile = eng.unflatten_profile(cs, [f[0] for f in out])
-    if cycled[0]:
-        return DynamicsResult("cycle_detected", profile, None, int(iters[0]))
-    if not converged[0]:
-        return DynamicsResult("max_iters", profile, None, int(iters[0]))
-    if schedule is not None and not schedule.is_empty:
-        report = verify_limit(scenario, profile, schedule, tie_tol=tie_tol)
-    else:
-        report = certify_equilibrium(scenario, profile, tie_tol=tie_tol)
-    return DynamicsResult("converged", profile, report, int(iters[0]))
+    batch = _dynamics_batch(cs, flats, damping, max_iters, tie_tolerance(tie_tol))
+    return _dynamics_results(scenario, cs, batch, schedule, tie_tol)[0]
 
 
 # -- exhaustive pure-profile enumeration -------------------------------------
@@ -477,11 +518,12 @@ def enumerate_pure_equilibria(
             out[np.nonzero(at_floor)[0]] = ok
         return out
 
+    n_types = len(cs.types)
     if schedule is not None:
-        given = eng.CompiledSchedule.from_schedule(cs, schedule)
+        given = eng.CompiledSchedule.from_schedule(schedule, n_types)
     else:
-        empty = eng.CompiledSchedule.from_schedule(cs, TrembleSchedule.none())
-        uniform = eng.CompiledSchedule.from_schedule(cs, TrembleSchedule.uniform_flip(1.0))
+        empty = eng.CompiledSchedule.from_schedule(TrembleSchedule.none(), n_types)
+        uniform = eng.CompiledSchedule.from_schedule(TrembleSchedule.uniform_flip(1.0), n_types)
 
     results: list[tuple[StrategyProfile, EquilibriumReport]] = []
     for start in range(0, n_profiles, _CHUNK):

@@ -141,23 +141,12 @@ class Scenario:
         return float(self.ptx[1].sum())
 
     @property
-    def x_space(self) -> VariableSpace:
-        return VariableSpace(tuple(zip(self.x_names, self.x_cards)))
-
-    @property
-    def tx_space(self) -> VariableSpace:
-        return VariableSpace((("t", 2),) + tuple(zip(self.x_names, self.x_cards)))
-
-    @property
     def full_space(self) -> VariableSpace:
         return VariableSpace(
             (("t", 2),)
             + tuple(zip(self.x_names, self.x_cards))
             + (("a", 2), (self.outcome_name, 2))
         )
-
-    def joint_tx(self) -> JointTable:
-        return JointTable(self.tx_space, self.ptx)
 
     def x_axes(self, names: Iterable[str]) -> tuple[int, ...]:
         """Positions of ``names`` within the covariate tuple, in x order."""
@@ -269,24 +258,12 @@ class TrembleSpec:
         if self.direction not in (0, 1, "flip", "uniform"):
             raise ModelError(f"unknown tremble direction {self.direction!r}")
 
-    def mixing_weight(self, eps: float) -> float:
-        return min(float(eps) ** self.exponent, 1.0)
-
-    def target(self, sigma: np.ndarray) -> np.ndarray:
-        if self.direction == 0:
-            return np.zeros_like(sigma)
-        if self.direction == 1:
-            return np.ones_like(sigma)
-        if self.direction == "uniform":
-            return np.full_like(sigma, 0.5)
-        return np.where(sigma >= 0.5, 0.0, 1.0)
-
 
 @dataclass(frozen=True)
 class TrembleSchedule:
     """Per-(type, taste) perturbation rules defining a profile sequence.
 
-    ``at(profile, eps)`` perturbs each strategy slice that has a rule; slices
+    ``apply_trembles`` perturbs each strategy slice that has a rule; slices
     without one are left exact.  The empty schedule therefore yields the
     constant sequence, and eps = 0 is always the identity.  ``epsilon``, when
     set, is the schedule's own noise level, used by ``apply_trembles`` when no
@@ -323,9 +300,6 @@ class TrembleSchedule:
                 return spec
         return self.default
 
-    def at(self, profile: StrategyProfile, eps: float) -> StrategyProfile:
-        return apply_trembles(profile, self, eps)
-
 
 def apply_trembles(
     profile: StrategyProfile, schedule: TrembleSchedule, eps: float | None = None
@@ -342,17 +316,13 @@ def apply_trembles(
         raise ModelError("eps must be nonnegative")
     if eps == 0.0 or schedule.is_empty:
         return profile
-    out = []
-    for i, sigma in enumerate(profile.sigmas):
-        new = np.array(sigma, copy=True)
-        for taste in (0, 1):
-            spec = schedule.spec_for(i, taste)
-            if spec is None:
-                continue
-            m = spec.mixing_weight(eps)
-            new[taste] = (1.0 - m) * new[taste] + m * spec.target(sigma[taste])
-        out.append(new)
-    return StrategyProfile(tuple(out))
+    # _engine imports this module, so the engine is bound at call time
+    from ._engine import CompiledSchedule, apply_compiled_trembles
+
+    flats = [sigma.reshape(2, -1) for sigma in profile.sigmas]
+    compiled = CompiledSchedule.from_schedule(schedule, len(flats))
+    out = apply_compiled_trembles(flats, compiled, np.float64(eps))
+    return StrategyProfile(tuple(o.reshape(s.shape) for o, s in zip(out, profile.sigmas)))
 
 
 # -- induced behavior and outcomes ----------------------------------------
@@ -382,8 +352,9 @@ def induced_joint(scenario: Scenario, profile: StrategyProfile) -> JointTable:
     Factorizes as p(t, x) * p(a | t, x) * p(outcome | t, x); the action and
     the outcome are conditionally independent given (t, x) by construction.
     """
-    pa1 = aggregate_behavior(scenario, profile)
-    action = np.stack([1.0 - pa1, pa1], axis=-1)  # (..., a)
+    action = np.stack(
+        [aggregate_behavior(scenario, profile, a) for a in (0, 1)], axis=-1
+    )  # (..., a)
     outcome = np.stack([1.0 - scenario.kernel, scenario.kernel], axis=-1)
     probs = scenario.ptx[..., None, None] * action[..., :, None] * outcome[..., None, :]
     return JointTable(scenario.full_space, probs, _checked=True)
@@ -402,8 +373,8 @@ def action_rates(scenario: Scenario, profile: StrategyProfile) -> np.ndarray:
 
 def error_probability(scenario: Scenario, profile: StrategyProfile) -> float:
     """Pr(a != t) under the induced joint."""
-    pa1 = aggregate_behavior(scenario, profile)
-    mismatch = np.stack([pa1[0], 1.0 - pa1[1]])  # t = 0 errs with a=1, t = 1 with a=0
+    pa0, pa1 = (aggregate_behavior(scenario, profile, a) for a in (0, 1))
+    mismatch = np.stack([pa1[0], pa0[1]])  # t = 0 errs with a=1, t = 1 with a=0
     return float((scenario.ptx * mismatch).sum())
 
 
@@ -416,15 +387,15 @@ def welfare_loss(scenario: Scenario, profile: StrategyProfile) -> float:
     at t = 1 is always a = 1, and at t = 0 it is a = 1 exactly when beta > c;
     the loss weighs each deviation by the corresponding utility gap.
     """
-    pa1 = aggregate_behavior(scenario, profile)
+    pa0, pa1 = (aggregate_behavior(scenario, profile, a) for a in (0, 1))
     beta, c = scenario.beta, scenario.c
     gap1 = beta + c  # t = 1, playing a = 0
     gap0_act = max(c - beta, 0.0)  # t = 0, playing a = 1
     gap0_wait = max(beta - c, 0.0)  # t = 0, playing a = 0
     per_cell = np.stack(
         [
-            pa1[0] * gap0_act + (1.0 - pa1[0]) * gap0_wait,
-            (1.0 - pa1[1]) * gap1,
+            pa1[0] * gap0_act + pa0[0] * gap0_wait,
+            pa0[1] * gap1,
         ]
     )
     return float((scenario.ptx * per_cell).sum())

@@ -1,4 +1,4 @@
-"""Dense finite joint-probability tables and the conditioning algebra on them.
+"""Dense finite joint-probability tables.
 
 Conventions used throughout the package:
 
@@ -6,17 +6,13 @@ Conventions used throughout the package:
   assignments are tuples of integer values, one per variable, in space order.
 * Probability mass is stored as a dense float64 ndarray whose shape equals the
   per-variable cardinalities, laid out row-major (C order): the *first*
-  variable is the slowest-moving index.  ``JointTable.mass`` exposes the flat
-  row-major view used by the on-disk format.
-* Conditioning on a zero-mass event is never silently patched up: operations
-  that would have to divide by zero return ``None`` ("unsupported") and leave
-  the decision of how to proceed to the caller.
+  variable is the slowest-moving index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,10 +43,6 @@ class VariableSpace:
         if self.n_cells > MAX_CELLS:
             raise TableError(f"space has {self.n_cells} cells, above the {MAX_CELLS} cap")
 
-    @classmethod
-    def of(cls, *variables: tuple[str, int]) -> "VariableSpace":
-        return cls(tuple(variables))
-
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.variables)
@@ -66,18 +58,6 @@ class VariableSpace:
             out *= c
         return out
 
-    def axis(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise TableError(f"no variable named {name!r} in {self.names}") from None
-
-    def axes(self, names: Iterable[str]) -> tuple[int, ...]:
-        return tuple(self.axis(n) for n in names)
-
-    def cardinality(self, name: str) -> int:
-        return self.variables[self.axis(name)][1]
-
     def subspace(self, names: Sequence[str]) -> "VariableSpace":
         """Subspace holding ``names``, kept in this space's variable order."""
         keep = set(names)
@@ -85,38 +65,6 @@ class VariableSpace:
         if missing:
             raise TableError(f"unknown variables {sorted(missing)}")
         return VariableSpace(tuple(v for v in self.variables if v[0] in keep))
-
-    def assignments(self) -> Iterator[tuple[int, ...]]:
-        return iter(np.ndindex(*self.shape)) if self.variables else iter([()])
-
-    def ravel(self, assignment: Sequence[int]) -> int:
-        if not self.variables:
-            return 0
-        return int(np.ravel_multi_index(tuple(assignment), self.shape))
-
-    def unravel(self, index: int) -> tuple[int, ...]:
-        if not self.variables:
-            return ()
-        return tuple(int(v) for v in np.unravel_index(index, self.shape))
-
-
-def _as_assignment(space: VariableSpace, cell: Mapping[str, int] | Sequence[int]) -> tuple[int, ...]:
-    """Normalize a dict or tuple cell description to a value tuple in space order."""
-    if isinstance(cell, Mapping):
-        extra = set(cell) - set(space.names)
-        if extra:
-            raise TableError(f"unknown variables {sorted(extra)}")
-        if set(cell) != set(space.names):
-            raise TableError(f"assignment must cover {space.names}, got {sorted(cell)}")
-        values = tuple(int(cell[n]) for n in space.names)
-    else:
-        values = tuple(int(v) for v in cell)
-        if len(values) != len(space.variables):
-            raise TableError(f"expected {len(space.variables)} values, got {len(values)}")
-    for v, (name, card) in zip(values, space.variables):
-        if not 0 <= v < card:
-            raise TableError(f"value {v} out of range for {name!r} (cardinality {card})")
-    return values
 
 
 class JointTable:
@@ -135,163 +83,8 @@ class JointTable:
         self.space = space
         self.probs = probs
 
-    @classmethod
-    def from_flat(cls, space: VariableSpace, mass: Sequence[float]) -> "JointTable":
-        arr = np.asarray(list(mass), dtype=np.float64)
-        if arr.size != space.n_cells:
-            raise TableError(f"expected {space.n_cells} masses, got {arr.size}")
-        return cls(space, arr.reshape(space.shape))
-
-    @property
-    def mass(self) -> np.ndarray:
-        """Flat row-major view of the probability masses."""
-        return self.probs.reshape(-1)
-
-    def p(self, cell: Mapping[str, int] | Sequence[int]) -> float:
-        return float(self.probs[_as_assignment(self.space, cell)])
-
     def marginalize(self, keep: Sequence[str]) -> "JointTable":
         """Sum out every variable not in ``keep`` (original order preserved)."""
         sub = self.space.subspace(keep)
         drop = tuple(ax for ax, (n, _) in enumerate(self.space.variables) if n not in set(keep))
         return JointTable(sub, self.probs.sum(axis=drop) if drop else self.probs.copy(), _checked=True)
-
-    def condition(self, evidence: Mapping[str, int]) -> "JointTable | None":
-        """Condition on ``evidence``; ``None`` if the evidence has zero mass."""
-        if not evidence:
-            return self
-        for name in evidence:
-            self.space.axis(name)
-        idx = tuple(
-            int(evidence[n]) if n in evidence else slice(None) for n in self.space.names
-        )
-        sliced = self.probs[idx]
-        total = float(sliced.sum())
-        if total <= 0.0:
-            return None
-        sub = self.space.subspace([n for n in self.space.names if n not in evidence])
-        return JointTable(sub, sliced / total, _checked=True)
-
-    def expectation(self, weight: Callable[[Mapping[str, int]], float]) -> float:
-        """Expected value of ``weight`` (called with a name->value mapping per cell)."""
-        names = self.space.names
-        flat = self.mass
-        total = 0.0
-        for i, cell in enumerate(self.space.assignments()):
-            m = flat[i] if self.space.variables else float(self.probs)
-            if m != 0.0:
-                total += m * float(weight(dict(zip(names, cell))))
-        return total
-
-    def check_ci(
-        self,
-        left: Sequence[str],
-        right: Sequence[str],
-        given: Sequence[str] = (),
-        tol: float = 1e-9,
-    ) -> bool:
-        """True iff ``left`` and ``right`` are independent given ``given``.
-
-        Checked as max over supported conditioning cells of
-        ``|p(l,r|g) - p(l|g) p(r|g)|`` <= ``tol``.
-        """
-        left, right, given = tuple(left), tuple(right), tuple(given)
-        if set(left) & set(right) or set(left) & set(given) or set(right) & set(given):
-            raise TableError("left/right/given must be disjoint")
-        marg = self.marginalize(left + right + given)
-        # Arrange axes as (left..., right..., given...).
-        order = marg.space.axes(left) + marg.space.axes(right) + marg.space.axes(given)
-        arr = np.transpose(marg.probs, order)
-        nl = int(np.prod([self.space.cardinality(n) for n in left], dtype=np.int64))
-        nr = int(np.prod([self.space.cardinality(n) for n in right], dtype=np.int64))
-        ng = int(np.prod([self.space.cardinality(n) for n in given], dtype=np.int64))
-        arr = arr.reshape(nl, nr, ng)
-        pg = arr.sum(axis=(0, 1))
-        supported = pg > 0.0
-        if not np.any(supported):
-            return True
-        plg = arr.sum(axis=1)[:, supported] / pg[supported]
-        prg = arr.sum(axis=0)[:, supported] / pg[supported]
-        plrg = arr[:, :, supported] / pg[supported]
-        resid = np.abs(plrg - plg[:, None, :] * prg[None, :, :])
-        return bool(resid.max() <= tol)
-
-
-@dataclass(frozen=True)
-class ConditionalTable:
-    """p(target | given) extracted from a joint, with an explicit support mask.
-
-    ``probs`` has shape ``given.shape + target.shape``; rows at unsupported
-    given-cells are all zero and flagged off in ``support``.
-    """
-
-    given_space: VariableSpace
-    target_space: VariableSpace
-    probs: np.ndarray
-    support: np.ndarray
-
-    def __post_init__(self) -> None:
-        expected = self.given_space.shape + self.target_space.shape
-        if self.probs.shape != expected:
-            raise TableError(f"conditional shaped {self.probs.shape}, expected {expected}")
-        ng = len(self.given_space.shape)
-        sums = self.probs.sum(axis=tuple(range(ng, self.probs.ndim))) if self.probs.ndim > ng else self.probs
-        sup = np.asarray(self.support, dtype=bool)
-        if np.any(np.abs(sums[sup] - 1.0) > NORM_TOL):
-            raise TableError("supported conditional rows must sum to 1")
-        if np.any(sums[~sup] != 0.0):
-            raise TableError("unsupported conditional rows must be zero")
-
-    @classmethod
-    def from_joint(cls, joint: JointTable, given: Sequence[str], target: Sequence[str]) -> "ConditionalTable":
-        given, target = tuple(given), tuple(target)
-        if set(given) & set(target):
-            raise TableError("given and target overlap")
-        marg = joint.marginalize(given + target)
-        gspace = joint.space.subspace(given)
-        tspace = joint.space.subspace(target)
-        order = marg.space.axes(gspace.names) + marg.space.axes(tspace.names)
-        arr = np.transpose(marg.probs, order)
-        ng = len(gspace.shape)
-        denom = arr.sum(axis=tuple(range(ng, arr.ndim))) if arr.ndim > ng else arr
-        support = denom > 0.0
-        safe = np.where(support, denom, 1.0)
-        probs = arr / safe.reshape(denom.shape + (1,) * (arr.ndim - ng))
-        probs = np.where(
-            support.reshape(denom.shape + (1,) * (arr.ndim - ng)), probs, 0.0
-        )
-        return cls(gspace, tspace, probs, support)
-
-    def prob(self, given_cell, target_cell) -> float | None:
-        g = _as_assignment(self.given_space, given_cell)
-        if not bool(self.support[g] if self.given_space.variables else self.support):
-            return None
-        t = _as_assignment(self.target_space, target_cell)
-        return float(self.probs[g + t])
-
-    def expand(self, marginal: JointTable) -> JointTable:
-        """Recompose a joint over (given..., target...) as marginal * conditional."""
-        if marginal.space.names != self.given_space.names:
-            raise TableError("marginal space must equal the conditional's given space")
-        ng = len(self.given_space.shape)
-        joint = self.probs * marginal.probs.reshape(marginal.probs.shape + (1,) * (self.probs.ndim - ng))
-        space = VariableSpace(self.given_space.variables + self.target_space.variables)
-        return JointTable(space, joint)
-
-
-# Operation-style aliases mirroring the public verbs on JointTable.
-
-def marginalize(table: JointTable, keep: Sequence[str]) -> JointTable:
-    return table.marginalize(keep)
-
-
-def condition(table: JointTable, evidence: Mapping[str, int]) -> JointTable | None:
-    return table.condition(evidence)
-
-
-def check_ci(table: JointTable, left, right, given=(), tol: float = 1e-9) -> bool:
-    return table.check_ci(left, right, given, tol)
-
-
-def expectation(table: JointTable, weight: Callable[[Mapping[str, int]], float]) -> float:
-    return table.expectation(weight)

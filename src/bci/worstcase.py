@@ -30,6 +30,7 @@ from .causal import delta, tie_tolerance
 from .equilibrium import (
     EquilibriumReport,
     _dynamics_batch,
+    _dynamics_starts,
     certify_equilibrium,
     enumerate_pure_equilibria,
     verify_limit,
@@ -501,24 +502,9 @@ def verified_equilibria(
         for prof, rep in enumerate_pure_equilibria(scenario, tie_tol=tie_tol):
             found[eng.profile_key(eng.flatten_profile(cs, prof))] = (prof, rep)
 
-    inits = []
-    for pattern in ("taste", "zero", "one"):
-        sigs = []
-        for ct in cs.types:
-            sig = np.zeros((2, ct.nc))
-            if pattern == "taste":
-                sig[1] = 1.0
-            elif pattern == "one":
-                sig[:] = 1.0
-            sigs.append(sig)
-        inits.append(sigs)
-    for _ in range(inner_inits):
-        inits.append([rng.random((2, ct.nc)) for ct in cs.types])
-    flats = [
-        np.stack([init[k] for init in inits], axis=0) for k in range(len(cs.types))
-    ]
+    _, flats = _dynamics_starts(cs, rng, inner_inits)
     out, converged, cycled, _ = _dynamics_batch(cs, flats, 0.5, max_iters, tol)
-    for b in range(len(inits)):
+    for b in range(len(converged)):
         if not converged[b] or cycled[b]:
             continue
         prof_flats = [f[b] for f in out]

@@ -57,13 +57,14 @@ def _marginal(joint, scenario, keep_x_axes, keep_t=False, keep_a=False, keep_y=F
     return out
 
 
-def brute_delta(scenario, profile, type_index):
-    """Perceived effect table for one type: {cell: delta or None}.
+def brute_beliefs(scenario, profile, type_index):
+    """Do-beliefs for one type: {(cell, a): b(y=1 | x_C = cell, do(a)) or None}.
 
     Follows the definition term by term: average over the covariates the
     type saw but did not condition on, of the outcome rate given (a, full
     data cell), with the treatment variable always summed out first.
-    None marks cells where some needed conditional does not exist.
+    None marks unreachable cells and actions where some needed conditional
+    does not exist.
     """
     c_axes = scenario.c_axes(type_index)
     d_axes = scenario.d_axes(type_index)
@@ -80,14 +81,13 @@ def brute_delta(scenario, profile, type_index):
         as_map = dict(zip(d_axes, d_cell))
         return tuple(as_map[k] for k in c_axes), tuple(as_map[k] for k in extra)
 
-    table = {}
+    beliefs = {}
     for c_cell in itertools.product(*(range(scenario.x_cards[k]) for k in c_axes)):
         denom = p_x_c.get(c_cell, 0.0)
-        if denom == 0.0:
-            table[c_cell] = None
-            continue
-        beliefs = {}
         for a in (0, 1):
+            if denom == 0.0:
+                beliefs[c_cell, a] = None
+                continue
             total = 0.0
             ok = True
             for d_cell in itertools.product(*(range(scenario.x_cards[k]) for k in d_axes)):
@@ -102,11 +102,22 @@ def brute_delta(scenario, profile, type_index):
                     ok = False  # needed conditional p(y | a, x_D) undefined
                     break
                 total += w * p_yax_d.get(d_cell + (a, 1), 0.0) / pax
-            beliefs[a] = total if ok else None
-        if beliefs[0] is None or beliefs[1] is None:
-            table[c_cell] = None
-        else:
-            table[c_cell] = beliefs[1] - beliefs[0]
+            beliefs[c_cell, a] = total if ok else None
+    return beliefs
+
+
+def brute_delta(scenario, profile, type_index):
+    """Perceived effect table for one type: {cell: delta or None}.
+
+    The difference of the two do-beliefs of ``brute_beliefs``; None where
+    either is undefined.
+    """
+    beliefs = brute_beliefs(scenario, profile, type_index)
+    table = {}
+    for (cell, a), b in beliefs.items():
+        if a == 1:
+            b0 = beliefs[cell, 0]
+            table[cell] = None if b is None or b0 is None else b - b0
     return table
 
 

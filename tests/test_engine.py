@@ -1,4 +1,4 @@
-"""The vectorized kernel must agree with the object-level implementations."""
+"""The vectorized kernel against brute-force references and written-out values."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from bci import _engine as eng
 from bci.causal import delta_table
-from bci.model import Scenario, StrategyProfile, TrembleSchedule, TrembleSpec, apply_trembles
+from bci.model import Scenario, StrategyProfile, TrembleSchedule, TrembleSpec
 from bci.scenarios import example_3_1, prop2_cycle, prop4
 
 from test_causal import random_small_scenario
@@ -23,36 +23,52 @@ def test_flatten_round_trip(rng):
         assert np.array_equal(a, b)
 
 
+def assert_effects_match_oracle(s, prof):
+    """Engine effects and beliefs, and the causal tables over them, against the oracle."""
+    cs = eng.compile_scenario(s)
+    flats = eng.flatten_profile(cs, prof)
+    effects = eng.profile_effects(cs, flats)
+    belief, belief_ok = (eng.split_cells(cs, arr) for arr in eng.profile_beliefs(cs, flats))
+    for i, ((d, ok), tab) in enumerate(zip(effects, delta_table(s, prof))):
+        for cell, expected in oracles.brute_delta(s, prof, i).items():
+            flat = np.ravel_multi_index(cell, tab.defined.shape) if cell else 0
+            assert bool(ok[flat]) == bool(tab.defined[cell]) == (expected is not None), (i, cell)
+            if expected is not None:
+                assert abs(float(d[flat]) - expected) <= 1e-12, (i, cell)
+                assert float(tab.values[cell]) == float(d[flat]), (i, cell)
+        for (cell, a), expected in oracles.brute_beliefs(s, prof, i).items():
+            flat = np.ravel_multi_index(cell, tab.defined.shape) if cell else 0
+            assert bool(belief_ok[i][a, flat]) == (expected is not None), (i, cell, a)
+            if expected is not None:
+                assert abs(float(belief[i][a, flat]) - expected) <= 1e-12, (i, cell, a)
+
+
 def test_profile_effects_match_delta_table(rng):
     for _ in range(20):
         s, prof = random_small_scenario(rng, max_covariates=2)
-        cs = eng.compile_scenario(s)
-        flats = eng.flatten_profile(cs, prof)
-        per_type = eng.profile_effects(cs, flats)
-        tables = delta_table(s, prof)
-        for ct, (d, ok), tab in zip(cs.types, per_type, tables):
-            flat_vals = tab.values.reshape(-1)
-            flat_def = tab.defined.reshape(-1)
-            # the engine folds the reachability mask into "defined"
-            assert np.array_equal(ok, flat_def & ct.reachable)
-            assert np.allclose(d[ok], flat_vals[ok], atol=1e-13)
+        assert_effects_match_oracle(s, prof)
 
 
-def test_compiled_trembles_match_object_level(rng):
-    s, prof = random_small_scenario(rng, max_covariates=2)
+def test_compiled_trembles_match_object_level():
+    # entries for three (type, taste) slices override the default, which
+    # only type 1's taste 1 falls back to
     sched = TrembleSchedule.of(
-        {(0, 0): TrembleSpec(2.0, "flip"), (0, 1): TrembleSpec(1.0, 1)},
-        default=TrembleSpec(1.5, "uniform"),
+        {
+            (0, 0): TrembleSpec(2.0, "flip"),
+            (0, 1): TrembleSpec(1.0, 1),
+            (1, 0): TrembleSpec(1.0, 0),
+        },
+        default=TrembleSpec(1.0, "uniform"),
     )
-    cs = eng.compile_scenario(s)
-    compiled = eng.CompiledSchedule.from_schedule(cs, sched)
-    for eps in (0.0, 0.01, 0.3, 1.0):
-        slow = apply_trembles(prof, sched, eps)
-        fast = eng.unflatten_profile(
-            cs, eng.apply_compiled_trembles(eng.flatten_profile(cs, prof), compiled, np.float64(eps))
-        )
-        for a, b in zip(slow.sigmas, fast.sigmas):
-            assert np.allclose(a, b, atol=1e-15)
+    compiled = eng.CompiledSchedule.from_schedule(sched, 2)
+    flats = [np.array([[0.0, 1.0, 0.4], [0.0, 1.0, 0.4]]), np.array([[1.0], [0.2]])]
+    out = eng.apply_compiled_trembles(flats, compiled, np.array([0.1, 1.0]))
+    # eps = 0.1: flip at weight 0.01, toward 1, 0 and 1/2 at weight 0.1
+    assert np.allclose(out[0][0], [[0.01, 0.99, 0.406], [0.1, 1.0, 0.46]], atol=1e-15)
+    assert np.allclose(out[1][0], [[0.9], [0.23]], atol=1e-15)
+    # eps = 1: every slice lands on its target
+    assert np.array_equal(out[0][1], [[1.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+    assert np.array_equal(out[1][1], [[0.0], [0.5]])
 
 
 def test_rung_ladder_geometry():
@@ -158,13 +174,4 @@ def test_pure_profiles_under_inexact_weights_agree_with_oracle(seed):
     prof = StrategyProfile(
         tuple(rng.integers(0, 2, s.sigma_shape(i)).astype(float) for i in range(s.n_types))
     )
-    cs = eng.compile_scenario(s)
-    effects = eng.profile_effects(cs, eng.flatten_profile(cs, prof))
-    for i, ((d, ok), tab) in enumerate(zip(effects, delta_table(s, prof))):
-        ref = oracles.brute_delta(s, prof, i)
-        for cell, expected in ref.items():
-            flat = np.ravel_multi_index(cell, tab.defined.shape) if cell else 0
-            assert bool(ok[flat]) == bool(tab.defined[cell]) == (expected is not None), (i, cell)
-            if expected is not None:
-                assert abs(float(d[flat]) - expected) <= 1e-12, (i, cell)
-                assert abs(float(tab.values[cell]) - expected) <= 1e-12, (i, cell)
+    assert_effects_match_oracle(s, prof)

@@ -148,14 +148,47 @@ def test_welfare_loss_is_cost_times_error_in_baseline():
         assert np.isclose(welfare_loss(s, prof), 0.37 * error_probability(s, prof), atol=1e-12)
 
 
+def test_taste_matching_is_exact_under_inexact_weights():
+    # weights summing to 1 - 1.1e-16: the a=0 rate must be summed type by
+    # type, or a = t leaves roundoff mass on the mismatched action
+    base = tiny_scenario()
+    types = base.types + (DataTypeSpec((), ("x1",)),)
+    s = Scenario(base.x_names, base.x_cards, base.ptx, base.kernel, types,
+                 (0.3, 0.3, 0.3999999999999999), base.c)
+    assert sum(s.lam) - 1.0 < 0
+    prof = StrategyProfile.matching(s)
+    assert error_probability(s, prof) == 0.0
+    assert welfare_loss(s, prof) == 0.0
+    ta = induced_joint(s, prof).marginalize(["t", "a"]).probs
+    assert ta[0, 1] == 0.0 and ta[1, 0] == 0.0
+
+
 # -- trembles -------------------------------------------------------------------
 
 
 def test_tremble_spec_directions():
-    sig = np.array([0.0, 1.0, 0.4])
-    assert np.allclose(TrembleSpec(1, "flip").target(sig), [1.0, 0.0, 1.0])
-    assert np.allclose(TrembleSpec(1, 0).target(sig), 0.0)
-    assert np.allclose(TrembleSpec(1, "uniform").target(sig), 0.5)
+    s = tiny_scenario()
+    prof = StrategyProfile((np.array([[0.0, 1.0], [0.4, 0.6]]), np.array([0.0, 1.0])))
+    # each direction at eps = 0.25: 3/4 of the strategy plus 1/4 of the target
+    expected = {
+        0: ([[0.0, 0.75], [0.3, 0.45]], [0.0, 0.75]),
+        1: ([[0.25, 1.0], [0.55, 0.7]], [0.25, 1.0]),
+        "flip": ([[0.25, 0.75], [0.55, 0.45]], [0.25, 0.75]),
+        "uniform": ([[0.125, 0.875], [0.425, 0.575]], [0.125, 0.875]),
+    }
+    for direction, (want0, want1) in expected.items():
+        out = apply_trembles(prof, TrembleSchedule.of({}, TrembleSpec(1, direction)), 0.25)
+        assert np.allclose(out.sigmas[0], want0, atol=1e-15), direction
+        assert np.allclose(out.sigmas[1], want1, atol=1e-15), direction
+    # an entry overrides the default for its (type, taste) slice only
+    sched = TrembleSchedule.of({(1, 1): TrembleSpec(1, 0)}, TrembleSpec(1, "flip"))
+    out = apply_trembles(prof, sched, 0.25)
+    assert np.allclose(out.sigmas[1], [0.25, 0.75], atol=1e-15)
+    assert np.allclose(out.sigmas[0], expected["flip"][0], atol=1e-15)
+    # eps = 1 lands exactly on the targets
+    out = apply_trembles(prof, TrembleSchedule.uniform_flip(), 1.0)
+    assert np.array_equal(out.sigmas[0], [[1.0, 0.0], [1.0, 0.0]])
+    assert np.array_equal(out.sigmas[1], [1.0, 0.0])
     with pytest.raises(ModelError):
         TrembleSpec(0.0)
     with pytest.raises(ModelError):
