@@ -2,9 +2,10 @@
 
 Everything expensive in the package funnels through here: perceived-effect
 computation, best-reply tests, tremble ladders, best-response dynamics, and
-pure-profile enumeration all operate on flat ``(batch..., 2, n_cells)``
+pure-profile enumeration all operate on stacked ``(batch..., 2, S)``
 strategy arrays so that batches of profiles (dynamics inits, enumeration
-chunks, ladder rungs) ride one set of matrix products.
+chunks, ladder rungs) ride one set of matrix products, and all of them
+decide best replies with ``best_replies``.
 
 Index conventions
 -----------------
@@ -13,6 +14,14 @@ and data cells are raveled C-order over that type's covariates in covariate
 order.  The *stacked* cell axis concatenates every type's condition cells in
 type order (``CompiledScenario.offsets`` marks the blocks), and the stacked
 data axis does the same for data cells.
+
+The stacked array is the one profile layout between engine calls.  Per-type
+arrays remain in three places only, where a reader wants one table per type:
+``StrategyProfile``, ``causal.DeltaTable``, and the arguments and return
+value of ``profile_effects`` (callers on the stacked layout pass
+``split_cells`` views).  ``type_major`` orders the flattened (taste, stacked
+cell) axis by (type, taste, cell), the order in which enumeration assigns
+pure actions, random starts are drawn and witnesses are reported.
 
 Compiled linear map
 -------------------
@@ -31,12 +40,6 @@ sum to 1 only up to roundoff (``1 - sum(lam * sigma)`` would leave about
 conditional outcome rates, one matmul with the block-diagonal ``adjust``
 matrix averages them into beliefs, and one with the block-diagonal
 ``missing`` matrix flags condition cells that need an unseen event.
-
-Dynamics
---------
-``equilibrium._dynamics_batch`` iterates one ``(batch, 2, stacked cells)``
-state array: scores, best-reply codes, step halving, convergence, snapping
-and revisit keys are each one array operation for all types and starts.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Scenario, StrategyProfile, TrembleSchedule
+from .model import Scenario, StrategyProfile, TrembleSchedule, TrembleSpec
 
 DEFAULT_LADDER_START = 0.1
 DEFAULT_LADDER_RATIO = 0.5
@@ -84,23 +87,16 @@ def ladder_rungs(
 
 
 @dataclass
-class CompiledType:
-    nc: int
-    c_cards: tuple[int, ...]
-    reachable: np.ndarray  # (nc,) bool
-    tcm: np.ndarray  # (2, nc) taste-cell mass p(t, x_C)
-    active: np.ndarray  # (2, nc) bool: tcm > 0
-
-
-@dataclass
 class CompiledScenario:
     scenario: Scenario
-    types: list[CompiledType]
+    c_cards: tuple[tuple[int, ...], ...]  # per type: its condition covariates' cards
     score_base: np.ndarray  # (2,) = beta - c, beta + c
     effect_weight: float  # 1 - beta
     offsets: tuple[int, ...]  # n_types + 1 block bounds on the stacked cell axis
-    reachable: np.ndarray  # (S,) bool, stacked over types
-    active: np.ndarray  # (2, S) bool, stacked over types
+    reachable: np.ndarray  # (S,) bool: p(x_C) > 0
+    tcm: np.ndarray  # (2, S) taste-cell mass p(t, x_C)
+    active: np.ndarray  # (2, S) bool: tcm > 0
+    type_major: np.ndarray  # (2 * S,) flat (taste, cell) indices in (type, taste, cell) order
     # (2 * S, 2 * D): stacked strategy, taste-major, -> [p(a, x_D) | p(a, y=1, x_D)]
     mass_map: np.ndarray
     adjust: np.ndarray  # (D, S) block-diagonal w_d * agg_c
@@ -122,7 +118,7 @@ def compile_scenario(scenario: Scenario) -> CompiledScenario:
     px = ptx.sum(axis=0)
 
     grid = np.indices(cards).reshape(len(cards), nx).T if cards else np.zeros((1, 0), int)
-    compiled = []
+    all_c_cards, tcms = [], []
     offsets = [0]
     # per type, in stacked indices: covariate cell -> condition cell, data
     # cell -> condition cell; and one-hot covariate cell -> data cell
@@ -149,10 +145,8 @@ def compile_scenario(scenario: Scenario) -> CompiledScenario:
         pc = pd @ agg_c
         pc_of_d = pc[d_to_c]
         w_d.append(np.divide(pd, pc_of_d, out=np.zeros_like(pd), where=pc_of_d > 0))
-        tcm = ptx @ agg_d @ agg_c
-        compiled.append(
-            CompiledType(nc=nc, c_cards=c_cards, reachable=pc > 0, tcm=tcm, active=tcm > 0)
-        )
+        tcms.append(ptx @ agg_d @ agg_c)
+        all_c_cards.append(c_cards)
         c_cols.append(offsets[-1] + d_to_c[x_to_d])
         adj_cols.append(offsets[-1] + d_to_c)
         in_d.append(agg_d)
@@ -168,15 +162,20 @@ def compile_scenario(scenario: Scenario) -> CompiledScenario:
     adjust = np.zeros((n_d, n_s))
     adjust[np.arange(n_d), np.concatenate(adj_cols)] = np.concatenate(w_d)
 
+    tcm = np.concatenate(tcms, axis=1)
+    # stable sort of the taste-major flat axis by type: (type, taste, cell)
+    type_of_cell = np.repeat(np.arange(scenario.n_types), np.diff(offsets))
     beta, c = scenario.beta, scenario.c
     return CompiledScenario(
         scenario=scenario,
-        types=compiled,
+        c_cards=tuple(all_c_cards),
         score_base=np.array([beta - c, beta + c]),
         effect_weight=1.0 - beta,
         offsets=tuple(offsets),
-        reachable=np.concatenate([ct.reachable for ct in compiled]),
-        active=np.concatenate([ct.active for ct in compiled], axis=1),
+        reachable=tcm.sum(axis=0) > 0,
+        tcm=tcm,
+        active=tcm > 0,
+        type_major=np.argsort(np.tile(type_of_cell, 2), kind="stable"),
         mass_map=mass_map.transpose(1, 2, 0, 3).reshape(2 * n_s, 2 * n_d),
         adjust=adjust,
         missing=(adjust > 0).astype(np.float64),
@@ -186,25 +185,27 @@ def compile_scenario(scenario: Scenario) -> CompiledScenario:
 # -- profile layout ---------------------------------------------------------
 
 
-def flatten_profile(cs: CompiledScenario, profile: StrategyProfile) -> list[np.ndarray]:
-    """Per-type strategy arrays reshaped to (2, nc)."""
+def flatten_profile(cs: CompiledScenario, profile: StrategyProfile) -> np.ndarray:
+    """The profile on the stacked layout, shaped (2, S)."""
     profile.conforms(cs.scenario)
-    return [
-        np.asarray(sig, dtype=np.float64).reshape(2, ct.nc)
-        for sig, ct in zip(profile.sigmas, cs.types)
-    ]
+    return np.concatenate(
+        [np.asarray(sig, dtype=np.float64).reshape(2, -1) for sig in profile.sigmas], axis=-1
+    )
 
 
-def unflatten_profile(cs: CompiledScenario, flats: list[np.ndarray]) -> StrategyProfile:
-    sigmas = []
-    for flat, ct in zip(flats, cs.types):
-        sigmas.append(np.asarray(flat, dtype=np.float64).reshape((2,) + ct.c_cards))
-    return StrategyProfile(tuple(sigmas))
+def unflatten_profile(cs: CompiledScenario, stacked: np.ndarray) -> StrategyProfile:
+    blocks = split_cells(cs, stacked)
+    return StrategyProfile(tuple(b.reshape((2,) + cards) for b, cards in zip(blocks, cs.c_cards)))
 
 
-def profile_key(flats) -> bytes:
-    """Identity of a profile up to 10 decimals, for deduplicating rest points."""
-    return b"".join(np.round(np.asarray(f), 10).tobytes() for f in flats)
+def profile_key(stacked: np.ndarray) -> bytes:
+    """Identity of a stacked profile up to 10 decimals, for deduplicating rest points."""
+    return np.round(np.asarray(stacked), 10).tobytes()
+
+
+def split_cells(cs: CompiledScenario, stacked: np.ndarray) -> list[np.ndarray]:
+    """Per-type views of an array whose last axis is the stacked cell axis."""
+    return [stacked[..., a:b] for a, b in zip(cs.offsets[:-1], cs.offsets[1:])]
 
 
 # -- trembles ---------------------------------------------------------------
@@ -216,36 +217,49 @@ _TARGET_FLIP = 2
 _TARGET_UNIFORM = 3
 
 _CODE_OF_DIRECTION = {0: _TARGET_ZERO, 1: _TARGET_ONE, "flip": _TARGET_FLIP, "uniform": _TARGET_UNIFORM}
+_DIRECTION_OF_CODE = {code: direction for direction, code in _CODE_OF_DIRECTION.items()}
 
 
 @dataclass
 class CompiledSchedule:
-    """Tremble rules as arrays: one (exponent, target-code) pair per slice."""
+    """Tremble rules on the stacked layout: an exponent and a target code per (taste, cell)."""
 
-    exponents: list[np.ndarray]  # per type: (..., 2) broadcastable to batch
-    codes: list[np.ndarray]  # per type: (2,) ints
+    exponents: np.ndarray  # (..., 2, S), broadcastable to the profile batch
+    codes: np.ndarray  # (2, S) ints
 
     @classmethod
-    def from_schedule(cls, schedule: TrembleSchedule, n_types: int) -> "CompiledSchedule":
-        exps, codes = [], []
-        for i in range(n_types):
-            e = np.ones(2)
-            k = np.full(2, _TARGET_NONE)
-            for taste in (0, 1):
-                spec = schedule.spec_for(i, taste)
-                if spec is not None:
-                    e[taste] = spec.exponent
-                    k[taste] = _CODE_OF_DIRECTION[spec.direction]
-            exps.append(e)
-            codes.append(k)
-        return cls(exps, codes)
+    def from_schedule(cls, schedule: TrembleSchedule, offsets) -> "CompiledSchedule":
+        """Compile for the stacked cell axis whose type blocks ``offsets`` bounds."""
+        specs = [
+            [schedule.spec_for(i, taste) for i in range(len(offsets) - 1)] for taste in (0, 1)
+        ]
+        sizes = np.diff(offsets)
+        exps = [[1.0 if sp is None else sp.exponent for sp in row] for row in specs]
+        codes = [
+            [_TARGET_NONE if sp is None else _CODE_OF_DIRECTION[sp.direction] for sp in row]
+            for row in specs
+        ]
+        return cls(
+            np.repeat(np.array(exps, dtype=np.float64), sizes, axis=-1),
+            np.repeat(np.array(codes), sizes, axis=-1),
+        )
 
-    @property
-    def is_empty(self) -> bool:
-        return all((k == _TARGET_NONE).all() for k in self.codes)
+    def to_schedule(self, offsets) -> TrembleSchedule:
+        """The per-(type, taste) rules of a schedule compiled for one profile."""
+        return TrembleSchedule.of(
+            {
+                (i, taste): TrembleSpec(
+                    float(self.exponents[taste, first]),
+                    _DIRECTION_OF_CODE[int(self.codes[taste, first])],
+                )
+                for i, first in enumerate(offsets[:-1])
+                for taste in (0, 1)
+                if self.codes[taste, first] != _TARGET_NONE
+            }
+        )
 
 
-def taste_weighted_schedule(cs: CompiledScenario, flats: list[np.ndarray]) -> CompiledSchedule:
+def taste_weighted_schedule(cs: CompiledScenario, stacked: np.ndarray) -> CompiledSchedule:
     """Flip trembles that fade faster where the slice already matches taste.
 
     Slices whose majority action over active cells equals the taste get
@@ -254,82 +268,58 @@ def taste_weighted_schedule(cs: CompiledScenario, flats: list[np.ndarray]) -> Co
     taste-matching side must tremble an order slower to keep the perceived
     effect alive.
     """
-    exps, codes = [], []
-    for flat, ct in zip(flats, cs.types):
-        weights = np.where(ct.active, ct.tcm, 0.0)
-        total = weights.sum(axis=-1, keepdims=True)
-        share = np.divide(
-            (flat * weights).sum(axis=-1, keepdims=True),
-            total,
-            out=np.full(flat.shape[:-1] + (1,), 0.5),
-            where=total > 0,
-        )[..., 0]
-        majority = share >= 0.5  # (..., 2) per-taste majority action
-        taste_axis = np.arange(2).reshape((1,) * (majority.ndim - 1) + (2,))
-        exps.append(np.where(majority == (taste_axis == 1), 2.0, 1.0))
-        codes.append(np.full(2, _TARGET_FLIP))
-    return CompiledSchedule(exps, codes)
+    weights = np.where(cs.active, cs.tcm, 0.0)
+    played = stacked * weights
+    # per-block slice sums: a segmented reduction (np.add.reduceat) would
+    # round differently and move majorities that sit exactly at one half
+    blocks = list(zip(cs.offsets[:-1], cs.offsets[1:]))
+    total = np.stack([weights[:, a:b].sum(axis=-1) for a, b in blocks], axis=-1)
+    mass = np.stack([played[..., a:b].sum(axis=-1) for a, b in blocks], axis=-1)
+    share = np.divide(mass, total, out=np.full(mass.shape, 0.5), where=total > 0)
+    majority = share >= 0.5  # (..., 2, n_types) per-slice majority action
+    exps = np.where(majority == (np.arange(2)[:, None] == 1), 2.0, 1.0)
+    return CompiledSchedule(
+        np.repeat(exps, np.diff(cs.offsets), axis=-1),
+        np.full(cs.active.shape, _TARGET_FLIP),
+    )
 
 
 def apply_compiled_trembles(
-    flats: list[np.ndarray], sched: CompiledSchedule, eps: np.ndarray
-) -> list[np.ndarray]:
-    """Trembled copies of per-type arrays at noise levels ``eps``.
+    stacked: np.ndarray, sched: CompiledSchedule, eps: np.ndarray
+) -> np.ndarray:
+    """Trembled copies of stacked profiles at noise levels ``eps``.
 
     ``eps`` may be scalar or (R,); with (R,) the output gains a leading rung
-    axis: (R, batch..., 2, nc).
+    axis: (R, batch..., 2, S).
     """
     eps = np.asarray(eps, dtype=np.float64)
-    rung_shape = eps.shape  # () or (R,)
-    out = []
-    for flat, e, code in zip(flats, sched.exponents, sched.codes):
-        has = code != _TARGET_NONE
-        expanded_code = np.broadcast_to(code.reshape((2, 1)), flat.shape)
-        tgt = np.where(expanded_code == _TARGET_ONE, 1.0, 0.0)
-        tgt = np.where(expanded_code == _TARGET_UNIFORM, 0.5, tgt)
-        tgt = np.where(expanded_code == _TARGET_FLIP, np.where(flat >= 0.5, 0.0, 1.0), tgt)
-        e_full = np.broadcast_to(np.asarray(e)[..., None], flat.shape)
-        eps_full = eps.reshape(rung_shape + (1,) * flat.ndim)
-        m = np.minimum(eps_full**e_full, 1.0)
-        m = np.where(np.broadcast_to(has.reshape((2, 1)), flat.shape), m, 0.0)
-        out.append((1.0 - m) * flat + m * tgt)
-    return out
+    code = sched.codes
+    tgt = np.where(code == _TARGET_ONE, 1.0, 0.0)
+    tgt = np.where(code == _TARGET_UNIFORM, 0.5, tgt)
+    tgt = np.where(code == _TARGET_FLIP, np.where(stacked >= 0.5, 0.0, 1.0), tgt)
+    m = np.minimum(eps.reshape(eps.shape + (1,) * stacked.ndim) ** sched.exponents, 1.0)
+    m = np.where(code != _TARGET_NONE, m, 0.0)
+    return (1.0 - m) * stacked + m * tgt
 
 
-def flip_floor(flats: list[np.ndarray], floor: float = BR_FLOOR) -> list[np.ndarray]:
-    """Full-support copies: mix a hair of the opposite pure action everywhere."""
-    return [
-        (1.0 - floor) * flat + floor * np.where(flat >= 0.5, 0.0, 1.0) for flat in flats
-    ]
+def flip_floor(stacked: np.ndarray, floor: float = BR_FLOOR) -> np.ndarray:
+    """Full-support copy: mix a hair of the opposite pure action everywhere."""
+    return (1.0 - floor) * stacked + floor * np.where(stacked >= 0.5, 0.0, 1.0)
 
 
 # -- perceived effects and best replies ------------------------------------
 
 
-def split_cells(cs: CompiledScenario, stacked: np.ndarray) -> list[np.ndarray]:
-    """Per-type views of an array whose last axis is the stacked cell axis."""
-    return [stacked[..., a:b] for a, b in zip(cs.offsets[:-1], cs.offsets[1:])]
+def profile_beliefs(cs: CompiledScenario, stacked: np.ndarray):
+    """Do-beliefs b(y=1 | x_C, do(a)) for a batch of stacked profiles, per action.
 
-
-def join_effects(effects) -> tuple[np.ndarray, np.ndarray]:
-    """Per-type (delta, defined) pairs back on the stacked cell axis."""
-    return (
-        np.concatenate([d for d, _ in effects], axis=-1),
-        np.concatenate([ok for _, ok in effects], axis=-1),
-    )
-
-
-def profile_beliefs(cs: CompiledScenario, flats: list[np.ndarray]):
-    """Do-beliefs b(y=1 | x_C, do(a)) for a batch of profiles, per action.
-
-    ``flats`` holds per-type arrays shaped (batch..., 2, nc); every type and
-    every batch entry goes through the compiled maps in one pass.  Returns
-    (belief, defined), both shaped (batch..., 2 actions, stacked cells).  A
-    belief is defined where its condition cell is reachable and every data
-    cell it averages over with positive weight has seen that action; belief
-    is meaningless where it is not defined.
+    ``stacked`` is (batch..., 2, S); every type and every batch entry goes
+    through the compiled maps in one pass.  Returns (belief, defined), both
+    shaped (batch..., 2 actions, S).  A belief is defined where its condition
+    cell is reachable and every data cell it averages over with positive
+    weight has seen that action; belief is meaningless where it is not
+    defined.
     """
-    stacked = np.concatenate(flats, axis=-1)
     lead, n_s = stacked.shape[:-2], stacked.shape[-1]
     n_d = cs.adjust.shape[0]
     sigma = stacked.reshape(-1, 1, 2 * n_s)
@@ -347,36 +337,60 @@ def profile_beliefs(cs: CompiledScenario, flats: list[np.ndarray]):
 def profile_effects(cs: CompiledScenario, flats: list[np.ndarray]):
     """Per-type (delta, defined) lists for a batch of profiles.
 
-    delta = b(do(1)) - b(do(0)) from ``profile_beliefs``, defined where both
-    beliefs are, and 0 where undefined.
+    ``flats`` holds per-type arrays shaped (batch..., 2, nc), such as the
+    ``split_cells`` views of a stacked batch.  delta = b(do(1)) - b(do(0))
+    from ``profile_beliefs``, defined where both beliefs are, and 0 where
+    undefined.
     """
-    belief, defined = profile_beliefs(cs, flats)
+    belief, defined = profile_beliefs(cs, np.concatenate(flats, axis=-1))
     both = defined.all(axis=-2)
     delta = np.where(both, belief[..., 1, :] - belief[..., 0, :], 0.0)
     return list(zip(split_cells(cs, delta), split_cells(cs, both)))
 
 
+def best_replies(cs: CompiledScenario, stacked: np.ndarray, tie_tol: float):
+    """The best-reply rule for a batch of stacked profiles (batch..., 2, S).
+
+    Returns (delta, defined, scores, code): the perceived effect and its
+    definedness, shaped (batch..., S); the score of a=1 over a=0,
+    ``score_base + effect_weight * delta``, and the strict best-reply code,
+    both shaped (batch..., 2 tastes, S).  The code is 1 or 0 where that
+    action is the strict best reply, and -1 at a tie within ``tie_tol``, on
+    an inactive cell, or where the effect is undefined.
+    """
+    effects = profile_effects(cs, split_cells(cs, stacked))
+    delta = np.concatenate([d for d, _ in effects], axis=-1)
+    defined = np.concatenate([ok for _, ok in effects], axis=-1)
+    scores = cs.score_base.reshape((2, 1)) + cs.effect_weight * delta[..., None, :]
+    code = np.where(scores > tie_tol, 1, np.where(scores < -tie_tol, 0, -1)).astype(np.int8)
+    code = np.where(cs.active & defined[..., None, :], code, np.int8(-1))
+    return delta, defined, scores, code
+
+
+def offside(stacked: np.ndarray, code: np.ndarray, eps) -> tuple[np.ndarray, np.ndarray]:
+    """Where action 1, and where action 0, is played above ``eps`` against a strict best reply."""
+    return (
+        (stacked > eps + PLAY_SLACK) & (code == 0),
+        ((1.0 - stacked) > eps + PLAY_SLACK) & (code == 1),
+    )
+
+
 def check_rungs(
     cs: CompiledScenario,
-    trembled: list[np.ndarray],
+    trembled: np.ndarray,
     eps: np.ndarray,
     tie_tol: float,
 ):
     """Definition test for trembled profiles at matching noise thresholds.
 
-    ``trembled`` arrays are (R, batch..., 2, nc); ``eps`` is (R,).  Returns
+    ``trembled`` is (R, batch..., 2, S); ``eps`` is (R,).  Returns
     (ok, undef, max_violation) shaped (R, batch...): ok means every action
     played above the threshold is a best reply on every active, defined cell
     and no active cell is undefined.
     """
-    delta, defined = join_effects(profile_effects(cs, trembled))
-    flat = np.concatenate(trembled, axis=-1)
-    eps_col = eps.reshape(eps.shape + (1,) * (flat.ndim - 1))
-    scores = cs.score_base.reshape((2, 1)) + cs.effect_weight * delta[..., None, :]
-    bad1 = (flat > eps_col + PLAY_SLACK) & (scores < -tie_tol)
-    bad0 = ((1.0 - flat) > eps_col + PLAY_SLACK) & (scores > tie_tol)
-    live = cs.active & defined[..., None, :]
-    bad = (bad1 | bad0) & live
+    _, defined, scores, code = best_replies(cs, trembled, tie_tol)
+    bad1, bad0 = offside(trembled, code, eps.reshape(eps.shape + (1,) * (trembled.ndim - 1)))
+    bad = bad1 | bad0
     undef = (cs.active & ~defined[..., None, :]).any(axis=(-2, -1))
     ok = ~bad.any(axis=(-2, -1)) & ~undef
     viol = np.where(bad, np.abs(scores), 0.0).max(axis=(-2, -1))

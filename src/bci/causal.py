@@ -97,7 +97,7 @@ def subjective_do_belief(
         raise ModelError("action must be 0 or 1")
     _check_type(scenario, type_index)
     cs = eng.compile_scenario(scenario)
-    shape = (2,) + cs.types[type_index].c_cards
+    shape = (2,) + cs.c_cards[type_index]
     belief, defined = (
         eng.split_cells(cs, arr)[type_index].reshape(shape)
         for arr in eng.profile_beliefs(cs, eng.flatten_profile(cs, profile))
@@ -115,16 +115,17 @@ def delta_table(
     if type_index is not None:
         _check_type(scenario, type_index)
     cs = eng.compile_scenario(scenario)
-    effects = eng.profile_effects(cs, eng.flatten_profile(cs, profile))
+    effects = eng.profile_effects(cs, eng.split_cells(cs, eng.flatten_profile(cs, profile)))
+    reachable = eng.split_cells(cs, cs.reachable)
     tables = tuple(
         DeltaTable(
             i,
             scenario.c_names(i),
-            np.where(ok, d, np.nan).reshape(ct.c_cards),
-            ok.reshape(ct.c_cards),
-            ct.reachable.reshape(ct.c_cards),
+            np.where(ok, d, np.nan).reshape(cs.c_cards[i]),
+            ok.reshape(cs.c_cards[i]),
+            reachable[i].reshape(cs.c_cards[i]),
         )
-        for i, ((d, ok), ct) in enumerate(zip(effects, cs.types))
+        for i, (d, ok) in enumerate(effects)
     )
     return tables if type_index is None else tables[type_index]
 
@@ -147,7 +148,9 @@ def score_from_delta(scenario: Scenario, delta_value: float, taste: int) -> floa
     The baseline convention is the beta = 0 special case.
     """
     sign = 1.0 if taste == 1 else -1.0
-    return scenario.beta + (1.0 - scenario.beta) * delta_value + sign * scenario.c
+    # the engine's association (``_engine.best_replies``), so that scalar best
+    # replies and verdicts agree to the last bit at the edge of the tie band
+    return (scenario.beta + sign * scenario.c) + (1.0 - scenario.beta) * delta_value
 
 
 def best_reply_set(

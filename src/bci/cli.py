@@ -419,7 +419,7 @@ def _cmd_solve(args) -> int:
         if result.status == "converged":
             any_converged = True
             entry["verdict"] = result.report.verdict
-            key = eng.profile_key(result.profile.sigmas)
+            key = eng.profile_key(eng.flatten_profile(cs, result.profile))
             if result.report.verdict == "equilibrium_limit" and key not in seen:
                 seen.add(key)
                 equilibria.append(
@@ -577,20 +577,12 @@ def _cmd_scenario(args) -> int:
     return code
 
 
-_WITNESSES: dict[str, tuple[Callable[..., wc.WitnessInstance], tuple[str, ...]]] = {
-    "incomplete": (wc.witness_incomplete, ("eps", "lambda1", "c")),
-    "cycle": (wc.witness_cycle, ("eps", "lambdas", "c")),
-    "incomplete_hetero": (wc.witness_incomplete_hetero, ("gamma", "beta", "eps", "lambdas", "c")),
-    "full_loss": (wc.witness_full_loss, ("gamma", "eps", "c")),
-}
-
-_WITNESS_DEFAULTS: dict[str, dict[str, Any]] = {
-    "incomplete": {"eps": 0.01, "lambda1": 0.5, "c": 0.9},
-    "cycle": {"eps": 0.01, "lambdas": (1 / 3, 1 / 3, 1 / 3), "c": 0.9},
-    "incomplete_hetero": {
-        "gamma": 0.6, "beta": 0.01, "eps": 0.001, "lambdas": (0.5, 0.5), "c": 0.9,
-    },
-    "full_loss": {"gamma": 0.5, "eps": 0.001, "c": 0.9},
+# witness name -> the builtin that holds its builder and parameters
+_WITNESSES = {
+    "incomplete": "prop2_incomplete",
+    "cycle": "prop2_cycle",
+    "incomplete_hetero": "prop4",
+    "full_loss": "prop5",
 }
 
 
@@ -600,13 +592,16 @@ def _cmd_worstcase(args) -> int:
             raise CliError(
                 f"unknown witness {args.name!r} (choose from {', '.join(_WITNESSES)})", 3
             )
-        builder, pnames = _WITNESSES[args.name]
-        kwargs = dict(_WITNESS_DEFAULTS[args.name])
-        for pname in pnames:
-            raw = getattr(args, pname, None)
-            if raw is not None:
-                kwargs[pname] = _lambdas(raw) if pname == "lambdas" else float(raw)
-        witness = builder(**kwargs)
+        spec = BUILTINS[_WITNESSES[args.name]]
+        convert = {pname: conv for pname, conv, _ in spec.params}
+        # flags left out fall back to the builder's own defaults
+        witness = spec.witness(
+            **{
+                pname: convert[pname](getattr(args, pname))
+                for pname in spec.witness_params
+                if getattr(args, pname, None) is not None
+            }
+        )
         report = wc.reverify(witness)
         payload = {
             "witness": _witness_payload(witness),

@@ -18,6 +18,7 @@ as such, never silently passed.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,6 @@ from .model import (
     Scenario,
     StrategyProfile,
     TrembleSchedule,
-    TrembleSpec,
     error_probability,
     welfare_loss,
 )
@@ -121,42 +121,44 @@ class DynamicsResult:
         return self.status == "converged"
 
 
-def _cell_tuple(ct: eng.CompiledType, flat_cell: int) -> tuple[int, ...]:
-    if not ct.c_cards:
-        return ()
-    return tuple(int(v) for v in np.unravel_index(flat_cell, ct.c_cards))
+def _slot(cs: eng.CompiledScenario, flat: int) -> tuple[int, int, tuple[int, ...]]:
+    """(type, taste, cell) of an index into a flattened (2, S) stacked array."""
+    taste, stacked_cell = divmod(int(flat), cs.offsets[-1])
+    i = bisect_right(cs.offsets, stacked_cell) - 1
+    cell = np.unravel_index(stacked_cell - cs.offsets[i], cs.c_cards[i]) if cs.c_cards[i] else ()
+    return i, taste, tuple(int(v) for v in cell)
 
 
 def _diagnose(
     cs: eng.CompiledScenario,
-    trembled: list[np.ndarray],
+    stacked: np.ndarray,
     eps: float,
     tol: float,
 ) -> tuple[ViolationWitness | None, tuple[UndefinedCell, ...]]:
-    """Worst violation and undefined-cell list for one (trembled) profile."""
-    effects = eng.profile_effects(cs, trembled)
-    witness = None
-    worst = -np.inf
-    undefined: list[UndefinedCell] = []
-    for i, ((delta, defined), flat, ct) in enumerate(zip(effects, trembled, cs.types)):
-        scores = cs.score_base.reshape(2, 1) + cs.effect_weight * delta[None, :]
-        for taste in (0, 1):
-            for cell in range(ct.nc):
-                if not ct.active[taste, cell]:
-                    continue
-                if not defined[cell]:
-                    undefined.append(UndefinedCell(i, taste, _cell_tuple(ct, cell)))
-                    continue
-                s = float(scores[taste, cell])
-                for action, played in ((1, float(flat[taste, cell])), (0, 1.0 - float(flat[taste, cell]))):
-                    offside = s < -tol if action == 1 else s > tol
-                    if played > eps + eng.PLAY_SLACK and offside and abs(s) > worst:
-                        worst = abs(s)
-                        witness = ViolationWitness(
-                            i, taste, _cell_tuple(ct, cell), action, played,
-                            float(delta[cell]), s, float(eps),
-                        )
-    return witness, tuple(undefined)
+    """Worst violation and undefined-cell list for one stacked (trembled) profile.
+
+    Both are read in (type, taste, cell) order; the witness is the first
+    maximum of |score| over cells where an action is played above ``eps``
+    against a strict best reply.
+    """
+    delta, defined, scores, code = eng.best_replies(cs, stacked, tol)
+    bad1, bad0 = eng.offside(stacked, code, eps)
+    bad = bad1 | bad0
+    order = cs.type_major
+    undefined = tuple(
+        UndefinedCell(*_slot(cs, k))
+        for k in order[(cs.active & ~defined).reshape(-1)[order]]
+    )
+    if not bad.any():
+        return None, undefined
+    k = int(order[np.argmax(np.where(bad, np.abs(scores), -np.inf).reshape(-1)[order])])
+    at = divmod(k, cs.offsets[-1])  # (taste, stacked cell)
+    action = 1 if bad1[at] else 0
+    played = float(stacked[at]) if action == 1 else float(1.0 - stacked[at])
+    witness = ViolationWitness(
+        *_slot(cs, k), action, played, float(delta[at[1]]), float(scores[at]), float(eps)
+    )
+    return witness, undefined
 
 
 def _profile_stats(scenario: Scenario, profile: StrategyProfile):
@@ -167,31 +169,60 @@ def _profile_stats(scenario: Scenario, profile: StrategyProfile):
     )
 
 
+def _ladder(
+    scenario: Scenario,
+    profile: StrategyProfile,
+    schedule: TrembleSchedule,
+    rungs: np.ndarray,
+    tol: float,
+    tail_min: int,
+):
+    """The ladder core of both verifiers: the profile trembled at each rung,
+    each rung checked at its own noise level, and the deepest failing rung
+    diagnosed.
+
+    Returns (trace, sup_gap, failed_at, witness, undefined); ``failed_at`` is
+    the deepest failing rung's noise level, or None (and no diagnosis) when a
+    passing suffix of ``tail_min`` rungs reaches the floor.
+    """
+    cs = eng.compile_scenario(scenario)
+    stacked = eng.flatten_profile(cs, profile)
+    sched = eng.CompiledSchedule.from_schedule(schedule, cs.offsets)
+    trembled = eng.apply_compiled_trembles(stacked, sched, rungs)
+    ok, undef, viol = eng.check_rungs(cs, trembled, rungs, tol)
+    trace = tuple(
+        LadderRung(float(e), bool(o), float(v), bool(u))
+        for e, o, v, u in zip(rungs, ok, viol, undef)
+    )
+    sup_gap = float(np.max(np.abs(trembled[-1] - stacked)))
+    if int(eng.tail_lengths(ok)) >= min(tail_min, len(rungs)):
+        return trace, sup_gap, None, None, ()
+    deepest = int(np.nonzero(~ok)[0][-1])
+    failed_at = float(rungs[deepest])
+    return (trace, sup_gap, failed_at) + _diagnose(cs, trembled[deepest], failed_at, tol)
+
+
 def verify_eps_equilibrium(
     scenario: Scenario,
     profile: StrategyProfile,
     eps: float,
     tie_tol: float | None = None,
 ) -> EquilibriumReport:
-    """Check the profile, as given, against the eps threshold."""
+    """Check the profile, as given, against the eps threshold.
+
+    Any undefined active cell makes the verdict ``undefined_cells``, even
+    where some played action also violates the threshold.
+    """
     if not 0 < eps < 1:
         raise EquilibriumError("eps must lie in (0, 1)")
-    tol = tie_tolerance(tie_tol)
-    cs = eng.compile_scenario(scenario)
-    flats = eng.flatten_profile(cs, profile)
-    rung = np.array([eps])
-    ok, undef, viol = eng.check_rungs(cs, [f[None] for f in flats], rung, tol)
-    trace = (LadderRung(eps, bool(ok[0]), float(viol[0]), bool(undef[0])),)
+    trace, _, failed_at, witness, undefined = _ladder(
+        scenario, profile, TrembleSchedule.none(), np.array([eps]), tie_tolerance(tie_tol), 1
+    )
     loss, errp, tables = _profile_stats(scenario, profile)
-    witness, undefined = (None, ())
-    if not ok[0]:
-        witness, undefined = _diagnose(cs, flats, eps, tol)
     if undefined:
         verdict, witness = VERDICT_UNDEFINED, None
-    elif ok[0]:
-        verdict = VERDICT_EPS
     else:
-        verdict = VERDICT_NOT
+        verdict = VERDICT_EPS if failed_at is None else VERDICT_NOT
     return EquilibriumReport(
         verdict, eps, witness, undefined, trace, loss, errp, tables, None, 0.0
     )
@@ -211,53 +242,39 @@ def verify_limit(
     level and demands an eps-equilibrium at the same level.  The verdict is
     a limit equilibrium when a passing suffix of at least ``tail_min`` rungs
     reaches the floor: rungs coarser than a schedule's turn-on scale may
-    legitimately fail without saying anything about the limit.
+    legitimately fail without saying anything about the limit.  At the
+    deepest failing rung, undefined cells give ``undefined_cells`` only when
+    no played action violates the threshold there.
     """
     schedule = schedule if schedule is not None else TrembleSchedule.none()
     rungs = np.asarray(ladder if ladder is not None else eng.ladder_rungs(), dtype=float)
     if rungs.ndim != 1 or len(rungs) == 0 or np.any(np.diff(rungs) >= 0):
         raise EquilibriumError("ladder must be a strictly decreasing sequence")
-    tol = tie_tolerance(tie_tol)
-    cs = eng.compile_scenario(scenario)
-    flats = eng.flatten_profile(cs, profile)
-    compiled_sched = eng.CompiledSchedule.from_schedule(schedule, len(cs.types))
-    trembled = eng.apply_compiled_trembles(flats, compiled_sched, rungs)
-    ok, undef, viol = eng.check_rungs(cs, trembled, rungs, tol)
-    trace = tuple(
-        LadderRung(float(e), bool(o), float(v), bool(u))
-        for e, o, v, u in zip(rungs, ok, viol, undef)
-    )
-    sup_gap = max(
-        float(np.max(np.abs(tr[-1] - f))) if f.size else 0.0
-        for tr, f in zip(trembled, flats)
+    trace, sup_gap, failed_at, witness, undefined = _ladder(
+        scenario, profile, schedule, rungs, tie_tolerance(tie_tol), tail_min
     )
     loss, errp, tables = _profile_stats(scenario, profile)
-    need = min(tail_min, len(rungs))
-    if int(eng.tail_lengths(ok)) >= need:
-        return EquilibriumReport(
-            VERDICT_LIMIT, None, None, (), trace, loss, errp, tables, schedule, sup_gap
-        )
-    deepest = int(np.nonzero(~ok)[0][-1])
-    rung_flats = [tr[deepest] for tr in trembled]
-    witness, undefined = _diagnose(cs, rung_flats, float(rungs[deepest]), tol)
-    if undefined and witness is None:
-        return EquilibriumReport(
-            VERDICT_UNDEFINED, float(rungs[deepest]), None, undefined, trace,
-            loss, errp, tables, schedule, sup_gap,
-        )
+    if failed_at is None:
+        verdict = VERDICT_LIMIT
+    elif undefined and witness is None:
+        verdict = VERDICT_UNDEFINED
+    else:
+        verdict = VERDICT_NOT
     return EquilibriumReport(
-        VERDICT_NOT, float(rungs[deepest]), witness, undefined, trace,
-        loss, errp, tables, schedule, sup_gap,
+        verdict, failed_at, witness, undefined, trace, loss, errp, tables, schedule, sup_gap
     )
 
 
-def _taste_weighted_candidate(cs: eng.CompiledScenario, flats: list[np.ndarray]) -> TrembleSchedule:
-    compiled = eng.taste_weighted_schedule(cs, flats)
-    rules = {}
-    for i, exps in enumerate(compiled.exponents):
-        for taste in (0, 1):
-            rules[(i, taste)] = TrembleSpec(float(exps[taste]), "flip")
-    return TrembleSchedule.of(rules)
+# The default schedule try-list of ``certify_equilibrium`` and
+# ``enumerate_pure_equilibria``, in the order tried; each entry compiles its
+# schedule for a stacked profile batch.
+_TRY_LIST = (
+    lambda cs, batch: eng.CompiledSchedule.from_schedule(TrembleSchedule.none(), cs.offsets),
+    lambda cs, batch: eng.CompiledSchedule.from_schedule(
+        TrembleSchedule.uniform_flip(1.0), cs.offsets
+    ),
+    eng.taste_weighted_schedule,
+)
 
 
 def certify_equilibrium(
@@ -272,18 +289,15 @@ def certify_equilibrium(
 
     The default try-list is: no trembles at all (exact equilibria), uniform
     flip trembles (fills in undefined effects without biasing them), then
-    taste-weighted flip trembles (keeps taste-driven corner profiles alive).
-    The first passing schedule wins and is recorded on the report; if none
-    passes, the report of the deepest-reaching attempt is returned.
+    taste-weighted flip trembles (keeps taste-driven corner profiles alive),
+    each recorded as its per-(type, taste) rules.  The first passing schedule
+    wins and is recorded on the report; if none passes, the report of the
+    deepest-reaching attempt is returned.
     """
     if schedules is None:
         cs = eng.compile_scenario(scenario)
-        flats = eng.flatten_profile(cs, profile)
-        schedules = (
-            TrembleSchedule.none(),
-            TrembleSchedule.uniform_flip(1.0),
-            _taste_weighted_candidate(cs, flats),
-        )
+        stacked = eng.flatten_profile(cs, profile)
+        schedules = tuple(make(cs, stacked).to_schedule(cs.offsets) for make in _TRY_LIST)
     best: EquilibriumReport | None = None
     best_tail = -1
     for sched in schedules:
@@ -302,22 +316,21 @@ def certify_equilibrium(
 
 def _dynamics_batch(
     cs: eng.CompiledScenario,
-    flats: list[np.ndarray],
+    stacked: np.ndarray,
     damping: float,
     max_iters: int,
     tol: float,
 ):
-    """Damped best-reply iteration on a batch of profiles.
+    """Damped best-reply iteration on a batch of stacked profiles (batch, 2, S).
 
     Per-cell steps start at ``damping`` and halve whenever that cell's strict
     best reply flips, which settles oscillations onto interior mixing points;
     cells at (or within tolerance of) indifference hold their current value.
-    All types ride one (batch, 2, stacked cells) state array.  Returns final
-    per-type arrays plus per-init status.
+    Returns the final stacked states plus per-start status.
     """
     if not 0 < damping <= 1:
         raise EquilibriumError("damping must lie in (0, 1]")
-    state = np.concatenate(flats, axis=-1)
+    state = stacked
     n_init = state.shape[0]
     steps = np.full(state.shape, damping)
     prev = np.full(state.shape, -1, dtype=np.int8)
@@ -326,18 +339,12 @@ def _dynamics_batch(
     iters = np.zeros(n_init, dtype=int)
     seen: list[set[bytes]] = [set() for _ in range(n_init)]
 
-    def scored(st):
-        delta, defined = eng.join_effects(
-            eng.profile_effects(cs, eng.split_cells(cs, eng.flip_floor([st])[0]))
-        )
-        scores = cs.score_base.reshape(2, 1) + cs.effect_weight * delta[:, None, :]
-        return scores, cs.active & defined[:, None, :]
+    def best_reply_targets(st):
+        code = eng.best_replies(cs, eng.flip_floor(st), tol)[3]
+        return code, np.where(code < 0, st, code.astype(np.float64))
 
     for it in range(max_iters):
-        scores, live = scored(state)
-        code = np.where(scores > tol, 1, np.where(scores < -tol, 0, -1)).astype(np.int8)
-        code = np.where(live, code, -1)
-        target = np.where(code < 0, state, code.astype(np.float64))
+        code, target = best_reply_targets(state)
         flipped = (prev >= 0) & (code >= 0) & (prev != code)
         steps = np.where(flipped, steps * 0.5, steps)
         prev = np.where(code >= 0, code, prev)
@@ -370,10 +377,8 @@ def _dynamics_batch(
 
     converged = done & ~cycled
     # Snap strictly-best-reply cells of converged runs to the pure action.
-    scores, live = scored(state)
-    snap = np.where((scores > tol) & live, 1.0, np.where((scores < -tol) & live, 0.0, state))
-    state = np.where(converged[:, None, None], snap, state)
-    return [f.copy() for f in eng.split_cells(cs, state)], converged, cycled, iters
+    state = np.where(converged[:, None, None], best_reply_targets(state)[1], state)
+    return state, converged, cycled, iters
 
 
 # Deterministic dynamics starts by name: the action each taste plays everywhere.
@@ -382,19 +387,18 @@ _FIXED_STARTS = {"taste": (0.0, 1.0), "zero": (0.0, 0.0), "one": (1.0, 1.0)}
 
 def _dynamics_starts(
     cs: eng.CompiledScenario, rng: np.random.Generator, n_random: int
-) -> tuple[list[str], list[np.ndarray]]:
-    """Labels and per-type start batches for ``_dynamics_batch``.
+) -> tuple[list[str], np.ndarray]:
+    """Labels and the stacked start batch for ``_dynamics_batch``.
 
     The fixed starts come first, then ``n_random`` uniform draws from
-    ``rng``, one type after another within each start.
+    ``rng``, drawn in (start, type, taste, cell) order.
     """
-    starts = [
-        [np.repeat(np.array(actions)[:, None], ct.nc, axis=1) for ct in cs.types]
-        for actions in _FIXED_STARTS.values()
-    ]
-    starts += [[rng.random((2, ct.nc)) for ct in cs.types] for _ in range(n_random)]
+    n_flat = cs.active.size
+    fixed = np.repeat(np.array(list(_FIXED_STARTS.values()))[:, :, None], n_flat // 2, axis=2)
+    drawn = np.empty((n_random, n_flat))
+    drawn[:, cs.type_major] = rng.random((n_random, n_flat))
     labels = [*_FIXED_STARTS, *(f"random{k}" for k in range(n_random))]
-    return labels, [np.stack([start[k] for start in starts]) for k in range(len(cs.types))]
+    return labels, np.concatenate([fixed, drawn.reshape((n_random,) + cs.active.shape)])
 
 
 def _dynamics_results(
@@ -412,7 +416,7 @@ def _dynamics_results(
     out, converged, cycled, iters = batch
     results = []
     for b in range(len(iters)):
-        profile = eng.unflatten_profile(cs, [f[b] for f in out])
+        profile = eng.unflatten_profile(cs, out[b])
         if cycled[b]:
             results.append(DynamicsResult("cycle_detected", profile, None, int(iters[b])))
             continue
@@ -443,8 +447,8 @@ def best_response_dynamics(
     when given, else certified against the default schedule try-list.
     """
     cs = eng.compile_scenario(scenario)
-    flats = [f[None] for f in eng.flatten_profile(cs, init)]
-    batch = _dynamics_batch(cs, flats, damping, max_iters, tie_tolerance(tie_tol))
+    stacked = eng.flatten_profile(cs, init)[None]
+    batch = _dynamics_batch(cs, stacked, damping, max_iters, tie_tolerance(tie_tol))
     return _dynamics_results(scenario, cs, batch, schedule, tie_tol)[0]
 
 
@@ -452,18 +456,6 @@ def best_response_dynamics(
 
 ENUMERATION_CAP = 1 << 20
 _CHUNK = 1 << 12
-
-
-def _batch_tails(
-    cs: eng.CompiledScenario,
-    flats: list[np.ndarray],
-    sched: eng.CompiledSchedule,
-    rungs: np.ndarray,
-    tol: float,
-) -> np.ndarray:
-    trembled = eng.apply_compiled_trembles(flats, sched, rungs)
-    ok, _, _ = eng.check_rungs(cs, trembled, rungs, tol)
-    return eng.tail_lengths(ok)
 
 
 def enumerate_pure_equilibria(
@@ -475,20 +467,16 @@ def enumerate_pure_equilibria(
     """All pure profiles verifiable as limit equilibria, in index order.
 
     Pure assignments range over taste cells that occur with positive
-    probability; unreachable cells are pinned to a = t.  With a schedule the
-    profiles are verified under it; otherwise each survivor of a vectorized
-    pre-screen is certified against the default try-list.  The pre-screen and
-    the final per-profile verification use the same ladder logic, so every
-    returned profile re-passes ``verify_limit`` independently.
+    probability, bit by bit in (type, taste, cell) order; unreachable cells
+    are pinned to a = t.  With a schedule the profiles are verified under it;
+    otherwise each survivor of a vectorized pre-screen is certified against
+    the default try-list.  The pre-screen and the final per-profile
+    verification use the same ladder logic, so every returned profile
+    re-passes ``verify_limit`` independently.
     """
     cs = eng.compile_scenario(scenario)
-    slots = [
-        (k, taste, cell)
-        for k, ct in enumerate(cs.types)
-        for taste in (0, 1)
-        for cell in range(ct.nc)
-        if ct.active[taste, cell]
-    ]
+    order = cs.type_major
+    slots = order[cs.active.reshape(-1)[order]]
     n_slots = len(slots)
     if n_slots.bit_length() > 63 or 2**n_slots > cap:
         raise EquilibriumError(
@@ -498,60 +486,46 @@ def enumerate_pure_equilibria(
     rungs = eng.ladder_rungs()
     tol = tie_tolerance(tie_tol)
     tail_need = min(eng.DEFAULT_TAIL_MIN, len(rungs))
-
-    base = []
-    for ct in cs.types:
-        sig = np.zeros((2, ct.nc))
-        sig[1] = 1.0  # a = t on cells enumeration does not touch
-        base.append(sig)
-
     floor_rung = rungs[-1:]
 
-    def _ladder_pass(sub_flats, make_sched) -> np.ndarray:
+    def tails(batch, sched, at) -> np.ndarray:
+        ok, _, _ = eng.check_rungs(cs, eng.apply_compiled_trembles(batch, sched, at), at, tol)
+        return eng.tail_lengths(ok)
+
+    def ladder_pass(batch, make) -> np.ndarray:
         # a qualifying suffix always contains the final rung, so one cheap
         # floor-rung sweep filters the batch before the full ladder
-        out = np.zeros(len(sub_flats[0]), dtype=bool)
-        at_floor = _batch_tails(cs, sub_flats, make_sched(sub_flats), floor_rung, tol) >= 1
-        if at_floor.any():
-            deep = [f[at_floor] for f in sub_flats]
-            ok = _batch_tails(cs, deep, make_sched(deep), rungs, tol) >= tail_need
-            out[np.nonzero(at_floor)[0]] = ok
+        out = tails(batch, make(cs, batch), floor_rung) >= 1
+        if out.any():
+            deep = batch[out]
+            out[np.nonzero(out)[0]] = tails(deep, make(cs, deep), rungs) >= tail_need
         return out
 
-    n_types = len(cs.types)
     if schedule is not None:
-        given = eng.CompiledSchedule.from_schedule(schedule, n_types)
+        given = eng.CompiledSchedule.from_schedule(schedule, cs.offsets)
+        try_list = (lambda _cs, _batch: given,)
     else:
-        empty = eng.CompiledSchedule.from_schedule(TrembleSchedule.none(), n_types)
-        uniform = eng.CompiledSchedule.from_schedule(TrembleSchedule.uniform_flip(1.0), n_types)
+        try_list = _TRY_LIST
 
     results: list[tuple[StrategyProfile, EquilibriumReport]] = []
     for start in range(0, n_profiles, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, n_profiles), dtype=np.int64)
-        bits = (idx[:, None] >> np.arange(n_slots)) & 1
-        flats = [np.broadcast_to(sig, (len(idx),) + sig.shape).copy() for sig in base]
-        for s, (k, taste, cell) in enumerate(slots):
-            flats[k][:, taste, cell] = bits[:, s]
+        batch = np.zeros((len(idx),) + cs.active.shape)
+        batch[:, 1] = 1.0  # a = t on cells enumeration does not touch
+        batch.reshape(len(idx), -1)[:, slots] = (idx[:, None] >> np.arange(n_slots)) & 1
 
-        if schedule is not None:
-            passing = _ladder_pass(flats, lambda _f: given)
-        else:
-            passing = _ladder_pass(flats, lambda _f: empty)
-            rest = ~passing
-            if rest.any():
-                sub = [f[rest] for f in flats]
-                more = _ladder_pass(sub, lambda _f: uniform)
-                todo = ~more
-                if todo.any():
-                    sub2 = [f[todo] for f in sub]
-                    tw_pass = _ladder_pass(
-                        sub2, lambda fl: eng.taste_weighted_schedule(cs, fl)
-                    )
-                    more[np.nonzero(todo)[0][tw_pass]] = True
-                passing[np.nonzero(rest)[0][more]] = True
+        # each schedule of the try-list screens the profiles the earlier ones left
+        passing = np.zeros(len(idx), dtype=bool)
+        todo = np.arange(len(idx))
+        for make in try_list:
+            ok = ladder_pass(batch[todo], make)
+            passing[todo[ok]] = True
+            todo = todo[~ok]
+            if not todo.size:
+                break
 
         for b in np.nonzero(passing)[0]:
-            profile = eng.unflatten_profile(cs, [f[b] for f in flats])
+            profile = eng.unflatten_profile(cs, batch[b])
             if schedule is not None:
                 report = verify_limit(scenario, profile, schedule, tie_tol=tie_tol)
             else:

@@ -319,10 +319,11 @@ def apply_trembles(
     # _engine imports this module, so the engine is bound at call time
     from ._engine import CompiledSchedule, apply_compiled_trembles
 
-    flats = [sigma.reshape(2, -1) for sigma in profile.sigmas]
-    compiled = CompiledSchedule.from_schedule(schedule, len(flats))
-    out = apply_compiled_trembles(flats, compiled, np.float64(eps))
-    return StrategyProfile(tuple(o.reshape(s.shape) for o, s in zip(out, profile.sigmas)))
+    offsets = np.cumsum([0] + [sigma[0].size for sigma in profile.sigmas])
+    stacked = np.concatenate([sigma.reshape(2, -1) for sigma in profile.sigmas], axis=-1)
+    compiled = CompiledSchedule.from_schedule(schedule, offsets)
+    blocks = np.split(apply_compiled_trembles(stacked, compiled, np.float64(eps)), offsets[1:-1], axis=-1)
+    return StrategyProfile(tuple(b.reshape(s.shape) for b, s in zip(blocks, profile.sigmas)))
 
 
 # -- induced behavior and outcomes ----------------------------------------

@@ -497,21 +497,20 @@ def verified_equilibria(
     tol = tie_tolerance(tie_tol)
     cs = eng.compile_scenario(scenario)
     found: dict[bytes, tuple[StrategyProfile, EquilibriumReport]] = {}
-    n_slots = int(sum(ct.active.sum() for ct in cs.types))
+    n_slots = int(cs.active.sum())
     if n_slots < 63 and 2**n_slots <= enumeration_limit:
         for prof, rep in enumerate_pure_equilibria(scenario, tie_tol=tie_tol):
             found[eng.profile_key(eng.flatten_profile(cs, prof))] = (prof, rep)
 
-    _, flats = _dynamics_starts(cs, rng, inner_inits)
-    out, converged, cycled, _ = _dynamics_batch(cs, flats, 0.5, max_iters, tol)
+    _, starts = _dynamics_starts(cs, rng, inner_inits)
+    out, converged, cycled, _ = _dynamics_batch(cs, starts, 0.5, max_iters, tol)
     for b in range(len(converged)):
         if not converged[b] or cycled[b]:
             continue
-        prof_flats = [f[b] for f in out]
-        key = eng.profile_key(prof_flats)
+        key = eng.profile_key(out[b])
         if key in found:
             continue
-        prof = eng.unflatten_profile(cs, prof_flats)
+        prof = eng.unflatten_profile(cs, out[b])
         rep = certify_equilibrium(scenario, prof, tie_tol=tie_tol)
         if rep.verdict == "equilibrium_limit":
             found[key] = (prof, rep)

@@ -121,6 +121,58 @@ def brute_delta(scenario, profile, type_index):
     return table
 
 
+def brute_eps_check(scenario, profile, eps, tol):
+    """The eps-equilibrium test, one taste cell and one action at a time.
+
+    Returns (verdict, undefined, offenders, scores):
+
+    - ``undefined``: the set of (type, taste, cell) that occur with positive
+      probability but whose perceived effect is undefined;
+    - ``offenders``: (|score|, (type, taste, cell, action)) for every action
+      played with probability above eps (plus 1e-12 slack) that loses to the
+      other action by more than ``tol``, in (type, taste, cell, action 1
+      before 0) order;
+    - ``scores``: the score of a=1 over a=0 on every occurring, defined cell;
+    - ``verdict``: "undefined_cells" when ``undefined`` is nonempty, else
+      "not_equilibrium" when there is an offender, else
+      "epsilon_equilibrium".
+
+    The score is written out from the utility: beta on the action itself,
+    (1 - beta) on the perceived effect, and c for following the taste.
+    """
+    undefined, offenders, scores = set(), [], []
+    for i in range(scenario.n_types):
+        c_axes = scenario.c_axes(i)
+        deltas = brute_delta(scenario, profile, i)
+        for t in (0, 1):
+            for cell, d in deltas.items():
+                mass = sum(
+                    float(scenario.ptx[(t,) + x])
+                    for x in itertools.product(*(range(k) for k in scenario.x_cards))
+                    if tuple(x[k] for k in c_axes) == cell
+                )
+                if mass == 0.0:
+                    continue  # the taste cell never occurs
+                if d is None:
+                    undefined.add((i, t, cell))
+                    continue
+                taste_gain = scenario.c if t == 1 else -scenario.c
+                score = (1.0 - scenario.beta) * d + scenario.beta + taste_gain
+                scores.append(score)
+                p1 = float(profile.sigmas[i][(t,) + cell])
+                if p1 > eps + 1e-12 and score < -tol:
+                    offenders.append((abs(score), (i, t, cell, 1)))
+                if 1.0 - p1 > eps + 1e-12 and score > tol:
+                    offenders.append((abs(score), (i, t, cell, 0)))
+    if undefined:
+        verdict = "undefined_cells"
+    elif offenders:
+        verdict = "not_equilibrium"
+    else:
+        verdict = "epsilon_equilibrium"
+    return verdict, undefined, offenders, scores
+
+
 def brute_posterior_diff(scenario, profile, type_index):
     """[p(t=1|a=1,x_C) - p(t=1|a=0,x_C)] per cell, None when not conditionable."""
     c_axes = scenario.c_axes(type_index)

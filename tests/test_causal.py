@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from bci import _engine as eng
 from bci.causal import (
     best_reply_at,
     best_reply_set,
@@ -110,6 +111,25 @@ def test_score_and_best_reply_thresholds():
     assert best_reply_set(s, 0.5, 0) == frozenset((0, 1))  # exact tie
     with pytest.raises(ModelError):
         best_reply_set(s, 0.5, 2)
+
+
+def test_scalar_scores_equal_the_engine_scores(rng):
+    # best_reply_set must split ties exactly where the verdicts do
+    for _ in range(40):
+        base, prof = random_small_scenario(rng)
+        s = Scenario(
+            base.x_names, base.x_cards, base.ptx, base.kernel, base.types, base.lam, base.c,
+            outcome_kind="consequential", beta=float(rng.uniform(0.05, 0.95)),
+        )
+        cs = eng.compile_scenario(s)
+        _, _, scores, _ = eng.best_replies(cs, eng.flatten_profile(cs, prof), 1e-9)
+        for i, tab in enumerate(delta_table(s, prof)):
+            for cell in np.ndindex(tab.defined.shape):
+                if not tab.defined[cell]:
+                    continue
+                at = cs.offsets[i] + (np.ravel_multi_index(cell, tab.defined.shape) if cell else 0)
+                for taste in (0, 1):
+                    assert score_from_delta(s, float(tab.values[cell]), taste) == scores[taste, at]
 
 
 def test_tie_tolerance_env_override(monkeypatch):

@@ -17,8 +17,9 @@ from test_causal import random_small_scenario
 def test_flatten_round_trip(rng):
     s, prof = random_small_scenario(rng, max_covariates=3)
     cs = eng.compile_scenario(s)
-    flats = eng.flatten_profile(cs, prof)
-    back = eng.unflatten_profile(cs, flats)
+    stacked = eng.flatten_profile(cs, prof)
+    assert stacked.shape == (2, cs.offsets[-1])
+    back = eng.unflatten_profile(cs, stacked)
     for a, b in zip(back.sigmas, prof.sigmas):
         assert np.array_equal(a, b)
 
@@ -26,9 +27,9 @@ def test_flatten_round_trip(rng):
 def assert_effects_match_oracle(s, prof):
     """Engine effects and beliefs, and the causal tables over them, against the oracle."""
     cs = eng.compile_scenario(s)
-    flats = eng.flatten_profile(cs, prof)
-    effects = eng.profile_effects(cs, flats)
-    belief, belief_ok = (eng.split_cells(cs, arr) for arr in eng.profile_beliefs(cs, flats))
+    stacked = eng.flatten_profile(cs, prof)
+    effects = eng.profile_effects(cs, eng.split_cells(cs, stacked))
+    belief, belief_ok = (eng.split_cells(cs, arr) for arr in eng.profile_beliefs(cs, stacked))
     for i, ((d, ok), tab) in enumerate(zip(effects, delta_table(s, prof))):
         for cell, expected in oracles.brute_delta(s, prof, i).items():
             flat = np.ravel_multi_index(cell, tab.defined.shape) if cell else 0
@@ -60,15 +61,17 @@ def test_compiled_trembles_match_object_level():
         },
         default=TrembleSpec(1.0, "uniform"),
     )
-    compiled = eng.CompiledSchedule.from_schedule(sched, 2)
-    flats = [np.array([[0.0, 1.0, 0.4], [0.0, 1.0, 0.4]]), np.array([[1.0], [0.2]])]
-    out = eng.apply_compiled_trembles(flats, compiled, np.array([0.1, 1.0]))
+    # type 0 owns stacked cells 0-2, type 1 cell 3
+    compiled = eng.CompiledSchedule.from_schedule(sched, (0, 3, 4))
+    stacked = np.array([[0.0, 1.0, 0.4, 1.0], [0.0, 1.0, 0.4, 0.2]])
+    out = eng.apply_compiled_trembles(stacked, compiled, np.array([0.1, 1.0]))
+    assert out.shape == (2, 2, 4)
     # eps = 0.1: flip at weight 0.01, toward 1, 0 and 1/2 at weight 0.1
-    assert np.allclose(out[0][0], [[0.01, 0.99, 0.406], [0.1, 1.0, 0.46]], atol=1e-15)
-    assert np.allclose(out[1][0], [[0.9], [0.23]], atol=1e-15)
+    assert np.allclose(out[0][:, :3], [[0.01, 0.99, 0.406], [0.1, 1.0, 0.46]], atol=1e-15)
+    assert np.allclose(out[0][:, 3:], [[0.9], [0.23]], atol=1e-15)
     # eps = 1: every slice lands on its target
-    assert np.array_equal(out[0][1], [[1.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
-    assert np.array_equal(out[1][1], [[0.0], [0.5]])
+    assert np.array_equal(out[1][:, :3], [[1.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+    assert np.array_equal(out[1][:, 3:], [[0.0], [0.5]])
 
 
 def test_rung_ladder_geometry():
@@ -103,27 +106,25 @@ def test_tail_lengths_counts_passing_suffix_on_rung_axis():
 def test_taste_weighted_schedule_orients_exponents():
     s = prop4()
     cs = eng.compile_scenario(s)
-    flats = eng.flatten_profile(cs, StrategyProfile.matching(s))
-    sched = eng.taste_weighted_schedule(cs, flats)
-    for exp in sched.exponents:
-        assert exp.shape[-2:] == (2, 1) or exp.shape[-1] >= 1
-        assert np.all((exp == 1.0) | (exp == 2.0))
+    sched = eng.taste_weighted_schedule(cs, eng.flatten_profile(cs, StrategyProfile.matching(s)))
+    assert sched.exponents.shape == (2, cs.offsets[-1])
+    assert np.all((sched.exponents == 1.0) | (sched.exponents == 2.0))
 
 
 def test_flip_floor_gives_full_support():
-    flats = [np.array([[0.0, 1.0], [1.0, 0.0]])]
-    floored = eng.flip_floor(flats)
-    assert np.all(floored[0] > 0.0) and np.all(floored[0] < 1.0)
-    assert np.allclose(np.abs(floored[0] - flats[0]).max(), eng.BR_FLOOR)
+    stacked = np.array([[0.0, 1.0], [1.0, 0.0]])
+    floored = eng.flip_floor(stacked)
+    assert np.all(floored > 0.0) and np.all(floored < 1.0)
+    assert np.allclose(np.abs(floored - stacked).max(), eng.BR_FLOOR)
 
 
 def test_compiled_activity_masks_zero_mass_rows():
     s = example_3_1()  # no mass at t = 1
     cs = eng.compile_scenario(s)
-    for ct in cs.types:
-        assert ct.reachable.all()  # every condition cell has covariate mass
-        assert ct.active[0].all() and not ct.active[1].any()  # but only at t = 0
-        assert np.allclose(ct.tcm.sum(), 1.0)
+    assert cs.reachable.all()  # every condition cell has covariate mass
+    assert cs.active[0].all() and not cs.active[1].any()  # but only at t = 0
+    for tcm in eng.split_cells(cs, cs.tcm):
+        assert np.allclose(tcm.sum(), 1.0)
 
 
 def test_batch_axis_broadcasts(rng):
@@ -133,12 +134,10 @@ def test_batch_axis_broadcasts(rng):
         StrategyProfile(tuple(rng.random(s.sigma_shape(i)) for i in range(s.n_types)))
         for _ in range(5)
     ]
-    flats_batch = [
-        np.stack([eng.flatten_profile(cs, p)[i] for p in profs]) for i in range(s.n_types)
-    ]
-    batch = eng.profile_effects(cs, flats_batch)
+    stacked = np.stack([eng.flatten_profile(cs, p) for p in profs])
+    batch = eng.profile_effects(cs, eng.split_cells(cs, stacked))
     for b, p in enumerate(profs):
-        single = eng.profile_effects(cs, eng.flatten_profile(cs, p))
+        single = eng.profile_effects(cs, eng.split_cells(cs, eng.flatten_profile(cs, p)))
         for (d_batch, ok_batch), (d_one, ok_one) in zip(batch, single):
             assert np.array_equal(ok_batch[b], ok_one)
             assert np.allclose(d_batch[b], d_one, atol=1e-15)

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from bci import _engine as eng
 from bci.equilibrium import (
     EquilibriumError,
+    UndefinedCell,
     _dynamics_batch,
     best_response_dynamics,
     certify_equilibrium,
@@ -13,7 +17,10 @@ from bci.equilibrium import (
 )
 from bci.model import StrategyProfile, TrembleSchedule, TrembleSpec
 from bci.scenarios import (
+    example_1_1_collider,
+    example_1_1_confounder,
     example_3_1,
+    example_3_1_profile,
     example_4_1,
     example_4_1_corner_profile,
     example_4_1_interior_profile,
@@ -22,8 +29,12 @@ from bci.scenarios import (
     pandemic_corner_profile,
     pandemic_profile,
     prop2_incomplete,
+    prop4,
+    prop5,
 )
 from bci.worstcase import SearchConfig, random_scenario, witness_incomplete
+
+from test_causal import random_small_scenario
 
 
 def test_eps_equilibrium_golden_two_covariates():
@@ -170,11 +181,75 @@ def test_dynamics_batch_starts_are_independent():
     )
     rng = np.random.default_rng(102)
     cs = eng.compile_scenario(random_scenario(cfg, rng))
-    flats = [rng.random((15, 2, ct.nc)) for ct in cs.types]
-    out, converged, cycled, iters = _dynamics_batch(cs, flats, 0.5, 400, 1e-9)
+    starts = np.concatenate([rng.random((15, 2, n)) for n in np.diff(cs.offsets)], axis=-1)
+    out, converged, cycled, iters = _dynamics_batch(cs, starts, 0.5, 400, 1e-9)
     assert len(set(iters.tolist())) > 2 and converged.any() and not converged.all()
     for b in range(15):
-        one, conv1, cyc1, iters1 = _dynamics_batch(cs, [f[b : b + 1] for f in flats], 0.5, 400, 1e-9)
+        one, conv1, cyc1, iters1 = _dynamics_batch(cs, starts[b : b + 1], 0.5, 400, 1e-9)
         assert (conv1[0], cyc1[0], iters1[0]) == (converged[b], cycled[b], iters[b]), b
-        for got, alone in zip(out, one):
-            assert np.allclose(got[b], alone[0], rtol=0.0, atol=1e-12), b
+        assert np.allclose(out[b], one[0], rtol=0.0, atol=1e-12), b
+
+
+def test_eps_and_limit_checks_keep_their_undefined_cell_policies():
+    # one pure profile with an undefined active cell and a violation
+    s = example_1_1_confounder()
+    prof = example_3_1_profile(s)
+    undefined = (UndefinedCell(0, 0, (0,)),)
+    # the eps check calls any undefined active cell decisive ...
+    eps = verify_eps_equilibrium(s, prof, 0.01)
+    assert (eps.verdict, eps.witness, eps.undefined_cells) == ("undefined_cells", None, undefined)
+    # ... the limit check only when no played action violates the threshold
+    lim = verify_limit(s, prof)
+    assert (lim.verdict, lim.undefined_cells) == ("not_equilibrium", undefined)
+    w = lim.witness
+    assert (w.type_index, w.taste, w.cell, w.action, w.played) == (0, 0, (1,), 1, 1.0)
+    assert w.score == pytest.approx(-0.5) and w.eps == lim.eps == eng.ladder_rungs()[-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_eps_verdicts_and_witnesses_match_oracle(seed):
+    rng = np.random.default_rng(seed)
+    s, prof = random_small_scenario(rng)
+    part = StrategyProfile(
+        tuple(np.where(rng.random(x.shape) < 0.5, np.round(x), x) for x in prof.sigmas)
+    )
+    eps, tol = float(rng.uniform(0.01, 0.3)), 1e-9
+    for p in (prof, prof.rounded(), part):
+        verdict, undefined, offenders, scores = oracles.brute_eps_check(s, p, eps, tol)
+        if any(abs(abs(score) - tol) <= 1e-9 for score in scores):
+            continue  # the engine's and the oracle's roundoff may split a tie here
+        report = verify_eps_equilibrium(s, p, eps, tie_tol=tol)
+        assert report.verdict == verdict
+        assert {(u.type_index, u.taste, u.cell) for u in report.undefined_cells} == undefined
+        if verdict != "not_equilibrium":
+            assert report.witness is None
+            continue
+        top = sorted((mag for mag, _ in offenders), reverse=True)
+        if len(top) > 1 and top[0] - top[1] <= 1e-9:
+            continue  # the worst violation is not unique
+        w = report.witness
+        assert (w.type_index, w.taste, w.cell, w.action) == max(offenders)[1]
+
+
+@pytest.mark.parametrize(
+    "build, make_profile, expected",
+    [
+        (prop4, StrategyProfile.matching, (0, 0, (0,), 0)),
+        (prop5, StrategyProfile.matching, (1, 0, (0,), 0)),
+        (pandemic, StrategyProfile.matching, (0, 0, (0,), 0)),
+        (example_1_1_collider, matching_on_own_covariate, (0, 0, (1,), 1)),  # across types
+    ],
+)
+def test_tied_worst_violations_go_to_the_first_in_type_taste_cell_order(
+    build, make_profile, expected
+):
+    s = build()
+    prof = make_profile(s)
+    w = verify_limit(s, prof).witness
+    # the oracle lists offenders in (type, taste, cell, action 1 before 0) order
+    _, _, offenders, _ = oracles.brute_eps_check(s, prof, w.eps, 1e-9)
+    worst = max(mag for mag, _ in offenders)
+    tied = [key for mag, key in offenders if mag >= worst - 1e-9]
+    assert len(tied) > 1 and tied[0] == expected
+    assert (w.type_index, w.taste, w.cell, w.action) == expected

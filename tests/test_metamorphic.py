@@ -1,7 +1,9 @@
-"""Metamorphic properties: relabelling or splitting types changes nothing.
+"""Metamorphic properties: relabelling or splitting types, or reordering
+covariates, changes nothing.
 
-A verdict must follow from the model, not from the order the types are
-listed in or from how one type's weight is split between identical copies.
+A verdict must follow from the model, not from the order the types or the
+covariates are listed in or from how one type's weight is split between
+identical copies.
 """
 
 import numpy as np
@@ -69,4 +71,49 @@ def test_splitting_a_type_keeps_tables_and_verdicts(seed):
     for prof in _profiles(rng, s):
         t, tprof = _with_types(s, prof, source, lam)
         _assert_tables_follow(s, prof, t, tprof, source)
+        assert _verdicts(t, tprof) == _verdicts(s, prof)
+
+
+def _with_covariates(s, prof, order):
+    """Scenario and profile whose covariate k is covariate ``order[k]`` of ``s``.
+
+    Also returns, per type, the permutation of its condition axes: a type's
+    strategy and delta table list its condition covariates in covariate
+    order, so they reorder with the covariates.
+    """
+    x_axes = (0,) + tuple(1 + k for k in order)
+    t = Scenario(
+        tuple(s.x_names[k] for k in order),
+        tuple(s.x_cards[k] for k in order),
+        s.ptx.transpose(x_axes),
+        s.kernel.transpose(x_axes),
+        s.types,
+        s.lam,
+        s.c,
+    )
+    position = {k: j for j, k in enumerate(order)}
+    cell_axes = [tuple(np.argsort([position[k] for k in s.c_axes(i)])) for i in range(s.n_types)]
+    sigmas = tuple(
+        sig.transpose((0,) + tuple(1 + a for a in axes))
+        for sig, axes in zip(prof.sigmas, cell_axes)
+    )
+    return t, StrategyProfile(sigmas), cell_axes
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_permuting_covariates_permutes_tables_and_keeps_verdicts(seed):
+    rng = np.random.default_rng(seed)
+    s, _ = random_small_scenario(rng, max_covariates=3)
+    order = tuple(int(k) for k in rng.permutation(len(s.x_names)))
+    if order == tuple(sorted(order)):
+        order = order[::-1]  # identity only when there is one covariate
+    for prof in _profiles(rng, s):
+        t, tprof, cell_axes = _with_covariates(s, prof, order)
+        for tab, ttab, axes in zip(delta_table(s, prof), delta_table(t, tprof), cell_axes):
+            assert ttab.c_names == tuple(tab.c_names[a] for a in axes)
+            assert np.array_equal(ttab.defined, tab.defined.transpose(axes))
+            ok = ttab.defined
+            moved = tab.values.transpose(axes)
+            assert np.allclose(ttab.values[ok], moved[ok], rtol=0, atol=1e-12)
         assert _verdicts(t, tprof) == _verdicts(s, prof)
