@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Scenario, StrategyProfile, TrembleSchedule, TrembleSpec
+from .model import ModelError, Scenario, StrategyProfile, TrembleSchedule, TrembleSpec
 
 DEFAULT_LADDER_START = 0.1
 DEFAULT_LADDER_RATIO = 0.5
@@ -73,11 +73,16 @@ def ladder_rungs(
     floor: float | None = None,
 ) -> np.ndarray:
     """Strictly decreasing geometric noise levels down to the floor."""
+    source = ""
     if floor is None:
         env = os.environ.get("BCI_LADDER_FLOOR")
-        floor = float(env) if env else DEFAULT_LADDER_FLOOR
+        source = f" (BCI_LADDER_FLOOR={env!r})" if env else ""
+        try:
+            floor = float(env) if env else DEFAULT_LADDER_FLOOR
+        except ValueError:
+            floor = np.nan  # fails the range check below
     if not 0 < floor <= start < 1 or not 0 < ratio < 1:
-        raise ValueError("need 0 < floor <= start < 1 and ratio in (0,1)")
+        raise ModelError(f"need 0 < floor <= start < 1 and ratio in (0,1){source}")
     out = []
     eps = start
     while eps >= floor:

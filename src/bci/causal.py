@@ -25,6 +25,7 @@ output out per type and condition cell.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -38,11 +39,24 @@ DEFAULT_TIE_TOL = 1e-9
 
 
 def tie_tolerance(tie_tol: float | None = None) -> float:
-    """Resolve the indifference tolerance: argument, else BCI_TIE_TOL, else default."""
-    if tie_tol is not None:
-        return float(tie_tol)
-    env = os.environ.get("BCI_TIE_TOL")
-    return float(env) if env else DEFAULT_TIE_TOL
+    """Resolve the indifference tolerance: argument, else BCI_TIE_TOL, else default.
+
+    The tolerance must be a finite number >= 0; under a negative one a score
+    could lie both above tol and below -tol, and a strict best reply would
+    mean nothing.
+    """
+    source, raw = "tie_tol", tie_tol
+    if raw is None:
+        source, raw = "BCI_TIE_TOL", os.environ.get("BCI_TIE_TOL")
+        if not raw:
+            return DEFAULT_TIE_TOL
+    try:
+        tol = float(raw)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ModelError(f"{source} must be a finite number >= 0, got {raw!r}")
+    return tol
 
 
 @dataclass(frozen=True)

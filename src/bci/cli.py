@@ -10,6 +10,7 @@ to machine output on stdout.  Exit codes: 0 success, 1 invariant violation,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import sys
@@ -34,7 +35,7 @@ from .equilibrium import (
     enumerate_pure_equilibria,
     verify_eps_equilibrium,
 )
-from .model import ModelError, Scenario, StrategyProfile
+from .model import DataTypeSpec, ModelError, Scenario, StrategyProfile
 from .ordering import (
     OrderError,
     build_relation,
@@ -65,12 +66,13 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class _Builtin:
+    """A builtin scenario and its job (see ``_run_builtin``)."""
+
     build: Callable[..., Scenario]
     params: tuple[tuple[str, Callable[[str], Any], Any], ...]
-    runner: str  # "verify" | "solve" | "witness"
     canonical: Callable[[Scenario], StrategyProfile] | None = None
+    # takes every parameter; the job re-verifies the witness it builds
     witness: Callable[..., wc.WitnessInstance] | None = None
-    witness_params: tuple[str, ...] = ()
 
 
 def _lambdas(text: str) -> tuple[float, ...]:
@@ -89,13 +91,11 @@ BUILTINS: dict[str, _Builtin] = {
     "example_1_1_confounder": _Builtin(
         build=builtins_mod.example_1_1_confounder,
         params=(("c", float, 0.5),),
-        runner="verify",
         canonical=builtins_mod.example_3_1_profile,
     ),
     "example_1_1_collider": _Builtin(
         build=builtins_mod.example_1_1_collider,
         params=(("c", float, 0.5),),
-        runner="verify",
         canonical=builtins_mod.example_3_1_profile,
     ),
     "example_3_1": _Builtin(
@@ -106,27 +106,21 @@ BUILTINS: dict[str, _Builtin] = {
             ("c", float, 0.5),
             ("blind_second_type", _flag_bool, False),
         ),
-        runner="verify",
         canonical=builtins_mod.example_3_1_profile,
     ),
     "example_4_1": _Builtin(
         build=builtins_mod.example_4_1,
         params=(("gamma", float, 0.3), ("c", float, 0.5)),
-        runner="solve",
     ),
     "prop2_incomplete": _Builtin(
         build=builtins_mod.prop2_incomplete,
         params=(("eps", float, 0.01), ("lambda1", float, 0.5), ("c", float, 0.9)),
-        runner="witness",
         witness=wc.witness_incomplete,
-        witness_params=("eps", "lambda1", "c"),
     ),
     "prop2_cycle": _Builtin(
         build=builtins_mod.prop2_cycle,
         params=(("eps", float, 0.01), ("lambdas", _lambdas, (1 / 3, 1 / 3, 1 / 3)), ("c", float, 0.9)),
-        runner="witness",
         witness=wc.witness_cycle,
-        witness_params=("eps", "lambdas", "c"),
     ),
     "prop4": _Builtin(
         build=builtins_mod.prop4,
@@ -137,21 +131,16 @@ BUILTINS: dict[str, _Builtin] = {
             ("lambdas", _lambdas, (0.5, 0.5)),
             ("c", float, 0.9),
         ),
-        runner="witness",
         witness=wc.witness_incomplete_hetero,
-        witness_params=("gamma", "beta", "eps", "lambdas", "c"),
     ),
     "prop5": _Builtin(
         build=builtins_mod.prop5,
         params=(("gamma", float, 0.5), ("eps", float, 0.001), ("c", float, 0.9)),
-        runner="witness",
         witness=wc.witness_full_loss,
-        witness_params=("gamma", "eps", "c"),
     ),
     "pandemic": _Builtin(
         build=builtins_mod.pandemic,
         params=(("q", float, 0.8), ("lambda1", float, 0.5), ("c", float, 0.3)),
-        runner="verify",
         canonical=builtins_mod.pandemic_profile,
     ),
 }
@@ -167,39 +156,63 @@ def _build_builtin(name: str, values: dict[str, Any]) -> Scenario:
     return spec.build(**kwargs)
 
 
-def _add_builtin_flags(parser: argparse.ArgumentParser) -> None:
-    # raw strings here; each builtin converts its own parameters, and sweep
-    # accepts start:stop:step ranges in the same slots
-    seen = set()
-    for spec in BUILTINS.values():
-        for pname, _conv, _default in spec.params:
-            if pname in seen:
-                continue
-            seen.add(pname)
-            parser.add_argument("--" + pname.replace("_", "-"), dest=pname, type=str, default=None)
+def _flag(pname: str) -> str:
+    return "--" + pname.replace("_", "-")
 
 
-def _builtin_values(name: str, args: argparse.Namespace) -> dict[str, Any]:
+def _add_builtin_flags(
+    parser: argparse.ArgumentParser, specs: Sequence[_Builtin] | None = None
+) -> None:
+    # raw strings here; _builtin_values converts them for the chosen builtin
+    params = (p for spec in specs or BUILTINS.values() for p, _, _ in spec.params)
+    for pname in dict.fromkeys(params):
+        parser.add_argument(_flag(pname), dest=pname, default=None)
+
+
+_RANGE = re.compile(r"^(-?[0-9.eE+]+):(-?[0-9.eE+]+):(-?[0-9.eE+]+)$")
+
+
+def _sweep_values(text: str) -> list[float]:
+    m = _RANGE.match(text)
+    if m is None:
+        return [float(text)]
+    start, stop, step = (float(g) for g in m.groups())
+    if step <= 0:
+        raise CliError("sweep step must be positive", 3)
+    count = int(np.floor((stop - start) / step + 1e-9)) + 1
+    if count < 1:
+        raise CliError(f"empty sweep range {text!r}", 3)
+    return [start + k * step for k in range(count)]
+
+
+def _builtin_values(name: str, args: argparse.Namespace, grid: bool = False) -> dict[str, Any]:
+    """Builtin ``name``'s parameter values from its flags, defaults filled in.
+
+    With ``grid`` every value is a list of sweep points and float flags also
+    take ``start:stop:step`` ranges.  Unknown builtins, bad values and the
+    flags of other builtins are parse errors.
+    """
     if name not in BUILTINS:
         raise CliError(
             f"unknown builtin {name!r} (choose from {', '.join(sorted(BUILTINS))})", 3
         )
-    spec = BUILTINS[name]
+    params = BUILTINS[name].params
     values: dict[str, Any] = {}
-    for pname, conv, default in spec.params:
+    for pname, conv, default in params:
         raw = getattr(args, pname, None)
         if raw is None:
-            values[pname] = default
+            points = [default]
         else:
             try:
-                values[pname] = conv(raw)
+                points = _sweep_values(raw) if grid and conv is float else [conv(raw)]
             except ValueError as exc:
-                raise CliError(f"bad value for --{pname.replace('_', '-')}: {exc}", 3)
-    known = {p for p, _, _ in spec.params}
-    for other_spec in BUILTINS.values():
-        for pname, _, _ in other_spec.params:
+                raise CliError(f"bad value for {_flag(pname)}: {exc}", 3)
+        values[pname] = points if grid else points[0]
+    known = {p for p, _, _ in params}
+    for spec in BUILTINS.values():
+        for pname, _, _ in spec.params:
             if pname not in known and getattr(args, pname, None) is not None:
-                raise CliError(f"builtin {name!r} takes no --{pname.replace('_', '-')}", 3)
+                raise CliError(f"builtin {name!r} takes no {_flag(pname)}", 3)
     return values
 
 
@@ -370,6 +383,16 @@ def _report_payload(scenario: Scenario, report: EquilibriumReport) -> dict[str, 
     return payload
 
 
+def _equilibrium_entry(profile: StrategyProfile, report: EquilibriumReport) -> dict[str, Any]:
+    # the CSV profile cell is str() of the nested float lists, the same text as JSON
+    return {
+        "profile": docmod.to_jsonable(profile),
+        "verdict": report.verdict,
+        "welfare_loss": report.welfare_loss,
+        "error_probability": report.error_probability,
+    }
+
+
 # -- command handlers ----------------------------------------------------------
 
 
@@ -422,42 +445,16 @@ def _cmd_solve(args) -> int:
             key = eng.profile_key(eng.flatten_profile(cs, result.profile))
             if result.report.verdict == "equilibrium_limit" and key not in seen:
                 seen.add(key)
-                equilibria.append(
-                    {
-                        "profile": docmod.to_jsonable(result.profile),
-                        "verdict": result.report.verdict,
-                        "welfare_loss": result.report.welfare_loss,
-                        "error_probability": result.report.error_probability,
-                    }
-                )
+                equilibria.append(_equilibrium_entry(result.profile, result.report))
         runs.append(entry)
-    payload = {"runs": runs, "equilibria": equilibria}
-    _emit(payload, args.format, equilibria if equilibria else [])
+    _emit({"runs": runs, "equilibria": equilibria}, args.format, equilibria)
     return 0 if any_converged else 2
 
 
 def _cmd_enumerate(args) -> int:
-    scenario, builtin = _resolve_scenario(args)
-    results = enumerate_pure_equilibria(scenario)
-    rows = []
-    out = []
-    for prof, rep in results:
-        row = {
-            "profile": json.dumps(docmod.to_jsonable(prof)),
-            "verdict": rep.verdict,
-            "welfare_loss": rep.welfare_loss,
-            "error_probability": rep.error_probability,
-        }
-        rows.append(row)
-        out.append(
-            {
-                "profile": docmod.to_jsonable(prof),
-                "verdict": rep.verdict,
-                "welfare_loss": rep.welfare_loss,
-                "error_probability": rep.error_probability,
-            }
-        )
-    _emit({"count": len(out), "equilibria": out}, args.format, rows)
+    scenario, _ = _resolve_scenario(args)
+    equilibria = [_equilibrium_entry(p, r) for p, r in enumerate_pure_equilibria(scenario)]
+    _emit({"count": len(equilibria), "equilibria": equilibria}, args.format, equilibria)
     return 0
 
 
@@ -481,15 +478,10 @@ def _cmd_order(args) -> int:
         raw = _tolerant_json(args.types)
         if not isinstance(raw, list):
             raise CliError("--types must be a JSON list of {C, D} objects", 3)
-        from .model import DataTypeSpec
-
         specs = []
-        names = {}
         for entry in raw:
             if not isinstance(entry, dict) or "C" not in entry or "D" not in entry:
                 raise CliError("--types entries must be {C: [...], D: [...]}", 3)
-            for idx in list(entry["C"]) + list(entry["D"]):
-                names[int(idx)] = f"x{int(idx)}"
             specs.append(
                 (
                     tuple(f"x{int(i)}" for i in sorted(entry["C"])),
@@ -543,38 +535,59 @@ def _witness_payload(witness: wc.WitnessInstance) -> dict[str, Any]:
     return payload
 
 
-def _cmd_scenario(args) -> int:
-    if args.action != "run":
-        raise CliError("the scenario command supports: scenario run <builtin>", 3)
-    name = args.name
-    values = _builtin_values(name, args)
+def _run_builtin(
+    name: str, values: dict[str, Any], eps_check: float | None, skip_infeasible: bool = False
+) -> tuple[Scenario, StrategyProfile, EquilibriumReport | None, Any] | None:
+    """Run builtin ``name``'s job at ``values``.
+
+    A witness builtin re-verifies its witness, a builtin with a canonical
+    profile checks it at ``eps_check``, and the rest run the dynamics from
+    the taste-matching start.  Returns the scenario, the profile, its report
+    (None when the dynamics do not converge) and the witness or dynamics
+    result behind them (None for the eps check).  With ``skip_infeasible``,
+    parameters the builder rejects give None instead of an error.
+    """
     spec = BUILTINS[name]
-    scenario = _build_builtin(name, values)
-    payload: dict[str, Any] = {"builtin": name, "parameters": docmod.to_jsonable(values)}
-    code = 0
-    if spec.runner == "witness":
-        witness = spec.witness(**{k: values[k] for k in spec.witness_params})
-        report = wc.reverify(witness)
-        payload["witness"] = _witness_payload(witness)
-        payload["annotation_max_error"] = wc.check_annotations(witness)
-        payload["report"] = _report_payload(scenario, report)
-    elif spec.runner == "solve":
-        result = best_response_dynamics(scenario, StrategyProfile.matching(scenario))
-        payload["status"] = result.status
-        payload["iterations"] = result.iterations
-        payload["profile"] = docmod.to_jsonable(result.profile)
-        if result.report is not None:
-            payload["report"] = _report_payload(scenario, result.report)
-        if result.status != "converged":
-            code = 2
-    else:
+    try:
+        if spec.witness is not None:
+            witness = spec.witness(**values)
+        else:
+            scenario = _build_builtin(name, values)
+    except ModelError:
+        if skip_infeasible:
+            return None
+        raise
+    if spec.witness is not None:
+        return witness.scenario, witness.profile, wc.reverify(witness), witness
+    if spec.canonical is not None:
         profile = _resolve_profile(scenario, "canonical", name)
-        report = verify_eps_equilibrium(scenario, profile, args.eps_check)
+        return scenario, profile, verify_eps_equilibrium(scenario, profile, eps_check), None
+    result = best_response_dynamics(scenario, StrategyProfile.matching(scenario))
+    return scenario, result.profile, result.report, result
+
+
+def _emit_run(args, name: str, values: dict[str, Any], payload: dict[str, Any]) -> int:
+    """Run builtin ``name``'s job and emit its output after ``payload``'s entries."""
+    scenario, profile, report, job = _run_builtin(name, values, getattr(args, "eps_check", None))
+    if isinstance(job, wc.WitnessInstance):
+        payload["witness"] = _witness_payload(job)
+        payload["annotation_max_error"] = wc.check_annotations(job)
+    else:
+        if job is not None:
+            payload["status"] = job.status
+            payload["iterations"] = job.iterations
         payload["profile"] = docmod.to_jsonable(profile)
+    if report is not None:
         payload["report"] = _report_payload(scenario, report)
     payload["scenario"] = docmod.document_from_scenario(scenario).to_dict()
     _emit(payload, args.format)
-    return code
+    return 0 if report is not None else 2
+
+
+def _cmd_scenario(args) -> int:
+    values = _builtin_values(args.name, args)
+    head = {"builtin": args.name, "parameters": docmod.to_jsonable(values)}
+    return _emit_run(args, args.name, values, head)
 
 
 # witness name -> the builtin that holds its builder and parameters
@@ -592,26 +605,8 @@ def _cmd_worstcase(args) -> int:
             raise CliError(
                 f"unknown witness {args.name!r} (choose from {', '.join(_WITNESSES)})", 3
             )
-        spec = BUILTINS[_WITNESSES[args.name]]
-        convert = {pname: conv for pname, conv, _ in spec.params}
-        # flags left out fall back to the builder's own defaults
-        witness = spec.witness(
-            **{
-                pname: convert[pname](getattr(args, pname))
-                for pname in spec.witness_params
-                if getattr(args, pname, None) is not None
-            }
-        )
-        report = wc.reverify(witness)
-        payload = {
-            "witness": _witness_payload(witness),
-            "annotation_max_error": wc.check_annotations(witness),
-            "report": _report_payload(witness.scenario, report),
-            "scenario": docmod.document_from_scenario(witness.scenario).to_dict(),
-        }
-        _emit(payload, args.format)
-        return 0
-    # search
+        name = _WITNESSES[args.name]
+        return _emit_run(args, name, _builtin_values(name, args), {})
     cfg = wc.SearchConfig(
         gamma=args.gamma,
         t_only_outcome=args.t_only_outcome,
@@ -626,7 +621,8 @@ def _cmd_worstcase(args) -> int:
         refine_rounds=args.refine_rounds,
         metric=args.metric,
     )
-    best, trace = wc.search_max_loss(cfg)
+    checked = None if args.bound is None else wc.check_bound(cfg, args.bound)
+    best, trace = wc.search_max_loss(cfg) if checked is None else (checked.best, checked.trace)
     payload: dict[str, Any] = {
         "metric": cfg.metric,
         "best_loss": best.claimed_loss,
@@ -635,108 +631,43 @@ def _cmd_worstcase(args) -> int:
         "evaluations": len(trace),
         "scenario": docmod.document_from_scenario(best.scenario).to_dict(),
     }
-    if args.bound is not None:
-        observed = (
-            best.claimed_loss if cfg.metric == "welfare_loss"
-            else best.claimed_error_probability
-        )
-        payload["bound"] = args.bound
-        payload["observed"] = observed
-        payload["violated"] = bool(observed > args.bound + 1e-9)
+    if checked is not None:
+        payload["bound"] = checked.bound_value
+        payload["observed"] = checked.observed
+        payload["violated"] = checked.violated
     _emit(payload, args.format)
     return 0
 
 
-_RANGE = re.compile(r"^(-?[0-9.eE+]+):(-?[0-9.eE+]+):(-?[0-9.eE+]+)$")
-
-
-def _sweep_values(text: str) -> list[float]:
-    m = _RANGE.match(text)
-    if m is None:
-        return [float(text)]
-    start, stop, step = (float(g) for g in m.groups())
-    if step <= 0:
-        raise CliError("sweep step must be positive", 3)
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    if count < 1:
-        raise CliError(f"empty sweep range {text!r}", 3)
-    return [start + k * step for k in range(count)]
-
-
 def _cmd_sweep(args) -> int:
-    name = args.name
-    if name not in BUILTINS:
-        raise CliError(
-            f"unknown builtin {name!r} (choose from {', '.join(sorted(BUILTINS))})", 3
-        )
-    spec = BUILTINS[name]
-    grids: list[tuple[str, list[Any]]] = []
-    for pname, conv, default in spec.params:
-        raw = getattr(args, pname, None)
-        if raw is None:
-            grids.append((pname, [default]))
-        elif conv is float:
-            grids.append((pname, _sweep_values(raw)))
-        else:
-            grids.append((pname, [conv(raw)]))
+    grid = _builtin_values(args.name, args, grid=True)
     rows: list[dict[str, Any]] = []
-    param_names = [p for p, _ in grids]
-
-    def run_point(values: dict[str, Any]) -> dict[str, Any]:
+    # rows come out ordered by parameter values, outer to inner
+    for point in itertools.product(*grid.values()):
+        values = dict(zip(grid, point))
         row: dict[str, Any] = {
-            p: (v if isinstance(v, (int, float, bool)) else str(v))
-            for p, v in values.items()
+            p: (v if isinstance(v, (int, float, bool)) else str(v)) for p, v in values.items()
         }
-        try:
-            scenario = _build_builtin(name, values)
-        except ModelError:
+        rows.append(row)
+        run = _run_builtin(args.name, values, args.eps_check, skip_infeasible=True)
+        if run is None:
             # grids legitimately cross feasibility boundaries; keep the row
             # so downstream plots see the hole instead of losing the sweep
             row["verdict"] = "infeasible"
-            return row
-        if spec.runner == "witness":
-            builder, pnames = BUILTINS[name].witness, BUILTINS[name].witness_params
-            witness = builder(**{k: values[k] for k in pnames})
-            report = wc.reverify(witness)
-            profile = witness.profile
-        elif spec.runner == "solve":
-            result = best_response_dynamics(scenario, StrategyProfile.matching(scenario))
-            if result.status != "converged" or result.report is None:
-                row["verdict"] = result.status
-                return row
-            report, profile = result.report, result.profile
-        else:
-            profile = _resolve_profile(scenario, "canonical", name)
-            report = verify_eps_equilibrium(scenario, profile, args.eps_check)
+            continue
+        scenario, profile, report, job = run
+        if report is None:
+            row["verdict"] = job.status
+            continue
         row["verdict"] = report.verdict
         row["welfare_loss"] = report.welfare_loss
         row["error_probability"] = report.error_probability
-        for i, tab in enumerate(delta_table(scenario, profile)):
-            for cell in np.ndindex(tab.values.shape):
-                label = f"delta_{i + 1}({_cell_label(scenario, i, cell)})"
-                row[label] = float(tab.values[cell]) if tab.defined[cell] else ""
-        return row
-
-    def recurse(k: int, acc: dict[str, Any]) -> None:
-        if k == len(grids):
-            rows.append(run_point(dict(acc)))
-            return
-        pname, values = grids[k]
-        for v in values:
-            acc[pname] = v
-            recurse(k + 1, acc)
-        # rows come out ordered by parameter values, outer to inner
-
-    recurse(0, {})
-    columns: list[str] = list(param_names)
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
-    if args.format == "json":
-        print(docmod.export_json(rows))
-    else:
-        print(docmod.export_csv(rows, columns), end="")
+        for table in _delta_payload(scenario, profile):
+            for cell in table["cells"]:
+                value = "" if cell["delta"] is None else cell["delta"]
+                row[f"delta_{table['type']}({cell['cell']})"] = value
+    # export_csv orders columns by first appearance: the parameters first
+    _emit(rows, args.format)
     return 0
 
 
@@ -809,8 +740,7 @@ def _build_parser() -> _Parser:
     wsub = p.add_subparsers(dest="mode", required=True)
     pw = wsub.add_parser("witness")
     pw.add_argument("name")
-    for pname in ("eps", "lambda1", "gamma", "beta", "c", "lambdas"):
-        pw.add_argument("--" + pname.replace("_", "-"), dest=pname, default=None)
+    _add_builtin_flags(pw, [BUILTINS[name] for name in _WITNESSES.values()])
     _add_format_arg(pw)
     pw.set_defaults(func=_cmd_worstcase)
     ps = wsub.add_parser("search")

@@ -142,6 +142,17 @@ def test_tie_tolerance_env_override(monkeypatch):
     assert best_reply_set(s, 0.50005, 0) == frozenset((0, 1))
     monkeypatch.delenv("BCI_TIE_TOL")
     assert best_reply_set(s, 0.50005, 0) == frozenset((1,))
+    # zero is a valid band; negative, non-finite and unparsable ones are not
+    assert tie_tolerance(0.0) == 0.0
+    monkeypatch.setenv("BCI_TIE_TOL", "0")
+    assert tie_tolerance() == 0.0
+    for bad in ("-0.5", "nan", "inf", "abc"):
+        monkeypatch.setenv("BCI_TIE_TOL", bad)
+        with pytest.raises(ModelError, match="BCI_TIE_TOL"):
+            tie_tolerance()
+    for bad in (-1e-3, float("nan"), float("inf")):
+        with pytest.raises(ModelError, match="tie_tol"):
+            tie_tolerance(bad)
 
 
 def random_small_scenario(rng, max_covariates=2, allow_nonsimple=True):

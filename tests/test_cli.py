@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from bci.cli import main
+from bci.cli import BUILTINS, main
 from bci.document import document_from_scenario, dumps, to_jsonable
 from bci.scenarios import example_3_1, example_3_1_profile
 
@@ -74,6 +74,29 @@ def test_scenario_run_witness_builtin(capsys):
     assert payload["report"]["welfare_loss"] > 0.85
 
 
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_every_builtin_runs_and_sweeps(capsys, name):
+    payload = run_json(capsys, "scenario", "run", name)
+    assert payload["report"]["verdict"] in (
+        "epsilon_equilibrium", "equilibrium_limit", "not_equilibrium", "undefined_cells"
+    )
+    assert payload["builtin"] == name
+    code, out, err = run_cli(capsys, "sweep", name)
+    assert code == 0, err
+    assert len(list(csv.DictReader(io.StringIO(out)))) == 1
+
+
+@pytest.mark.parametrize(
+    "witness, builtin",
+    [("incomplete", "prop2_incomplete"), ("cycle", "prop2_cycle"),
+     ("incomplete_hetero", "prop4"), ("full_loss", "prop5")],
+)
+def test_worstcase_witness_is_scenario_run_payload(capsys, witness, builtin):
+    expected = run_json(capsys, "scenario", "run", builtin)
+    del expected["builtin"], expected["parameters"]
+    assert run_json(capsys, "worstcase", "witness", witness) == expected
+
+
 def test_delta_csv_golden(capsys):
     code, out, _ = run_cli(capsys, "delta", "-b", "example_3_1", "--format", "csv")
     assert code == 0
@@ -117,6 +140,13 @@ def test_order_builtin_chain(capsys):
 def test_sweep_crosses_feasibility_boundary(capsys):
     code, out, _ = run_cli(capsys, "sweep", "example_3_1", "--q", "0.5:0.95:0.05", "--c", "0.5")
     assert code == 0
+    # an infeasible first row carries no metric columns, yet the header keeps
+    # the parameters in declared order, then the metrics, then the effects
+    assert next(csv.reader(io.StringIO(out))) == [
+        "beta", "q", "c", "blind_second_type",
+        "verdict", "welfare_loss", "error_probability",
+        "delta_1(x1=0)", "delta_1(x1=1)", "delta_2(x2=0)", "delta_2(x2=1)",
+    ]
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 10
     assert rows[0]["beta"] == "0.8"  # un-swept params still appear per row
@@ -183,6 +213,41 @@ def test_exit_code_foreign_flag(capsys):
     code, _, err = run_cli(capsys, "verify", "-b", "example_3_1", "--gamma", "0.4")
     assert code == 3
     assert "takes no --gamma" in err
+    for argv in (("sweep", "example_3_1"), ("worstcase", "witness", "cycle")):
+        code, out, err = run_cli(capsys, *argv, "--gamma", "0.3")
+        assert code == 3, argv
+        assert "takes no --gamma" in err
+        assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("sweep", "prop2_cycle", "--lambdas", "a,b"), "--lambdas"),
+        (("sweep", "example_3_1", "--q", "abc"), "--q"),
+        (("sweep", "example_3_1", "--blind-second-type", "maybe"), "--blind-second-type"),
+        (("worstcase", "witness", "incomplete", "--eps", "abc"), "--eps"),
+    ],
+)
+def test_exit_code_bad_builtin_value(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert f"bad value for {flag}" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "var, value",
+    [("BCI_TIE_TOL", "-0.5"), ("BCI_TIE_TOL", "abc"),
+     ("BCI_LADDER_FLOOR", "0"), ("BCI_LADDER_FLOOR", "abc")],
+)
+def test_exit_code_bad_tolerance_setting(monkeypatch, capsys, var, value):
+    monkeypatch.setenv(var, value)
+    code, out, err = run_cli(capsys, "verify", "-b", "pandemic", "--limit")
+    assert code == 1
+    assert err.startswith("invariant violation:") and var in err
+    assert out == ""
 
 
 def test_exit_code_infeasible_parameters(capsys):

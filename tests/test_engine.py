@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from bci import _engine as eng
 from bci.causal import delta_table
-from bci.model import Scenario, StrategyProfile, TrembleSchedule, TrembleSpec
+from bci.model import ModelError, Scenario, StrategyProfile, TrembleSchedule, TrembleSpec
 from bci.scenarios import example_3_1, prop2_cycle, prop4
 
 from test_causal import random_small_scenario
@@ -90,6 +90,10 @@ def test_ladder_floor_env_override(monkeypatch):
     assert len(rungs) == 7
     with pytest.raises(ValueError):
         eng.ladder_rungs(floor=0.5)  # floor above the start
+    for bad in ("0", "-1e-3", "0.5", "abc"):
+        monkeypatch.setenv("BCI_LADDER_FLOOR", bad)
+        with pytest.raises(ModelError, match="BCI_LADDER_FLOOR"):
+            eng.ladder_rungs()
 
 
 def test_tail_lengths_counts_passing_suffix_on_rung_axis():
