@@ -482,12 +482,12 @@ def _cmd_order(args) -> int:
         for entry in raw:
             if not isinstance(entry, dict) or "C" not in entry or "D" not in entry:
                 raise CliError("--types entries must be {C: [...], D: [...]}", 3)
-            specs.append(
-                (
-                    tuple(f"x{int(i)}" for i in sorted(entry["C"])),
-                    tuple(f"x{int(i)}" for i in sorted(entry["D"])),
-                )
-            )
+            sets = (entry["C"], entry["D"])
+            if not all(
+                isinstance(v, list) and all(type(i) is int and i >= 1 for i in v) for v in sets
+            ):
+                raise CliError("cannot parse --types: C and D must be lists of integers >= 1", 3)
+            specs.append(tuple(tuple(f"x{i}" for i in sorted(v)) for v in sets))
         types = tuple(DataTypeSpec(c, d) for c, d in specs)
     else:
         scenario, _ = _resolve_scenario(args)

@@ -169,21 +169,31 @@ def _profile_stats(scenario: Scenario, profile: StrategyProfile):
     )
 
 
+def _rung_passes(cs, stacked, sched, rungs, tol) -> np.ndarray:
+    """Per-rung passes (R, batch...) of stacked profiles trembled by a compiled schedule."""
+    return eng.check_rungs(cs, eng.apply_compiled_trembles(stacked, sched, rungs), rungs, tol)[0]
+
+
+def _reaches_floor(ok: np.ndarray) -> np.ndarray:
+    """The ladder rule on per-rung passes (R, batch...): a passing suffix of
+    ``DEFAULT_TAIL_MIN`` rungs, or of every rung on a shorter ladder."""
+    return eng.tail_lengths(ok) >= min(eng.DEFAULT_TAIL_MIN, len(ok))
+
+
 def _ladder(
     scenario: Scenario,
     profile: StrategyProfile,
     schedule: TrembleSchedule,
     rungs: np.ndarray,
     tol: float,
-    tail_min: int,
 ):
     """The ladder core of both verifiers: the profile trembled at each rung,
     each rung checked at its own noise level, and the deepest failing rung
     diagnosed.
 
     Returns (trace, sup_gap, failed_at, witness, undefined); ``failed_at`` is
-    the deepest failing rung's noise level, or None (and no diagnosis) when a
-    passing suffix of ``tail_min`` rungs reaches the floor.
+    the deepest failing rung's noise level, or None (and no diagnosis) when
+    the ladder passes ``_reaches_floor``.
     """
     cs = eng.compile_scenario(scenario)
     stacked = eng.flatten_profile(cs, profile)
@@ -195,7 +205,7 @@ def _ladder(
         for e, o, v, u in zip(rungs, ok, viol, undef)
     )
     sup_gap = float(np.max(np.abs(trembled[-1] - stacked)))
-    if int(eng.tail_lengths(ok)) >= min(tail_min, len(rungs)):
+    if _reaches_floor(ok):
         return trace, sup_gap, None, None, ()
     deepest = int(np.nonzero(~ok)[0][-1])
     failed_at = float(rungs[deepest])
@@ -216,58 +226,50 @@ def verify_eps_equilibrium(
     if not 0 < eps < 1:
         raise EquilibriumError("eps must lie in (0, 1)")
     trace, _, failed_at, witness, undefined = _ladder(
-        scenario, profile, TrembleSchedule.none(), np.array([eps]), tie_tolerance(tie_tol), 1
+        scenario, profile, TrembleSchedule.none(), np.array([eps]), tie_tolerance(tie_tol)
     )
     loss, errp, tables = _profile_stats(scenario, profile)
     if undefined:
         verdict, witness = VERDICT_UNDEFINED, None
     else:
         verdict = VERDICT_EPS if failed_at is None else VERDICT_NOT
-    return EquilibriumReport(
-        verdict, eps, witness, undefined, trace, loss, errp, tables, None, 0.0
-    )
+    return EquilibriumReport(verdict, eps, witness, undefined, trace, loss, errp, tables, None, 0.0)
 
 
 def verify_limit(
     scenario: Scenario,
     profile: StrategyProfile,
     schedule: TrembleSchedule | None = None,
-    ladder: np.ndarray | None = None,
     tie_tol: float | None = None,
-    tail_min: int = eng.DEFAULT_TAIL_MIN,
 ) -> EquilibriumReport:
     """Witness the profile as a limit of eps-equilibria along the ladder.
 
     Each rung perturbs the profile with the schedule at that rung's noise
     level and demands an eps-equilibrium at the same level.  The verdict is
-    a limit equilibrium when a passing suffix of at least ``tail_min`` rungs
-    reaches the floor: rungs coarser than a schedule's turn-on scale may
-    legitimately fail without saying anything about the limit.  At the
-    deepest failing rung, undefined cells give ``undefined_cells`` only when
-    no played action violates the threshold there.
+    a limit equilibrium when a passing suffix of at least
+    ``DEFAULT_TAIL_MIN`` rungs reaches the floor: rungs coarser than a
+    schedule's turn-on scale may legitimately fail without saying anything
+    about the limit.  At the deepest failing rung, undefined cells give
+    ``undefined_cells`` only when no played action violates the threshold
+    there.
     """
     schedule = schedule if schedule is not None else TrembleSchedule.none()
-    rungs = np.asarray(ladder if ladder is not None else eng.ladder_rungs(), dtype=float)
-    if rungs.ndim != 1 or len(rungs) == 0 or np.any(np.diff(rungs) >= 0):
-        raise EquilibriumError("ladder must be a strictly decreasing sequence")
     trace, sup_gap, failed_at, witness, undefined = _ladder(
-        scenario, profile, schedule, rungs, tie_tolerance(tie_tol), tail_min
+        scenario, profile, schedule, eng.ladder_rungs(), tie_tolerance(tie_tol)
     )
     loss, errp, tables = _profile_stats(scenario, profile)
     if failed_at is None:
         verdict = VERDICT_LIMIT
-    elif undefined and witness is None:
-        verdict = VERDICT_UNDEFINED
     else:
-        verdict = VERDICT_NOT
+        verdict = VERDICT_UNDEFINED if undefined and witness is None else VERDICT_NOT
     return EquilibriumReport(
         verdict, failed_at, witness, undefined, trace, loss, errp, tables, schedule, sup_gap
     )
 
 
-# The default schedule try-list of ``certify_equilibrium`` and
-# ``enumerate_pure_equilibria``, in the order tried; each entry compiles its
-# schedule for a stacked profile batch.
+# The schedule try-list of ``certify_equilibrium`` and ``enumerate_pure_equilibria``
+# in the order tried: the first schedule whose ladder passes wins, else the one with
+# the most passing rungs.  Each entry compiles its schedule for a stacked profile batch.
 _TRY_LIST = (
     lambda cs, batch: eng.CompiledSchedule.from_schedule(TrembleSchedule.none(), cs.offsets),
     lambda cs, batch: eng.CompiledSchedule.from_schedule(
@@ -280,35 +282,33 @@ _TRY_LIST = (
 def certify_equilibrium(
     scenario: Scenario,
     profile: StrategyProfile,
-    schedules: tuple[TrembleSchedule, ...] | None = None,
-    ladder: np.ndarray | None = None,
     tie_tol: float | None = None,
-    tail_min: int = eng.DEFAULT_TAIL_MIN,
 ) -> EquilibriumReport:
     """Try to witness a limit equilibrium with a small set of schedules.
 
-    The default try-list is: no trembles at all (exact equilibria), uniform
-    flip trembles (fills in undefined effects without biasing them), then
+    The try-list is: no trembles at all (exact equilibria), uniform flip
+    trembles (fills in undefined effects without biasing them), then
     taste-weighted flip trembles (keeps taste-driven corner profiles alive),
-    each recorded as its per-(type, taste) rules.  The first passing schedule
-    wins and is recorded on the report; if none passes, the report of the
-    deepest-reaching attempt is returned.
+    each recorded as its per-(type, taste) rules.  Each schedule's ladder is
+    screened on the compiled scenario, and only the chosen one is verified
+    into a report: the first passing schedule, or, if none passes, the one
+    with the most passing rungs anywhere on the ladder (the earliest on
+    ties).
     """
-    if schedules is None:
-        cs = eng.compile_scenario(scenario)
-        stacked = eng.flatten_profile(cs, profile)
-        schedules = tuple(make(cs, stacked).to_schedule(cs.offsets) for make in _TRY_LIST)
-    best: EquilibriumReport | None = None
-    best_tail = -1
-    for sched in schedules:
-        report = verify_limit(scenario, profile, sched, ladder, tie_tol, tail_min)
-        if report.passed:
-            return report
-        tail = sum(1 for r in reversed(report.ladder_trace) if r.passed)
-        if tail > best_tail:
-            best, best_tail = report, tail
-    assert best is not None
-    return best
+    cs = eng.compile_scenario(scenario)
+    stacked = eng.flatten_profile(cs, profile)
+    rungs = eng.ladder_rungs()
+    tol = tie_tolerance(tie_tol)
+    best, most = None, -1
+    for make in _TRY_LIST:
+        sched = make(cs, stacked)
+        ok = _rung_passes(cs, stacked, sched, rungs, tol)
+        if _reaches_floor(ok):
+            best = sched
+            break
+        if ok.sum() > most:
+            best, most = sched, int(ok.sum())
+    return verify_limit(scenario, profile, best.to_schedule(cs.offsets), tie_tol)
 
 
 # -- best-response dynamics --------------------------------------------------
@@ -405,37 +405,25 @@ def _dynamics_results(
     scenario: Scenario,
     cs: eng.CompiledScenario,
     batch,
-    schedule: TrembleSchedule | None = None,
     tie_tol: float | None = None,
 ) -> list[DynamicsResult]:
-    """One result per start of a ``_dynamics_batch`` output.
-
-    A converged profile is verified with ``schedule`` when given, else
-    certified against the default schedule try-list.
-    """
+    """One result per start of a ``_dynamics_batch`` output; a converged
+    profile is certified against the schedule try-list."""
     out, converged, cycled, iters = batch
     results = []
     for b in range(len(iters)):
         profile = eng.unflatten_profile(cs, out[b])
-        if cycled[b]:
-            results.append(DynamicsResult("cycle_detected", profile, None, int(iters[b])))
-            continue
-        if not converged[b]:
-            results.append(DynamicsResult("max_iters", profile, None, int(iters[b])))
-            continue
-        if schedule is not None and not schedule.is_empty:
-            report = verify_limit(scenario, profile, schedule, tie_tol=tie_tol)
+        if converged[b]:
+            status, report = "converged", certify_equilibrium(scenario, profile, tie_tol)
         else:
-            report = certify_equilibrium(scenario, profile, tie_tol=tie_tol)
-        results.append(DynamicsResult("converged", profile, report, int(iters[b])))
+            status, report = "cycle_detected" if cycled[b] else "max_iters", None
+        results.append(DynamicsResult(status, profile, report, int(iters[b])))
     return results
 
 
 def best_response_dynamics(
     scenario: Scenario,
     init: StrategyProfile,
-    schedule: TrembleSchedule | None = None,
-    damping: float = 0.5,
     max_iters: int = 1000,
     tie_tol: float | None = None,
 ) -> DynamicsResult:
@@ -443,13 +431,13 @@ def best_response_dynamics(
 
     Convergence is declared below a sup-norm change of 1e-10; revisiting an
     earlier state first is reported as a cycle, and hitting the iteration cap
-    as non-convergence.  A converged profile is verified with ``schedule``
-    when given, else certified against the default schedule try-list.
+    as non-convergence.  A converged profile is certified against the
+    schedule try-list.
     """
     cs = eng.compile_scenario(scenario)
     stacked = eng.flatten_profile(cs, init)[None]
-    batch = _dynamics_batch(cs, stacked, damping, max_iters, tie_tolerance(tie_tol))
-    return _dynamics_results(scenario, cs, batch, schedule, tie_tol)[0]
+    batch = _dynamics_batch(cs, stacked, 0.5, max_iters, tie_tolerance(tie_tol))
+    return _dynamics_results(scenario, cs, batch, tie_tol)[0]
 
 
 # -- exhaustive pure-profile enumeration -------------------------------------
@@ -460,7 +448,6 @@ _CHUNK = 1 << 12
 
 def enumerate_pure_equilibria(
     scenario: Scenario,
-    schedule: TrembleSchedule | None = None,
     tie_tol: float | None = None,
     cap: int = ENUMERATION_CAP,
 ) -> list[tuple[StrategyProfile, EquilibriumReport]]:
@@ -468,44 +455,31 @@ def enumerate_pure_equilibria(
 
     Pure assignments range over taste cells that occur with positive
     probability, bit by bit in (type, taste, cell) order; unreachable cells
-    are pinned to a = t.  With a schedule the profiles are verified under it;
-    otherwise each survivor of a vectorized pre-screen is certified against
-    the default try-list.  The pre-screen and the final per-profile
-    verification use the same ladder logic, so every returned profile
-    re-passes ``verify_limit`` independently.
+    are pinned to a = t.  Each survivor of a vectorized pre-screen over the
+    schedule try-list is certified.  The pre-screen and the final
+    per-profile verification use the same ladder rule, so every returned
+    profile re-passes ``verify_limit`` independently.
     """
     cs = eng.compile_scenario(scenario)
     order = cs.type_major
     slots = order[cs.active.reshape(-1)[order]]
     n_slots = len(slots)
     if n_slots.bit_length() > 63 or 2**n_slots > cap:
-        raise EquilibriumError(
-            f"instance-too-large: 2^{n_slots} pure profiles exceed the cap"
-        )
+        raise EquilibriumError(f"instance-too-large: 2^{n_slots} pure profiles exceed the cap")
     n_profiles = 1 << n_slots
     rungs = eng.ladder_rungs()
     tol = tie_tolerance(tie_tol)
-    tail_need = min(eng.DEFAULT_TAIL_MIN, len(rungs))
-    floor_rung = rungs[-1:]
-
-    def tails(batch, sched, at) -> np.ndarray:
-        ok, _, _ = eng.check_rungs(cs, eng.apply_compiled_trembles(batch, sched, at), at, tol)
-        return eng.tail_lengths(ok)
 
     def ladder_pass(batch, make) -> np.ndarray:
         # a qualifying suffix always contains the final rung, so one cheap
         # floor-rung sweep filters the batch before the full ladder
-        out = tails(batch, make(cs, batch), floor_rung) >= 1
+        out = _reaches_floor(_rung_passes(cs, batch, make(cs, batch), rungs[-1:], tol))
         if out.any():
             deep = batch[out]
-            out[np.nonzero(out)[0]] = tails(deep, make(cs, deep), rungs) >= tail_need
+            out[np.nonzero(out)[0]] = _reaches_floor(
+                _rung_passes(cs, deep, make(cs, deep), rungs, tol)
+            )
         return out
-
-    if schedule is not None:
-        given = eng.CompiledSchedule.from_schedule(schedule, cs.offsets)
-        try_list = (lambda _cs, _batch: given,)
-    else:
-        try_list = _TRY_LIST
 
     results: list[tuple[StrategyProfile, EquilibriumReport]] = []
     for start in range(0, n_profiles, _CHUNK):
@@ -517,7 +491,7 @@ def enumerate_pure_equilibria(
         # each schedule of the try-list screens the profiles the earlier ones left
         passing = np.zeros(len(idx), dtype=bool)
         todo = np.arange(len(idx))
-        for make in try_list:
+        for make in _TRY_LIST:
             ok = ladder_pass(batch[todo], make)
             passing[todo[ok]] = True
             todo = todo[~ok]
@@ -526,10 +500,7 @@ def enumerate_pure_equilibria(
 
         for b in np.nonzero(passing)[0]:
             profile = eng.unflatten_profile(cs, batch[b])
-            if schedule is not None:
-                report = verify_limit(scenario, profile, schedule, tie_tol=tie_tol)
-            else:
-                report = certify_equilibrium(scenario, profile, tie_tol=tie_tol)
+            report = certify_equilibrium(scenario, profile, tie_tol)
             if report.passed:
                 results.append((profile, report))
     return results

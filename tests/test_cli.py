@@ -250,6 +250,15 @@ def test_exit_code_bad_tolerance_setting(monkeypatch, capsys, var, value):
     assert out == ""
 
 
+@pytest.mark.parametrize("types", ["[{C:['a'],D:[1]}]", "[{C:1,D:[1]}]", "[{C:[1.7],D:[1]}]"])
+def test_exit_code_bad_order_types(capsys, types):
+    code, out, err = run_cli(capsys, "order", "--types", types)
+    assert code == 3
+    assert "cannot parse --types" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_exit_code_infeasible_parameters(capsys):
     code, _, err = run_cli(capsys, "verify", "-b", "example_3_1", "--beta", "1.5")
     assert code == 1

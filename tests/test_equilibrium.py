@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import oracles
 from bci import _engine as eng
 from bci.equilibrium import (
+    _TRY_LIST,
     EquilibriumError,
     UndefinedCell,
     _dynamics_batch,
@@ -110,6 +111,44 @@ def test_tail_rule_rejects_transient_passes():
     bad = TrembleSchedule.of({(0, 0): TrembleSpec(0.05, "uniform"), (1, 0): TrembleSpec(0.05, "uniform")})
     report = verify_limit(s, prof, bad)
     assert report.verdict in ("not_equilibrium", "undefined_cells")
+
+
+def test_certification_is_first_passing_schedule_else_most_passing_rungs():
+    # the definition, written out: a full report per try-list schedule; the
+    # first passing one wins, else the one with the most passing rungs
+    # anywhere on the ladder, the earliest on ties
+    rng = np.random.default_rng(31)
+    fields = (
+        "verdict", "eps", "witness", "undefined_cells", "ladder_trace",
+        "welfare_loss", "error_probability", "schedule", "sup_gap",
+    )
+    picked = {"pass": 0, "fail": 0, "later": 0, "not_longest_suffix": 0}
+    for _ in range(40):
+        s, prof = random_small_scenario(rng)
+        cs = eng.compile_scenario(s)
+        rest = best_response_dynamics(s, prof, max_iters=200).profile
+        pure = StrategyProfile(tuple(np.floor(2 * rng.random(x.shape)) for x in prof.sigmas))
+        for p in (rest, prof.rounded(), pure):
+            stacked = eng.flatten_profile(cs, p)
+            reports = [
+                verify_limit(s, p, make(cs, stacked).to_schedule(cs.offsets)) for make in _TRY_LIST
+            ]
+            passing = [r for r in reports if r.passed]
+            passes = [np.array([r.passed for r in rep.ladder_trace]) for rep in reports]
+            most = [int(ok.sum()) for ok in passes]
+            suffix = [int(eng.tail_lengths(ok)) for ok in passes]
+            expected = passing[0] if passing else reports[most.index(max(most))]
+            got = certify_equilibrium(s, p)
+            for f in fields:
+                assert getattr(got, f) == getattr(expected, f), f
+            picked["pass" if passing else "fail"] += 1
+            picked["later"] += not passing and most.index(max(most)) > 0
+            picked["not_longest_suffix"] += not passing and (
+                most.index(max(most)) != suffix.index(max(suffix))
+            )
+    # the corpus reaches both outcomes, a fallback past the first schedule,
+    # and fallbacks that a longest-passing-suffix rule would choose differently
+    assert min(picked.values()) > 0, picked
 
 
 def test_dynamics_converges_to_known_interior():

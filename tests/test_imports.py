@@ -1,11 +1,14 @@
-"""Import discipline: numpy is the only runtime dependency, and the engine
-never imports the modules that are views over it."""
+"""Import discipline: numpy is the only runtime dependency, the engine never
+imports the modules that are views over it, and every layer boundary the
+benchmark traces still exists."""
 
 import ast
+import importlib.util
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "bci"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "bci"
 THIRD_PARTY = {"numpy"}
 ABOVE_ENGINE = {"bci.causal", "bci.equilibrium", "bci.worstcase", "bci.cli"}
 
@@ -41,3 +44,15 @@ def test_package_imports_only_stdlib_numpy_and_itself():
 def test_engine_imports_no_module_built_on_it():
     assert "bci.model" in imported_modules(SRC / "_engine.py")
     assert not imported_modules(SRC / "_engine.py") & ABOVE_ENGINE
+
+
+def test_every_traced_boundary_names_a_callable():
+    # perfbench patches these (module, function) pairs by name; a renamed
+    # boundary would otherwise surface only under ``perfbench/run.py --trace 1``
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.BOUNDARIES
+    for layer, mod_name, attr, _ in tracing.BOUNDARIES:
+        assert mod_name in tracing.MODULES, layer
+        assert callable(getattr(importlib.import_module(mod_name), attr, None)), (layer, attr)
