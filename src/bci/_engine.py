@@ -51,8 +51,8 @@ import numpy as np
 
 from .model import ModelError, Scenario, StrategyProfile, TrembleSchedule, TrembleSpec
 
-DEFAULT_LADDER_START = 0.1
-DEFAULT_LADDER_RATIO = 0.5
+LADDER_START = 0.1
+LADDER_RATIO = 0.5
 DEFAULT_LADDER_FLOOR = 1e-6
 DEFAULT_TAIL_MIN = 6
 
@@ -67,12 +67,8 @@ CONVERGENCE_TOL = 1e-10
 PLAY_SLACK = 1e-12
 
 
-def ladder_rungs(
-    start: float = DEFAULT_LADDER_START,
-    ratio: float = DEFAULT_LADDER_RATIO,
-    floor: float | None = None,
-) -> np.ndarray:
-    """Strictly decreasing geometric noise levels down to the floor."""
+def ladder_rungs(floor: float | None = None) -> np.ndarray:
+    """Geometric noise levels from ``LADDER_START`` down to the floor."""
     source = ""
     if floor is None:
         env = os.environ.get("BCI_LADDER_FLOOR")
@@ -81,13 +77,13 @@ def ladder_rungs(
             floor = float(env) if env else DEFAULT_LADDER_FLOOR
         except ValueError:
             floor = np.nan  # fails the range check below
-    if not 0 < floor <= start < 1 or not 0 < ratio < 1:
-        raise ModelError(f"need 0 < floor <= start < 1 and ratio in (0,1){source}")
+    if not 0 < floor <= LADDER_START:
+        raise ModelError(f"need 0 < floor <= {LADDER_START}, the first rung{source}")
     out = []
-    eps = start
+    eps = LADDER_START
     while eps >= floor:
         out.append(eps)
-        eps *= ratio
+        eps *= LADDER_RATIO
     return np.array(out)
 
 
@@ -307,9 +303,9 @@ def apply_compiled_trembles(
     return (1.0 - m) * stacked + m * tgt
 
 
-def flip_floor(stacked: np.ndarray, floor: float = BR_FLOOR) -> np.ndarray:
-    """Full-support copy: mix a hair of the opposite pure action everywhere."""
-    return (1.0 - floor) * stacked + floor * np.where(stacked >= 0.5, 0.0, 1.0)
+def flip_floor(stacked: np.ndarray) -> np.ndarray:
+    """Full-support copy: mix ``BR_FLOOR`` of the opposite pure action everywhere."""
+    return (1.0 - BR_FLOOR) * stacked + BR_FLOOR * np.where(stacked >= 0.5, 0.0, 1.0)
 
 
 # -- perceived effects and best replies ------------------------------------

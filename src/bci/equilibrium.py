@@ -111,14 +111,10 @@ class EquilibriumReport:
 
 @dataclass(frozen=True)
 class DynamicsResult:
-    status: str  # "converged" | "cycle_detected" | "max_iters"
+    status: str  # "converged" | "max_iters"
     profile: StrategyProfile
     report: EquilibriumReport | None
     iterations: int
-
-    @property
-    def converged(self) -> bool:
-        return self.status == "converged"
 
 
 def _slot(cs: eng.CompiledScenario, flat: int) -> tuple[int, int, tuple[int, ...]]:
@@ -326,7 +322,12 @@ def _dynamics_batch(
     Per-cell steps start at ``damping`` and halve whenever that cell's strict
     best reply flips, which settles oscillations onto interior mixing points;
     cells at (or within tolerance of) indifference hold their current value.
-    Returns the final stacked states plus per-start status.
+    A start stops once its sup-norm change falls below ``CONVERGENCE_TOL``
+    or at ``max_iters``.  Steps never grow and every reversal halves one, so
+    no state repeats while anything moves: there are no cycles to detect.
+
+    Returns (state, converged, cycled, iters); ``cycled`` is all False and
+    stays only because ``perfbench/tracing.py`` unpacks four values.
     """
     if not 0 < damping <= 1:
         raise EquilibriumError("damping must lie in (0, 1]")
@@ -335,9 +336,7 @@ def _dynamics_batch(
     steps = np.full(state.shape, damping)
     prev = np.full(state.shape, -1, dtype=np.int8)
     done = np.zeros(n_init, dtype=bool)
-    cycled = np.zeros(n_init, dtype=bool)
     iters = np.zeros(n_init, dtype=int)
-    seen: list[set[bytes]] = [set() for _ in range(n_init)]
 
     def best_reply_targets(st):
         code = eng.best_replies(cs, eng.flip_floor(st), tol)[3]
@@ -352,33 +351,14 @@ def _dynamics_batch(
         upd = np.where(done[:, None, None], state, upd)
         max_change = np.abs(upd - state).max(axis=(1, 2))
         state = upd
-        just_converged = ~done & (max_change < eng.CONVERGENCE_TOL)
         iters = np.where(~done, it + 1, iters)
-        done |= just_converged
-        # Revisit detection runs only while the state still moves at a scale
-        # well above the rounding used for keys; a settling trajectory would
-        # otherwise alias consecutive near-identical states into a "cycle".
-        # Keys round to 9 decimals, one coarser than ``eng.profile_key``:
-        # they must catch a return to an earlier state up to accumulated
-        # roundoff, while the 1e-7 gate keeps the movement far above the grid.
-        moving = np.nonzero(~done & (max_change >= 1e-7))[0]
-        if moving.size:
-            keys = np.round(state[moving], 9).tobytes()
-            width = len(keys) // moving.size
-            for j, b in enumerate(moving.tolist()):
-                key = keys[j * width : (j + 1) * width]
-                if key in seen[b]:
-                    cycled[b] = True
-                    done[b] = True
-                else:
-                    seen[b].add(key)
+        done |= max_change < eng.CONVERGENCE_TOL
         if done.all():
             break
 
-    converged = done & ~cycled
     # Snap strictly-best-reply cells of converged runs to the pure action.
-    state = np.where(converged[:, None, None], best_reply_targets(state)[1], state)
-    return state, converged, cycled, iters
+    state = np.where(done[:, None, None], best_reply_targets(state)[1], state)
+    return state, done, np.zeros(n_init, dtype=bool), iters
 
 
 # Deterministic dynamics starts by name: the action each taste plays everywhere.
@@ -409,14 +389,14 @@ def _dynamics_results(
 ) -> list[DynamicsResult]:
     """One result per start of a ``_dynamics_batch`` output; a converged
     profile is certified against the schedule try-list."""
-    out, converged, cycled, iters = batch
+    out, converged, _, iters = batch
     results = []
     for b in range(len(iters)):
         profile = eng.unflatten_profile(cs, out[b])
         if converged[b]:
             status, report = "converged", certify_equilibrium(scenario, profile, tie_tol)
         else:
-            status, report = "cycle_detected" if cycled[b] else "max_iters", None
+            status, report = "max_iters", None
         results.append(DynamicsResult(status, profile, report, int(iters[b])))
     return results
 
@@ -429,10 +409,9 @@ def best_response_dynamics(
 ) -> DynamicsResult:
     """Iterate damped best replies from ``init`` and verify the rest point.
 
-    Convergence is declared below a sup-norm change of 1e-10; revisiting an
-    earlier state first is reported as a cycle, and hitting the iteration cap
-    as non-convergence.  A converged profile is certified against the
-    schedule try-list.
+    Dynamics stop on convergence (a sup-norm change below 1e-10) or at the
+    iteration cap, reported as ``max_iters``.  A converged profile is
+    certified against the schedule try-list.
     """
     cs = eng.compile_scenario(scenario)
     stacked = eng.flatten_profile(cs, init)[None]

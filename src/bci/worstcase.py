@@ -294,6 +294,12 @@ def witness_full_loss(gamma: float = 0.5, eps: float = 0.001, c: float = 0.9) ->
 _P_STRUCTURES = ("complete_qt", "incomplete", "free")
 _METRICS = ("welfare_loss", "error_probability")
 
+# Per-scenario budgets: dynamics iteration cap, the pure-profile count up to
+# which equilibria are also enumerated, and the probes per refinement round.
+_MAX_ITERS = 400
+_ENUMERATION_LIMIT = 1 << 12
+_REFINE_PROBES = 6
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -318,12 +324,8 @@ class SearchConfig:
     restarts: int = 200
     seed: int = 0
     param_scale: float = 2.0
-    inner_inits: int = 12
-    max_iters: int = 400
-    enumeration_limit: int = 1 << 12
     refine_top: int = 4
     refine_rounds: int = 30
-    refine_probes: int = 6
     metric: str = "welfare_loss"
 
     def __post_init__(self) -> None:
@@ -483,8 +485,6 @@ def verified_equilibria(
     scenario: Scenario,
     rng: np.random.Generator,
     inner_inits: int = 12,
-    max_iters: int = 400,
-    enumeration_limit: int = 1 << 12,
     tie_tol: float | None = None,
 ) -> list[tuple[StrategyProfile, EquilibriumReport]]:
     """Collect verified limit equilibria of one scenario.
@@ -498,15 +498,13 @@ def verified_equilibria(
     cs = eng.compile_scenario(scenario)
     found: dict[bytes, tuple[StrategyProfile, EquilibriumReport]] = {}
     n_slots = int(cs.active.sum())
-    if n_slots < 63 and 2**n_slots <= enumeration_limit:
+    if n_slots < 63 and 2**n_slots <= _ENUMERATION_LIMIT:
         for prof, rep in enumerate_pure_equilibria(scenario, tie_tol=tie_tol):
             found[eng.profile_key(eng.flatten_profile(cs, prof))] = (prof, rep)
 
     _, starts = _dynamics_starts(cs, rng, inner_inits)
-    out, converged, cycled, _ = _dynamics_batch(cs, starts, 0.5, max_iters, tol)
-    for b in range(len(converged)):
-        if not converged[b] or cycled[b]:
-            continue
+    out, converged, _, _ = _dynamics_batch(cs, starts, 0.5, _MAX_ITERS, tol)
+    for b in np.nonzero(converged)[0]:
         key = eng.profile_key(out[b])
         if key in found:
             continue
@@ -559,13 +557,7 @@ def _evaluate(
 ) -> _Candidate:
     scenario = _materialize(structure, cfg, theta)
     best: tuple[float, float, float, str, StrategyProfile, EquilibriumReport] | None = None
-    for prof, rep in verified_equilibria(
-        scenario,
-        rng,
-        inner_inits=cfg.inner_inits,
-        max_iters=cfg.max_iters,
-        enumeration_limit=cfg.enumeration_limit,
-    ):
+    for prof, rep in verified_equilibria(scenario, rng):
         value = rep.welfare_loss if cfg.metric == "welfare_loss" else rep.error_probability
         digest = instance_digest(scenario, prof)
         entry = (value, rep.welfare_loss, rep.error_probability, digest, prof, rep)
@@ -612,7 +604,7 @@ def search_max_loss(cfg: SearchConfig) -> tuple[WitnessInstance, tuple[SearchRec
         step = cfg.param_scale / 2
         for round_ in range(cfg.refine_rounds):
             improved = None
-            for _ in range(cfg.refine_probes):
+            for _ in range(_REFINE_PROBES):
                 probe_theta = current.theta + step * rng.normal(size=current.theta.shape)
                 probe = _evaluate(current.structure, probe_theta, cfg, rng)
                 if probe.profile is not None and probe.beats(current):

@@ -195,6 +195,18 @@ def test_sweep_two_axes_and_json(capsys):
     assert all("verdict" in r for r in rows)
 
 
+def test_sweep_no_covariate_example_certifies_off_the_tie(capsys):
+    # an interior mix below gamma = c, the all-act corner above it; both err
+    # with probability min(gamma, 1 - gamma)
+    rows = run_json(capsys, "sweep", "example_4_1", "--gamma", "0.1:0.9:0.1", "--c", "0.5")
+    assert len(rows) == 9
+    for r in rows:
+        if abs(r["gamma"] - 0.5) < 1e-9:
+            continue
+        assert r["verdict"] == "equilibrium_limit", r
+        assert abs(r["error_probability"] - min(r["gamma"], 1 - r["gamma"])) < 1e-6, r
+
+
 def test_exit_code_unknown_builtin(capsys):
     code, _, err = run_cli(capsys, "verify", "-b", "frobnicate")
     assert code == 3

@@ -165,8 +165,29 @@ def test_dynamics_converges_to_known_interior():
 def test_dynamics_respects_max_iters():
     s = example_4_1(0.3, 0.5)
     result = best_response_dynamics(s, StrategyProfile.constant(s, 0.5), max_iters=1)
-    assert result.status in ("max_iters", "cycle_detected")
+    assert result.status == "max_iters"
     assert result.report is None
+
+
+def test_dynamics_reach_the_all_act_corner_when_gamma_exceeds_c():
+    # the taste-0 cell returns to an earlier value with a halved step on the
+    # way; a check on revisited positions would abandon this start
+    s = example_4_1(0.6, 0.2)
+    result = best_response_dynamics(s, StrategyProfile.matching(s))
+    assert result.status == "converged"
+    assert result.profile.sigmas[0].tolist() == [1.0, 1.0]
+    assert result.report.verdict == "equilibrium_limit"
+    assert result.report.welfare_loss == pytest.approx(0.2 * (1 - 0.6), abs=1e-12)
+
+
+def test_dynamics_from_never_acting_reach_the_interior_mix():
+    gamma, c = 0.4, 0.5
+    s = example_4_1(gamma, c)
+    result = best_response_dynamics(s, StrategyProfile.constant(s, 0.0))
+    assert result.status == "converged"
+    alpha0, alpha1 = result.profile.sigmas[0].tolist()
+    assert alpha0 == pytest.approx(gamma * (1 - c) / ((1 - gamma) * c), abs=1e-6)
+    assert alpha1 == 1.0
 
 
 def test_enumerate_pure_finds_both_31_equilibria():

@@ -1,11 +1,18 @@
 """Import discipline: numpy is the only runtime dependency, the engine never
 imports the modules that are views over it, and every layer boundary the
-benchmark traces still exists."""
+benchmark traces still exists and returns what its counters read."""
 
 import ast
 import importlib.util
 import sys
 from pathlib import Path
+from time import perf_counter
+
+import numpy as np
+
+import bci.cli
+import bci.worstcase
+from bci.scenarios import example_3_1
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "bci"
@@ -46,13 +53,42 @@ def test_engine_imports_no_module_built_on_it():
     assert not imported_modules(SRC / "_engine.py") & ABOVE_ENGINE
 
 
-def test_every_traced_boundary_names_a_callable():
-    # perfbench patches these (module, function) pairs by name; a renamed
-    # boundary would otherwise surface only under ``perfbench/run.py --trace 1``
+def load_tracing():
     spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_boundary_names_a_callable():
+    # perfbench patches these (module, function) pairs by name; a renamed
+    # boundary would otherwise surface only under ``perfbench/run.py --trace 1``
+    tracing = load_tracing()
     assert tracing.BOUNDARIES
     for layer, mod_name, attr, _ in tracing.BOUNDARIES:
         assert mod_name in tracing.MODULES, layer
         assert callable(getattr(importlib.import_module(mod_name), attr, None)), (layer, attr)
+
+
+def test_traced_boundaries_read_what_they_return(capsys):
+    # the counters unpack pinned return shapes (four values from
+    # ``_dynamics_batch``); a changed shape would otherwise surface only
+    # under ``perfbench/run.py --trace 1``
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    start = perf_counter()
+    undo = tracer.install()
+    try:
+        bci.worstcase.verified_equilibria(example_3_1(), np.random.default_rng(0))
+        argv = ["solve", "-b", "example_3_1", "--inits", "1", "--format", "json"]
+        assert bci.cli.main(argv) == 0
+    finally:
+        tracing.unpatch(undo)
+    capsys.readouterr()
+    metrics = tracer.layer_metrics(1, perf_counter() - start)
+    dyn = {
+        key: metrics[f"equilibrium.dynamics_batch.{key}"]
+        for key in ("starts", "converged", "cycled", "capped")
+    }
+    assert dyn["starts"] > 0 and dyn["cycled"] == 0
+    assert dyn["capped"] == dyn["starts"] - dyn["converged"]
