@@ -17,11 +17,12 @@ data axis does the same for data cells.
 
 The stacked array is the one profile layout between engine calls.  Per-type
 arrays remain in three places only, where a reader wants one table per type:
-``StrategyProfile``, ``causal.DeltaTable``, and the arguments and return
-value of ``profile_effects`` (callers on the stacked layout pass
-``split_cells`` views).  ``type_major`` orders the flattened (taste, stacked
-cell) axis by (type, taste, cell), the order in which enumeration assigns
-pure actions, random starts are drawn and witnesses are reported.
+``StrategyProfile``, ``causal.DeltaTable``, and ``profile_effects``, the
+per-type view of the stacked effects that ``causal.delta_table`` reads
+(``best_replies`` takes the stacked effects directly).  ``type_major``
+orders the flattened (taste, stacked cell) axis by (type, taste, cell), the
+order in which enumeration assigns pure actions, random starts are drawn and
+witnesses are reported.
 
 Compiled linear map
 -------------------
@@ -31,7 +32,7 @@ type's data cell are sums over (taste, covariate cell) of ``p(t, x)``,
 the outcome kernel and the type weight times the probability that the
 playing type takes action ``a``.  ``compile_scenario`` folds all of that
 into ``mass_map``, one matrix from the stacked strategy ``(2 tastes,
-stacked cells)`` to every type's data-cell moments.  ``profile_effects``
+stacked cells)`` to every type's data-cell moments.  ``profile_beliefs``
 multiplies it by the stacked pair ``[1 - sigma, sigma]``, so the a=0 mass is
 the sum of each type's own ``lam * (1 - sigma)``: an exactly pure profile
 leaves exactly zero mass on the unplayed action even when the type weights
@@ -335,18 +336,26 @@ def profile_beliefs(cs: CompiledScenario, stacked: np.ndarray):
     return belief, defined
 
 
+def _stacked_effects(cs: CompiledScenario, stacked: np.ndarray):
+    """(delta, defined) for a batch of stacked profiles, both shaped (batch..., S).
+
+    delta = b(do(1)) - b(do(0)) from ``profile_beliefs``, defined where both
+    beliefs are, and 0 where undefined.
+    """
+    belief, defined = profile_beliefs(cs, stacked)
+    both = defined.all(axis=-2)
+    return np.where(both, belief[..., 1, :] - belief[..., 0, :], 0.0), both
+
+
 def profile_effects(cs: CompiledScenario, flats: list[np.ndarray]):
     """Per-type (delta, defined) lists for a batch of profiles.
 
     ``flats`` holds per-type arrays shaped (batch..., 2, nc), such as the
-    ``split_cells`` views of a stacked batch.  delta = b(do(1)) - b(do(0))
-    from ``profile_beliefs``, defined where both beliefs are, and 0 where
-    undefined.
+    ``split_cells`` views of a stacked batch; the effects are
+    ``_stacked_effects`` split the same way.
     """
-    belief, defined = profile_beliefs(cs, np.concatenate(flats, axis=-1))
-    both = defined.all(axis=-2)
-    delta = np.where(both, belief[..., 1, :] - belief[..., 0, :], 0.0)
-    return list(zip(split_cells(cs, delta), split_cells(cs, both)))
+    delta, defined = _stacked_effects(cs, np.concatenate(flats, axis=-1))
+    return list(zip(split_cells(cs, delta), split_cells(cs, defined)))
 
 
 def best_replies(cs: CompiledScenario, stacked: np.ndarray, tie_tol: float):
@@ -359,9 +368,7 @@ def best_replies(cs: CompiledScenario, stacked: np.ndarray, tie_tol: float):
     action is the strict best reply, and -1 at a tie within ``tie_tol``, on
     an inactive cell, or where the effect is undefined.
     """
-    effects = profile_effects(cs, split_cells(cs, stacked))
-    delta = np.concatenate([d for d, _ in effects], axis=-1)
-    defined = np.concatenate([ok for _, ok in effects], axis=-1)
+    delta, defined = _stacked_effects(cs, stacked)
     scores = cs.score_base.reshape((2, 1)) + cs.effect_weight * delta[..., None, :]
     code = np.where(scores > tie_tol, 1, np.where(scores < -tie_tol, 0, -1)).astype(np.int8)
     code = np.where(cs.active & defined[..., None, :], code, np.int8(-1))

@@ -43,7 +43,6 @@ from .ordering import (
     is_quasitransitive,
     layer_partition,
 )
-from .tables import TableError
 
 __all__ = ["main"]
 
@@ -169,20 +168,27 @@ def _add_builtin_flags(
         parser.add_argument(_flag(pname), dest=pname, default=None)
 
 
-_RANGE = re.compile(r"^(-?[0-9.eE+]+):(-?[0-9.eE+]+):(-?[0-9.eE+]+)$")
+MAX_SWEEP_POINTS = 10_000
 
 
 def _sweep_values(text: str) -> list[float]:
-    m = _RANGE.match(text)
-    if m is None:
-        return [float(text)]
-    start, stop, step = (float(g) for g in m.groups())
+    """One float, or the points of a ``start:stop:step`` range."""
+    parts = [float(part) for part in text.split(":")]
+    if len(parts) not in (1, 3):
+        raise ValueError(f"expected a number or start:stop:step, got {text!r}")
+    if not np.all(np.isfinite(parts)):
+        raise ValueError(f"sweep values must be finite, got {text!r}")
+    if len(parts) == 1:
+        return parts
+    start, stop, step = parts
     if step <= 0:
         raise CliError("sweep step must be positive", 3)
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
+    count = np.floor((stop - start) / step + 1e-9) + 1
     if count < 1:
         raise CliError(f"empty sweep range {text!r}", 3)
-    return [start + k * step for k in range(count)]
+    if count > MAX_SWEEP_POINTS:
+        raise CliError(f"sweep range {text!r} has more than {MAX_SWEEP_POINTS} points", 3)
+    return [start + k * step for k in range(int(count))]
 
 
 def _builtin_values(name: str, args: argparse.Namespace, grid: bool = False) -> dict[str, Any]:
@@ -425,6 +431,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.inits < 0:
+        raise CliError("--inits must be nonnegative", 3)
     scenario, _ = _resolve_scenario(args)
     cs = eng.compile_scenario(scenario)
     labels, starts = _dynamics_starts(cs, np.random.default_rng(args.seed), args.inits)
@@ -782,8 +790,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except docmod.DocumentParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 3
-    except (docmod.DocumentError, ModelError, TableError, OrderError,
-            EquilibriumError, wc.WorstCaseError) as exc:
+    except (docmod.DocumentError, ModelError, OrderError, EquilibriumError,
+            wc.WorstCaseError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1
 

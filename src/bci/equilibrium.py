@@ -434,10 +434,12 @@ def enumerate_pure_equilibria(
 
     Pure assignments range over taste cells that occur with positive
     probability, bit by bit in (type, taste, cell) order; unreachable cells
-    are pinned to a = t.  Each survivor of a vectorized pre-screen over the
-    schedule try-list is certified.  The pre-screen and the final
-    per-profile verification use the same ladder rule, so every returned
-    profile re-passes ``verify_limit`` independently.
+    are pinned to a = t.  A vectorized screen keeps the profiles that pass
+    the floor rung under some schedule of the try-list, and
+    ``certify_equilibrium`` decides each of them.  A passing ladder suffix
+    always contains the floor rung, so the screen drops no profile that
+    certification would pass, and every returned profile re-passes
+    ``verify_limit`` independently.
     """
     cs = eng.compile_scenario(scenario)
     order = cs.type_major
@@ -446,19 +448,8 @@ def enumerate_pure_equilibria(
     if n_slots.bit_length() > 63 or 2**n_slots > cap:
         raise EquilibriumError(f"instance-too-large: 2^{n_slots} pure profiles exceed the cap")
     n_profiles = 1 << n_slots
-    rungs = eng.ladder_rungs()
+    floor = eng.ladder_rungs()[-1:]
     tol = tie_tolerance(tie_tol)
-
-    def ladder_pass(batch, make) -> np.ndarray:
-        # a qualifying suffix always contains the final rung, so one cheap
-        # floor-rung sweep filters the batch before the full ladder
-        out = _reaches_floor(_rung_passes(cs, batch, make(cs, batch), rungs[-1:], tol))
-        if out.any():
-            deep = batch[out]
-            out[np.nonzero(out)[0]] = _reaches_floor(
-                _rung_passes(cs, deep, make(cs, deep), rungs, tol)
-            )
-        return out
 
     results: list[tuple[StrategyProfile, EquilibriumReport]] = []
     for start in range(0, n_profiles, _CHUNK):
@@ -471,7 +462,8 @@ def enumerate_pure_equilibria(
         passing = np.zeros(len(idx), dtype=bool)
         todo = np.arange(len(idx))
         for make in _TRY_LIST:
-            ok = ladder_pass(batch[todo], make)
+            rest = batch[todo]
+            ok = _rung_passes(cs, rest, make(cs, rest), floor, tol)[0]
             passing[todo[ok]] = True
             todo = todo[~ok]
             if not todo.size:

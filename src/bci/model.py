@@ -22,14 +22,15 @@ joint always satisfies ``outcome ⊥ a | (t, x)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .tables import NORM_TOL, JointTable, VariableSpace
-
 RESERVED_NAMES = ("t", "a", "y", "z")
+
+#: Tolerance for "masses sum to one" checks.
+NORM_TOL = 1e-12
 
 
 class ModelError(ValueError):
@@ -132,21 +133,9 @@ class Scenario:
         return len(self.types)
 
     @property
-    def outcome_name(self) -> str:
-        return "y" if self.outcome_kind == "baseline" else "z"
-
-    @property
     def gamma(self) -> float:
         """Marginal probability of taste t = 1."""
         return float(self.ptx[1].sum())
-
-    @property
-    def full_space(self) -> VariableSpace:
-        return VariableSpace(
-            (("t", 2),)
-            + tuple(zip(self.x_names, self.x_cards))
-            + (("a", 2), (self.outcome_name, 2))
-        )
 
     def x_axes(self, names: Iterable[str]) -> tuple[int, ...]:
         """Positions of ``names`` within the covariate tuple, in x order."""
@@ -347,6 +336,22 @@ def aggregate_behavior(
     return out
 
 
+@dataclass(frozen=True)
+class JointTable:
+    """A joint distribution: an array with one axis per named variable."""
+
+    names: tuple[str, ...]
+    probs: np.ndarray
+
+    def marginalize(self, keep: Sequence[str]) -> "JointTable":
+        """Sum out every variable not in ``keep`` (original order preserved)."""
+        unknown = set(keep) - set(self.names)
+        if unknown:
+            raise ModelError(f"unknown variables {sorted(unknown)}")
+        drop = tuple(ax for ax, n in enumerate(self.names) if n not in keep)
+        return JointTable(tuple(n for n in self.names if n in keep), self.probs.sum(axis=drop))
+
+
 def induced_joint(scenario: Scenario, profile: StrategyProfile) -> JointTable:
     """Joint distribution over (t, x..., a, outcome) generated by the profile.
 
@@ -358,7 +363,8 @@ def induced_joint(scenario: Scenario, profile: StrategyProfile) -> JointTable:
     )  # (..., a)
     outcome = np.stack([1.0 - scenario.kernel, scenario.kernel], axis=-1)
     probs = scenario.ptx[..., None, None] * action[..., :, None] * outcome[..., None, :]
-    return JointTable(scenario.full_space, probs, _checked=True)
+    names = ("t", *scenario.x_names, "a", "y" if scenario.outcome_kind == "baseline" else "z")
+    return JointTable(names, probs)
 
 
 def action_rates(scenario: Scenario, profile: StrategyProfile) -> np.ndarray:

@@ -349,6 +349,10 @@ class SearchConfig:
             )
         if self.restarts < 1:
             raise WorstCaseError("restarts must be positive")
+        if not 0.0 < self.param_scale < np.inf:
+            raise WorstCaseError("param_scale must be positive and finite")
+        if self.refine_top < 0 or self.refine_rounds < 0:
+            raise WorstCaseError("refine_top and refine_rounds must be nonnegative")
 
 
 @dataclass(frozen=True)

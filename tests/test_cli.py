@@ -207,6 +207,24 @@ def test_sweep_no_covariate_example_certifies_off_the_tie(capsys):
         assert abs(r["error_probability"] - min(r["gamma"], 1 - r["gamma"])) < 1e-6, r
 
 
+def test_sweep_range_takes_exponent_literals(capsys):
+    rows = run_json(capsys, "sweep", "prop4", "--beta", "1e-3:1e-2:1e-3")
+    assert [r["beta"] for r in rows] == pytest.approx([k * 1e-3 for k in range(1, 11)])
+    assert all(r["verdict"] == "equilibrium_limit" for r in rows)
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [("inf", "finite"), ("0.5:inf:0.1", "finite"), ("0.5:0.9", "start:stop:step"),
+     ("0.5:0.9:1e-5", "more than 10000 points"), ("0.5:0.9:1e-300", "more than 10000 points")],
+)
+def test_sweep_rejects_bad_ranges(capsys, value, message):
+    code, out, err = run_cli(capsys, "sweep", "example_3_1", "--q", value)
+    assert code == 3
+    assert message in err
+    assert out == ""
+
+
 def test_exit_code_unknown_builtin(capsys):
     code, _, err = run_cli(capsys, "verify", "-b", "frobnicate")
     assert code == 3
@@ -286,6 +304,22 @@ def test_exit_code_solver_did_not_converge(capsys):
     payload = json.loads(out)
     assert payload["equilibria"] == []
     assert all(r["status"] != "converged" for r in payload["runs"])
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (("solve", "-b", "example_3_1", "--inits", "-1"), 3, "--inits"),
+        (("worstcase", "search", "--restarts", "2", "--param-scale", "-1"), 1, "param_scale"),
+        (("worstcase", "search", "--restarts", "2", "--refine-rounds", "-1"), 1, "refine_rounds"),
+    ],
+)
+def test_exit_code_bad_numeric_option(capsys, argv, code, message):
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    assert message in err
+    assert "Traceback" not in err
+    assert out == ""
 
 
 def test_exit_code_unknown_command(capsys):

@@ -206,6 +206,50 @@ def test_enumerate_cap_guards_blowup():
         enumerate_pure_equilibria(s, cap=2)
 
 
+def pure_profiles_in_index_order(s):
+    """Every pure profile enumeration ranges over, in its index order: bit k
+    of the index sets the k-th active taste cell in (type, taste, cell)
+    order, and the other cells play a = t."""
+    slots = [
+        (i, tuple(at)) for i in range(s.n_types) for at in np.argwhere(s.taste_cell_mass(i) > 0)
+    ]
+    for index in range(1 << len(slots)):
+        sigmas = [np.zeros(s.sigma_shape(i)) for i in range(s.n_types)]
+        for sigma in sigmas:
+            sigma[1] = 1.0
+        for k, (i, at) in enumerate(slots):
+            sigmas[i][at] = (index >> k) & 1
+        yield StrategyProfile(tuple(sigmas))
+
+
+def test_enumeration_returns_exactly_the_certified_pure_profiles():
+    # the floor-rung screen must drop no profile that certification passes
+    fields = (
+        "verdict", "eps", "witness", "undefined_cells", "ladder_trace",
+        "welfare_loss", "error_probability", "schedule", "sup_gap",
+    )
+    rng = np.random.default_rng(8)
+    cases = [prop4()]
+    while len(cases) < 9:
+        s, _ = random_small_scenario(rng)
+        if 4 <= sum(int((s.taste_cell_mass(i) > 0).sum()) for i in range(s.n_types)) <= 8:
+            cases.append(s)
+    found = 0
+    for s in cases:
+        expected = [
+            (p, r) for p in pure_profiles_in_index_order(s)
+            if (r := certify_equilibrium(s, p)).passed
+        ]
+        got = enumerate_pure_equilibria(s)
+        assert len(got) == len(expected)
+        for (got_p, got_r), (want_p, want_r) in zip(got, expected):
+            assert all(np.array_equal(a, b) for a, b in zip(got_p.sigmas, want_p.sigmas))
+            for f in fields:
+                assert getattr(got_r, f) == getattr(want_r, f), f
+        found += len(got)
+    assert found
+
+
 def test_pandemic_taste_following_verdicts():
     s = pandemic(c=0.3)
     report = verify_eps_equilibrium(s, pandemic_profile(s), 0.01)

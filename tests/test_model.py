@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import oracles
 from bci.model import (
     DataTypeSpec,
+    JointTable,
     ModelError,
     Scenario,
     StrategyProfile,
@@ -134,10 +135,39 @@ def test_action_rates_nan_on_zero_mass_taste():
 def test_induced_joint_masses_and_names():
     s = tiny_scenario()
     jt = induced_joint(s, StrategyProfile.matching(s))
-    assert jt.space.names == ("t", "x1", "a", "y")
+    assert jt.names == ("t", "x1", "a", "y")
     assert abs(float(jt.probs.sum()) - 1.0) < 1e-12
     # taste-matching makes a track t exactly
     assert jt.marginalize(["t", "a"]).probs[0, 1] == 0.0
+
+
+def test_marginalize_against_hand_sums():
+    probs = np.array([[0.1, 0.2, 0.3], [0.15, 0.05, 0.2]])
+    jt = JointTable(("u", "v"), probs)
+    mu = jt.marginalize(["u"])
+    assert mu.names == ("u",)
+    assert np.allclose(mu.probs, [0.6, 0.4])
+    mv = jt.marginalize(["v"])
+    assert np.allclose(mv.probs, [0.25, 0.25, 0.5])
+    with pytest.raises(ModelError):
+        jt.marginalize(["w"])
+
+
+def test_marginalize_scalar_table():
+    jt = JointTable((), np.array(1.0))
+    assert jt.probs.shape == ()
+    assert float(jt.marginalize([]).probs) == 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_marginalization_commutes(seed):
+    rng = np.random.default_rng(seed)
+    raw = rng.random((2, 2, 3))
+    jt = JointTable(("p", "q", "r"), raw / raw.sum())
+    one_step = jt.marginalize(["p"])
+    two_step = jt.marginalize(["p", "r"]).marginalize(["p"])
+    assert np.allclose(one_step.probs, two_step.probs, atol=1e-12)
 
 
 def test_welfare_loss_is_cost_times_error_in_baseline():

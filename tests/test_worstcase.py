@@ -112,6 +112,16 @@ def test_search_config_validation():
         SearchConfig(metric="entropy")
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("param_scale", -1.0), ("param_scale", 0.0), ("param_scale", float("nan")),
+     ("refine_top", -1), ("refine_rounds", -1)],
+)
+def test_search_config_rejects_bad_budgets(field, value):
+    with pytest.raises(WorstCaseError, match=field):
+        SearchConfig(restarts=3, **{field: value})
+
+
 # -- inner solver and search ------------------------------------------------------
 
 
