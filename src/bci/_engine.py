@@ -68,18 +68,18 @@ CONVERGENCE_TOL = 1e-10
 PLAY_SLACK = 1e-12
 
 
-def ladder_rungs(floor: float | None = None) -> np.ndarray:
-    """Geometric noise levels from ``LADDER_START`` down to the floor."""
-    source = ""
-    if floor is None:
-        env = os.environ.get("BCI_LADDER_FLOOR")
-        source = f" (BCI_LADDER_FLOOR={env!r})" if env else ""
-        try:
-            floor = float(env) if env else DEFAULT_LADDER_FLOOR
-        except ValueError:
-            floor = np.nan  # fails the range check below
+def ladder_rungs() -> np.ndarray:
+    """Geometric noise levels from ``LADDER_START`` down to the floor:
+    BCI_LADDER_FLOOR, else ``DEFAULT_LADDER_FLOOR``."""
+    env = os.environ.get("BCI_LADDER_FLOOR")
+    try:
+        floor = float(env) if env else DEFAULT_LADDER_FLOOR
+    except ValueError:
+        floor = np.nan  # fails the range check below
     if not 0 < floor <= LADDER_START:
-        raise ModelError(f"need 0 < floor <= {LADDER_START}, the first rung{source}")
+        raise ModelError(
+            f"need 0 < floor <= {LADDER_START}, the first rung (BCI_LADDER_FLOOR={env!r})"
+        )
     out = []
     eps = LADDER_START
     while eps >= floor:

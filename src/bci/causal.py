@@ -38,24 +38,22 @@ from .model import ModelError, Scenario, StrategyProfile
 DEFAULT_TIE_TOL = 1e-9
 
 
-def tie_tolerance(tie_tol: float | None = None) -> float:
-    """Resolve the indifference tolerance: argument, else BCI_TIE_TOL, else default.
+def tie_tolerance() -> float:
+    """The indifference tolerance: BCI_TIE_TOL, else ``DEFAULT_TIE_TOL``.
 
     The tolerance must be a finite number >= 0; under a negative one a score
     could lie both above tol and below -tol, and a strict best reply would
     mean nothing.
     """
-    source, raw = "tie_tol", tie_tol
-    if raw is None:
-        source, raw = "BCI_TIE_TOL", os.environ.get("BCI_TIE_TOL")
-        if not raw:
-            return DEFAULT_TIE_TOL
+    raw = os.environ.get("BCI_TIE_TOL")
+    if not raw:
+        return DEFAULT_TIE_TOL
     try:
         tol = float(raw)
     except ValueError:
         tol = math.nan
     if not (math.isfinite(tol) and tol >= 0):
-        raise ModelError(f"{source} must be a finite number >= 0, got {raw!r}")
+        raise ModelError(f"BCI_TIE_TOL must be a finite number >= 0, got {raw!r}")
     return tol
 
 
@@ -167,19 +165,14 @@ def score_from_delta(scenario: Scenario, delta_value: float, taste: int) -> floa
     return (scenario.beta + sign * scenario.c) + (1.0 - scenario.beta) * delta_value
 
 
-def best_reply_set(
-    scenario: Scenario,
-    delta_value: float,
-    taste: int,
-    tie_tol: float | None = None,
-) -> frozenset[int]:
+def best_reply_set(scenario: Scenario, delta_value: float, taste: int) -> frozenset[int]:
     """Subjectively optimal actions given a perceived effect and a taste.
 
-    Within ``tie_tol`` of indifference both actions are best replies.
+    Within ``tie_tolerance()`` of indifference both actions are best replies.
     """
     if taste not in (0, 1):
         raise ModelError("taste must be 0 or 1")
-    tol = tie_tolerance(tie_tol)
+    tol = tie_tolerance()
     s = score_from_delta(scenario, delta_value, taste)
     if s > tol:
         return frozenset((1,))
@@ -194,7 +187,6 @@ def best_reply_at(
     type_index: int,
     taste: int,
     cell: Mapping[str, int] | Sequence[int],
-    tie_tol: float | None = None,
 ) -> frozenset[int] | None:
     """Best replies for one type at (taste, condition cell) under a profile.
 
@@ -203,4 +195,4 @@ def best_reply_at(
     d = delta(scenario, profile, type_index, cell)
     if d is None:
         return None
-    return best_reply_set(scenario, d, taste, tie_tol)
+    return best_reply_set(scenario, d, taste)

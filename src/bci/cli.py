@@ -10,8 +10,11 @@ to machine output on stdout.  Exit codes: 0 success, 1 invariant violation,
 from __future__ import annotations
 
 import argparse
+import functools
+import inspect
 import itertools
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -63,17 +66,6 @@ class _Parser(argparse.ArgumentParser):
 # -- builtin registry ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Builtin:
-    """A builtin scenario and its job (see ``_run_builtin``)."""
-
-    build: Callable[..., Scenario]
-    params: tuple[tuple[str, Callable[[str], Any], Any], ...]
-    canonical: Callable[[Scenario], StrategyProfile] | None = None
-    # takes every parameter; the job re-verifies the witness it builds
-    witness: Callable[..., wc.WitnessInstance] | None = None
-
-
 def _lambdas(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(","))
 
@@ -86,73 +78,59 @@ def _flag_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+# a builtin flag's parser, by the type of its default
+_PARSERS: dict[type, Callable[[str], Any]] = {float: float, bool: _flag_bool, tuple: _lambdas}
+
+
+@functools.cache
+def _defaults(fn: Callable[..., Any]) -> dict[str, Any]:
+    """Parameter names and defaults of ``fn``, in signature order."""
+    return {p.name: p.default for p in inspect.signature(fn).parameters.values()}
+
+
+@dataclass(frozen=True)
+class _Builtin:
+    """A builtin scenario and its job (see ``_run_builtin``)."""
+
+    build: Callable[..., Scenario]
+    canonical: Callable[[Scenario], StrategyProfile] | None = None
+    # takes every parameter of ``build``; the job re-verifies the witness it builds
+    witness: Callable[..., wc.WitnessInstance] | None = None
+
+    @property
+    def params(self) -> dict[str, Any]:
+        """Flag names and defaults, in order: the witness's signature, else the builder's."""
+        return _defaults(self.witness or self.build)
+
+
 BUILTINS: dict[str, _Builtin] = {
     "example_1_1_confounder": _Builtin(
-        build=builtins_mod.example_1_1_confounder,
-        params=(("c", float, 0.5),),
-        canonical=builtins_mod.example_3_1_profile,
+        builtins_mod.example_1_1_confounder, canonical=builtins_mod.example_3_1_profile
     ),
     "example_1_1_collider": _Builtin(
-        build=builtins_mod.example_1_1_collider,
-        params=(("c", float, 0.5),),
-        canonical=builtins_mod.example_3_1_profile,
+        builtins_mod.example_1_1_collider, canonical=builtins_mod.example_3_1_profile
     ),
-    "example_3_1": _Builtin(
-        build=builtins_mod.example_3_1,
-        params=(
-            ("beta", float, 0.8),
-            ("q", float, 0.8),
-            ("c", float, 0.5),
-            ("blind_second_type", _flag_bool, False),
-        ),
-        canonical=builtins_mod.example_3_1_profile,
-    ),
-    "example_4_1": _Builtin(
-        build=builtins_mod.example_4_1,
-        params=(("gamma", float, 0.3), ("c", float, 0.5)),
-    ),
-    "prop2_incomplete": _Builtin(
-        build=builtins_mod.prop2_incomplete,
-        params=(("eps", float, 0.01), ("lambda1", float, 0.5), ("c", float, 0.9)),
-        witness=wc.witness_incomplete,
-    ),
-    "prop2_cycle": _Builtin(
-        build=builtins_mod.prop2_cycle,
-        params=(("eps", float, 0.01), ("lambdas", _lambdas, (1 / 3, 1 / 3, 1 / 3)), ("c", float, 0.9)),
-        witness=wc.witness_cycle,
-    ),
-    "prop4": _Builtin(
-        build=builtins_mod.prop4,
-        params=(
-            ("gamma", float, 0.6),
-            ("beta", float, 0.01),
-            ("eps", float, 0.001),
-            ("lambdas", _lambdas, (0.5, 0.5)),
-            ("c", float, 0.9),
-        ),
-        witness=wc.witness_incomplete_hetero,
-    ),
-    "prop5": _Builtin(
-        build=builtins_mod.prop5,
-        params=(("gamma", float, 0.5), ("eps", float, 0.001), ("c", float, 0.9)),
-        witness=wc.witness_full_loss,
-    ),
-    "pandemic": _Builtin(
-        build=builtins_mod.pandemic,
-        params=(("q", float, 0.8), ("lambda1", float, 0.5), ("c", float, 0.3)),
-        canonical=builtins_mod.pandemic_profile,
-    ),
+    "example_3_1": _Builtin(builtins_mod.example_3_1, canonical=builtins_mod.example_3_1_profile),
+    "example_4_1": _Builtin(builtins_mod.example_4_1),
+    "prop2_incomplete": _Builtin(builtins_mod.prop2_incomplete, witness=wc.witness_incomplete),
+    "prop2_cycle": _Builtin(builtins_mod.prop2_cycle, witness=wc.witness_cycle),
+    "prop4": _Builtin(builtins_mod.prop4, witness=wc.witness_incomplete_hetero),
+    "prop5": _Builtin(builtins_mod.prop5, witness=wc.witness_full_loss),
+    "pandemic": _Builtin(builtins_mod.pandemic, canonical=builtins_mod.pandemic_profile),
 }
 
-# prop4's eps feeds only its witness construction, never the scenario
-_SCENARIO_PARAM_SKIP = {"prop4": ("eps",)}
+# witness name -> the builtin that holds its builder and parameters
+_WITNESSES = {
+    spec.witness.__name__.removeprefix("witness_"): name
+    for name, spec in BUILTINS.items()
+    if spec.witness is not None
+}
 
 
 def _build_builtin(name: str, values: dict[str, Any]) -> Scenario:
-    spec = BUILTINS[name]
-    skip = _SCENARIO_PARAM_SKIP.get(name, ())
-    kwargs = {k: v for k, v in values.items() if k not in skip}
-    return spec.build(**kwargs)
+    """Builtin ``name``'s scenario from the values of the parameters its builder takes."""
+    build = BUILTINS[name].build
+    return build(**{pname: values[pname] for pname in _defaults(build)})
 
 
 def _flag(pname: str) -> str:
@@ -163,7 +141,7 @@ def _add_builtin_flags(
     parser: argparse.ArgumentParser, specs: Sequence[_Builtin] | None = None
 ) -> None:
     # raw strings here; _builtin_values converts them for the chosen builtin
-    params = (p for spec in specs or BUILTINS.values() for p, _, _ in spec.params)
+    params = (p for spec in specs or BUILTINS.values() for p in spec.params)
     for pname in dict.fromkeys(params):
         parser.add_argument(_flag(pname), dest=pname, default=None)
 
@@ -204,20 +182,20 @@ def _builtin_values(name: str, args: argparse.Namespace, grid: bool = False) -> 
         )
     params = BUILTINS[name].params
     values: dict[str, Any] = {}
-    for pname, conv, default in params:
+    for pname, default in params.items():
         raw = getattr(args, pname, None)
         if raw is None:
             points = [default]
         else:
+            conv = _PARSERS[type(default)]
             try:
                 points = _sweep_values(raw) if grid and conv is float else [conv(raw)]
             except ValueError as exc:
                 raise CliError(f"bad value for {_flag(pname)}: {exc}", 3)
         values[pname] = points if grid else points[0]
-    known = {p for p, _, _ in params}
     for spec in BUILTINS.values():
-        for pname, _, _ in spec.params:
-            if pname not in known and getattr(args, pname, None) is not None:
+        for pname in spec.params:
+            if pname not in params and getattr(args, pname, None) is not None:
                 raise CliError(f"builtin {name!r} takes no {_flag(pname)}", 3)
     return values
 
@@ -433,10 +411,12 @@ def _cmd_verify(args) -> int:
 def _cmd_solve(args) -> int:
     if args.inits < 0:
         raise CliError("--inits must be nonnegative", 3)
+    if args.max_iters < 1:
+        raise CliError("--max-iters must be at least 1", 3)
     scenario, _ = _resolve_scenario(args)
     cs = eng.compile_scenario(scenario)
     labels, starts = _dynamics_starts(cs, np.random.default_rng(args.seed), args.inits)
-    batch = _dynamics_batch(cs, starts, args.damping, args.max_iters, tie_tolerance())
+    batch = _dynamics_batch(cs, starts, args.max_iters, tie_tolerance())
     runs = []
     equilibria = []
     seen: set[bytes] = set()
@@ -598,15 +578,6 @@ def _cmd_scenario(args) -> int:
     return _emit_run(args, args.name, values, head)
 
 
-# witness name -> the builtin that holds its builder and parameters
-_WITNESSES = {
-    "incomplete": "prop2_incomplete",
-    "cycle": "prop2_cycle",
-    "incomplete_hetero": "prop4",
-    "full_loss": "prop5",
-}
-
-
 def _cmd_worstcase(args) -> int:
     if args.mode == "witness":
         if args.name not in _WITNESSES:
@@ -649,6 +620,9 @@ def _cmd_worstcase(args) -> int:
 
 def _cmd_sweep(args) -> int:
     grid = _builtin_values(args.name, args, grid=True)
+    n_points = math.prod(len(axis) for axis in grid.values())
+    if n_points > MAX_SWEEP_POINTS:
+        raise CliError(f"sweep grid has {n_points} points, more than {MAX_SWEEP_POINTS}", 3)
     rows: list[dict[str, Any]] = []
     # rows come out ordered by parameter values, outer to inner
     for point in itertools.product(*grid.values()):
@@ -717,7 +691,6 @@ def _build_parser() -> _Parser:
     _add_source_args(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--inits", type=int, default=8, help="extra random starts")
-    p.add_argument("--damping", type=float, default=0.5)
     p.add_argument("--max-iters", type=int, default=1000)
     _add_format_arg(p)
     p.set_defaults(func=_cmd_solve)

@@ -212,7 +212,6 @@ def verify_eps_equilibrium(
     scenario: Scenario,
     profile: StrategyProfile,
     eps: float,
-    tie_tol: float | None = None,
 ) -> EquilibriumReport:
     """Check the profile, as given, against the eps threshold.
 
@@ -222,7 +221,7 @@ def verify_eps_equilibrium(
     if not 0 < eps < 1:
         raise EquilibriumError("eps must lie in (0, 1)")
     trace, _, failed_at, witness, undefined = _ladder(
-        scenario, profile, TrembleSchedule.none(), np.array([eps]), tie_tolerance(tie_tol)
+        scenario, profile, TrembleSchedule.none(), np.array([eps]), tie_tolerance()
     )
     loss, errp, tables = _profile_stats(scenario, profile)
     if undefined:
@@ -236,7 +235,6 @@ def verify_limit(
     scenario: Scenario,
     profile: StrategyProfile,
     schedule: TrembleSchedule | None = None,
-    tie_tol: float | None = None,
 ) -> EquilibriumReport:
     """Witness the profile as a limit of eps-equilibria along the ladder.
 
@@ -251,7 +249,7 @@ def verify_limit(
     """
     schedule = schedule if schedule is not None else TrembleSchedule.none()
     trace, sup_gap, failed_at, witness, undefined = _ladder(
-        scenario, profile, schedule, eng.ladder_rungs(), tie_tolerance(tie_tol)
+        scenario, profile, schedule, eng.ladder_rungs(), tie_tolerance()
     )
     loss, errp, tables = _profile_stats(scenario, profile)
     if failed_at is None:
@@ -275,11 +273,7 @@ _TRY_LIST = (
 )
 
 
-def certify_equilibrium(
-    scenario: Scenario,
-    profile: StrategyProfile,
-    tie_tol: float | None = None,
-) -> EquilibriumReport:
+def certify_equilibrium(scenario: Scenario, profile: StrategyProfile) -> EquilibriumReport:
     """Try to witness a limit equilibrium with a small set of schedules.
 
     The try-list is: no trembles at all (exact equilibria), uniform flip
@@ -294,7 +288,7 @@ def certify_equilibrium(
     cs = eng.compile_scenario(scenario)
     stacked = eng.flatten_profile(cs, profile)
     rungs = eng.ladder_rungs()
-    tol = tie_tolerance(tie_tol)
+    tol = tie_tolerance()
     best, most = None, -1
     for make in _TRY_LIST:
         sched = make(cs, stacked)
@@ -304,22 +298,24 @@ def certify_equilibrium(
             break
         if ok.sum() > most:
             best, most = sched, int(ok.sum())
-    return verify_limit(scenario, profile, best.to_schedule(cs.offsets), tie_tol)
+    return verify_limit(scenario, profile, best.to_schedule(cs.offsets))
 
 
 # -- best-response dynamics --------------------------------------------------
+
+# Every cell's first step toward its best reply; later steps only halve.
+DAMPING = 0.5
 
 
 def _dynamics_batch(
     cs: eng.CompiledScenario,
     stacked: np.ndarray,
-    damping: float,
     max_iters: int,
     tol: float,
 ):
     """Damped best-reply iteration on a batch of stacked profiles (batch, 2, S).
 
-    Per-cell steps start at ``damping`` and halve whenever that cell's strict
+    Per-cell steps start at ``DAMPING`` and halve whenever that cell's strict
     best reply flips, which settles oscillations onto interior mixing points;
     cells at (or within tolerance of) indifference hold their current value.
     A start stops once its sup-norm change falls below ``CONVERGENCE_TOL``
@@ -329,11 +325,9 @@ def _dynamics_batch(
     Returns (state, converged, cycled, iters); ``cycled`` is all False and
     stays only because ``perfbench/tracing.py`` unpacks four values.
     """
-    if not 0 < damping <= 1:
-        raise EquilibriumError("damping must lie in (0, 1]")
     state = stacked
     n_init = state.shape[0]
-    steps = np.full(state.shape, damping)
+    steps = np.full(state.shape, DAMPING)
     prev = np.full(state.shape, -1, dtype=np.int8)
     done = np.zeros(n_init, dtype=bool)
     iters = np.zeros(n_init, dtype=int)
@@ -385,7 +379,6 @@ def _dynamics_results(
     scenario: Scenario,
     cs: eng.CompiledScenario,
     batch,
-    tie_tol: float | None = None,
 ) -> list[DynamicsResult]:
     """One result per start of a ``_dynamics_batch`` output; a converged
     profile is certified against the schedule try-list."""
@@ -394,7 +387,7 @@ def _dynamics_results(
     for b in range(len(iters)):
         profile = eng.unflatten_profile(cs, out[b])
         if converged[b]:
-            status, report = "converged", certify_equilibrium(scenario, profile, tie_tol)
+            status, report = "converged", certify_equilibrium(scenario, profile)
         else:
             status, report = "max_iters", None
         results.append(DynamicsResult(status, profile, report, int(iters[b])))
@@ -405,7 +398,6 @@ def best_response_dynamics(
     scenario: Scenario,
     init: StrategyProfile,
     max_iters: int = 1000,
-    tie_tol: float | None = None,
 ) -> DynamicsResult:
     """Iterate damped best replies from ``init`` and verify the rest point.
 
@@ -415,8 +407,8 @@ def best_response_dynamics(
     """
     cs = eng.compile_scenario(scenario)
     stacked = eng.flatten_profile(cs, init)[None]
-    batch = _dynamics_batch(cs, stacked, 0.5, max_iters, tie_tolerance(tie_tol))
-    return _dynamics_results(scenario, cs, batch, tie_tol)[0]
+    batch = _dynamics_batch(cs, stacked, max_iters, tie_tolerance())
+    return _dynamics_results(scenario, cs, batch)[0]
 
 
 # -- exhaustive pure-profile enumeration -------------------------------------
@@ -425,11 +417,7 @@ ENUMERATION_CAP = 1 << 20
 _CHUNK = 1 << 12
 
 
-def enumerate_pure_equilibria(
-    scenario: Scenario,
-    tie_tol: float | None = None,
-    cap: int = ENUMERATION_CAP,
-) -> list[tuple[StrategyProfile, EquilibriumReport]]:
+def enumerate_pure_equilibria(scenario: Scenario) -> list[tuple[StrategyProfile, EquilibriumReport]]:
     """All pure profiles verifiable as limit equilibria, in index order.
 
     Pure assignments range over taste cells that occur with positive
@@ -445,11 +433,11 @@ def enumerate_pure_equilibria(
     order = cs.type_major
     slots = order[cs.active.reshape(-1)[order]]
     n_slots = len(slots)
-    if n_slots.bit_length() > 63 or 2**n_slots > cap:
+    if n_slots.bit_length() > 63 or 2**n_slots > ENUMERATION_CAP:
         raise EquilibriumError(f"instance-too-large: 2^{n_slots} pure profiles exceed the cap")
     n_profiles = 1 << n_slots
     floor = eng.ladder_rungs()[-1:]
-    tol = tie_tolerance(tie_tol)
+    tol = tie_tolerance()
 
     results: list[tuple[StrategyProfile, EquilibriumReport]] = []
     for start in range(0, n_profiles, _CHUNK):
@@ -471,7 +459,7 @@ def enumerate_pure_equilibria(
 
         for b in np.nonzero(passing)[0]:
             profile = eng.unflatten_profile(cs, batch[b])
-            report = certify_equilibrium(scenario, profile, tie_tol)
+            report = certify_equilibrium(scenario, profile)
             if report.passed:
                 results.append((profile, report))
     return results

@@ -217,10 +217,8 @@ class StrategyProfile:
         full = (2,) + tuple(scenario.x_cards)
         return np.broadcast_to(self.sigmas[i].reshape(newshape), full)
 
-    def is_pure(self, tol: float = 0.0) -> bool:
-        return all(
-            bool(np.all((s <= tol) | (s >= 1.0 - tol))) for s in self.sigmas
-        )
+    def is_pure(self) -> bool:
+        return all(bool(np.all((s == 0.0) | (s == 1.0))) for s in self.sigmas)
 
     def rounded(self) -> "StrategyProfile":
         return StrategyProfile(tuple(np.round(s) for s in self.sigmas))
@@ -254,18 +252,11 @@ class TrembleSchedule:
 
     ``apply_trembles`` perturbs each strategy slice that has a rule; slices
     without one are left exact.  The empty schedule therefore yields the
-    constant sequence, and eps = 0 is always the identity.  ``epsilon``, when
-    set, is the schedule's own noise level, used by ``apply_trembles`` when no
-    explicit level is passed.
+    constant sequence, and eps = 0 is always the identity.
     """
 
     entries: tuple[tuple[tuple[int, int], TrembleSpec], ...] = ()
     default: TrembleSpec | None = None
-    epsilon: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.epsilon is not None and not self.epsilon > 0:
-            raise ModelError("schedule epsilon must be positive when set")
 
     @classmethod
     def none(cls) -> "TrembleSchedule":
@@ -291,16 +282,9 @@ class TrembleSchedule:
 
 
 def apply_trembles(
-    profile: StrategyProfile, schedule: TrembleSchedule, eps: float | None = None
+    profile: StrategyProfile, schedule: TrembleSchedule, eps: float
 ) -> StrategyProfile:
-    """Perturbed profile at noise level ``eps`` (identity at eps = 0).
-
-    With ``eps`` omitted, the schedule's own ``epsilon`` is used.
-    """
-    if eps is None:
-        eps = schedule.epsilon
-        if eps is None:
-            raise ModelError("no noise level: pass eps or set schedule.epsilon")
+    """Perturbed profile at noise level ``eps`` (identity at eps = 0)."""
     if eps < 0:
         raise ModelError("eps must be nonnegative")
     if eps == 0.0 or schedule.is_empty:

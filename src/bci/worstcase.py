@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -113,14 +113,14 @@ class WitnessInstance:
     notes: str = ""
 
 
-def reverify(witness: WitnessInstance, tie_tol: float | None = None) -> EquilibriumReport:
+def reverify(witness: WitnessInstance) -> EquilibriumReport:
     """Re-run the equilibrium verdict from primitives, ignoring all claims.
 
     An exact-equilibrium claim is checked as the constant sequence (empty
     schedule); a limit claim is checked under the witness's own schedule.
     Either way the report must come back ``equilibrium_limit``.
     """
-    return verify_limit(witness.scenario, witness.profile, witness.schedule, tie_tol=tie_tol)
+    return verify_limit(witness.scenario, witness.profile, witness.schedule)
 
 
 def check_annotations(witness: WitnessInstance) -> float:
@@ -230,8 +230,8 @@ def witness_incomplete_hetero(
         for i in range(2)
         for taste in (0, 1)
     }
-    schedule = replace(TrembleSchedule.of(rules), epsilon=eps)
-    eps_profile = apply_trembles(profile, schedule)
+    schedule = TrembleSchedule.of(rules)
+    eps_profile = apply_trembles(profile, schedule, eps)
     anns = (
         DeltaAnnotation(0, (2,), 0.0, trembled=True),
         DeltaAnnotation(1, (2,), 0.0, trembled=True),
@@ -299,6 +299,9 @@ _METRICS = ("welfare_loss", "error_probability")
 _MAX_ITERS = 400
 _ENUMERATION_LIMIT = 1 << 12
 _REFINE_PROBES = 6
+
+# Slack for roundoff when a found value is compared against a ceiling.
+BOUND_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -489,7 +492,6 @@ def verified_equilibria(
     scenario: Scenario,
     rng: np.random.Generator,
     inner_inits: int = 12,
-    tie_tol: float | None = None,
 ) -> list[tuple[StrategyProfile, EquilibriumReport]]:
     """Collect verified limit equilibria of one scenario.
 
@@ -498,22 +500,21 @@ def verified_equilibria(
     random starts, certifying each distinct rest point.  Coverage of mixed
     equilibria is heuristic.
     """
-    tol = tie_tolerance(tie_tol)
     cs = eng.compile_scenario(scenario)
     found: dict[bytes, tuple[StrategyProfile, EquilibriumReport]] = {}
     n_slots = int(cs.active.sum())
     if n_slots < 63 and 2**n_slots <= _ENUMERATION_LIMIT:
-        for prof, rep in enumerate_pure_equilibria(scenario, tie_tol=tie_tol):
+        for prof, rep in enumerate_pure_equilibria(scenario):
             found[eng.profile_key(eng.flatten_profile(cs, prof))] = (prof, rep)
 
     _, starts = _dynamics_starts(cs, rng, inner_inits)
-    out, converged, _, _ = _dynamics_batch(cs, starts, 0.5, _MAX_ITERS, tol)
+    out, converged, _, _ = _dynamics_batch(cs, starts, _MAX_ITERS, tie_tolerance())
     for b in np.nonzero(converged)[0]:
         key = eng.profile_key(out[b])
         if key in found:
             continue
         prof = eng.unflatten_profile(cs, out[b])
-        rep = certify_equilibrium(scenario, prof, tie_tol=tie_tol)
+        rep = certify_equilibrium(scenario, prof)
         if rep.verdict == "equilibrium_limit":
             found[key] = (prof, rep)
     return list(found.values())
@@ -547,10 +548,13 @@ class _Candidate:
     profile: StrategyProfile | None
     report: EquilibriumReport | None
 
+    @property
+    def rank(self) -> tuple[float, str]:
+        """The search's ranking rule: higher value first, then lower digest."""
+        return (-self.value, self.digest)
+
     def beats(self, other: "_Candidate") -> bool:
-        if self.value != other.value:
-            return self.value > other.value
-        return self.digest < other.digest
+        return self.rank < other.rank
 
 
 def _evaluate(
@@ -560,19 +564,16 @@ def _evaluate(
     rng: np.random.Generator,
 ) -> _Candidate:
     scenario = _materialize(structure, cfg, theta)
-    best: tuple[float, float, float, str, StrategyProfile, EquilibriumReport] | None = None
+    best = _Candidate(-math.inf, -math.inf, -math.inf, "", structure, theta, scenario, None, None)
     for prof, rep in verified_equilibria(scenario, rng):
         value = rep.welfare_loss if cfg.metric == "welfare_loss" else rep.error_probability
-        digest = instance_digest(scenario, prof)
-        entry = (value, rep.welfare_loss, rep.error_probability, digest, prof, rep)
-        if best is None or entry[0] > best[0] or (entry[0] == best[0] and digest < best[3]):
-            best = entry
-    if best is None:
-        return _Candidate(
-            -math.inf, -math.inf, -math.inf, "", structure, theta, scenario, None, None
+        cand = _Candidate(
+            value, rep.welfare_loss, rep.error_probability, instance_digest(scenario, prof),
+            structure, theta, scenario, prof, rep,
         )
-    value, loss, errprob, digest, prof, rep = best
-    return _Candidate(value, loss, errprob, digest, structure, theta, scenario, prof, rep)
+        if cand.beats(best):
+            best = cand
+    return best
 
 
 def search_max_loss(cfg: SearchConfig) -> tuple[WitnessInstance, tuple[SearchRecord, ...]]:
@@ -598,7 +599,7 @@ def search_max_loss(cfg: SearchConfig) -> tuple[WitnessInstance, tuple[SearchRec
         )
         candidates.append(cand)
 
-    candidates.sort(key=lambda c: (-c.value, c.digest))
+    candidates.sort(key=lambda c: c.rank)
     best = candidates[0]
     for rank, cand in enumerate(candidates[: cfg.refine_top]):
         if cand.profile is None:
@@ -641,15 +642,12 @@ def search_max_loss(cfg: SearchConfig) -> tuple[WitnessInstance, tuple[SearchRec
     return witness, tuple(trace)
 
 
-def check_bound(
-    family: SearchConfig,
-    bound: Callable[[float], float] | float,
-    tol: float = 1e-9,
-) -> BoundReport:
+def check_bound(family: SearchConfig, bound: Callable[[float], float] | float) -> BoundReport:
     """Search the family and compare its best value against a ceiling.
 
     ``bound`` is either a constant or a function of the family's fixed
-    gamma.  A violation means a verified equilibrium beat a proven ceiling,
+    gamma.  A violation (a best value above the ceiling by more than
+    ``BOUND_TOL``) means a verified equilibrium beat a proven ceiling,
     which can only be a bug in the implementation (or a family outside the
     ceiling's hypotheses) — callers should treat it as fatal.
     """
@@ -668,7 +666,7 @@ def check_bound(
         metric=family.metric,
         bound_value=bound_value,
         observed=observed,
-        violated=bool(observed > bound_value + tol),
+        violated=bool(observed > bound_value + BOUND_TOL),
         best=best,
         trace=trace,
     )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 import json
 
@@ -225,6 +226,36 @@ def test_sweep_rejects_bad_ranges(capsys, value, message):
     assert out == ""
 
 
+def test_sweep_rejects_oversized_grid_before_running(capsys):
+    # two axes of 4,001 and 8,001 points: each fits the bound, their product does not
+    code, out, err = run_cli(
+        capsys, "sweep", "example_3_1", "--q", "0.5:0.9:1e-4", "--c", "0.1:0.9:1e-4"
+    )
+    assert code == 3
+    assert "sweep grid has 32012001 points, more than 10000" in err
+    assert out == ""
+
+
+def test_witness_flags_cover_every_builder_parameter():
+    # a witness builtin's flags come from the witness signature, so it must
+    # take every parameter of the scenario builder, with the same default
+    witnesses = {name: spec for name, spec in BUILTINS.items() if spec.witness is not None}
+    assert sorted(witnesses) == ["prop2_cycle", "prop2_incomplete", "prop4", "prop5"]
+    for name, spec in witnesses.items():
+        built = inspect.signature(spec.build).parameters
+        taken = inspect.signature(spec.witness).parameters
+        for pname, param in built.items():
+            assert pname in taken, (name, pname)
+            assert taken[pname].default == param.default, (name, pname)
+
+
+def test_worstcase_witness_lists_witnesses_in_order(capsys):
+    code, out, err = run_cli(capsys, "worstcase", "witness", "bogus")
+    assert code == 3
+    assert "(choose from incomplete, cycle, incomplete_hetero, full_loss)" in err
+    assert out == ""
+
+
 def test_exit_code_unknown_builtin(capsys):
     code, _, err = run_cli(capsys, "verify", "-b", "frobnicate")
     assert code == 3
@@ -312,6 +343,9 @@ def test_exit_code_solver_did_not_converge(capsys):
         (("solve", "-b", "example_3_1", "--inits", "-1"), 3, "--inits"),
         (("worstcase", "search", "--restarts", "2", "--param-scale", "-1"), 1, "param_scale"),
         (("worstcase", "search", "--restarts", "2", "--refine-rounds", "-1"), 1, "refine_rounds"),
+        (("solve", "-b", "example_3_1", "--max-iters", "-1", "--inits", "0"), 3, "--max-iters"),
+        (("solve", "-b", "example_3_1", "--max-iters", "0", "--inits", "0"), 3, "--max-iters"),
+        (("solve", "-b", "example_3_1", "--damping", "0.5"), 3, "--damping"),
     ],
 )
 def test_exit_code_bad_numeric_option(capsys, argv, code, message):

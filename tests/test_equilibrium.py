@@ -7,6 +7,7 @@ import oracles
 from bci import _engine as eng
 from bci.equilibrium import (
     _TRY_LIST,
+    ENUMERATION_CAP,
     EquilibriumError,
     UndefinedCell,
     _dynamics_batch,
@@ -16,7 +17,8 @@ from bci.equilibrium import (
     verify_eps_equilibrium,
     verify_limit,
 )
-from bci.model import StrategyProfile, TrembleSchedule, TrembleSpec
+from bci.causal import tie_tolerance
+from bci.model import DataTypeSpec, Scenario, StrategyProfile, TrembleSchedule, TrembleSpec
 from bci.scenarios import (
     example_1_1_collider,
     example_1_1_confounder,
@@ -201,9 +203,14 @@ def test_enumerate_pure_finds_both_31_equilibria():
 
 
 def test_enumerate_cap_guards_blowup():
-    s = prop2_incomplete()
-    with pytest.raises(EquilibriumError):
-        enumerate_pure_equilibria(s, cap=2)
+    # one type on a 32-valued covariate: 64 active taste cells, 2^64 pure profiles
+    s = Scenario(
+        ("x1",), (32,), np.full((2, 32), 1 / 64), np.full((2, 32), 0.5),
+        (DataTypeSpec(("x1",), ("x1",)),), (1.0,), 0.5,
+    )
+    assert 2**64 > ENUMERATION_CAP
+    with pytest.raises(EquilibriumError, match="2\\^64 pure profiles"):
+        enumerate_pure_equilibria(s)
 
 
 def pure_profiles_in_index_order(s):
@@ -286,10 +293,10 @@ def test_dynamics_batch_starts_are_independent():
     rng = np.random.default_rng(102)
     cs = eng.compile_scenario(random_scenario(cfg, rng))
     starts = np.concatenate([rng.random((15, 2, n)) for n in np.diff(cs.offsets)], axis=-1)
-    out, converged, cycled, iters = _dynamics_batch(cs, starts, 0.5, 400, 1e-9)
+    out, converged, cycled, iters = _dynamics_batch(cs, starts, 400, 1e-9)
     assert len(set(iters.tolist())) > 2 and converged.any() and not converged.all()
     for b in range(15):
-        one, conv1, cyc1, iters1 = _dynamics_batch(cs, starts[b : b + 1], 0.5, 400, 1e-9)
+        one, conv1, cyc1, iters1 = _dynamics_batch(cs, starts[b : b + 1], 400, 1e-9)
         assert (conv1[0], cyc1[0], iters1[0]) == (converged[b], cycled[b], iters[b]), b
         assert np.allclose(out[b], one[0], rtol=0.0, atol=1e-12), b
 
@@ -318,12 +325,12 @@ def test_eps_verdicts_and_witnesses_match_oracle(seed):
     part = StrategyProfile(
         tuple(np.where(rng.random(x.shape) < 0.5, np.round(x), x) for x in prof.sigmas)
     )
-    eps, tol = float(rng.uniform(0.01, 0.3)), 1e-9
+    eps, tol = float(rng.uniform(0.01, 0.3)), tie_tolerance()
     for p in (prof, prof.rounded(), part):
         verdict, undefined, offenders, scores = oracles.brute_eps_check(s, p, eps, tol)
         if any(abs(abs(score) - tol) <= 1e-9 for score in scores):
             continue  # the engine's and the oracle's roundoff may split a tie here
-        report = verify_eps_equilibrium(s, p, eps, tie_tol=tol)
+        report = verify_eps_equilibrium(s, p, eps)
         assert report.verdict == verdict
         assert {(u.type_index, u.taste, u.cell) for u in report.undefined_cells} == undefined
         if verdict != "not_equilibrium":

@@ -230,8 +230,6 @@ def test_apply_trembles_identity_cases():
     prof = StrategyProfile.matching(s)
     assert apply_trembles(prof, TrembleSchedule.none(), 0.5) is prof
     assert apply_trembles(prof, TrembleSchedule.uniform_flip(), 0.0) is prof
-    with pytest.raises(ModelError):
-        apply_trembles(prof, TrembleSchedule.uniform_flip())  # no level anywhere
 
 
 def test_apply_trembles_exponent_and_selectivity():
@@ -242,16 +240,6 @@ def test_apply_trembles_exponent_and_selectivity():
     assert np.allclose(out.sigmas[0][0], 0.01)  # eps^2 toward the flip
     assert np.all(out.sigmas[0][1] == 1.0)  # no rule: untouched
     assert np.all(out.sigmas[1] == prof.sigmas[1])
-
-
-def test_schedule_epsilon_field_feeds_apply():
-    from dataclasses import replace
-
-    s = tiny_scenario()
-    prof = StrategyProfile.matching(s)
-    sched = replace(TrembleSchedule.uniform_flip(), epsilon=0.25)
-    out = apply_trembles(prof, sched)
-    assert np.allclose(out.sigmas[0][0], 0.25)
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bci.model import error_probability, welfare_loss
+from bci.model import error_probability, induced_joint, welfare_loss
 from bci.ordering import build_relation, is_complete, is_quasitransitive
 from bci.worstcase import (
     SearchConfig,
@@ -55,6 +55,19 @@ def test_witness_hetero_uses_trembled_annotations():
     assert report.verdict == "equilibrium_limit"
     assert check_annotations(w) < 1e-10
     assert w.posterior_annotations  # the hash-covariate posterior is recorded
+
+
+def test_witness_hetero_posterior_recomputes_from_induced_joint():
+    # p(t=1 | a=1, x1=1) = beta / (beta + lambda_1 beta^2), at the limit
+    # profile and at the stored noisy one alike
+    w = witness_incomplete_hetero()
+    (label, claimed), = w.posterior_annotations
+    assert label == "p(t=1 | a=1, x1=1)"
+    assert claimed == pytest.approx(0.995024875621890, rel=1e-14)
+    for prof in (w.profile, w.eps_profile):
+        joint = induced_joint(w.scenario, prof).marginalize(("t", "x1", "a")).probs
+        at = joint[:, 1, 1]  # (t, x1=1, a=1)
+        assert at[1] / at.sum() == pytest.approx(claimed, rel=1e-12)
 
 
 def test_witness_full_loss_has_both_types_wrong():
