@@ -45,8 +45,10 @@ matrix averages them into beliefs, and one with the block-diagonal
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +58,7 @@ LADDER_START = 0.1
 LADDER_RATIO = 0.5
 DEFAULT_LADDER_FLOOR = 1e-6
 DEFAULT_TAIL_MIN = 6
+DEFAULT_TIE_TOL = 1e-9
 
 # Dynamics evaluates best replies under a tiny internal flip so that effects
 # stay identified; large floors would contaminate interior mixing points.
@@ -66,6 +69,25 @@ CONVERGENCE_TOL = 1e-10
 # routinely place mass of exactly eps on a non-best reply, and 1-(1-eps)
 # reproduces eps only up to roundoff.
 PLAY_SLACK = 1e-12
+
+
+def tie_tolerance() -> float:
+    """The indifference tolerance: BCI_TIE_TOL, else ``DEFAULT_TIE_TOL``.
+
+    The tolerance must be a finite number >= 0; under a negative one a score
+    could lie both above tol and below -tol, and a strict best reply would
+    mean nothing.
+    """
+    raw = os.environ.get("BCI_TIE_TOL")
+    if not raw:
+        return DEFAULT_TIE_TOL
+    try:
+        tol = float(raw)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ModelError(f"BCI_TIE_TOL must be a finite number >= 0, got {raw!r}")
+    return tol
 
 
 def ladder_rungs() -> np.ndarray:
@@ -103,6 +125,10 @@ class CompiledScenario:
     mass_map: np.ndarray
     adjust: np.ndarray  # (D, S) block-diagonal w_d * agg_c
     missing: np.ndarray  # (D, S) block-diagonal agg_c where w_d > 0
+    # the two settings, each read once on first use: a call that never
+    # decides a best reply or walks the ladder never reads a bad one
+    tie_tol = cached_property(lambda self: tie_tolerance())
+    rungs = cached_property(lambda self: ladder_rungs())
 
 
 def _ravel_cells(cards: tuple[int, ...], coords: np.ndarray) -> np.ndarray:
@@ -358,19 +384,20 @@ def profile_effects(cs: CompiledScenario, flats: list[np.ndarray]):
     return list(zip(split_cells(cs, delta), split_cells(cs, defined)))
 
 
-def best_replies(cs: CompiledScenario, stacked: np.ndarray, tie_tol: float):
+def best_replies(cs: CompiledScenario, stacked: np.ndarray):
     """The best-reply rule for a batch of stacked profiles (batch..., 2, S).
 
     Returns (delta, defined, scores, code): the perceived effect and its
     definedness, shaped (batch..., S); the score of a=1 over a=0,
     ``score_base + effect_weight * delta``, and the strict best-reply code,
     both shaped (batch..., 2 tastes, S).  The code is 1 or 0 where that
-    action is the strict best reply, and -1 at a tie within ``tie_tol``, on
+    action is the strict best reply, and -1 at a tie within ``cs.tie_tol``, on
     an inactive cell, or where the effect is undefined.
     """
     delta, defined = _stacked_effects(cs, stacked)
     scores = cs.score_base.reshape((2, 1)) + cs.effect_weight * delta[..., None, :]
-    code = np.where(scores > tie_tol, 1, np.where(scores < -tie_tol, 0, -1)).astype(np.int8)
+    tol = cs.tie_tol
+    code = np.where(scores > tol, 1, np.where(scores < -tol, 0, -1)).astype(np.int8)
     code = np.where(cs.active & defined[..., None, :], code, np.int8(-1))
     return delta, defined, scores, code
 
@@ -383,12 +410,7 @@ def offside(stacked: np.ndarray, code: np.ndarray, eps) -> tuple[np.ndarray, np.
     )
 
 
-def check_rungs(
-    cs: CompiledScenario,
-    trembled: np.ndarray,
-    eps: np.ndarray,
-    tie_tol: float,
-):
+def check_rungs(cs: CompiledScenario, trembled: np.ndarray, eps: np.ndarray):
     """Definition test for trembled profiles at matching noise thresholds.
 
     ``trembled`` is (R, batch..., 2, S); ``eps`` is (R,).  Returns
@@ -396,7 +418,7 @@ def check_rungs(
     played above the threshold is a best reply on every active, defined cell
     and no active cell is undefined.
     """
-    _, defined, scores, code = best_replies(cs, trembled, tie_tol)
+    _, defined, scores, code = best_replies(cs, trembled)
     bad1, bad0 = offside(trembled, code, eps.reshape(eps.shape + (1,) * (trembled.ndim - 1)))
     bad = bad1 | bad0
     undef = (cs.active & ~defined[..., None, :]).any(axis=(-2, -1))

@@ -25,36 +25,14 @@ output out per type and condition cell.
 
 from __future__ import annotations
 
-import math
-import os
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import _engine as eng
+from ._engine import tie_tolerance
 from .model import ModelError, Scenario, StrategyProfile
-
-DEFAULT_TIE_TOL = 1e-9
-
-
-def tie_tolerance() -> float:
-    """The indifference tolerance: BCI_TIE_TOL, else ``DEFAULT_TIE_TOL``.
-
-    The tolerance must be a finite number >= 0; under a negative one a score
-    could lie both above tol and below -tol, and a strict best reply would
-    mean nothing.
-    """
-    raw = os.environ.get("BCI_TIE_TOL")
-    if not raw:
-        return DEFAULT_TIE_TOL
-    try:
-        tol = float(raw)
-    except ValueError:
-        tol = math.nan
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ModelError(f"BCI_TIE_TOL must be a finite number >= 0, got {raw!r}")
-    return tol
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from . import _engine as eng
 from . import document as docmod
 from . import scenarios as builtins_mod
 from . import worstcase as wc
-from .causal import delta_table, tie_tolerance
+from .causal import delta_table
 from .equilibrium import (
     EquilibriumError,
     EquilibriumReport,
@@ -416,7 +416,7 @@ def _cmd_solve(args) -> int:
     scenario, _ = _resolve_scenario(args)
     cs = eng.compile_scenario(scenario)
     labels, starts = _dynamics_starts(cs, np.random.default_rng(args.seed), args.inits)
-    batch = _dynamics_batch(cs, starts, args.max_iters, tie_tolerance())
+    batch = _dynamics_batch(cs, starts, args.max_iters)
     runs = []
     equilibria = []
     seen: set[bytes] = set()
@@ -519,7 +519,7 @@ def _witness_payload(witness: wc.WitnessInstance) -> dict[str, Any]:
         "notes": witness.notes,
     }
     if witness.posterior_annotations:
-        payload["posterior_annotations"] = dict(witness.posterior_annotations)
+        payload["posterior_annotations"] = {a.label: a.value for a in witness.posterior_annotations}
     return payload
 
 
@@ -666,6 +666,9 @@ def _add_format_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
 
+# Built on the first call and reused: parsing leaves no state in the parser,
+# so every call starts from the declared defaults.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="bci", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

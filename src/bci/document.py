@@ -153,6 +153,7 @@ def _parse_raw(raw: Mapping[str, Any]) -> ScenarioDocument:
                 not isinstance(entry, dict)
                 or not isinstance(entry.get("name"), str)
                 or not isinstance(entry.get("cardinality"), int)
+                or isinstance(entry.get("cardinality"), bool)
             ):
                 problems.append(f"variables[{i}] must be {{name, cardinality}}")
             else:
@@ -238,8 +239,8 @@ def validate(doc: ScenarioDocument) -> list[str]:
     if len(set(names)) != len(names):
         problems.append("variable names must be distinct")
     for n, k in doc.variables:
-        if k < 2:
-            problems.append(f"variable {n!r} needs cardinality >= 2")
+        if k < 1:
+            problems.append(f"variable {n!r} needs cardinality >= 1")
     n_vars = len(doc.variables)
     n_cells = 2 * int(np.prod([k for _, k in doc.variables], dtype=np.int64)) if doc.variables else 2
     if len(doc.p_tx) != n_cells:
@@ -271,8 +272,8 @@ def validate(doc: ScenarioDocument) -> list[str]:
             problems.append(f"types[{i}]: C ⊄ D")
     if len(doc.lam) != len(doc.types):
         problems.append("lambda must have one weight per type")
-    if any(v <= 0 for v in doc.lam):
-        problems.append("lambda weights must be positive")
+    if any(v < 0 for v in doc.lam):
+        problems.append("lambda weights must be nonnegative")
     if doc.lam and abs(sum(doc.lam) - 1.0) > 1e-9:
         problems.append("lambda not on simplex")
     if not 0.0 < doc.c < 1.0:

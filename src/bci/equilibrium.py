@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _engine as eng
-from .causal import DeltaTable, delta_table, tie_tolerance
+from .causal import DeltaTable, delta_table
 from .model import (
     Scenario,
     StrategyProfile,
@@ -45,15 +45,12 @@ __all__ = [
     "certify_equilibrium",
     "best_response_dynamics",
     "enumerate_pure_equilibria",
-    "ladder_rungs",
 ]
 
 VERDICT_EPS = "epsilon_equilibrium"
 VERDICT_LIMIT = "equilibrium_limit"
 VERDICT_NOT = "not_equilibrium"
 VERDICT_UNDEFINED = "undefined_cells"
-
-ladder_rungs = eng.ladder_rungs
 
 
 class EquilibriumError(ValueError):
@@ -126,10 +123,7 @@ def _slot(cs: eng.CompiledScenario, flat: int) -> tuple[int, int, tuple[int, ...
 
 
 def _diagnose(
-    cs: eng.CompiledScenario,
-    stacked: np.ndarray,
-    eps: float,
-    tol: float,
+    cs: eng.CompiledScenario, stacked: np.ndarray, eps: float
 ) -> tuple[ViolationWitness | None, tuple[UndefinedCell, ...]]:
     """Worst violation and undefined-cell list for one stacked (trembled) profile.
 
@@ -137,7 +131,7 @@ def _diagnose(
     maximum of |score| over cells where an action is played above ``eps``
     against a strict best reply.
     """
-    delta, defined, scores, code = eng.best_replies(cs, stacked, tol)
+    delta, defined, scores, code = eng.best_replies(cs, stacked)
     bad1, bad0 = eng.offside(stacked, code, eps)
     bad = bad1 | bad0
     order = cs.type_major
@@ -165,9 +159,9 @@ def _profile_stats(scenario: Scenario, profile: StrategyProfile):
     )
 
 
-def _rung_passes(cs, stacked, sched, rungs, tol) -> np.ndarray:
+def _rung_passes(cs, stacked, sched, rungs) -> np.ndarray:
     """Per-rung passes (R, batch...) of stacked profiles trembled by a compiled schedule."""
-    return eng.check_rungs(cs, eng.apply_compiled_trembles(stacked, sched, rungs), rungs, tol)[0]
+    return eng.check_rungs(cs, eng.apply_compiled_trembles(stacked, sched, rungs), rungs)[0]
 
 
 def _reaches_floor(ok: np.ndarray) -> np.ndarray:
@@ -176,26 +170,17 @@ def _reaches_floor(ok: np.ndarray) -> np.ndarray:
     return eng.tail_lengths(ok) >= min(eng.DEFAULT_TAIL_MIN, len(ok))
 
 
-def _ladder(
-    scenario: Scenario,
-    profile: StrategyProfile,
-    schedule: TrembleSchedule,
-    rungs: np.ndarray,
-    tol: float,
-):
-    """The ladder core of both verifiers: the profile trembled at each rung,
-    each rung checked at its own noise level, and the deepest failing rung
-    diagnosed.
+def _ladder(cs, stacked, sched, rungs):
+    """The ladder core of both verifiers: the stacked (2, S) profile trembled
+    by the compiled schedule at each rung, each rung checked at its own noise
+    level, and the deepest failing rung diagnosed.
 
     Returns (trace, sup_gap, failed_at, witness, undefined); ``failed_at`` is
     the deepest failing rung's noise level, or None (and no diagnosis) when
     the ladder passes ``_reaches_floor``.
     """
-    cs = eng.compile_scenario(scenario)
-    stacked = eng.flatten_profile(cs, profile)
-    sched = eng.CompiledSchedule.from_schedule(schedule, cs.offsets)
     trembled = eng.apply_compiled_trembles(stacked, sched, rungs)
-    ok, undef, viol = eng.check_rungs(cs, trembled, rungs, tol)
+    ok, undef, viol = eng.check_rungs(cs, trembled, rungs)
     trace = tuple(
         LadderRung(float(e), bool(o), float(v), bool(u))
         for e, o, v, u in zip(rungs, ok, viol, undef)
@@ -205,7 +190,7 @@ def _ladder(
         return trace, sup_gap, None, None, ()
     deepest = int(np.nonzero(~ok)[0][-1])
     failed_at = float(rungs[deepest])
-    return (trace, sup_gap, failed_at) + _diagnose(cs, trembled[deepest], failed_at, tol)
+    return (trace, sup_gap, failed_at) + _diagnose(cs, trembled[deepest], failed_at)
 
 
 def verify_eps_equilibrium(
@@ -220,8 +205,10 @@ def verify_eps_equilibrium(
     """
     if not 0 < eps < 1:
         raise EquilibriumError("eps must lie in (0, 1)")
+    cs = eng.compile_scenario(scenario)
+    sched = eng.CompiledSchedule.from_schedule(TrembleSchedule.none(), cs.offsets)
     trace, _, failed_at, witness, undefined = _ladder(
-        scenario, profile, TrembleSchedule.none(), np.array([eps]), tie_tolerance()
+        cs, eng.flatten_profile(cs, profile), sched, np.array([eps])
     )
     loss, errp, tables = _profile_stats(scenario, profile)
     if undefined:
@@ -248,8 +235,10 @@ def verify_limit(
     there.
     """
     schedule = schedule if schedule is not None else TrembleSchedule.none()
+    cs = eng.compile_scenario(scenario)
+    sched = eng.CompiledSchedule.from_schedule(schedule, cs.offsets)
     trace, sup_gap, failed_at, witness, undefined = _ladder(
-        scenario, profile, schedule, eng.ladder_rungs(), tie_tolerance()
+        cs, eng.flatten_profile(cs, profile), sched, cs.rungs
     )
     loss, errp, tables = _profile_stats(scenario, profile)
     if failed_at is None:
@@ -287,12 +276,10 @@ def certify_equilibrium(scenario: Scenario, profile: StrategyProfile) -> Equilib
     """
     cs = eng.compile_scenario(scenario)
     stacked = eng.flatten_profile(cs, profile)
-    rungs = eng.ladder_rungs()
-    tol = tie_tolerance()
     best, most = None, -1
     for make in _TRY_LIST:
         sched = make(cs, stacked)
-        ok = _rung_passes(cs, stacked, sched, rungs, tol)
+        ok = _rung_passes(cs, stacked, sched, cs.rungs)
         if _reaches_floor(ok):
             best = sched
             break
@@ -307,12 +294,7 @@ def certify_equilibrium(scenario: Scenario, profile: StrategyProfile) -> Equilib
 DAMPING = 0.5
 
 
-def _dynamics_batch(
-    cs: eng.CompiledScenario,
-    stacked: np.ndarray,
-    max_iters: int,
-    tol: float,
-):
+def _dynamics_batch(cs: eng.CompiledScenario, stacked: np.ndarray, max_iters: int):
     """Damped best-reply iteration on a batch of stacked profiles (batch, 2, S).
 
     Per-cell steps start at ``DAMPING`` and halve whenever that cell's strict
@@ -333,7 +315,7 @@ def _dynamics_batch(
     iters = np.zeros(n_init, dtype=int)
 
     def best_reply_targets(st):
-        code = eng.best_replies(cs, eng.flip_floor(st), tol)[3]
+        code = eng.best_replies(cs, eng.flip_floor(st))[3]
         return code, np.where(code < 0, st, code.astype(np.float64))
 
     for it in range(max_iters):
@@ -407,7 +389,7 @@ def best_response_dynamics(
     """
     cs = eng.compile_scenario(scenario)
     stacked = eng.flatten_profile(cs, init)[None]
-    batch = _dynamics_batch(cs, stacked, max_iters, tie_tolerance())
+    batch = _dynamics_batch(cs, stacked, max_iters)
     return _dynamics_results(scenario, cs, batch)[0]
 
 
@@ -436,8 +418,7 @@ def enumerate_pure_equilibria(scenario: Scenario) -> list[tuple[StrategyProfile,
     if n_slots.bit_length() > 63 or 2**n_slots > ENUMERATION_CAP:
         raise EquilibriumError(f"instance-too-large: 2^{n_slots} pure profiles exceed the cap")
     n_profiles = 1 << n_slots
-    floor = eng.ladder_rungs()[-1:]
-    tol = tie_tolerance()
+    floor = cs.rungs[-1:]
 
     results: list[tuple[StrategyProfile, EquilibriumReport]] = []
     for start in range(0, n_profiles, _CHUNK):
@@ -451,7 +432,7 @@ def enumerate_pure_equilibria(scenario: Scenario) -> list[tuple[StrategyProfile,
         todo = np.arange(len(idx))
         for make in _TRY_LIST:
             rest = batch[todo]
-            ok = _rung_passes(cs, rest, make(cs, rest), floor, tol)[0]
+            ok = _rung_passes(cs, rest, make(cs, rest), floor)[0]
             passing[todo[ok]] = True
             todo = todo[~ok]
             if not todo.size:

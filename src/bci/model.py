@@ -154,9 +154,6 @@ class Scenario:
     def c_names(self, i: int) -> tuple[str, ...]:
         return tuple(self.x_names[k] for k in self.c_axes(i))
 
-    def d_names(self, i: int) -> tuple[str, ...]:
-        return tuple(self.x_names[k] for k in self.d_axes(i))
-
     def sigma_shape(self, i: int) -> tuple[int, ...]:
         """Shape of type i's strategy array: taste axis then its C covariates."""
         return (2,) + tuple(self.x_cards[k] for k in self.c_axes(i))

@@ -72,16 +72,6 @@ class LayerPartition:
 
     layers: tuple[tuple[int, ...], ...]
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.layers)
-
-    def layer_of(self, i: int) -> int:
-        for idx, layer in enumerate(self.layers):
-            if i in layer:
-                return idx
-        raise OrderError(f"type {i} not covered by partition")
-
 
 def build_relation(types: Sequence[DataTypeSpec]) -> DominanceRelation:
     """iPj iff type i's data set contains type j's conditioning set."""

@@ -251,11 +251,10 @@ def prop4(
     return scenario
 
 
-def prop4_profile(scenario: Scenario, at_hash: float = 0.0) -> StrategyProfile:
-    """Play a=1 at covariate value 1, a=0 at 0, and ``at_hash`` at #."""
+def prop4_profile(scenario: Scenario) -> StrategyProfile:
+    """Play a=1 at covariate value 1 and a=0 at 0 and at #."""
     sig = np.zeros((2, 3))
     sig[:, 1] = 1.0
-    sig[:, 2] = at_hash
     return StrategyProfile((sig.copy(), sig.copy()))
 
 

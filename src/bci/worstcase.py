@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _engine as eng
-from .causal import delta, tie_tolerance
+from .causal import delta
 from .equilibrium import (
     EquilibriumReport,
     _dynamics_batch,
@@ -43,6 +43,7 @@ from .model import (
     TrembleSpec,
     apply_trembles,
     error_probability,
+    induced_joint,
     welfare_loss,
 )
 from .ordering import build_relation, is_complete, is_quasitransitive
@@ -59,6 +60,7 @@ from .scenarios import (
 __all__ = [
     "WorstCaseError",
     "DeltaAnnotation",
+    "PosteriorAnnotation",
     "WitnessInstance",
     "SearchConfig",
     "SearchRecord",
@@ -97,6 +99,21 @@ class DeltaAnnotation:
 
 
 @dataclass(frozen=True)
+class PosteriorAnnotation:
+    """A closed-form taste posterior p(t=1 | a=action, covariate=level) at the
+    limit profile."""
+
+    action: int
+    covariate: str
+    level: int
+    value: float
+
+    @property
+    def label(self) -> str:
+        return f"p(t=1 | a={self.action}, {self.covariate}={self.level})"
+
+
+@dataclass(frozen=True)
 class WitnessInstance:
     """A scenario/profile pair with externally checkable loss claims."""
 
@@ -107,7 +124,7 @@ class WitnessInstance:
     claimed_loss: float
     claimed_error_probability: float
     delta_annotations: tuple[DeltaAnnotation, ...] = ()
-    posterior_annotations: tuple[tuple[str, float], ...] = ()
+    posterior_annotations: tuple[PosteriorAnnotation, ...] = ()
     eps: float | None = None
     eps_profile: StrategyProfile | None = None
     notes: str = ""
@@ -124,7 +141,8 @@ def reverify(witness: WitnessInstance) -> EquilibriumReport:
 
 
 def check_annotations(witness: WitnessInstance) -> float:
-    """Max |closed form - computed| over the witness's effect annotations."""
+    """Max |closed form - computed| over the witness's effect and posterior
+    annotations; posteriors are recomputed from the induced joint."""
     worst = 0.0
     for ann in witness.delta_annotations:
         prof = witness.eps_profile if ann.trembled else witness.profile
@@ -136,6 +154,12 @@ def check_annotations(witness: WitnessInstance) -> float:
                 f"annotated effect undefined at type {ann.type_index}, cell {ann.cell}"
             )
         worst = max(worst, abs(got - ann.value))
+    for post in witness.posterior_annotations:
+        joint = induced_joint(witness.scenario, witness.profile)
+        at = joint.marginalize(("t", post.covariate, "a")).probs[:, post.level, post.action]
+        if not at.sum() > 0:
+            raise WorstCaseError(f"annotated posterior {post.label} conditions on a null event")
+        worst = max(worst, abs(at[1] / at.sum() - post.value))
     return worst
 
 
@@ -236,9 +260,7 @@ def witness_incomplete_hetero(
         DeltaAnnotation(0, (2,), 0.0, trembled=True),
         DeltaAnnotation(1, (2,), 0.0, trembled=True),
     )
-    posteriors = (
-        ("p(t=1 | a=1, x1=1)", beta / (beta + lambdas[0] * beta**2)),
-    )
+    posteriors = (PosteriorAnnotation(1, "x1", 1, beta / (beta + lambdas[0] * beta**2)),)
     errprob = gamma - beta - beta**2
     return WitnessInstance(
         scenario=scenario,
@@ -508,7 +530,7 @@ def verified_equilibria(
             found[eng.profile_key(eng.flatten_profile(cs, prof))] = (prof, rep)
 
     _, starts = _dynamics_starts(cs, rng, inner_inits)
-    out, converged, _, _ = _dynamics_batch(cs, starts, _MAX_ITERS, tie_tolerance())
+    out, converged, _, _ = _dynamics_batch(cs, starts, _MAX_ITERS)
     for b in np.nonzero(converged)[0]:
         key = eng.profile_key(out[b])
         if key in found:

@@ -122,7 +122,7 @@ def test_scalar_scores_equal_the_engine_scores(rng):
             outcome_kind="consequential", beta=float(rng.uniform(0.05, 0.95)),
         )
         cs = eng.compile_scenario(s)
-        _, _, scores, _ = eng.best_replies(cs, eng.flatten_profile(cs, prof), 1e-9)
+        _, _, scores, _ = eng.best_replies(cs, eng.flatten_profile(cs, prof))
         for i, tab in enumerate(delta_table(s, prof)):
             for cell in np.ndindex(tab.defined.shape):
                 if not tab.defined[cell]:

@@ -311,6 +311,26 @@ def test_exit_code_bad_tolerance_setting(monkeypatch, capsys, var, value):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "var, value", [("BCI_TIE_TOL", "-0.5"), ("BCI_LADDER_FLOOR", "abc")]
+)
+def test_delta_reads_no_tolerance_setting(monkeypatch, capsys, var, value):
+    # perceived effects decide no best reply and walk no ladder
+    expected = run_cli(capsys, "delta", "-b", "pandemic", "--format", "json")
+    monkeypatch.setenv(var, value)
+    assert run_cli(capsys, "delta", "-b", "pandemic", "--format", "json") == expected
+    assert expected[0] == 0
+
+
+def test_flags_do_not_carry_over_between_calls(capsys):
+    # the parser is built once per process; each call starts from the defaults
+    default = run_cli(capsys, "verify", "-b", "pandemic", "--format", "json")
+    moved = run_cli(capsys, "verify", "-b", "pandemic", "--q", "0.7", "--format", "json")
+    assert moved != default
+    assert run_cli(capsys, "verify", "-b", "pandemic", "--format", "json") == default
+    assert default[0] == 0
+
+
 @pytest.mark.parametrize("types", ["[{C:['a'],D:[1]}]", "[{C:1,D:[1]}]", "[{C:[1.7],D:[1]}]"])
 def test_exit_code_bad_order_types(capsys, types):
     code, out, err = run_cli(capsys, "order", "--types", types)

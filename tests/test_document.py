@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -24,6 +25,7 @@ from bci.document import (
     validate,
 )
 from bci.equilibrium import verify_eps_equilibrium
+from bci.model import DataTypeSpec, Scenario
 from bci.scenarios import (
     example_1_1_collider,
     example_1_1_confounder,
@@ -37,6 +39,19 @@ from bci.scenarios import (
     prop5,
 )
 
+def zero_weight_type():
+    # the model allows a type of weight 0
+    return dataclasses.replace(example_3_1(), lam=(1.0, 0.0))
+
+
+def unary_covariate():
+    # the model allows a covariate that takes one value
+    ptx = np.array([[[0.3, 0.2]], [[0.1, 0.4]]])
+    kernel = np.array([[[0.5, 0.9]], [[0.2, 0.7]]])
+    types = (DataTypeSpec(("x1",), ("x1", "x2")), DataTypeSpec(("x2",), ("x2",)))
+    return Scenario(("x1", "x2"), (1, 2), ptx, kernel, types, (0.4, 0.6), 0.5)
+
+
 ALL_BUILDERS = [
     example_1_1_confounder,
     example_1_1_collider,
@@ -48,6 +63,8 @@ ALL_BUILDERS = [
     prop4,
     prop5,
     pandemic,  # consequential branch of the outcome field
+    zero_weight_type,
+    unary_covariate,
 ]
 
 
@@ -122,12 +139,12 @@ def test_validate_reports_every_violation_at_once():
 
 def test_validate_structural_checks():
     raw = _valid_raw()
-    raw["variables"].append({"name": "x1", "cardinality": 1})
+    raw["variables"].append({"name": "x1", "cardinality": 0})
     raw["types"][1] = {"C": [2, 2], "D": [2, 5]}
     doc = loads(json.dumps(raw))
     problems = validate(doc)
     assert any("distinct" in p for p in problems)
-    assert any("cardinality >= 2" in p for p in problems)
+    assert any("cardinality >= 1" in p for p in problems)
     assert any("out of range" in p for p in problems)
     assert any("repeated indices" in p for p in problems)
 
@@ -169,6 +186,8 @@ def test_validate_outcome_fields():
         ),
         lambda raw: raw.__setitem__("variables", [{"name": 3, "cardinality": 2}]),
         lambda raw: raw.__setitem__("c", "cheap"),
+        # JSON true is not a cardinality, although Python's bool is an int
+        lambda raw: raw["variables"][0].__setitem__("cardinality", True),
     ],
 )
 def test_malformed_documents_raise_parse_error(mangle):

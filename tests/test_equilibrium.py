@@ -115,6 +115,16 @@ def test_tail_rule_rejects_transient_passes():
     assert report.verdict in ("not_equilibrium", "undefined_cells")
 
 
+def test_ladder_floor_is_read_on_every_call(monkeypatch):
+    # each verification compiles its scenario, and the compiled scenario
+    # reads BCI_LADDER_FLOOR afresh
+    s = example_3_1()
+    prof = example_3_1_profile(s)
+    assert len(verify_limit(s, prof).ladder_trace) == 17
+    monkeypatch.setenv("BCI_LADDER_FLOOR", "1e-3")
+    assert len(verify_limit(s, prof).ladder_trace) == 7
+
+
 def test_certification_is_first_passing_schedule_else_most_passing_rungs():
     # the definition, written out: a full report per try-list schedule; the
     # first passing one wins, else the one with the most passing rungs
@@ -293,10 +303,10 @@ def test_dynamics_batch_starts_are_independent():
     rng = np.random.default_rng(102)
     cs = eng.compile_scenario(random_scenario(cfg, rng))
     starts = np.concatenate([rng.random((15, 2, n)) for n in np.diff(cs.offsets)], axis=-1)
-    out, converged, cycled, iters = _dynamics_batch(cs, starts, 400, 1e-9)
+    out, converged, cycled, iters = _dynamics_batch(cs, starts, 400)
     assert len(set(iters.tolist())) > 2 and converged.any() and not converged.all()
     for b in range(15):
-        one, conv1, cyc1, iters1 = _dynamics_batch(cs, starts[b : b + 1], 400, 1e-9)
+        one, conv1, cyc1, iters1 = _dynamics_batch(cs, starts[b : b + 1], 400)
         assert (conv1[0], cyc1[0], iters1[0]) == (converged[b], cycled[b], iters[b]), b
         assert np.allclose(out[b], one[0], rtol=0.0, atol=1e-12), b
 

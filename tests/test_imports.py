@@ -4,6 +4,7 @@ benchmark traces still exists and returns what its counters read."""
 
 import ast
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -51,6 +52,36 @@ def test_package_imports_only_stdlib_numpy_and_itself():
 def test_engine_imports_no_module_built_on_it():
     assert "bci.model" in imported_modules(SRC / "_engine.py")
     assert not imported_modules(SRC / "_engine.py") & ABOVE_ENGINE
+
+
+def own_functions(module):
+    """Functions and methods (properties included) that ``module`` defines."""
+    for obj in vars(module).values():
+        obj = inspect.unwrap(obj) if callable(obj) else obj
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield obj
+        elif inspect.isclass(obj):
+            for attr in vars(obj).values():
+                for fn in (attr, getattr(attr, "__func__", None), getattr(attr, "func", None),
+                           getattr(attr, "fget", None)):
+                    if inspect.isfunction(fn):
+                        yield fn
+
+
+def test_no_function_takes_a_tolerance():
+    # the engine owns the tie band: ``CompiledScenario.tie_tol`` reads it once
+    # per compiled scenario, and nothing passes it around
+    checked = 0
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__main__":
+            continue
+        module = importlib.import_module("bci" if path.stem == "__init__" else f"bci.{path.stem}")
+        for fn in own_functions(module):
+            assert not {"tol", "tie_tol"} & set(inspect.signature(fn).parameters), fn
+            checked += 1
+    assert checked > 100
 
 
 def load_tracing():

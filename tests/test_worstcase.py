@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -61,13 +63,30 @@ def test_witness_hetero_posterior_recomputes_from_induced_joint():
     # p(t=1 | a=1, x1=1) = beta / (beta + lambda_1 beta^2), at the limit
     # profile and at the stored noisy one alike
     w = witness_incomplete_hetero()
-    (label, claimed), = w.posterior_annotations
-    assert label == "p(t=1 | a=1, x1=1)"
+    (post,) = w.posterior_annotations
+    assert post.label == "p(t=1 | a=1, x1=1)"
+    claimed = post.value
     assert claimed == pytest.approx(0.995024875621890, rel=1e-14)
     for prof in (w.profile, w.eps_profile):
         joint = induced_joint(w.scenario, prof).marginalize(("t", "x1", "a")).probs
         at = joint[:, 1, 1]  # (t, x1=1, a=1)
         assert at[1] / at.sum() == pytest.approx(claimed, rel=1e-12)
+
+
+def test_check_annotations_recomputes_posterior_claims():
+    w = witness_incomplete_hetero()
+    assert check_annotations(w) == 0.0  # the closed form is exact at the defaults
+    (post,) = w.posterior_annotations
+    wrong = dataclasses.replace(
+        w, posterior_annotations=(dataclasses.replace(post, value=post.value - 0.25),)
+    )
+    assert check_annotations(wrong) == pytest.approx(0.25, abs=1e-12)
+    null = dataclasses.replace(
+        w, posterior_annotations=(dataclasses.replace(post, covariate="x2", level=2),)
+    )
+    # a = 1 is never played at x2 = # in the limit profile
+    with pytest.raises(WorstCaseError, match="null event"):
+        check_annotations(null)
 
 
 def test_witness_full_loss_has_both_types_wrong():
