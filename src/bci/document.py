@@ -126,6 +126,15 @@ def document_from_scenario(scenario: Scenario) -> ScenarioDocument:
     )
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer: Python's bool is an int, but JSON true is not a number."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
 def _parse_raw(raw: Mapping[str, Any]) -> ScenarioDocument:
     problems: list[str] = []
 
@@ -135,11 +144,11 @@ def _parse_raw(raw: Mapping[str, Any]) -> ScenarioDocument:
             return None
         value = where[key]
         if kind is float:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
+            if not _is_number(value):
                 problems.append(f"field {key!r} must be a number")
                 return None
             return float(value)
-        if not isinstance(value, kind):
+        if not isinstance(value, kind) or isinstance(value, bool):
             problems.append(f"field {key!r} has the wrong type")
             return None
         return value
@@ -152,16 +161,13 @@ def _parse_raw(raw: Mapping[str, Any]) -> ScenarioDocument:
             if (
                 not isinstance(entry, dict)
                 or not isinstance(entry.get("name"), str)
-                or not isinstance(entry.get("cardinality"), int)
-                or isinstance(entry.get("cardinality"), bool)
+                or not _is_int(entry.get("cardinality"))
             ):
                 problems.append(f"variables[{i}] must be {{name, cardinality}}")
             else:
                 variables.append((entry["name"], entry["cardinality"]))
     p_tx = need("p_tx", list)
-    if p_tx is not None and not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in p_tx
-    ):
+    if p_tx is not None and not all(_is_number(v) for v in p_tx):
         problems.append("p_tx entries must be numbers")
         p_tx = None
     outcome = need("outcome", dict)
@@ -172,13 +178,14 @@ def _parse_raw(raw: Mapping[str, Any]) -> ScenarioDocument:
             kernel_key = "y_given_tx"
         elif kind == "consequential":
             kernel_key = "z_given_tx"
-            if not isinstance(outcome.get("beta"), (int, float)):
+            if not _is_number(outcome.get("beta")):
                 problems.append("consequential outcome needs a numeric beta")
         else:
             problems.append("outcome.kind must be 'baseline' or 'consequential'")
         if kernel_key is not None and not isinstance(outcome.get(kernel_key), list):
             problems.append(f"outcome.{kernel_key} must be a flat list")
-            kernel_key = None
+        elif kernel_key is not None and not all(_is_number(v) for v in outcome[kernel_key]):
+            problems.append(f"outcome.{kernel_key} entries must be numbers")
     types: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     raw_types = need("types", list)
     if raw_types is not None:
@@ -187,15 +194,13 @@ def _parse_raw(raw: Mapping[str, Any]) -> ScenarioDocument:
                 not isinstance(entry, dict)
                 or not isinstance(entry.get("C"), list)
                 or not isinstance(entry.get("D"), list)
-                or not all(isinstance(v, int) for v in entry["C"] + entry["D"])
+                or not all(_is_int(v) for v in entry["C"] + entry["D"])
             ):
                 problems.append(f"types[{i}] must be {{C: index list, D: index list}}")
             else:
                 types.append((tuple(entry["C"]), tuple(entry["D"])))
     lam = need("lambda", list)
-    if lam is not None and not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in lam
-    ):
+    if lam is not None and not all(_is_number(v) for v in lam):
         problems.append("lambda entries must be numbers")
         lam = None
     c = need("c", float)

@@ -180,7 +180,8 @@ def _ladder(cs, stacked, sched, rungs):
     the ladder passes ``_reaches_floor``.
     """
     trembled = eng.apply_compiled_trembles(stacked, sched, rungs)
-    ok, undef, viol = eng.check_rungs(cs, trembled, rungs)
+    ok, undef, bad, scores = eng.check_rungs(cs, trembled, rungs)
+    viol = np.where(bad, np.abs(scores), 0.0).max(axis=(-2, -1))
     trace = tuple(
         LadderRung(float(e), bool(o), float(v), bool(u))
         for e, o, v, u in zip(rungs, ok, viol, undef)
@@ -250,16 +251,19 @@ def verify_limit(
     )
 
 
-# The schedule try-list of ``certify_equilibrium`` and ``enumerate_pure_equilibria``
-# in the order tried: the first schedule whose ladder passes wins, else the one with
-# the most passing rungs.  Each entry compiles its schedule for a stacked profile batch.
-_TRY_LIST = (
-    lambda cs, batch: eng.CompiledSchedule.from_schedule(TrembleSchedule.none(), cs.offsets),
-    lambda cs, batch: eng.CompiledSchedule.from_schedule(
-        TrembleSchedule.uniform_flip(1.0), cs.offsets
-    ),
-    eng.taste_weighted_schedule,
-)
+def _try_list(cs: eng.CompiledScenario):
+    """The schedule try-list of ``certify_equilibrium`` and
+    ``enumerate_pure_equilibria`` in the order tried: the first schedule whose
+    ladder passes wins, else the one with the most passing rungs.  Each entry
+    maps a stacked profile batch to its compiled schedule.  No trembles and
+    uniform flip do not depend on the batch, so they compile once, here."""
+    none = eng.CompiledSchedule.from_schedule(TrembleSchedule.none(), cs.offsets)
+    flip = eng.CompiledSchedule.from_schedule(TrembleSchedule.uniform_flip(1.0), cs.offsets)
+    return (
+        lambda batch: none,
+        lambda batch: flip,
+        lambda batch: eng.taste_weighted_schedule(cs, batch),
+    )
 
 
 def certify_equilibrium(scenario: Scenario, profile: StrategyProfile) -> EquilibriumReport:
@@ -277,8 +281,8 @@ def certify_equilibrium(scenario: Scenario, profile: StrategyProfile) -> Equilib
     cs = eng.compile_scenario(scenario)
     stacked = eng.flatten_profile(cs, profile)
     best, most = None, -1
-    for make in _TRY_LIST:
-        sched = make(cs, stacked)
+    for make in _try_list(cs):
+        sched = make(stacked)
         ok = _rung_passes(cs, stacked, sched, cs.rungs)
         if _reaches_floor(ok):
             best = sched
@@ -396,7 +400,15 @@ def best_response_dynamics(
 # -- exhaustive pure-profile enumeration -------------------------------------
 
 ENUMERATION_CAP = 1 << 20
-_CHUNK = 1 << 12
+# Bound on the screen's largest per-chunk temporary, the moments array of
+# ``profile_beliefs``.  Chunks this small reuse the same few cache-sized
+# buffers chunk after chunk; larger ones fault each chunk's temporaries in
+# anew, and smaller ones pay numpy's per-call cost more often.  On a 2-core
+# x86 VM, a pass of the ``enumerate`` benchmark took under 200 page faults
+# with this bound (512 profiles per chunk on its 12-cell, 6-data-cell
+# scenarios); 1024-profile chunks took about 115k and ran 10-20 % slower, and
+# 256-profile chunks ran 20-35 % slower.
+_CHUNK_BYTES = 96 << 10
 
 
 def enumerate_pure_equilibria(scenario: Scenario) -> list[tuple[StrategyProfile, EquilibriumReport]]:
@@ -410,6 +422,11 @@ def enumerate_pure_equilibria(scenario: Scenario) -> list[tuple[StrategyProfile,
     always contains the floor rung, so the screen drops no profile that
     certification would pass, and every returned profile re-passes
     ``verify_limit`` independently.
+
+    The screen runs over chunks of consecutive indices, each as many profiles
+    as keep the moments array of ``profile_beliefs`` (two actions' data
+    moments per profile) within ``_CHUNK_BYTES``.  Returned profiles own their
+    arrays (``StrategyProfile`` copies them), so results do not pin chunks.
     """
     cs = eng.compile_scenario(scenario)
     order = cs.type_major
@@ -419,10 +436,12 @@ def enumerate_pure_equilibria(scenario: Scenario) -> list[tuple[StrategyProfile,
         raise EquilibriumError(f"instance-too-large: 2^{n_slots} pure profiles exceed the cap")
     n_profiles = 1 << n_slots
     floor = cs.rungs[-1:]
+    try_list = _try_list(cs)
+    chunk = max(1, _CHUNK_BYTES // (2 * cs.mass_map[0].nbytes))
 
     results: list[tuple[StrategyProfile, EquilibriumReport]] = []
-    for start in range(0, n_profiles, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, n_profiles), dtype=np.int64)
+    for start in range(0, n_profiles, chunk):
+        idx = np.arange(start, min(start + chunk, n_profiles), dtype=np.int64)
         batch = np.zeros((len(idx),) + cs.active.shape)
         batch[:, 1] = 1.0  # a = t on cells enumeration does not touch
         batch.reshape(len(idx), -1)[:, slots] = (idx[:, None] >> np.arange(n_slots)) & 1
@@ -430,9 +449,9 @@ def enumerate_pure_equilibria(scenario: Scenario) -> list[tuple[StrategyProfile,
         # each schedule of the try-list screens the profiles the earlier ones left
         passing = np.zeros(len(idx), dtype=bool)
         todo = np.arange(len(idx))
-        for make in _TRY_LIST:
+        for make in try_list:
             rest = batch[todo]
-            ok = _rung_passes(cs, rest, make(cs, rest), floor)[0]
+            ok = _rung_passes(cs, rest, make(rest), floor)[0]
             passing[todo[ok]] = True
             todo = todo[~ok]
             if not todo.size:

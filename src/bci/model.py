@@ -170,12 +170,17 @@ class Scenario:
 
 @dataclass(frozen=True)
 class StrategyProfile:
-    """One strategy per type: probability of a = 1 given (t, x_C)."""
+    """One strategy per type: probability of a = 1 given (t, x_C).
+
+    Each sigma is a copy the profile owns: a profile made from a view of an
+    engine batch does not keep the batch alive, and a caller that mutates
+    its array afterwards does not change the profile.
+    """
 
     sigmas: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        sigmas = tuple(np.asarray(s, dtype=np.float64) for s in self.sigmas)
+        sigmas = tuple(np.array(s, dtype=np.float64) for s in self.sigmas)
         for i, s in enumerate(sigmas):
             if np.any(s < 0) or np.any(s > 1):
                 raise ModelError(f"strategy {i} has entries outside [0, 1]")

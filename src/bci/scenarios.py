@@ -255,7 +255,7 @@ def prop4_profile(scenario: Scenario) -> StrategyProfile:
     """Play a=1 at covariate value 1 and a=0 at 0 and at #."""
     sig = np.zeros((2, 3))
     sig[:, 1] = 1.0
-    return StrategyProfile((sig.copy(), sig.copy()))
+    return StrategyProfile((sig, sig))
 
 
 def prop5(gamma: float = 0.5, eps: float = 0.001, c: float = 0.9) -> Scenario:
@@ -287,7 +287,7 @@ def prop5(gamma: float = 0.5, eps: float = 0.001, c: float = 0.9) -> Scenario:
 def prop5_profile(scenario: Scenario) -> StrategyProfile:
     """Both types play a = own covariate at either taste."""
     sig = np.array([[0.0, 1.0], [0.0, 1.0]])
-    return StrategyProfile((sig.copy(), sig.copy()))
+    return StrategyProfile((sig, sig))
 
 
 def matching_on_own_covariate(scenario: Scenario) -> StrategyProfile:

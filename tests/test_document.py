@@ -188,6 +188,15 @@ def test_validate_outcome_fields():
         lambda raw: raw.__setitem__("c", "cheap"),
         # JSON true is not a cardinality, although Python's bool is an int
         lambda raw: raw["variables"][0].__setitem__("cardinality", True),
+        # nor a type index, an outcome-kernel entry or a schema version
+        lambda raw: raw["types"][0].__setitem__("C", [True]),
+        lambda raw: raw.__setitem__("outcome", {
+            "kind": "consequential",
+            "z_given_tx": [True] + raw["outcome"]["y_given_tx"][1:],
+            "beta": 0.5,
+        }),
+        lambda raw: raw.__setitem__("schema_version", True),
+        lambda raw: raw["outcome"]["y_given_tx"].__setitem__(0, "a"),
     ],
 )
 def test_malformed_documents_raise_parse_error(mangle):

@@ -1,16 +1,19 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from bci import _engine as eng
+from bci import _engine as eng, equilibrium
 from bci.equilibrium import (
-    _TRY_LIST,
     ENUMERATION_CAP,
     EquilibriumError,
     UndefinedCell,
     _dynamics_batch,
+    _try_list,
     best_response_dynamics,
     certify_equilibrium,
     enumerate_pure_equilibria,
@@ -35,7 +38,7 @@ from bci.scenarios import (
     prop4,
     prop5,
 )
-from bci.worstcase import SearchConfig, random_scenario, witness_incomplete
+from bci.worstcase import SearchConfig, random_scenario, verified_equilibria, witness_incomplete
 
 from test_causal import random_small_scenario
 
@@ -143,7 +146,7 @@ def test_certification_is_first_passing_schedule_else_most_passing_rungs():
         for p in (rest, prof.rounded(), pure):
             stacked = eng.flatten_profile(cs, p)
             reports = [
-                verify_limit(s, p, make(cs, stacked).to_schedule(cs.offsets)) for make in _TRY_LIST
+                verify_limit(s, p, make(stacked).to_schedule(cs.offsets)) for make in _try_list(cs)
             ]
             passing = [r for r in reports if r.passed]
             passes = [np.array([r.passed for r in rep.ladder_trace]) for rep in reports]
@@ -239,20 +242,25 @@ def pure_profiles_in_index_order(s):
         yield StrategyProfile(tuple(sigmas))
 
 
+def enumeration_cases(n: int, lo: int, hi: int, seed: int) -> list[Scenario]:
+    """``prop4`` and ``random_small_scenario`` draws with ``lo``-``hi`` active taste cells."""
+    rng = np.random.default_rng(seed)
+    cases = [prop4()]
+    while len(cases) < n:
+        s, _ = random_small_scenario(rng)
+        if lo <= sum(int((s.taste_cell_mass(i) > 0).sum()) for i in range(s.n_types)) <= hi:
+            cases.append(s)
+    return cases
+
+
 def test_enumeration_returns_exactly_the_certified_pure_profiles():
     # the floor-rung screen must drop no profile that certification passes
     fields = (
         "verdict", "eps", "witness", "undefined_cells", "ladder_trace",
         "welfare_loss", "error_probability", "schedule", "sup_gap",
     )
-    rng = np.random.default_rng(8)
-    cases = [prop4()]
-    while len(cases) < 9:
-        s, _ = random_small_scenario(rng)
-        if 4 <= sum(int((s.taste_cell_mass(i) > 0).sum()) for i in range(s.n_types)) <= 8:
-            cases.append(s)
     found = 0
-    for s in cases:
+    for s in enumeration_cases(9, 4, 8, seed=8):
         expected = [
             (p, r) for p in pure_profiles_in_index_order(s)
             if (r := certify_equilibrium(s, p)).passed
@@ -265,6 +273,67 @@ def test_enumeration_returns_exactly_the_certified_pure_profiles():
                 assert getattr(got_r, f) == getattr(want_r, f), f
         found += len(got)
     assert found
+
+
+@pytest.mark.parametrize("budget", [1, 3000])
+def test_enumeration_does_not_depend_on_chunk_boundaries(monkeypatch, budget):
+    # budget 1 screens one profile per chunk; 3000 bytes makes chunks of
+    # 11 to 23 profiles, most scenarios ending in a short one
+    def run(cases):
+        return [
+            [
+                (tuple(sig.tobytes() for sig in p.sigmas), r.verdict, r.schedule, r.welfare_loss)
+                for p, r in enumerate_pure_equilibria(s)
+            ]
+            for s in cases
+        ]
+
+    cases = enumeration_cases(5, 6, 8, seed=1)
+    monkeypatch.setattr(equilibrium, "_CHUNK_BYTES", 1 << 40)
+    whole = run(cases)
+    monkeypatch.setattr(equilibrium, "_CHUNK_BYTES", budget)
+    assert run(cases) == whole
+    assert all(whole)
+
+
+def test_returned_profiles_own_their_arrays():
+    # a profile holding a view of an engine batch would keep the whole batch alive
+    s = prop4()
+    cs = eng.compile_scenario(s)
+    batch = np.full((4,) + cs.active.shape, 0.25)
+    profiles = [eng.unflatten_profile(cs, batch[2])]
+    profiles += [p for p, _ in enumerate_pure_equilibria(s)]
+    profiles.append(best_response_dynamics(s, StrategyProfile.matching(s)).profile)
+    profiles += [p for p, _ in verified_equilibria(s, np.random.default_rng(0))]
+    assert len(profiles) > 3
+    for p in profiles:
+        for sig in p.sigmas:
+            assert sig.flags.owndata
+            assert not np.shares_memory(sig, batch)
+
+    sig = np.zeros((2, 3))
+    profile = StrategyProfile((sig, sig))
+    sig[:] = 1.0
+    assert not np.shares_memory(profile.sigmas[0], profile.sigmas[1])
+    assert all((p == 0.0).all() for p in profile.sigmas)
+
+
+def test_enumeration_results_hold_no_screening_chunk():
+    # a 12-cell scenario: 4096 pure profiles, screened in chunks whose
+    # arrays must be freed once the call returns
+    s = random_scenario(SearchConfig(n_covariates=2, n_types=2), np.random.default_rng(0))
+    assert eng.compile_scenario(s).active.sum() == 12
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        results = enumerate_pure_equilibria(s)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert results
+    assert held / len(results) < 64 << 10
 
 
 def test_pandemic_taste_following_verdicts():
