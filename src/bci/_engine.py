@@ -140,6 +140,16 @@ class CompiledScenario:
     tie_tol = cached_property(lambda self: tie_tolerance())
     rungs = cached_property(lambda self: ladder_rungs())
 
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """(2, S) taste-cell mass on active cells, 0 elsewhere."""
+        return np.where(self.active, self.tcm, 0.0)
+
+    @cached_property
+    def total(self) -> np.ndarray:
+        """(2, n_types) active mass of each type's taste slice."""
+        return np.stack([w.sum(axis=-1) for w in split_cells(self, self.weights)], axis=-1)
+
 
 def _ravel_cells(cards: tuple[int, ...], coords: np.ndarray) -> np.ndarray:
     """Ravel rows of per-variable coordinates into flat cell indices."""
@@ -264,6 +274,23 @@ class CompiledSchedule:
     exponents: np.ndarray  # (..., 2, S), broadcastable to the profile batch
     codes: np.ndarray  # (2, S) ints
 
+    @cached_property
+    def targets(self) -> np.ndarray:
+        """(2, S) tremble targets of the codes that do not depend on the profile."""
+        return np.select(
+            [self.codes == _TARGET_ONE, self.codes == _TARGET_UNIFORM], [1.0, 0.5], 0.0
+        )
+
+    @cached_property
+    def flips(self) -> np.ndarray:
+        """(2, S) bool: cells that tremble toward the opposite pure action."""
+        return self.codes == _TARGET_FLIP
+
+    @cached_property
+    def still(self) -> np.ndarray:
+        """(2, S) bool: cells with no tremble rule."""
+        return self.codes == _TARGET_NONE
+
     @classmethod
     def from_schedule(cls, schedule: TrembleSchedule, offsets) -> "CompiledSchedule":
         """Compile for the stacked cell axis whose type blocks ``offsets`` bounds."""
@@ -305,13 +332,12 @@ def taste_weighted_schedule(cs: CompiledScenario, stacked: np.ndarray) -> Compil
     taste-matching side must tremble an order slower to keep the perceived
     effect alive.
     """
-    weights = np.where(cs.active, cs.tcm, 0.0)
-    played = stacked * weights
-    # per-block slice sums: a segmented reduction (np.add.reduceat) would
-    # round differently and move majorities that sit exactly at one half
-    blocks = list(zip(cs.offsets[:-1], cs.offsets[1:]))
-    total = np.stack([weights[:, a:b].sum(axis=-1) for a, b in blocks], axis=-1)
-    mass = np.stack([played[..., a:b].sum(axis=-1) for a, b in blocks], axis=-1)
+    played = stacked * cs.weights
+    # per-block slice sums, as for ``cs.total``: a segmented reduction
+    # (np.add.reduceat) would round differently and move majorities that sit
+    # exactly at one half
+    mass = np.stack([p.sum(axis=-1) for p in split_cells(cs, played)], axis=-1)
+    total = cs.total
     share = np.divide(mass, total, out=np.full(mass.shape, 0.5), where=total > 0)
     majority = share >= 0.5  # (..., 2, n_types) per-slice majority action
     exps = np.where(majority == (np.arange(2)[:, None] == 1), 2.0, 1.0)
@@ -330,18 +356,17 @@ def apply_compiled_trembles(
     axis: (R, batch..., 2, S).
     """
     eps = np.asarray(eps, dtype=np.float64)
-    code = sched.codes
-    tgt = np.where(code == _TARGET_ONE, 1.0, 0.0)
-    tgt = np.where(code == _TARGET_UNIFORM, 0.5, tgt)
-    tgt = np.where(code == _TARGET_FLIP, np.where(stacked >= 0.5, 0.0, 1.0), tgt)
+    tgt = np.where(sched.flips, np.where(stacked >= 0.5, 0.0, 1.0), sched.targets)
     m = np.minimum(eps.reshape(eps.shape + (1,) * stacked.ndim) ** sched.exponents, 1.0)
-    m = np.where(code != _TARGET_NONE, m, 0.0)
+    np.copyto(m, 0.0, where=sched.still)
     return (1.0 - m) * stacked + m * tgt
 
 
 def flip_floor(stacked: np.ndarray) -> np.ndarray:
     """Full-support copy: mix ``BR_FLOOR`` of the opposite pure action everywhere."""
-    return (1.0 - BR_FLOOR) * stacked + BR_FLOOR * np.where(stacked >= 0.5, 0.0, 1.0)
+    out = (1.0 - BR_FLOOR) * stacked
+    np.add(out, BR_FLOOR, out=out, where=stacked < 0.5)
+    return out
 
 
 # -- perceived effects and best replies ------------------------------------
@@ -381,7 +406,9 @@ def _stacked_effects(cs: CompiledScenario, stacked: np.ndarray):
     # the same as defined.all(axis=-2), which is several times slower on a
     # reduction axis of length 2
     both = defined[..., 0, :] & defined[..., 1, :]
-    return np.where(both, belief[..., 1, :] - belief[..., 0, :], 0.0), both
+    delta = np.zeros(both.shape)
+    np.copyto(delta, belief[..., 1, :] - belief[..., 0, :], where=both)
+    return delta, both
 
 
 def profile_effects(cs: CompiledScenario, flats: list[np.ndarray]):
@@ -408,8 +435,9 @@ def best_replies(cs: CompiledScenario, stacked: np.ndarray):
     delta, defined = _stacked_effects(cs, stacked)
     scores = cs.score_base.reshape((2, 1)) + cs.effect_weight * delta[..., None, :]
     tol = cs.tie_tol
-    code = np.where(scores > tol, 1, np.where(scores < -tol, 0, -1)).astype(np.int8)
-    code = np.where(cs.active & defined[..., None, :], code, np.int8(-1))
+    code = np.full(scores.shape, -1, dtype=np.int8)
+    strict = (np.abs(scores) > tol) & cs.active & defined[..., None, :]
+    np.copyto(code, scores > tol, where=strict)
     return delta, defined, scores, code
 
 

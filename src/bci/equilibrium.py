@@ -298,15 +298,31 @@ def certify_equilibrium(scenario: Scenario, profile: StrategyProfile) -> Equilib
 DAMPING = 0.5
 
 
+def _snap(state: np.ndarray, code: np.ndarray) -> np.ndarray:
+    """Strict-best-reply cells of ``state`` at their code, every other cell held."""
+    out = state.copy()
+    np.copyto(out, code, where=code >= 0)
+    return out
+
+
 def _dynamics_batch(cs: eng.CompiledScenario, stacked: np.ndarray, max_iters: int):
     """Damped best-reply iteration on a batch of stacked profiles (batch, 2, S).
 
     Per-cell steps start at ``DAMPING`` and halve whenever that cell's strict
     best reply flips, which settles oscillations onto interior mixing points;
     cells at (or within tolerance of) indifference hold their current value.
-    A start stops once its sup-norm change falls below ``CONVERGENCE_TOL``
-    or at ``max_iters``.  Steps never grow and every reversal halves one, so
-    no state repeats while anything moves: there are no cycles to detect.
+    Steps never grow and every reversal halves one, so no state repeats while
+    anything moves: there are no cycles to detect.
+
+    A start stops, as converged, in one of two ways.  Its sup-norm change
+    falls below ``CONVERGENCE_TOL``; or the profile its previous iteration
+    snapped to (strict cells at their best reply, every other cell held)
+    reproduces the best-reply codes it was built from.  Such a snapped
+    profile is a rest point of the damped update, and the start ends there.
+    The rest-point test rides the iteration's own ``best_replies`` call, for
+    the starts that are due: 1, 2, 4, 8, ... iterations after a start's last
+    failed test, so a start that runs to ``max_iters`` adds a few rows to
+    the calls, not one per iteration.
 
     Returns (state, converged, cycled, iters); ``cycled`` is all False and
     stays only because ``perfbench/tracing.py`` unpacks four values.
@@ -317,27 +333,42 @@ def _dynamics_batch(cs: eng.CompiledScenario, stacked: np.ndarray, max_iters: in
     prev = np.full(state.shape, -1, dtype=np.int8)
     done = np.zeros(n_init, dtype=bool)
     iters = np.zeros(n_init, dtype=int)
-
-    def best_reply_targets(st):
-        code = eng.best_replies(cs, eng.flip_floor(st))[3]
-        return code, np.where(code < 0, st, code.astype(np.float64))
+    # rest-point test: each start's last snapped profile and the codes it
+    # was built from, the iteration its next test is due, and the wait after
+    # that test if it fails
+    snapped = built = None
+    due = np.ones(n_init, dtype=int)
+    wait = np.full(n_init, 2)
 
     for it in range(max_iters):
-        code, target = best_reply_targets(state)
-        flipped = (prev >= 0) & (code >= 0) & (prev != code)
-        steps = np.where(flipped, steps * 0.5, steps)
-        prev = np.where(code >= 0, code, prev)
+        test = np.nonzero((due == it) & ~done)[0]
+        rows = np.concatenate([state, snapped[test]]) if test.size else state
+        code = eng.best_replies(cs, eng.flip_floor(rows))[3]
+        code, test_code = code[:n_init], code[n_init:]
+        target = _snap(state, code)
+        # codes are -1, 0 or 1: only two strict and different codes xor to 1
+        np.multiply(steps, 0.5, out=steps, where=(prev ^ code) == 1)
+        np.copyto(prev, code, where=code >= 0)
         upd = state + steps * (target - state)
-        upd = np.where(done[:, None, None], state, upd)
+        np.copyto(upd, state, where=done[:, None, None])
         max_change = np.abs(upd - state).max(axis=(1, 2))
-        state = upd
-        iters = np.where(~done, it + 1, iters)
+        if test.size:
+            rest = (test_code == built[test]).all(axis=(1, 2))
+            at_rest, failed = test[rest], test[~rest]
+            upd[at_rest] = snapped[at_rest]
+            max_change[at_rest] = 0.0
+            due[failed] = it + wait[failed]
+            wait[failed] *= 2
+        state, snapped, built = upd, target, code
+        iters[~done] = it + 1
         done |= max_change < eng.CONVERGENCE_TOL
         if done.all():
             break
 
-    # Snap strictly-best-reply cells of converged runs to the pure action.
-    state = np.where(done[:, None, None], best_reply_targets(state)[1], state)
+    # Snap strictly-best-reply cells of converged runs to the pure action;
+    # a rest point snaps to itself.
+    code = eng.best_replies(cs, eng.flip_floor(state))[3]
+    state = np.where(done[:, None, None], _snap(state, code), state)
     return state, done, np.zeros(n_init, dtype=bool), iters
 
 
@@ -387,9 +418,12 @@ def best_response_dynamics(
 ) -> DynamicsResult:
     """Iterate damped best replies from ``init`` and verify the rest point.
 
-    Dynamics stop on convergence (a sup-norm change below 1e-10) or at the
-    iteration cap, reported as ``max_iters``.  A converged profile is
-    certified against the schedule try-list.
+    Dynamics converge at a rest point (the profile the previous iteration
+    snapped to reproduces the best replies it was built from, tested 1, 2,
+    4, 8, ... iterations after the last failed test) or on a sup-norm change
+    below 1e-10; otherwise they stop at the iteration cap, reported as
+    ``max_iters``.  A converged profile is certified against the schedule
+    try-list.
     """
     cs = eng.compile_scenario(scenario)
     stacked = eng.flatten_profile(cs, init)[None]

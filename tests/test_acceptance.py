@@ -141,6 +141,7 @@ def test_criterion_03_no_covariate_example_dynamics_and_corner():
         assert abs(report.welfare_loss - 0.2) < 1e-12  # c (1 - gamma)
 
 
+@pytest.mark.slow
 def test_criterion_04_no_high_taste_means_no_loss():
     with criterion(4, "100 random ordered scenarios without high tastes: loss < 1e-6"):
         rng = np.random.default_rng(20240819)
@@ -178,6 +179,7 @@ def test_criterion_05_unordered_type_witnesses_reverify():
             assert check_annotations(witness) < 1e-10
 
 
+@pytest.mark.slow
 def test_criterion_06_ordered_search_respects_error_bound():
     with criterion(6, "ordered-family search: error probability <= gamma(1-gamma)"):
         for gamma in (0.3, 0.5, 0.7):

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 import oracles
 from bci import _engine as eng
 from bci.causal import delta_table
-from bci.model import ModelError, Scenario, StrategyProfile, TrembleSchedule, TrembleSpec
+from bci.model import (
+    DataTypeSpec,
+    ModelError,
+    Scenario,
+    StrategyProfile,
+    TrembleSchedule,
+    TrembleSpec,
+)
 from bci.scenarios import example_3_1, prop2_cycle, prop4
 
 from test_causal import random_small_scenario
@@ -111,6 +118,22 @@ def test_taste_weighted_schedule_orients_exponents():
     sched = eng.taste_weighted_schedule(cs, eng.flatten_profile(cs, StrategyProfile.matching(s)))
     assert sched.exponents.shape == (2, cs.offsets[-1])
     assert np.all((sched.exponents == 1.0) | (sched.exponents == 2.0))
+
+
+def test_taste_weighted_majority_at_exactly_one_half_plays_action_one():
+    # one type on one binary covariate, two active cells of equal mass in
+    # each taste slice, and one of the two plays a = 1
+    s = Scenario(
+        ("x1",), (2,), np.full((2, 2), 0.25), np.full((2, 2), 0.5),
+        (DataTypeSpec(("x1",), ("x1",)),), (1.0,), 0.5,
+    )
+    cs = eng.compile_scenario(s)
+    half = eng.flatten_profile(cs, StrategyProfile((np.array([[1.0, 0.0], [1.0, 0.0]]),)))
+    sched = eng.taste_weighted_schedule(cs, half)
+    # a share of 1/2 is a majority for a = 1: it matches taste 1 (second-order
+    # noise there) and not taste 0
+    assert sched.exponents.tolist() == [[1.0, 1.0], [2.0, 2.0]]
+    assert cs.total.tolist() == [[0.5], [0.5]]
 
 
 def test_flip_floor_gives_full_support():

@@ -268,6 +268,21 @@ def test_as_consequential_rescales_cost_and_tags_kind():
         as_consequential(s, 0.0)
 
 
+def test_consequential_loss_charges_beta_plus_c_for_waiting_at_taste_one():
+    # pandemic: beta = 1/2 > c = 0.3, so the rational rule acts at both
+    # tastes; every (t, x) cell here plays a = 0 with some probability
+    s = pandemic()
+    beta, c, lam = s.beta, s.c, s.lam
+    seeing = np.array([[0.2, 0.7], [0.4, 0.1]])  # sigma(t, x)
+    blind = np.array([0.3, 0.6])  # sigma(t)
+    acts = lam[0] * seeing + lam[1] * blind[:, None]  # p(a = 1 | t, x)
+    gap = np.array([[beta - c], [beta + c]])  # a = 0 at t = 0, at t = 1
+    expected = float((s.ptx * (1.0 - acts) * gap).sum())
+    assert (s.ptx[1] * (1.0 - acts[1])).sum() > 0.2  # real mass on (t = 1, a = 0)
+    loss = welfare_loss(s, StrategyProfile((seeing, blind)))
+    assert loss == pytest.approx(expected, abs=1e-12)
+
+
 @pytest.mark.parametrize("beta", [0.1, 0.4, 0.7])
 def test_conversion_scales_taste0_losses(beta):
     from bci.scenarios import example_4_1_interior_profile
