@@ -62,7 +62,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import ModelError, Scenario, StrategyProfile, TrembleSchedule, TrembleSpec
+from .model import ModelError, Scenario, StrategyProfile, TrembleSchedule
 
 LADDER_START = 0.1
 LADDER_RATIO = 0.5
@@ -257,68 +257,34 @@ def split_cells(cs: CompiledScenario, stacked: np.ndarray) -> list[np.ndarray]:
 
 # -- trembles ---------------------------------------------------------------
 
-_TARGET_NONE = -1
-_TARGET_ZERO = 0
-_TARGET_ONE = 1
-_TARGET_FLIP = 2
-_TARGET_UNIFORM = 3
-
-_CODE_OF_DIRECTION = {0: _TARGET_ZERO, 1: _TARGET_ONE, "flip": _TARGET_FLIP, "uniform": _TARGET_UNIFORM}
-_DIRECTION_OF_CODE = {code: direction for direction, code in _CODE_OF_DIRECTION.items()}
-
 
 @dataclass
 class CompiledSchedule:
-    """Tremble rules on the stacked layout: an exponent and a target code per (taste, cell)."""
+    """Flip exponents on the stacked layout, per (taste, cell)."""
 
     exponents: np.ndarray  # (..., 2, S), broadcastable to the profile batch
-    codes: np.ndarray  # (2, S) ints
-
-    @cached_property
-    def targets(self) -> np.ndarray:
-        """(2, S) tremble targets of the codes that do not depend on the profile."""
-        return np.select(
-            [self.codes == _TARGET_ONE, self.codes == _TARGET_UNIFORM], [1.0, 0.5], 0.0
-        )
-
-    @cached_property
-    def flips(self) -> np.ndarray:
-        """(2, S) bool: cells that tremble toward the opposite pure action."""
-        return self.codes == _TARGET_FLIP
-
-    @cached_property
-    def still(self) -> np.ndarray:
-        """(2, S) bool: cells with no tremble rule."""
-        return self.codes == _TARGET_NONE
+    still: np.ndarray  # (2, S) bool: cells with no tremble rule
 
     @classmethod
     def from_schedule(cls, schedule: TrembleSchedule, offsets) -> "CompiledSchedule":
         """Compile for the stacked cell axis whose type blocks ``offsets`` bounds."""
-        specs = [
-            [schedule.spec_for(i, taste) for i in range(len(offsets) - 1)] for taste in (0, 1)
-        ]
-        sizes = np.diff(offsets)
-        exps = [[1.0 if sp is None else sp.exponent for sp in row] for row in specs]
-        codes = [
-            [_TARGET_NONE if sp is None else _CODE_OF_DIRECTION[sp.direction] for sp in row]
-            for row in specs
-        ]
-        return cls(
-            np.repeat(np.array(exps, dtype=np.float64), sizes, axis=-1),
-            np.repeat(np.array(codes), sizes, axis=-1),
+        # nan (from None) marks a slice without a rule: no exponent is nan
+        rules = np.array(
+            [[schedule.exponent_for(i, taste) for i in range(len(offsets) - 1)] for taste in (0, 1)],
+            dtype=np.float64,
         )
+        rules = np.repeat(rules, np.diff(offsets), axis=-1)
+        still = np.isnan(rules)
+        return cls(np.where(still, 1.0, rules), still)
 
     def to_schedule(self, offsets) -> TrembleSchedule:
         """The per-(type, taste) rules of a schedule compiled for one profile."""
         return TrembleSchedule.of(
             {
-                (i, taste): TrembleSpec(
-                    float(self.exponents[taste, first]),
-                    _DIRECTION_OF_CODE[int(self.codes[taste, first])],
-                )
+                (i, taste): float(self.exponents[taste, first])
                 for i, first in enumerate(offsets[:-1])
                 for taste in (0, 1)
-                if self.codes[taste, first] != _TARGET_NONE
+                if not self.still[taste, first]
             }
         )
 
@@ -343,7 +309,7 @@ def taste_weighted_schedule(cs: CompiledScenario, stacked: np.ndarray) -> Compil
     exps = np.where(majority == (np.arange(2)[:, None] == 1), 2.0, 1.0)
     return CompiledSchedule(
         np.repeat(exps, np.diff(cs.offsets), axis=-1),
-        np.full(cs.active.shape, _TARGET_FLIP),
+        np.zeros(cs.active.shape, dtype=bool),
     )
 
 
@@ -356,7 +322,7 @@ def apply_compiled_trembles(
     axis: (R, batch..., 2, S).
     """
     eps = np.asarray(eps, dtype=np.float64)
-    tgt = np.where(sched.flips, np.where(stacked >= 0.5, 0.0, 1.0), sched.targets)
+    tgt = np.where(stacked >= 0.5, 0.0, 1.0)
     m = np.minimum(eps.reshape(eps.shape + (1,) * stacked.ndim) ** sched.exponents, 1.0)
     np.copyto(m, 0.0, where=sched.still)
     return (1.0 - m) * stacked + m * tgt

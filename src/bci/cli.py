@@ -411,6 +411,8 @@ def _cmd_verify(args) -> int:
 def _cmd_solve(args) -> int:
     if args.inits < 0:
         raise CliError("--inits must be nonnegative", 3)
+    if args.seed < 0:
+        raise CliError("--seed must be nonnegative", 3)
     if args.max_iters < 1:
         raise CliError("--max-iters must be at least 1", 3)
     scenario, _ = _resolve_scenario(args)

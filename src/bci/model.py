@@ -230,35 +230,25 @@ class StrategyProfile:
 
 
 @dataclass(frozen=True)
-class TrembleSpec:
-    """One perturbation rule: mix toward ``direction`` with weight eps**exponent.
+class TrembleSchedule:
+    """Per-(type, taste) flip exponents defining a profile sequence.
 
-    ``direction`` is an action (0 or 1), ``"flip"`` (toward whichever action
-    the unperturbed strategy plays with probability < 1/2), or ``"uniform"``
-    (toward the 50/50 mix).
+    At noise level eps a slice with exponent k mixes weight eps**k of the
+    action it plays with probability < 1/2 into its strategy.
+    ``apply_trembles`` perturbs each strategy slice that has an exponent;
+    slices without one are left exact.  The empty schedule therefore yields
+    the constant sequence, and eps = 0 is always the identity.
     """
 
-    exponent: float = 1.0
-    direction: int | str = "flip"
+    entries: tuple[tuple[tuple[int, int], float], ...] = ()
+    default: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.exponent > 0:
+        exponents = [k for _, k in self.entries]
+        if self.default is not None:
+            exponents.append(self.default)
+        if not all(k > 0 for k in exponents):
             raise ModelError("tremble exponent must be positive")
-        if self.direction not in (0, 1, "flip", "uniform"):
-            raise ModelError(f"unknown tremble direction {self.direction!r}")
-
-
-@dataclass(frozen=True)
-class TrembleSchedule:
-    """Per-(type, taste) perturbation rules defining a profile sequence.
-
-    ``apply_trembles`` perturbs each strategy slice that has a rule; slices
-    without one are left exact.  The empty schedule therefore yields the
-    constant sequence, and eps = 0 is always the identity.
-    """
-
-    entries: tuple[tuple[tuple[int, int], TrembleSpec], ...] = ()
-    default: TrembleSpec | None = None
 
     @classmethod
     def none(cls) -> "TrembleSchedule":
@@ -266,20 +256,20 @@ class TrembleSchedule:
 
     @classmethod
     def uniform_flip(cls, exponent: float = 1.0) -> "TrembleSchedule":
-        return cls(default=TrembleSpec(exponent, "flip"))
+        return cls(default=exponent)
 
     @classmethod
-    def of(cls, rules: Mapping[tuple[int, int], TrembleSpec], default: TrembleSpec | None = None) -> "TrembleSchedule":
+    def of(cls, rules: Mapping[tuple[int, int], float], default: float | None = None) -> "TrembleSchedule":
         return cls(tuple(sorted(rules.items())), default)
 
     @property
     def is_empty(self) -> bool:
         return not self.entries and self.default is None
 
-    def spec_for(self, type_index: int, taste: int) -> TrembleSpec | None:
-        for key, spec in self.entries:
+    def exponent_for(self, type_index: int, taste: int) -> float | None:
+        for key, exponent in self.entries:
             if key == (type_index, taste):
-                return spec
+                return exponent
         return self.default
 
 

@@ -40,7 +40,6 @@ from .model import (
     Scenario,
     StrategyProfile,
     TrembleSchedule,
-    TrembleSpec,
     apply_trembles,
     error_probability,
     induced_joint,
@@ -249,11 +248,7 @@ def witness_incomplete_hetero(
     """
     scenario = prop4(gamma, beta, lambdas, c)
     profile = prop4_profile(scenario)
-    rules = {
-        (i, taste): TrembleSpec(1.0 if taste == 0 else 6.0, "flip")
-        for i in range(2)
-        for taste in (0, 1)
-    }
+    rules = {(i, taste): 1.0 if taste == 0 else 6.0 for i in range(2) for taste in (0, 1)}
     schedule = TrembleSchedule.of(rules)
     eps_profile = apply_trembles(profile, schedule, eps)
     anns = (
@@ -317,10 +312,12 @@ _P_STRUCTURES = ("complete_qt", "incomplete", "free")
 _METRICS = ("welfare_loss", "error_probability")
 
 # Per-scenario budgets: dynamics iteration cap, the pure-profile count up to
-# which equilibria are also enumerated, and the probes per refinement round.
+# which equilibria are also enumerated, the probes per refinement round, and
+# the most stacked condition cells a family may draw.
 _MAX_ITERS = 400
 _ENUMERATION_LIMIT = 1 << 12
 _REFINE_PROBES = 6
+_MAX_CELLS = 1 << 10
 
 # Slack for roundoff when a found value is compared against a ceiling.
 BOUND_TOL = 1e-9
@@ -364,6 +361,10 @@ class SearchConfig:
             raise WorstCaseError("c must lie in (0, 1)")
         if self.n_covariates < 1 or self.n_types < 1:
             raise WorstCaseError("need at least one covariate and one type")
+        # a draw stacks at most n_types * 2**n_covariates condition cells S,
+        # and its (2S x 2D) float64 mass_map is 32 MiB at S = D = _MAX_CELLS
+        if self.n_covariates > 10 or self.n_types << self.n_covariates > _MAX_CELLS:
+            raise WorstCaseError(f"n_types * 2**n_covariates must not exceed {_MAX_CELLS}")
         if self.p_structure == "incomplete" and (self.n_covariates < 2 or self.n_types != 2):
             raise WorstCaseError(
                 "an incomplete structure needs exactly two types on disjoint covariates"
@@ -374,6 +375,8 @@ class SearchConfig:
             )
         if self.restarts < 1:
             raise WorstCaseError("restarts must be positive")
+        if self.seed < 0:
+            raise WorstCaseError("seed must be nonnegative")
         if not 0.0 < self.param_scale < np.inf:
             raise WorstCaseError("param_scale must be positive and finite")
         if self.refine_top < 0 or self.refine_rounds < 0:

@@ -29,7 +29,6 @@ from bci.model import (
     Scenario,
     StrategyProfile,
     TrembleSchedule,
-    TrembleSpec,
     induced_joint,
     welfare_loss,
 )
@@ -128,12 +127,7 @@ def test_criterion_03_no_covariate_example_dynamics_and_corner():
         # above the cost threshold the all-act corner survives as a limit:
         # taste-0 mistakes vanish one order faster than taste-1 ones
         corner_scenario = example_4_1(gamma=0.6, c=0.5)
-        schedule = TrembleSchedule(
-            entries=(
-                ((0, 0), TrembleSpec(exponent=1.0, direction="flip")),
-                ((0, 1), TrembleSpec(exponent=2.0, direction="flip")),
-            )
-        )
+        schedule = TrembleSchedule(entries=(((0, 0), 1.0), ((0, 1), 2.0)))
         report = verify_limit(
             corner_scenario, example_4_1_corner_profile(corner_scenario), schedule
         )

@@ -366,6 +366,9 @@ def test_exit_code_solver_did_not_converge(capsys):
         (("solve", "-b", "example_3_1", "--max-iters", "-1", "--inits", "0"), 3, "--max-iters"),
         (("solve", "-b", "example_3_1", "--max-iters", "0", "--inits", "0"), 3, "--max-iters"),
         (("solve", "-b", "example_3_1", "--damping", "0.5"), 3, "--damping"),
+        (("solve", "-b", "example_3_1", "--seed", "-1"), 3, "--seed"),
+        (("worstcase", "search", "--seed", "-1", "--restarts", "2"), 1, "seed"),
+        (("worstcase", "search", "--covariates", "40", "--restarts", "1"), 1, "n_covariates"),
     ],
 )
 def test_exit_code_bad_numeric_option(capsys, argv, code, message):

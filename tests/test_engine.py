@@ -14,7 +14,7 @@ from bci.model import (
     Scenario,
     StrategyProfile,
     TrembleSchedule,
-    TrembleSpec,
+    apply_trembles,
 )
 from bci.scenarios import example_3_1, prop2_cycle, prop4
 
@@ -58,27 +58,30 @@ def test_profile_effects_match_delta_table(rng):
 
 
 def test_compiled_trembles_match_object_level():
+    # type 0 owns stacked cells 0-2, type 1 cell 3
+    offsets = (0, 3, 4)
+    stacked = np.array([[0.0, 1.0, 0.4, 1.0], [0.0, 1.0, 0.4, 0.2]])
+    prof = StrategyProfile((stacked[:, :3], stacked[:, 3:]))
     # entries for three (type, taste) slices override the default, which
     # only type 1's taste 1 falls back to
-    sched = TrembleSchedule.of(
-        {
-            (0, 0): TrembleSpec(2.0, "flip"),
-            (0, 1): TrembleSpec(1.0, 1),
-            (1, 0): TrembleSpec(1.0, 0),
-        },
-        default=TrembleSpec(1.0, "uniform"),
-    )
-    # type 0 owns stacked cells 0-2, type 1 cell 3
-    compiled = eng.CompiledSchedule.from_schedule(sched, (0, 3, 4))
-    stacked = np.array([[0.0, 1.0, 0.4, 1.0], [0.0, 1.0, 0.4, 0.2]])
-    out = eng.apply_compiled_trembles(stacked, compiled, np.array([0.1, 1.0]))
+    sched = TrembleSchedule.of({(0, 0): 2.0, (0, 1): 1.0, (1, 0): 3.0}, default=0.5)
+    compiled = eng.CompiledSchedule.from_schedule(sched, offsets)
+    out = eng.apply_compiled_trembles(stacked, compiled, np.array([0.01, 1.0]))
     assert out.shape == (2, 2, 4)
-    # eps = 0.1: flip at weight 0.01, toward 1, 0 and 1/2 at weight 0.1
-    assert np.allclose(out[0][:, :3], [[0.01, 0.99, 0.406], [0.1, 1.0, 0.46]], atol=1e-15)
-    assert np.allclose(out[0][:, 3:], [[0.9], [0.23]], atol=1e-15)
-    # eps = 1: every slice lands on its target
-    assert np.array_equal(out[1][:, :3], [[1.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
-    assert np.array_equal(out[1][:, 3:], [[0.0], [0.5]])
+    assert np.array_equal(out[0], np.concatenate(apply_trembles(prof, sched, 0.01).sigmas, axis=-1))
+    # eps = 0.01: each slice mixes in eps**exponent of its opposite action
+    want = [[1e-4, 1.0 - 1e-4, 0.40006, 1.0 - 1e-6], [0.01, 0.99, 0.406, 0.28]]
+    assert np.allclose(out[0], want, atol=1e-15)
+    # eps = 1: every slice lands on the opposite pure action
+    assert np.array_equal(out[1], [[1.0, 0.0, 1.0, 0.0], [1.0, 0.0, 1.0, 1.0]])
+    # slices without a rule are bit-unchanged, and the rules read back
+    partial = TrembleSchedule.of({(0, 0): 2.0, (1, 1): 1.0})
+    compiled = eng.CompiledSchedule.from_schedule(partial, offsets)
+    assert compiled.still.tolist() == [[False] * 3 + [True], [True] * 3 + [False]]
+    assert compiled.to_schedule(offsets) == partial
+    out = eng.apply_compiled_trembles(stacked, compiled, np.array([0.01, 1.0]))
+    assert np.array_equal(out[:, compiled.still], np.tile(stacked[compiled.still], (2, 1)))
+    assert np.array_equal(out[1][~compiled.still], 1.0 - stacked[~compiled.still].round())
 
 
 def test_rung_ladder_geometry():

@@ -22,7 +22,7 @@ from bci.equilibrium import (
     verify_limit,
 )
 from bci.causal import tie_tolerance
-from bci.model import DataTypeSpec, Scenario, StrategyProfile, TrembleSchedule, TrembleSpec
+from bci.model import DataTypeSpec, Scenario, StrategyProfile, TrembleSchedule
 from bci.scenarios import (
     example_1_1_collider,
     example_1_1_confounder,
@@ -100,11 +100,11 @@ def test_limit_certification_corner_needs_uneven_schedule():
     # the taste-0 pool must tremble harder (lower exponent) than the taste-1
     # pool for the a=0 observations to keep reading as taste-0 people, which
     # is what props the perceived effect above c; the opposite orientation fails
-    good = TrembleSchedule.of({(0, 0): TrembleSpec(1.0, "flip"), (0, 1): TrembleSpec(2.0, "flip")})
+    good = TrembleSchedule.of({(0, 0): 1.0, (0, 1): 2.0})
     report = verify_limit(s, corner, good)
     assert report.verdict == "equilibrium_limit"
     assert report.welfare_loss == pytest.approx(0.5 * (1 - 0.6), abs=1e-12)
-    flipped = TrembleSchedule.of({(0, 0): TrembleSpec(2.0, "flip"), (0, 1): TrembleSpec(1.0, "flip")})
+    flipped = TrembleSchedule.of({(0, 0): 2.0, (0, 1): 1.0})
     assert verify_limit(s, corner, flipped).verdict == "not_equilibrium"
     # the built-in certification search finds a working schedule on its own
     auto = certify_equilibrium(s, corner)
@@ -130,7 +130,7 @@ def test_tail_rule_rejects_transient_passes():
     s = prop2_incomplete()
     prof = witness_incomplete().profile
     # a schedule that trembles far too hard at small eps ruins the tail
-    bad = TrembleSchedule.of({(0, 0): TrembleSpec(0.05, "uniform"), (1, 0): TrembleSpec(0.05, "uniform")})
+    bad = TrembleSchedule.of({(0, 0): 0.05, (1, 0): 0.05})
     report = verify_limit(s, prof, bad)
     assert report.verdict in ("not_equilibrium", "undefined_cells")
 

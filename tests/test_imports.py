@@ -10,6 +10,7 @@ from pathlib import Path
 from time import perf_counter
 
 import numpy as np
+import pytest
 
 import bci.cli
 import bci.worstcase
@@ -84,17 +85,21 @@ def test_no_function_takes_a_tolerance():
     assert checked > 100
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+def load_bench(name: str, monkeypatch=None):
+    """A module of ``perfbench/``, loaded from its file; with ``monkeypatch``
+    it is also importable by name until the test ends."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    if monkeypatch is not None:
+        monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_traced_boundary_names_a_callable():
     # perfbench patches these (module, function) pairs by name; a renamed
     # boundary would otherwise surface only under ``perfbench/run.py --trace 1``
-    tracing = load_tracing()
+    tracing = load_bench("tracing")
     assert tracing.BOUNDARIES
     for layer, mod_name, attr, _ in tracing.BOUNDARIES:
         assert mod_name in tracing.MODULES, layer
@@ -105,7 +110,7 @@ def test_traced_boundaries_read_what_they_return(capsys):
     # the counters unpack pinned return shapes (four values from
     # ``_dynamics_batch``); a changed shape would otherwise surface only
     # under ``perfbench/run.py --trace 1``
-    tracing = load_tracing()
+    tracing = load_bench("tracing")
     tracer = tracing.Tracer()
     start = perf_counter()
     undo = tracer.install()
@@ -123,3 +128,28 @@ def test_traced_boundaries_read_what_they_return(capsys):
     }
     assert dyn["starts"] > 0 and dyn["cycled"] == 0
     assert dyn["capped"] == dyn["starts"] - dyn["converged"]
+
+
+@pytest.mark.parametrize("name", ["search", "enumerate", "cli"])
+def test_each_workload_reaches_its_boundaries(monkeypatch, name):
+    # one op's worth of the workload (20 restarts, the corpus's first
+    # scenario, one CLI script) reaches every boundary the benchmark expects
+    # of it and none it rules out
+    tracing = load_bench("tracing", monkeypatch)  # workloads imports it by name
+    workloads = load_bench("workloads", monkeypatch)
+    workload = workloads.WORKLOADS[name](bci, 1, 0.0)
+    if name == "enumerate":
+        workload.corpus = workload.corpus[:1]
+    elif name == "cli":
+        workload.script = workload.script[: len(workload.script) // workload.scripts]
+    tracer = tracing.Tracer()
+    start = perf_counter()
+    undo = tracer.install()
+    try:
+        out = workload.run_pass(workloads.Ops())
+    finally:
+        tracing.unpatch(undo)
+    assert out.outputs and not any(isinstance(o, Exception) for o in out.outputs)
+    metrics = tracer.layer_metrics(1, perf_counter() - start)
+    assert [b for b in workload.expected if metrics[f"{b}.calls"] == 0] == []
+    assert [b for b in workload.absent if metrics[f"{b}.calls"] != 0] == []

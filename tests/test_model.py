@@ -11,7 +11,6 @@ from bci.model import (
     Scenario,
     StrategyProfile,
     TrembleSchedule,
-    TrembleSpec,
     action_rates,
     aggregate_behavior,
     apply_trembles,
@@ -196,33 +195,29 @@ def test_taste_matching_is_exact_under_inexact_weights():
 # -- trembles -------------------------------------------------------------------
 
 
-def test_tremble_spec_directions():
+def test_flip_tremble_rules():
     s = tiny_scenario()
     prof = StrategyProfile((np.array([[0.0, 1.0], [0.4, 0.6]]), np.array([0.0, 1.0])))
-    # each direction at eps = 0.25: 3/4 of the strategy plus 1/4 of the target
-    expected = {
-        0: ([[0.0, 0.75], [0.3, 0.45]], [0.0, 0.75]),
-        1: ([[0.25, 1.0], [0.55, 0.7]], [0.25, 1.0]),
-        "flip": ([[0.25, 0.75], [0.55, 0.45]], [0.25, 0.75]),
-        "uniform": ([[0.125, 0.875], [0.425, 0.575]], [0.125, 0.875]),
-    }
-    for direction, (want0, want1) in expected.items():
-        out = apply_trembles(prof, TrembleSchedule.of({}, TrembleSpec(1, direction)), 0.25)
-        assert np.allclose(out.sigmas[0], want0, atol=1e-15), direction
-        assert np.allclose(out.sigmas[1], want1, atol=1e-15), direction
+    # at eps = 0.25: 3/4 of the strategy plus 1/4 of the action it plays
+    # with probability < 1/2
+    flipped = ([[0.25, 0.75], [0.55, 0.45]], [0.25, 0.75])
+    out = apply_trembles(prof, TrembleSchedule.uniform_flip(), 0.25)
+    assert np.allclose(out.sigmas[0], flipped[0], atol=1e-15)
+    assert np.allclose(out.sigmas[1], flipped[1], atol=1e-15)
     # an entry overrides the default for its (type, taste) slice only
-    sched = TrembleSchedule.of({(1, 1): TrembleSpec(1, 0)}, TrembleSpec(1, "flip"))
+    sched = TrembleSchedule.of({(1, 1): 2.0}, 1.0)
     out = apply_trembles(prof, sched, 0.25)
-    assert np.allclose(out.sigmas[1], [0.25, 0.75], atol=1e-15)
-    assert np.allclose(out.sigmas[0], expected["flip"][0], atol=1e-15)
-    # eps = 1 lands exactly on the targets
+    assert np.allclose(out.sigmas[1], [0.25, 0.9375], atol=1e-15)
+    assert np.allclose(out.sigmas[0], flipped[0], atol=1e-15)
+    # eps = 1 lands exactly on the opposite pure action
     out = apply_trembles(prof, TrembleSchedule.uniform_flip(), 1.0)
     assert np.array_equal(out.sigmas[0], [[1.0, 0.0], [1.0, 0.0]])
     assert np.array_equal(out.sigmas[1], [1.0, 0.0])
-    with pytest.raises(ModelError):
-        TrembleSpec(0.0)
-    with pytest.raises(ModelError):
-        TrembleSpec(1, "sideways")
+    for bad in (0.0, -1.0, float("nan")):
+        with pytest.raises(ModelError):
+            TrembleSchedule.uniform_flip(bad)
+        with pytest.raises(ModelError):
+            TrembleSchedule.of({(0, 1): bad}, 1.0)
 
 
 def test_apply_trembles_identity_cases():
@@ -235,7 +230,7 @@ def test_apply_trembles_identity_cases():
 def test_apply_trembles_exponent_and_selectivity():
     s = tiny_scenario()
     prof = StrategyProfile.matching(s)
-    sched = TrembleSchedule.of({(0, 0): TrembleSpec(2.0, "flip")})
+    sched = TrembleSchedule.of({(0, 0): 2.0})
     out = apply_trembles(prof, sched, 0.1)
     assert np.allclose(out.sigmas[0][0], 0.01)  # eps^2 toward the flip
     assert np.all(out.sigmas[0][1] == 1.0)  # no rule: untouched

@@ -147,11 +147,20 @@ def test_search_config_validation():
 @pytest.mark.parametrize(
     "field, value",
     [("param_scale", -1.0), ("param_scale", 0.0), ("param_scale", float("nan")),
-     ("refine_top", -1), ("refine_rounds", -1)],
+     ("refine_top", -1), ("refine_rounds", -1), ("seed", -1)],
 )
 def test_search_config_rejects_bad_budgets(field, value):
     with pytest.raises(WorstCaseError, match=field):
         SearchConfig(restarts=3, **{field: value})
+
+
+def test_search_config_caps_stacked_cells():
+    # n_types * 2**n_covariates bounds the stacked cells of every draw
+    for n_cov, n_types in ((10, 1), (8, 4), (1, 512)):
+        SearchConfig(p_structure="free", n_covariates=n_cov, n_types=n_types)
+    for n_cov, n_types in ((10, 2), (9, 3), (1, 513), (40, 1)):
+        with pytest.raises(WorstCaseError, match=r"2\*\*n_covariates"):
+            SearchConfig(p_structure="free", n_covariates=n_cov, n_types=n_types)
 
 
 # -- inner solver and search ------------------------------------------------------
