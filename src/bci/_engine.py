@@ -47,10 +47,15 @@ Batches and results
 A batch lives only as long as the engine call or the caller's loop step
 that made it.  ``unflatten_profile`` cuts per-type blocks out of one stacked
 row and ``StrategyProfile`` copies them, so a returned profile owns its
-arrays and never keeps its batch alive.  Enumeration screens pure profiles in
-chunks sized in bytes: ``equilibrium._CHUNK_BYTES`` bounds the moments array
-of ``profile_beliefs``, the largest temporary of a screen, so that every
-chunk reuses the same cache-sized buffers.
+arrays and never keeps its batch alive.  Enumeration makes two passes over
+pure profiles in chunks sized in bytes.  ``pure_misfits`` first rejects the
+profiles that provably fail the floor rung; it transposes each chunk once and
+runs batch-last, ``(2S, n)``, so that every elementwise op runs along the
+long batch axis.  The exact screen and certification then see only the rest.
+``equilibrium._CHUNK_BYTES`` bounds the moments array, the largest
+temporary of either pass (``(2D, 2n)`` in the first, ``(2n, 2D)`` in
+``profile_beliefs``), so that every chunk reuses the same cache-sized
+buffers.
 """
 
 from __future__ import annotations
@@ -435,3 +440,73 @@ def check_rungs(cs: CompiledScenario, trembled: np.ndarray, eps: np.ndarray):
 def tail_lengths(passes: np.ndarray) -> np.ndarray:
     """Length of the passing suffix along the leading (rung) axis."""
     return np.cumprod(passes[::-1], axis=0).sum(axis=0)
+
+
+# -- pure-profile filter ----------------------------------------------------
+
+# T / M_a where action a leaves data cell d unseen: finite, so that a zero
+# ``adjust`` weight times it stays 0 (such a cell's effect is undefined, and
+# its margin is never read)
+_UNSEEN_RATIO = 1e300
+# slack for the roundoff of computing a score, on top of the tie band
+_SCORE_ROUNDOFF = 1e-12
+
+
+def _pure_scores(cs: CompiledScenario, stacked: np.ndarray, eps: float):
+    """Scores of pure stacked profiles (batch, 2, S), batch-last, with the
+    bound on how far trembles of at most ``eps`` per cell can move them.
+
+    Returns (sigma, scores, margin, defined): sigma and scores shaped
+    (2 tastes, S, batch), margin and defined shaped (S, batch).  A tremble
+    m <= eps moves action a's outcome rate at data cell d by at most
+    eps / (1 - eps) * T(d) / M_a(d), where M_a(d) is the pure profile's mass
+    of a at d and T(d) = M_0(d) + M_1(d); margin is that bound carried
+    through ``adjust`` and ``effect_weight``, on cells whose effect is
+    defined.  Every elementwise op runs along the long batch axis.
+    """
+    n = stacked.shape[0]
+    n_s, n_d = cs.offsets[-1], cs.adjust.shape[0]
+    sigma = stacked.reshape(n, 2 * n_s).T
+    moments = cs.mass_map.T @ np.concatenate([1.0 - sigma, sigma], axis=1)  # (2D, 2n)
+    mass, ymass = moments[:n_d], moments[n_d:]
+    seen = mass > 0
+    cond = np.divide(ymass, mass, out=np.zeros_like(mass), where=seen)
+    belief = cs.adjust.T @ cond  # (S, 2n): action 0 | action 1
+    delta = belief[:, n:] - belief[:, :n]
+    unseen = cs.missing.T @ (~seen).astype(np.float64)
+    defined = (unseen[:, :n] == 0) & (unseen[:, n:] == 0) & cs.reachable[:, None]
+
+    by_action = mass.reshape(n_d, 2, n)
+    total = by_action.sum(axis=1, keepdims=True)
+    ratio = np.divide(
+        total, by_action, out=np.full(by_action.shape, _UNSEEN_RATIO), where=seen.reshape(n_d, 2, n)
+    )
+    margin = cs.adjust.T @ ratio.sum(axis=1)
+    margin *= cs.effect_weight * eps / (1.0 - eps)
+    scores = cs.score_base[:, None, None] + cs.effect_weight * delta
+    return sigma.reshape(2, n_s, n), scores, margin, defined
+
+
+def _score_margin(cs: CompiledScenario, stacked: np.ndarray, eps: float) -> np.ndarray:
+    """(batch, S) bound on |score(trembled) - score(pure)| over trembles of at
+    most ``eps`` per cell, on cells whose effect the pure profile defines."""
+    return _pure_scores(cs, stacked, eps)[2].T
+
+
+def pure_misfits(cs: CompiledScenario, stacked: np.ndarray, eps: float) -> np.ndarray:
+    """(batch,) bool: pure stacked profiles that no tremble of at most ``eps``
+    per cell can make pass ``check_rungs`` at threshold ``eps``.
+
+    A profile is flagged where an active cell with a defined effect plays
+    against a strict best reply by more than ``cs.tie_tol``, roundoff slack
+    and the ``_score_margin``: every such tremble leaves that cell's effect
+    defined and its score on the same side of the tie band, and for
+    eps < 1/2 the trembled cell still plays its action with probability
+    1 - m > eps.
+    """
+    sigma, scores, margin, defined = _pure_scores(cs, stacked, eps)
+    margin += cs.tie_tol + _SCORE_ROUNDOFF
+    # the score of the action played over the other: a misfit is far below 0
+    scores *= 2.0 * sigma - 1.0
+    misfit = (scores < -margin) & defined & cs.active[..., None]
+    return misfit.any(axis=(0, 1))

@@ -75,29 +75,6 @@ def _check_type(scenario: Scenario, type_index: int) -> None:
         raise ModelError(f"no type with index {type_index}")
 
 
-def subjective_do_belief(
-    scenario: Scenario,
-    profile: StrategyProfile,
-    type_index: int,
-    cell: Mapping[str, int] | Sequence[int],
-    action: int,
-) -> float | None:
-    """b(y=1 | x_C = cell, do(a)) for one type, or None where undefined."""
-    if action not in (0, 1):
-        raise ModelError("action must be 0 or 1")
-    _check_type(scenario, type_index)
-    cs = eng.compile_scenario(scenario)
-    shape = (2,) + cs.c_cards[type_index]
-    belief, defined = (
-        eng.split_cells(cs, arr)[type_index].reshape(shape)
-        for arr in eng.profile_beliefs(cs, eng.flatten_profile(cs, profile))
-    )
-    idx = (action,) + _cell_index(scenario.c_names(type_index), cell)
-    if not bool(defined[idx]):
-        return None
-    return float(belief[idx])
-
-
 def delta_table(
     scenario: Scenario, profile: StrategyProfile, type_index: int | None = None
 ) -> DeltaTable | tuple[DeltaTable, ...]:

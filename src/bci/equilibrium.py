@@ -256,7 +256,11 @@ def _try_list(cs: eng.CompiledScenario):
     ``enumerate_pure_equilibria`` in the order tried: the first schedule whose
     ladder passes wins, else the one with the most passing rungs.  Each entry
     maps a stacked profile batch to its compiled schedule.  No trembles and
-    uniform flip do not depend on the batch, so they compile once, here."""
+    uniform flip do not depend on the batch, so they compile once, here.
+
+    At the floor rung eps, every schedule trembles each cell by at most eps:
+    none by 0, uniform flip by eps, taste-weighted flip by eps or eps**2.
+    ``enumerate_pure_equilibria`` rests its misfit filter on this."""
     none = eng.CompiledSchedule.from_schedule(TrembleSchedule.none(), cs.offsets)
     flip = eng.CompiledSchedule.from_schedule(TrembleSchedule.uniform_flip(1.0), cs.offsets)
     return (
@@ -434,14 +438,17 @@ def best_response_dynamics(
 # -- exhaustive pure-profile enumeration -------------------------------------
 
 ENUMERATION_CAP = 1 << 20
-# Bound on the screen's largest per-chunk temporary, the moments array of
-# ``profile_beliefs``.  Chunks this small reuse the same few cache-sized
-# buffers chunk after chunk; larger ones fault each chunk's temporaries in
-# anew, and smaller ones pay numpy's per-call cost more often.  On a 2-core
-# x86 VM, a pass of the ``enumerate`` benchmark took under 200 page faults
-# with this bound (512 profiles per chunk on its 12-cell, 6-data-cell
-# scenarios); 1024-profile chunks took about 115k and ran 10-20 % slower, and
-# 256-profile chunks ran 20-35 % slower.
+# Bound on the largest per-chunk temporary of either pass, the moments array:
+# two actions' data moments per profile, (2D, 2n) in ``_engine.pure_misfits``
+# and (2n, 2D) in ``profile_beliefs`` on the exact screen.  Chunks this small
+# reuse the same few cache-sized buffers chunk after chunk; larger ones fault
+# each chunk's temporaries in anew, and smaller ones pay numpy's per-call
+# cost more often.  On a 2-core x86 VM, a pass of the ``enumerate`` benchmark
+# took under 200 page faults with this bound (512 profiles per chunk on its
+# 12-cell, 6-data-cell scenarios); 1024-profile chunks took about 115k and
+# ran 10-20 % slower, and 256-profile chunks ran 20-35 % slower.  With the
+# misfit filter in front of the screen, bounds of 48, 192 and 384 KiB were
+# again slower than this one on the same benchmark.
 _CHUNK_BYTES = 96 << 10
 
 
@@ -450,17 +457,22 @@ def enumerate_pure_equilibria(scenario: Scenario) -> list[tuple[StrategyProfile,
 
     Pure assignments range over taste cells that occur with positive
     probability, bit by bit in (type, taste, cell) order; unreachable cells
-    are pinned to a = t.  A vectorized screen keeps the profiles that pass
-    the floor rung under some schedule of the try-list, and
-    ``certify_equilibrium`` decides each of them.  A passing ladder suffix
-    always contains the floor rung, so the screen drops no profile that
-    certification would pass, and every returned profile re-passes
-    ``verify_limit`` independently.
+    are pinned to a = t.  Two passes run over chunks of as many profiles as
+    keep the moments array within ``_CHUNK_BYTES``.  The first runs over
+    consecutive indices and drops every profile ``_engine.pure_misfits``
+    flags at the floor rung.  The second runs over the indices the first
+    kept: an exact screen keeps the profiles that pass the floor rung under
+    some schedule of the try-list, and ``certify_equilibrium`` decides each
+    of them.
 
-    The screen runs over chunks of consecutive indices, each as many profiles
-    as keep the moments array of ``profile_beliefs`` (two actions' data
-    moments per profile) within ``_CHUNK_BYTES``.  Returned profiles own their
-    arrays (``StrategyProfile`` copies them), so results do not pin chunks.
+    Neither pass drops a profile that certification would pass.  A passing
+    ladder suffix always contains the floor rung.  At that rung every
+    schedule of the try-list trembles each cell by at most the floor, and a
+    flagged profile has a cell whose score no such tremble can move into or
+    across the tie band, so it fails the floor rung under all of them.
+    Every returned profile re-passes ``verify_limit`` independently, and
+    owns its arrays (``StrategyProfile`` copies them), so results do not pin
+    chunks.
     """
     cs = eng.compile_scenario(scenario)
     order = cs.type_major
@@ -470,19 +482,28 @@ def enumerate_pure_equilibria(scenario: Scenario) -> list[tuple[StrategyProfile,
         raise EquilibriumError(f"instance-too-large: 2^{n_slots} pure profiles exceed the cap")
     n_profiles = 1 << n_slots
     floor = cs.rungs[-1:]
-    try_list = _try_list(cs)
     chunk = max(1, _CHUNK_BYTES // (2 * cs.mass_map[0].nbytes))
 
-    results: list[tuple[StrategyProfile, EquilibriumReport]] = []
-    for start in range(0, n_profiles, chunk):
-        idx = np.arange(start, min(start + chunk, n_profiles), dtype=np.int64)
+    def pure(idx: np.ndarray) -> np.ndarray:
         batch = np.zeros((len(idx),) + cs.active.shape)
         batch[:, 1] = 1.0  # a = t on cells enumeration does not touch
         batch.reshape(len(idx), -1)[:, slots] = (idx[:, None] >> np.arange(n_slots)) & 1
+        return batch
+
+    kept = []
+    for start in range(0, n_profiles, chunk):
+        idx = np.arange(start, min(start + chunk, n_profiles), dtype=np.int64)
+        kept.append(idx[~eng.pure_misfits(cs, pure(idx), floor[0])])
+    kept = np.concatenate(kept)
+
+    try_list = _try_list(cs)
+    results: list[tuple[StrategyProfile, EquilibriumReport]] = []
+    for start in range(0, len(kept), chunk):
+        batch = pure(kept[start : start + chunk])
 
         # each schedule of the try-list screens the profiles the earlier ones left
-        passing = np.zeros(len(idx), dtype=bool)
-        todo = np.arange(len(idx))
+        passing = np.zeros(len(batch), dtype=bool)
+        todo = np.arange(len(batch))
         for make in try_list:
             rest = batch[todo]
             ok = _rung_passes(cs, rest, make(rest), floor)[0]

@@ -343,17 +343,6 @@ def induced_joint(scenario: Scenario, profile: StrategyProfile) -> JointTable:
     return JointTable(names, probs)
 
 
-def action_rates(scenario: Scenario, profile: StrategyProfile) -> np.ndarray:
-    """p(a = 1 | t) for t = 0, 1; nan where the taste has zero mass."""
-    pa1 = aggregate_behavior(scenario, profile)
-    x_axes = tuple(range(1, pa1.ndim))
-    mass = scenario.ptx.sum(axis=x_axes) if x_axes else scenario.ptx
-    joint = (scenario.ptx * pa1).sum(axis=x_axes) if x_axes else scenario.ptx * pa1
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rates = np.where(mass > 0, joint / np.where(mass > 0, mass, 1.0), np.nan)
-    return rates
-
-
 def error_probability(scenario: Scenario, profile: StrategyProfile) -> float:
     """Pr(a != t) under the induced joint."""
     pa0, pa1 = (aggregate_behavior(scenario, profile, a) for a in (0, 1))

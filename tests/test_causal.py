@@ -11,7 +11,6 @@ from bci.causal import (
     delta,
     delta_table,
     score_from_delta,
-    subjective_do_belief,
     tie_tolerance,
 )
 from bci.model import DataTypeSpec, ModelError, Scenario, StrategyProfile
@@ -72,13 +71,15 @@ def test_do_belief_marginalizes_taste_out():
     s = Scenario(("x1",), (2,), ptx, kernel, types, (1.0,), 0.5)
     prof = StrategyProfile((np.array([[0.3, 0.6], [0.9, 0.1]]),))
     joint = oracles.full_joint(s, prof)
+    cs = eng.compile_scenario(s)
+    belief, defined = eng.profile_beliefs(cs, eng.flatten_profile(cs, prof))  # (action, x1)
+    assert defined.all()
     for xv in (0, 1):
         for a in (0, 1):
             num = sum(p for k, p in joint.items() if k[1] == xv and k[2] == a and k[3] == 1)
             den = sum(p for k, p in joint.items() if k[1] == xv and k[2] == a)
             want = num / den
-            got = subjective_do_belief(s, prof, 0, (xv,), a)
-            assert abs(got - want) <= 1e-12
+            assert abs(float(belief[a, xv]) - want) <= 1e-12
 
 
 def test_undefined_when_conditioning_cell_unreached():

@@ -292,7 +292,7 @@ def test_export_csv_layout():
 
 
 def test_export_json_keeps_nan_for_unreachable_rates():
-    # action_rates can contain NaN at zero-mass taste rows; export must not choke
+    # a rate can be NaN where its conditioning event has zero mass; export must not choke
     text = export_json({"rate": float("nan")}, indent=None)
     assert "NaN" in text
     assert math.isnan(json.loads(text)["rate"])

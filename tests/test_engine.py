@@ -16,7 +16,9 @@ from bci.model import (
     TrembleSchedule,
     apply_trembles,
 )
-from bci.scenarios import example_3_1, prop2_cycle, prop4
+from bci.equilibrium import _try_list
+from bci.scenarios import as_consequential, example_3_1, prop2_cycle, prop4
+from bci.worstcase import SearchConfig, WorstCaseError, random_scenario
 
 from test_causal import random_small_scenario
 
@@ -202,3 +204,87 @@ def test_pure_profiles_under_inexact_weights_agree_with_oracle(seed):
         tuple(rng.integers(0, 2, s.sigma_shape(i)).astype(float) for i in range(s.n_types))
     )
     assert_effects_match_oracle(s, prof)
+
+
+def random_family_scenarios(rng, n):
+    """``random_scenario`` draws of both dominance structures at parameter
+    scales 1 to 8; every third one made consequential, so that the effect
+    weight 1 - beta is below 1."""
+    out = []
+    while len(out) < n:
+        try:
+            cfg = SearchConfig(
+                p_structure=("complete_qt", "free")[len(out) % 2],
+                n_covariates=int(rng.integers(1, 4)),
+                n_types=int(rng.integers(1, 4)),
+                param_scale=float(rng.uniform(1, 8)),
+            )
+            s = random_scenario(cfg, rng)
+        except WorstCaseError:  # the draw asks for more distinct types than fit
+            continue
+        out.append(as_consequential(s, float(rng.uniform(0.1, 0.9))) if len(out) % 3 == 2 else s)
+    return out
+
+
+def random_pure_batch(rng, cs, n):
+    return rng.integers(0, 2, size=(n,) + cs.active.shape).astype(np.float64)
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-3, 0.05, 0.2])
+def test_score_margin_bounds_every_tremble_of_at_most_eps(eps):
+    # the filter's soundness: a per-cell tremble m in [0, eps] moves the score
+    # of every active cell whose effect the pure profile defines by at most
+    # the margin
+    rng = np.random.default_rng(17)
+    checked = 0
+    for s in random_family_scenarios(rng, 60):
+        cs = eng.compile_scenario(s)
+        pure = random_pure_batch(rng, cs, 256)
+        m = rng.uniform(0.0, eps, size=pure.shape)
+        pick = rng.random(pure.shape)
+        m[pick < 0.3] = eps  # the largest tremble, exactly
+        m[pick > 0.9] = 0.0
+        trembled = (1.0 - m) * pure + m * (1.0 - pure)
+        _, defined, before, _ = eng.best_replies(cs, pure)
+        _, _, after, _ = eng.best_replies(cs, trembled)
+        margin = eng._score_margin(cs, pure, eps)
+        assert margin.shape == defined.shape
+        on = cs.active & defined[:, None, :]
+        bound = np.broadcast_to(margin[:, None, :], on.shape)
+        assert (np.abs(after - before)[on] <= bound[on]).all()
+        checked += int(on.sum())
+    assert checked > 100_000
+
+
+@pytest.mark.parametrize("floor", [None, "0.1", "1e-3"])
+def test_every_try_list_schedule_trembles_pure_cells_by_at_most_the_floor(monkeypatch, floor):
+    # the filter's premise: at the floor rung no schedule of the try-list
+    # moves a cell of a pure profile by more than the floor, up to one ulp
+    # of 1, the roundoff of 1 - (1 - m)
+    if floor is not None:
+        monkeypatch.setenv("BCI_LADDER_FLOOR", floor)
+    rng = np.random.default_rng(5)
+    for s in random_family_scenarios(rng, 12) + [example_3_1(), prop4()]:
+        cs = eng.compile_scenario(s)
+        pure = random_pure_batch(rng, cs, 64)
+        eps = cs.rungs[-1:]
+        for make in _try_list(cs):
+            trembled = eng.apply_compiled_trembles(pure, make(pure), eps)[0]
+            assert (np.abs(trembled - pure) <= eps[0] + np.finfo(float).eps).all()
+
+
+def test_pure_misfits_flag_only_strict_misplays_beyond_the_margin():
+    # example 3.1 has all its mass at t = 0; the taste-0 score is -c plus the
+    # effect, so where a cell's effect is defined and far from c, playing
+    # a = 1 there is a misfit at any small eps
+    s = example_3_1()
+    cs = eng.compile_scenario(s)
+    pure = random_pure_batch(np.random.default_rng(2), cs, 256)
+    pure[:, 1] = 1.0  # a = t on the inactive taste
+    flagged = eng.pure_misfits(cs, pure, 1e-6)
+    _, defined, scores, code = eng.best_replies(cs, pure)
+    margin = eng._score_margin(cs, pure, 1e-6)
+    against = ((pure == 1) & (code == 0)) | ((pure == 0) & (code == 1))
+    far = np.abs(scores) > margin[:, None, :] + cs.tie_tol + 1e-12
+    assert flagged.tolist() == (against & far & cs.active & defined[:, None, :]).any(axis=(1, 2)).tolist()
+    assert flagged.any() and not flagged.all()

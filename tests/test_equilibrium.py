@@ -14,6 +14,7 @@ from bci.equilibrium import (
     UndefinedCell,
     _dynamics_batch,
     _reaches_floor,
+    _rung_passes,
     _try_list,
     best_response_dynamics,
     certify_equilibrium,
@@ -43,6 +44,7 @@ from bci.scenarios import (
 from bci.worstcase import SearchConfig, random_scenario, verified_equilibria, witness_incomplete
 
 from test_causal import random_small_scenario
+from test_engine import random_family_scenarios
 
 
 def test_eps_equilibrium_golden_two_covariates():
@@ -270,12 +272,22 @@ def enumeration_cases(n: int, lo: int, hi: int, seed: int) -> list[Scenario]:
     return cases
 
 
+REPORT_FIELDS = (
+    "verdict", "eps", "witness", "undefined_cells", "ladder_trace",
+    "welfare_loss", "error_probability", "schedule", "sup_gap",
+)
+
+
+def assert_same_equilibria(got, expected):
+    assert len(got) == len(expected)
+    for (got_p, got_r), (want_p, want_r) in zip(got, expected):
+        assert all(np.array_equal(a, b) for a, b in zip(got_p.sigmas, want_p.sigmas))
+        for f in REPORT_FIELDS:
+            assert getattr(got_r, f) == getattr(want_r, f), f
+
+
 def test_enumeration_returns_exactly_the_certified_pure_profiles():
     # the floor-rung screen must drop no profile that certification passes
-    fields = (
-        "verdict", "eps", "witness", "undefined_cells", "ladder_trace",
-        "welfare_loss", "error_probability", "schedule", "sup_gap",
-    )
     found = 0
     for s in enumeration_cases(9, 4, 8, seed=8):
         expected = [
@@ -283,13 +295,64 @@ def test_enumeration_returns_exactly_the_certified_pure_profiles():
             if (r := certify_equilibrium(s, p)).passed
         ]
         got = enumerate_pure_equilibria(s)
-        assert len(got) == len(expected)
-        for (got_p, got_r), (want_p, want_r) in zip(got, expected):
-            assert all(np.array_equal(a, b) for a, b in zip(got_p.sigmas, want_p.sigmas))
-            for f in fields:
-                assert getattr(got_r, f) == getattr(want_r, f), f
+        assert_same_equilibria(got, expected)
         found += len(got)
     assert found
+
+
+def exhaustive_floor_screen(s):
+    """Every pure profile in index order, their stacked batch, and which of
+    them pass the exact floor-rung screen under some try-list schedule."""
+    cs = eng.compile_scenario(s)
+    profiles = list(pure_profiles_in_index_order(s))
+    batch = np.stack([eng.flatten_profile(cs, p) for p in profiles])
+    floor = cs.rungs[-1:]
+    passing = np.zeros(len(batch), dtype=bool)
+    for make in _try_list(cs):
+        passing |= _rung_passes(cs, batch, make(batch), floor)[0]
+    return profiles, batch, passing
+
+
+def test_misfit_filter_keeps_every_profile_the_exact_screen_passes():
+    # the builtins have exact ties; the random draws have 6 to 12 active cells
+    rng = np.random.default_rng(23)
+    draws = [
+        s for s in random_family_scenarios(rng, 60)
+        if 6 <= eng.compile_scenario(s).active.sum() <= 12
+    ]
+    cases = [example_3_1(), pandemic(), prop5(), prop4(), example_1_1_collider()]
+    cases += enumeration_cases(16, 6, 12, seed=4)[1:] + draws[:15]
+    assert len(cases) == 35
+    screened = found = 0
+    for s in cases:
+        cs = eng.compile_scenario(s)
+        profiles, batch, passing = exhaustive_floor_screen(s)
+        assert not (eng.pure_misfits(cs, batch, cs.rungs[-1]) & passing).any()
+        expected = [
+            (p, r) for p, ok in zip(profiles, passing)
+            if ok and (r := certify_equilibrium(s, p)).passed
+        ]
+        assert_same_equilibria(enumerate_pure_equilibria(s), expected)
+        screened += int(passing.sum())
+        found += len(expected)
+    assert found and screened
+
+
+def test_exact_screen_sees_under_two_percent_of_pure_profiles(monkeypatch):
+    # the filter leaves ``check_rungs`` few of a 12-cell scenario's 4096 pure
+    # profiles, certification's ladders included
+    s = random_scenario(SearchConfig(n_covariates=2, n_types=2), np.random.default_rng(0))
+    assert eng.compile_scenario(s).active.sum() == 12
+    check_rungs = eng.check_rungs
+    seen = []
+
+    def spy(cs, trembled, eps):
+        seen.append(int(np.prod(trembled.shape[1:-2])))  # profiles per rung
+        return check_rungs(cs, trembled, eps)
+
+    monkeypatch.setattr(eng, "check_rungs", spy)
+    assert enumerate_pure_equilibria(s)
+    assert sum(seen) < 0.02 * 4096
 
 
 @pytest.mark.parametrize("budget", [1, 3000])

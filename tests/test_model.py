@@ -11,7 +11,6 @@ from bci.model import (
     Scenario,
     StrategyProfile,
     TrembleSchedule,
-    action_rates,
     aggregate_behavior,
     apply_trembles,
     error_probability,
@@ -123,12 +122,6 @@ def test_error_probability_matches_brute_force():
         fast = error_probability(s, prof)
         slow = oracles.brute_error_probability(s, prof)
         assert abs(fast - slow) < 1e-12
-
-
-def test_action_rates_nan_on_zero_mass_taste():
-    s = example_3_1()  # all mass at t = 0
-    rates = action_rates(s, StrategyProfile.constant(s, 1.0))
-    assert rates[0] == 1.0 and np.isnan(rates[1])
 
 
 def test_induced_joint_masses_and_names():
