@@ -42,6 +42,12 @@ conditional outcome rates, one matmul with the block-diagonal ``adjust``
 matrix averages them into beliefs, and one with the block-diagonal
 ``missing`` matrix flags condition cells that need an unseen event.
 
+A caller that holds a compiled scenario hands it on: the verifiers and the
+delta tables take a ``Scenario`` or a ``CompiledScenario`` and pass their
+argument through ``compiled``, which compiles only the former.  So one
+certification compiles its scenario at most once, and not at all when its
+caller has already compiled it.
+
 Batches and results
 -------------------
 A batch lives only as long as the engine call or the caller's loop step
@@ -233,6 +239,11 @@ def compile_scenario(scenario: Scenario) -> CompiledScenario:
         adjust=adjust,
         missing=(adjust > 0).astype(np.float64),
     )
+
+
+def compiled(scenario: Scenario | CompiledScenario) -> CompiledScenario:
+    """The compiled scenario: a ``CompiledScenario`` as it is, anything else compiled."""
+    return scenario if isinstance(scenario, CompiledScenario) else compile_scenario(scenario)
 
 
 # -- profile layout ---------------------------------------------------------

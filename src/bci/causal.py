@@ -76,18 +76,24 @@ def _check_type(scenario: Scenario, type_index: int) -> None:
 
 
 def delta_table(
-    scenario: Scenario, profile: StrategyProfile, type_index: int | None = None
+    scenario: Scenario | eng.CompiledScenario,
+    profile: StrategyProfile,
+    type_index: int | None = None,
 ) -> DeltaTable | tuple[DeltaTable, ...]:
-    """Perceived effects per condition cell: one type, or all when unspecified."""
+    """Perceived effects per condition cell: one type, or all when unspecified.
+
+    ``scenario`` may also be its ``CompiledScenario``, which is then not
+    compiled again.
+    """
+    cs = eng.compiled(scenario)
     if type_index is not None:
-        _check_type(scenario, type_index)
-    cs = eng.compile_scenario(scenario)
+        _check_type(cs.scenario, type_index)
     effects = eng.profile_effects(cs, eng.split_cells(cs, eng.flatten_profile(cs, profile)))
     reachable = eng.split_cells(cs, cs.reachable)
     tables = tuple(
         DeltaTable(
             i,
-            scenario.c_names(i),
+            cs.scenario.c_names(i),
             np.where(ok, d, np.nan).reshape(cs.c_cards[i]),
             ok.reshape(cs.c_cards[i]),
             reachable[i].reshape(cs.c_cards[i]),
@@ -98,12 +104,15 @@ def delta_table(
 
 
 def delta(
-    scenario: Scenario,
+    scenario: Scenario | eng.CompiledScenario,
     profile: StrategyProfile,
     type_index: int,
     cell: Mapping[str, int] | Sequence[int],
 ) -> float | None:
-    """Perceived effect at one condition cell, or None where undefined."""
+    """Perceived effect at one condition cell, or None where undefined.
+
+    ``scenario`` may also be its ``CompiledScenario``, as for ``delta_table``.
+    """
     return delta_table(scenario, profile, type_index).delta_at(cell)
 
 

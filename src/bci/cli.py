@@ -423,7 +423,7 @@ def _cmd_solve(args) -> int:
     equilibria = []
     seen: set[bytes] = set()
     any_converged = False
-    for label, result in zip(labels, _dynamics_results(scenario, cs, batch)):
+    for label, result in zip(labels, _dynamics_results(cs, batch)):
         entry: dict[str, Any] = {
             "init": label,
             "status": result.status,

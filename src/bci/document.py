@@ -250,10 +250,11 @@ def validate(doc: ScenarioDocument) -> list[str]:
     n_cells = 2 * int(np.prod([k for _, k in doc.variables], dtype=np.int64)) if doc.variables else 2
     if len(doc.p_tx) != n_cells:
         problems.append(f"p_tx needs {n_cells} entries, got {len(doc.p_tx)}")
-    if any(v < 0 for v in doc.p_tx):
+    # the mass and weight checks pass only on good values, so a NaN fails them
+    if not all(v >= 0 for v in doc.p_tx):
         problems.append("p_tx entries must be nonnegative")
     total = float(sum(doc.p_tx))
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         problems.append(f"p_tx must sum to 1 (got {total!r})")
     kernel_key = "y_given_tx" if doc.outcome.get("kind") == "baseline" else "z_given_tx"
     kernel = doc.outcome.get(kernel_key, ())
@@ -277,9 +278,9 @@ def validate(doc: ScenarioDocument) -> list[str]:
             problems.append(f"types[{i}]: C ⊄ D")
     if len(doc.lam) != len(doc.types):
         problems.append("lambda must have one weight per type")
-    if any(v < 0 for v in doc.lam):
+    if not all(v >= 0 for v in doc.lam):
         problems.append("lambda weights must be nonnegative")
-    if doc.lam and abs(sum(doc.lam) - 1.0) > 1e-9:
+    if doc.lam and not abs(sum(doc.lam) - 1.0) <= 1e-9:
         problems.append("lambda not on simplex")
     if not 0.0 < doc.c < 1.0:
         problems.append("c must lie in (0, 1)")

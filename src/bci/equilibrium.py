@@ -151,11 +151,11 @@ def _diagnose(
     return witness, undefined
 
 
-def _profile_stats(scenario: Scenario, profile: StrategyProfile):
+def _profile_stats(cs: eng.CompiledScenario, profile: StrategyProfile):
     return (
-        float(welfare_loss(scenario, profile)),
-        float(error_probability(scenario, profile)),
-        delta_table(scenario, profile),
+        float(welfare_loss(cs.scenario, profile)),
+        float(error_probability(cs.scenario, profile)),
+        delta_table(cs, profile),
     )
 
 
@@ -195,23 +195,24 @@ def _ladder(cs, stacked, sched, rungs):
 
 
 def verify_eps_equilibrium(
-    scenario: Scenario,
+    scenario: Scenario | eng.CompiledScenario,
     profile: StrategyProfile,
     eps: float,
 ) -> EquilibriumReport:
     """Check the profile, as given, against the eps threshold.
 
     Any undefined active cell makes the verdict ``undefined_cells``, even
-    where some played action also violates the threshold.
+    where some played action also violates the threshold.  ``scenario`` may
+    also be its ``CompiledScenario``, which is then not compiled again.
     """
     if not 0 < eps < 1:
         raise EquilibriumError("eps must lie in (0, 1)")
-    cs = eng.compile_scenario(scenario)
+    cs = eng.compiled(scenario)
     sched = eng.CompiledSchedule.from_schedule(TrembleSchedule.none(), cs.offsets)
     trace, _, failed_at, witness, undefined = _ladder(
         cs, eng.flatten_profile(cs, profile), sched, np.array([eps])
     )
-    loss, errp, tables = _profile_stats(scenario, profile)
+    loss, errp, tables = _profile_stats(cs, profile)
     if undefined:
         verdict, witness = VERDICT_UNDEFINED, None
     else:
@@ -220,7 +221,7 @@ def verify_eps_equilibrium(
 
 
 def verify_limit(
-    scenario: Scenario,
+    scenario: Scenario | eng.CompiledScenario,
     profile: StrategyProfile,
     schedule: TrembleSchedule | None = None,
 ) -> EquilibriumReport:
@@ -233,15 +234,16 @@ def verify_limit(
     schedule's turn-on scale may legitimately fail without saying anything
     about the limit.  At the deepest failing rung, undefined cells give
     ``undefined_cells`` only when no played action violates the threshold
-    there.
+    there.  ``scenario`` may also be its ``CompiledScenario``, which is then
+    not compiled again.
     """
     schedule = schedule if schedule is not None else TrembleSchedule.none()
-    cs = eng.compile_scenario(scenario)
+    cs = eng.compiled(scenario)
     sched = eng.CompiledSchedule.from_schedule(schedule, cs.offsets)
     trace, sup_gap, failed_at, witness, undefined = _ladder(
         cs, eng.flatten_profile(cs, profile), sched, cs.rungs
     )
-    loss, errp, tables = _profile_stats(scenario, profile)
+    loss, errp, tables = _profile_stats(cs, profile)
     if failed_at is None:
         verdict = VERDICT_LIMIT
     else:
@@ -270,30 +272,32 @@ def _try_list(cs: eng.CompiledScenario):
     )
 
 
-def certify_equilibrium(scenario: Scenario, profile: StrategyProfile) -> EquilibriumReport:
+def certify_equilibrium(
+    scenario: Scenario | eng.CompiledScenario, profile: StrategyProfile
+) -> EquilibriumReport:
     """Try to witness a limit equilibrium with a small set of schedules.
 
     The try-list is: no trembles at all (exact equilibria), uniform flip
     trembles (fills in undefined effects without biasing them), then
     taste-weighted flip trembles (keeps taste-driven corner profiles alive),
-    each recorded as its per-(type, taste) rules.  Each schedule's ladder is
-    screened on the compiled scenario, and only the chosen one is verified
-    into a report: the first passing schedule, or, if none passes, the one
-    with the most passing rungs anywhere on the ladder (the earliest on
-    ties).
+    each recorded as its per-(type, taste) rules.  Each schedule in turn is
+    verified by ``verify_limit``, one ladder each, and the report returned
+    is the first that passes or, if none passes, the one with the most
+    passing rungs anywhere on the ladder (the earliest on ties).
+    ``scenario`` may also be its ``CompiledScenario``, which is then not
+    compiled again.
     """
-    cs = eng.compile_scenario(scenario)
+    cs = eng.compiled(scenario)
     stacked = eng.flatten_profile(cs, profile)
     best, most = None, -1
     for make in _try_list(cs):
-        sched = make(stacked)
-        ok = _rung_passes(cs, stacked, sched, cs.rungs)
-        if _reaches_floor(ok):
-            best = sched
-            break
-        if ok.sum() > most:
-            best, most = sched, int(ok.sum())
-    return verify_limit(scenario, profile, best.to_schedule(cs.offsets))
+        report = verify_limit(cs, profile, make(stacked).to_schedule(cs.offsets))
+        if report.passed:
+            return report
+        passes = sum(rung.passed for rung in report.ladder_trace)
+        if passes > most:
+            best, most = report, passes
+    return best
 
 
 # -- best-response dynamics --------------------------------------------------
@@ -396,11 +400,7 @@ def _dynamics_starts(
     return labels, np.concatenate([fixed, drawn.reshape((n_random,) + cs.active.shape)])
 
 
-def _dynamics_results(
-    scenario: Scenario,
-    cs: eng.CompiledScenario,
-    batch,
-) -> list[DynamicsResult]:
+def _dynamics_results(cs: eng.CompiledScenario, batch) -> list[DynamicsResult]:
     """One result per start of a ``_dynamics_batch`` output; a converged
     profile is certified against the schedule try-list."""
     out, converged, _, iters = batch
@@ -408,7 +408,7 @@ def _dynamics_results(
     for b in range(len(iters)):
         profile = eng.unflatten_profile(cs, out[b])
         if converged[b]:
-            status, report = "converged", certify_equilibrium(scenario, profile)
+            status, report = "converged", certify_equilibrium(cs, profile)
         else:
             status, report = "max_iters", None
         results.append(DynamicsResult(status, profile, report, int(iters[b])))
@@ -432,7 +432,7 @@ def best_response_dynamics(
     cs = eng.compile_scenario(scenario)
     stacked = eng.flatten_profile(cs, init)[None]
     batch = _dynamics_batch(cs, stacked, max_iters)
-    return _dynamics_results(scenario, cs, batch)[0]
+    return _dynamics_results(cs, batch)[0]
 
 
 # -- exhaustive pure-profile enumeration -------------------------------------
@@ -514,7 +514,7 @@ def enumerate_pure_equilibria(scenario: Scenario) -> list[tuple[StrategyProfile,
 
         for b in np.nonzero(passing)[0]:
             profile = eng.unflatten_profile(cs, batch[b])
-            report = certify_equilibrium(scenario, profile)
+            report = certify_equilibrium(cs, profile)
             if report.passed:
                 results.append((profile, report))
     return results

@@ -93,12 +93,13 @@ class Scenario:
         ptx = np.asarray(self.ptx, dtype=np.float64)
         if ptx.shape != shape:
             raise ModelError(f"ptx shaped {ptx.shape}, expected {shape}")
-        if np.any(ptx < 0) or abs(float(ptx.sum()) - 1.0) > NORM_TOL:
+        # every check is written to pass only on good values, so a NaN fails it
+        if not (np.all(ptx >= 0) and abs(float(ptx.sum()) - 1.0) <= NORM_TOL):
             raise ModelError("ptx must be a probability table summing to 1")
         kernel = np.asarray(self.kernel, dtype=np.float64)
         if kernel.shape != shape:
             raise ModelError(f"kernel shaped {kernel.shape}, expected {shape}")
-        if np.any(kernel < 0) or np.any(kernel > 1):
+        if not np.all((kernel >= 0) & (kernel <= 1)):
             raise ModelError("kernel entries must lie in [0, 1]")
         object.__setattr__(self, "ptx", ptx)
         object.__setattr__(self, "kernel", kernel)
@@ -108,7 +109,7 @@ class Scenario:
         if len(self.lam) != len(self.types):
             raise ModelError("lam must have one weight per type")
         lam = tuple(float(w) for w in self.lam)
-        if any(w < 0 for w in lam) or abs(sum(lam) - 1.0) > NORM_TOL:
+        if not (all(w >= 0 for w in lam) and abs(sum(lam) - 1.0) <= NORM_TOL):
             raise ModelError("type weights must be nonnegative and sum to 1")
         object.__setattr__(self, "lam", lam)
         known = set(self.x_names)

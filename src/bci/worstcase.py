@@ -142,19 +142,21 @@ def reverify(witness: WitnessInstance) -> EquilibriumReport:
 def check_annotations(witness: WitnessInstance) -> float:
     """Max |closed form - computed| over the witness's effect and posterior
     annotations; posteriors are recomputed from the induced joint."""
+    cs = eng.compile_scenario(witness.scenario)
     worst = 0.0
     for ann in witness.delta_annotations:
         prof = witness.eps_profile if ann.trembled else witness.profile
         if prof is None:
             raise WorstCaseError("annotation marked trembled but no noisy profile stored")
-        got = delta(witness.scenario, prof, ann.type_index, ann.cell)
+        got = delta(cs, prof, ann.type_index, ann.cell)
         if got is None:
             raise WorstCaseError(
                 f"annotated effect undefined at type {ann.type_index}, cell {ann.cell}"
             )
         worst = max(worst, abs(got - ann.value))
-    for post in witness.posterior_annotations:
+    if witness.posterior_annotations:
         joint = induced_joint(witness.scenario, witness.profile)
+    for post in witness.posterior_annotations:
         at = joint.marginalize(("t", post.covariate, "a")).probs[:, post.level, post.action]
         if not at.sum() > 0:
             raise WorstCaseError(f"annotated posterior {post.label} conditions on a null event")
@@ -539,7 +541,7 @@ def verified_equilibria(
         if key in found:
             continue
         prof = eng.unflatten_profile(cs, out[b])
-        rep = certify_equilibrium(scenario, prof)
+        rep = certify_equilibrium(cs, prof)
         if rep.verdict == "equilibrium_limit":
             found[key] = (prof, rep)
     return list(found.values())

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,12 +17,20 @@ from bci.causal import (
 )
 from bci.model import DataTypeSpec, ModelError, Scenario, StrategyProfile
 from bci.scenarios import (
+    as_consequential,
     example_1_1_collider,
     example_1_1_confounder,
     example_3_1,
     example_3_1_profile,
+    example_4_1,
     matching_on_own_covariate,
+    pandemic,
+    prop2_cycle,
+    prop2_incomplete,
+    prop4,
+    prop5,
 )
+from bci.worstcase import SearchConfig, WorstCaseError, random_scenario
 
 
 def compare_with_oracle(scenario, profile, atol=1e-12):
@@ -192,3 +202,70 @@ def test_oracle_agreement_property(seed):
     rng = np.random.default_rng(seed)
     s, prof = random_small_scenario(rng)
     compare_with_oracle(s, prof)
+
+
+# -- a compiled scenario in place of the scenario --------------------------------
+
+
+def compiled_path_cases():
+    """The builtins and 20 ``random_scenario`` draws, every third draw made
+    consequential, each with its taste-matching profile, a random mixed
+    profile and a random pure one."""
+    rng = np.random.default_rng(18)
+    scenarios = [
+        example_1_1_confounder(), example_1_1_collider(), example_3_1(), example_4_1(),
+        prop2_incomplete(), prop2_cycle(), prop4(), prop5(), pandemic(),
+    ]
+    draws = []
+    while len(draws) < 20:
+        try:
+            cfg = SearchConfig(
+                p_structure=("complete_qt", "free")[len(draws) % 2],
+                n_covariates=int(rng.integers(1, 3)),
+                n_types=int(rng.integers(1, 4)),
+            )
+            s = random_scenario(cfg, rng)
+        except WorstCaseError:  # the draw asks for more distinct types than fit
+            continue
+        draws.append(as_consequential(s, float(rng.uniform(0.1, 0.9))) if len(draws) % 3 == 2 else s)
+    cases = []
+    for s in scenarios + draws:
+        shapes = [s.sigma_shape(i) for i in range(s.n_types)]
+        mixed = StrategyProfile(tuple(rng.random(shape) for shape in shapes))
+        pure = StrategyProfile(tuple(np.floor(2 * rng.random(shape)) for shape in shapes))
+        cases.append((s, (StrategyProfile.matching(s), mixed, pure)))
+    return cases
+
+
+def assert_same(got, want, where=()):
+    """``got`` equals ``want`` in every field, recursively; arrays must have
+    the same dtype and equal entries, nan equal to nan."""
+    if dataclasses.is_dataclass(want):
+        assert type(got) is type(want), where
+        for f in dataclasses.fields(want):
+            assert_same(getattr(got, f.name), getattr(want, f.name), where + (f.name,))
+    elif isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True), where
+    elif isinstance(want, tuple):
+        assert isinstance(got, tuple) and len(got) == len(want), where
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert_same(g, w, where + (k,))
+    else:
+        assert got == want or (got != got and want != want), where
+
+
+def test_compiled_scenario_gives_the_same_delta_tables():
+    undefined = 0
+    for s, profiles in compiled_path_cases():
+        cs = eng.compile_scenario(s)
+        for p in profiles:
+            assert_same(delta_table(cs, p), delta_table(s, p))
+            for i in range(s.n_types):
+                assert_same(delta_table(cs, p, i), delta_table(s, p, i))
+                for cell in np.ndindex(s.sigma_shape(i)[1:]):
+                    got = delta(cs, p, i, cell)
+                    assert got == delta(s, p, i, cell)
+                    undefined += got is None
+    assert undefined  # the corpus reaches undefined cells
+    with pytest.raises(ModelError):
+        delta_table(cs, profiles[0], s.n_types)

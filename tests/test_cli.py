@@ -454,6 +454,19 @@ def test_invalid_document_exits_1(tmp_path, capsys):
     assert "lambda not on simplex" in err
 
 
+@pytest.mark.parametrize("command", [["verify", "--limit"], ["enumerate"]])
+def test_nan_probability_document_exits_1(tmp_path, capsys, command):
+    # a NaN mass once passed validation and came back as an equilibrium
+    # with NaN welfare loss
+    raw = json.loads(dumps(document_from_scenario(example_3_1())))
+    raw["p_tx"][0] = float("nan")
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(raw))
+    code, out, err = run_cli(capsys, command[0], "-s", str(bad), *command[1:], "--format", "json")
+    assert (code, out) == (1, "")
+    assert "p_tx must sum to 1" in err
+
+
 def test_missing_file_exits_3(capsys):
     code, _, err = run_cli(capsys, "verify", "-s", "/no/such/file.json")
     assert code == 3

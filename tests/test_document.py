@@ -137,6 +137,23 @@ def test_validate_reports_every_violation_at_once():
     assert len(exc_info.value.violations) >= 4
 
 
+@pytest.mark.parametrize(
+    "field, messages",
+    [
+        ("p_tx", ("p_tx entries must be nonnegative", "p_tx must sum to 1")),
+        ("lambda", ("lambda weights must be nonnegative", "lambda not on simplex")),
+    ],
+)
+def test_validate_rejects_nan_probabilities(field, messages):
+    # JSON readers accept NaN; every comparison with it is false, so both
+    # checks must be written to pass only on good values
+    raw = _valid_raw()
+    raw[field][0] = math.nan
+    problems = validate(loads(json.dumps(raw)))
+    for message in messages:
+        assert any(message in p for p in problems), (message, problems)
+
+
 def test_validate_structural_checks():
     raw = _valid_raw()
     raw["variables"].append({"name": "x1", "cardinality": 0})

@@ -41,9 +41,16 @@ from bci.scenarios import (
     prop4,
     prop5,
 )
-from bci.worstcase import SearchConfig, random_scenario, verified_equilibria, witness_incomplete
+from bci.worstcase import (
+    SearchConfig,
+    check_annotations,
+    random_scenario,
+    verified_equilibria,
+    witness_incomplete,
+    witness_incomplete_hetero,
+)
 
-from test_causal import random_small_scenario
+from test_causal import assert_same, compiled_path_cases, random_small_scenario
 from test_engine import random_family_scenarios
 
 
@@ -183,6 +190,87 @@ def test_certification_is_first_passing_schedule_else_most_passing_rungs():
     # the corpus reaches both outcomes, a fallback past the first schedule,
     # and fallbacks that a longest-passing-suffix rule would choose differently
     assert min(picked.values()) > 0, picked
+
+
+def test_compiled_scenario_gives_the_same_reports():
+    # each verifier, handed the scenario's compiled form in place of the
+    # scenario, returns the same report in every field, delta tables included
+    verdicts = set()
+    for s, profiles in compiled_path_cases():
+        cs = eng.compile_scenario(s)
+        for p in profiles:
+            for verify in (
+                lambda x: verify_eps_equilibrium(x, p, 0.01),
+                lambda x: verify_limit(x, p),
+                lambda x: verify_limit(x, p, TrembleSchedule.uniform_flip(1.0)),
+                lambda x: certify_equilibrium(x, p),
+            ):
+                want = verify(s)
+                assert_same(verify(cs), want)
+                verdicts.add(want.verdict)
+    assert verdicts == {
+        "epsilon_equilibrium", "equilibrium_limit", "not_equilibrium", "undefined_cells"
+    }
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """The scenarios ``_engine.compile_scenario`` compiles, in call order."""
+    calls = []
+    compile_scenario = eng.compile_scenario
+
+    def spy(scenario):
+        calls.append(scenario)
+        return compile_scenario(scenario)
+
+    monkeypatch.setattr(eng, "compile_scenario", spy)
+    return calls
+
+
+def test_each_op_compiles_its_scenario_once(compiles):
+    # callers hand their compiled scenario on, so only entry points compile;
+    # ``verified_equilibria`` hands ``enumerate_pure_equilibria`` the
+    # scenario, which that compiles once more
+    s = example_3_1()
+    prof = matching_on_own_covariate(s)
+    assert len(enumerate_pure_equilibria(s)) == 2
+    assert compiles == [s]
+    compiles.clear()
+    assert verified_equilibria(s, np.random.default_rng(0))
+    assert compiles == [s, s]
+    compiles.clear()
+    assert certify_equilibrium(s, prof).passed
+    assert compiles == [s]
+    cs = eng.compile_scenario(s)
+    compiles.clear()
+    assert certify_equilibrium(cs, prof).passed
+    assert compiles == []
+    witness = witness_incomplete_hetero()
+    compiles.clear()
+    assert check_annotations(witness) < 1e-9
+    assert compiles == [witness.scenario]
+
+
+def test_certification_walks_one_ladder_per_schedule_tried(monkeypatch):
+    # a certification that passes on its first schedule checks one ladder;
+    # one that passes on none checks one per try-list schedule
+    ladders = []
+    check_rungs = eng.check_rungs
+
+    def spy(cs, trembled, eps):
+        ladders.append(len(eps))
+        return check_rungs(cs, trembled, eps)
+
+    monkeypatch.setattr(eng, "check_rungs", spy)
+    s = example_3_1()
+    cs = eng.compile_scenario(s)
+    report = certify_equilibrium(cs, matching_on_own_covariate(s))
+    assert report.passed and report.schedule.is_empty
+    assert ladders == [len(cs.rungs)]
+    ladders.clear()
+    s = example_4_1(0.3, 0.5)
+    assert not certify_equilibrium(s, StrategyProfile.matching(s)).passed
+    assert ladders == [len(cs.rungs)] * len(_try_list(cs))
 
 
 def test_dynamics_converges_to_known_interior():

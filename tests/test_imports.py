@@ -153,3 +153,9 @@ def test_each_workload_reaches_its_boundaries(monkeypatch, name):
     metrics = tracer.layer_metrics(1, perf_counter() - start)
     assert [b for b in workload.expected if metrics[f"{b}.calls"] == 0] == []
     assert [b for b in workload.absent if metrics[f"{b}.calls"] != 0] == []
+    # certification reads its caller's compiled scenario: an enumeration
+    # compiles once, and a search evaluation twice, because
+    # ``verified_equilibria`` hands ``enumerate_pure_equilibria`` the scenario
+    per_scenario = {"search": 2, "enumerate": 1}.get(name)
+    if per_scenario is not None:
+        assert metrics["engine.compile_scenario.per_scenario"] == per_scenario

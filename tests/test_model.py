@@ -79,6 +79,17 @@ def test_scenario_rejects_unnormalized_ptx_and_bad_kernel():
         Scenario(ok.x_names, ok.x_cards, ok.ptx, ok.kernel + 1.0, ok.types, ok.lam, ok.c)
 
 
+@pytest.mark.parametrize("field", ["ptx", "kernel", "lam"])
+def test_scenario_rejects_nan_probabilities(field):
+    # every comparison with nan is false, so a check written as "reject when
+    # v < 0" would let a nan through
+    ok = tiny_scenario()
+    args = dict(ptx=ok.ptx.copy(), kernel=ok.kernel.copy(), lam=np.array(ok.lam))
+    args[field].flat[0] = np.nan
+    with pytest.raises(ModelError):
+        Scenario(ok.x_names, ok.x_cards, args["ptx"], args["kernel"], ok.types, tuple(args["lam"]), ok.c)
+
+
 def test_profile_shapes_checked():
     s = tiny_scenario()
     good = StrategyProfile.constant(s, 0.5)
