@@ -42,11 +42,19 @@ conditional outcome rates, one matmul with the block-diagonal ``adjust``
 matrix averages them into beliefs, and one with the block-diagonal
 ``missing`` matrix flags condition cells that need an unseen event.
 
-A caller that holds a compiled scenario hands it on: the verifiers and the
-delta tables take a ``Scenario`` or a ``CompiledScenario`` and pass their
-argument through ``compiled``, which compiles only the former.  So one
-certification compiles its scenario at most once, and not at all when its
-caller has already compiled it.
+A caller that holds a compiled scenario hands it on: the verifiers, the
+delta tables and the report statistics (``model.welfare_loss`` and
+``model.error_probability``) take a ``Scenario`` or a ``CompiledScenario``
+and pass their argument through ``compiled``, which compiles only the
+former.  So one certification compiles its scenario at most once, and not
+at all when its caller has already compiled it.
+
+Population statistics
+---------------------
+``population_rates`` reads the population's action rates p(a | t, x) off
+the stacked layout: ``CompiledScenario.x_cells`` maps each covariate cell to
+each type's stacked condition cell, so a type's rate on the full (t, x) grid
+is one gather.  The report statistics reduce those rates with ``p(t, x)``.
 
 Batches and results
 -------------------
@@ -146,6 +154,7 @@ class CompiledScenario:
     mass_map: np.ndarray
     adjust: np.ndarray  # (D, S) block-diagonal w_d * agg_c
     missing: np.ndarray  # (D, S) block-diagonal agg_c where w_d > 0
+    x_cells: np.ndarray  # (n_types, nx) per type: covariate cell -> stacked condition cell
     # the two settings, each read once on first use: a call that never
     # decides a best reply or walks the ladder never reads a bad one
     tie_tol = cached_property(lambda self: tie_tolerance())
@@ -212,8 +221,9 @@ def compile_scenario(scenario: Scenario) -> CompiledScenario:
         offsets.append(offsets[-1] + nc)
 
     n_s = offsets[-1]
+    x_cells = np.stack(c_cols)
     lam_x = np.zeros((nx, n_s))  # covariate cell -> stacked condition cells, times lam
-    lam_x[np.arange(nx)[:, None], np.stack(c_cols, axis=1)] = scenario.lam
+    lam_x[np.arange(nx)[:, None], x_cells.T] = scenario.lam
     in_d = np.concatenate(in_d, axis=1)  # covariate cell -> stacked data cells
     n_d = in_d.shape[1]
     moments = np.stack([ptx, ptx * kernel])  # (moment, taste, nx)
@@ -238,6 +248,7 @@ def compile_scenario(scenario: Scenario) -> CompiledScenario:
         mass_map=mass_map.transpose(1, 2, 0, 3).reshape(2 * n_s, 2 * n_d),
         adjust=adjust,
         missing=(adjust > 0).astype(np.float64),
+        x_cells=x_cells,
     )
 
 
@@ -269,6 +280,25 @@ def profile_key(stacked: np.ndarray) -> bytes:
 def split_cells(cs: CompiledScenario, stacked: np.ndarray) -> list[np.ndarray]:
     """Per-type views of an array whose last axis is the stacked cell axis."""
     return [stacked[..., a:b] for a, b in zip(cs.offsets[:-1], cs.offsets[1:])]
+
+
+def population_rates(cs: CompiledScenario, stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p(a=0 | t, x) and p(a=1 | t, x) of one stacked (2, S) profile, each
+    shaped (2, *x_cards).
+
+    Each type adds its own lam-weighted rate of each action, in type order
+    and skipping weight 0, as ``model.aggregate_behavior`` does, so the sums
+    round the same way and an exactly pure profile leaves exactly zero mass
+    on the action nobody plays.
+    """
+    sig = stacked[:, cs.x_cells]  # (taste, type, covariate cell)
+    both = np.concatenate([1.0 - sig, sig])  # (action and taste, type, covariate cell)
+    rates = np.zeros((4, cs.x_cells.shape[1]))
+    for i, w in enumerate(cs.scenario.lam):
+        if w:
+            rates += w * both[:, i]
+    rates = rates.reshape((2, 2) + tuple(cs.scenario.x_cards))
+    return rates[0], rates[1]
 
 
 # -- trembles ---------------------------------------------------------------

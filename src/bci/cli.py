@@ -261,15 +261,17 @@ def _cell_label(scenario: Scenario, type_index: int, cell: tuple[int, ...]) -> s
     return ",".join(f"{n}={v}" for n, v in zip(names, cell))
 
 
-def _delta_payload(scenario: Scenario, profile: StrategyProfile) -> list[dict[str, Any]]:
-    tables = delta_table(scenario, profile)
+def _delta_payload(
+    scenario: Scenario | eng.CompiledScenario, profile: StrategyProfile
+) -> list[dict[str, Any]]:
+    cs = eng.compiled(scenario)
     out = []
-    for i, tab in enumerate(tables):
+    for i, tab in enumerate(delta_table(cs, profile)):
         cells = []
         for cell in np.ndindex(tab.values.shape):
             cells.append(
                 {
-                    "cell": _cell_label(scenario, i, cell),
+                    "cell": _cell_label(cs.scenario, i, cell),
                     "delta": float(tab.values[cell]) if tab.defined[cell] else None,
                     "defined": bool(tab.defined[cell]),
                     "reachable": bool(tab.reachable[cell]),
@@ -527,15 +529,17 @@ def _witness_payload(witness: wc.WitnessInstance) -> dict[str, Any]:
 
 def _run_builtin(
     name: str, values: dict[str, Any], eps_check: float | None, skip_infeasible: bool = False
-) -> tuple[Scenario, StrategyProfile, EquilibriumReport | None, Any] | None:
+) -> tuple[eng.CompiledScenario, StrategyProfile, EquilibriumReport | None, Any] | None:
     """Run builtin ``name``'s job at ``values``.
 
     A witness builtin re-verifies its witness, a builtin with a canonical
     profile checks it at ``eps_check``, and the rest run the dynamics from
-    the taste-matching start.  Returns the scenario, the profile, its report
-    (None when the dynamics do not converge) and the witness or dynamics
-    result behind them (None for the eps check).  With ``skip_infeasible``,
-    parameters the builder rejects give None instead of an error.
+    the taste-matching start.  Returns the compiled scenario, the profile,
+    its report (None when the dynamics do not converge) and the witness or
+    dynamics result behind them (None for the eps check).  The scenario is
+    compiled once, and every later step of the command reads that copy.
+    With ``skip_infeasible``, parameters the builder rejects give None
+    instead of an error.
     """
     spec = BUILTINS[name]
     try:
@@ -548,17 +552,18 @@ def _run_builtin(
             return None
         raise
     if spec.witness is not None:
-        return witness.scenario, witness.profile, wc.reverify(witness), witness
+        return witness.compiled, witness.profile, wc.reverify(witness), witness
+    cs = eng.compile_scenario(scenario)
     if spec.canonical is not None:
         profile = _resolve_profile(scenario, "canonical", name)
-        return scenario, profile, verify_eps_equilibrium(scenario, profile, eps_check), None
-    result = best_response_dynamics(scenario, StrategyProfile.matching(scenario))
-    return scenario, result.profile, result.report, result
+        return cs, profile, verify_eps_equilibrium(cs, profile, eps_check), None
+    result = best_response_dynamics(cs, StrategyProfile.matching(scenario))
+    return cs, result.profile, result.report, result
 
 
 def _emit_run(args, name: str, values: dict[str, Any], payload: dict[str, Any]) -> int:
     """Run builtin ``name``'s job and emit its output after ``payload``'s entries."""
-    scenario, profile, report, job = _run_builtin(name, values, getattr(args, "eps_check", None))
+    cs, profile, report, job = _run_builtin(name, values, getattr(args, "eps_check", None))
     if isinstance(job, wc.WitnessInstance):
         payload["witness"] = _witness_payload(job)
         payload["annotation_max_error"] = wc.check_annotations(job)
@@ -568,8 +573,8 @@ def _emit_run(args, name: str, values: dict[str, Any], payload: dict[str, Any]) 
             payload["iterations"] = job.iterations
         payload["profile"] = docmod.to_jsonable(profile)
     if report is not None:
-        payload["report"] = _report_payload(scenario, report)
-    payload["scenario"] = docmod.document_from_scenario(scenario).to_dict()
+        payload["report"] = _report_payload(cs.scenario, report)
+    payload["scenario"] = docmod.document_from_scenario(cs.scenario).to_dict()
     _emit(payload, args.format)
     return 0 if report is not None else 2
 
@@ -639,14 +644,14 @@ def _cmd_sweep(args) -> int:
             # so downstream plots see the hole instead of losing the sweep
             row["verdict"] = "infeasible"
             continue
-        scenario, profile, report, job = run
+        cs, profile, report, job = run
         if report is None:
             row["verdict"] = job.status
             continue
         row["verdict"] = report.verdict
         row["welfare_loss"] = report.welfare_loss
         row["error_probability"] = report.error_probability
-        for table in _delta_payload(scenario, profile):
+        for table in _delta_payload(cs, profile):
             for cell in table["cells"]:
                 value = "" if cell["delta"] is None else cell["delta"]
                 row[f"delta_{table['type']}({cell['cell']})"] = value

@@ -357,10 +357,14 @@ def profile_from_document(scenario: Scenario, raw: Any) -> StrategyProfile:
 
 def to_jsonable(obj: Any) -> Any:
     """Recursively convert reports/tables/arrays into JSON-ready values."""
-    if obj is None or isinstance(obj, (bool, int, str)):
+    if obj is None or isinstance(obj, (bool, int, str, float)):
         return obj
-    if isinstance(obj, float):
-        return obj
+    # dicts and lists make up most of every payload; they go before the
+    # slower checks (the ABC Mapping one above all)
+    if isinstance(obj, dict):
+        return {str(k): to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [to_jsonable(v) for v in obj]
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
     if isinstance(obj, (np.integer,)):
@@ -379,9 +383,8 @@ def to_jsonable(obj: Any) -> Any:
         return {f.name: to_jsonable(getattr(obj, f.name)) for f in dc_fields(obj)}
     if isinstance(obj, Mapping):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        items = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
-        return [to_jsonable(v) for v in items]
+    if isinstance(obj, (set, frozenset)):
+        return [to_jsonable(v) for v in sorted(obj)]
     return str(obj)
 
 

@@ -153,8 +153,8 @@ def _diagnose(
 
 def _profile_stats(cs: eng.CompiledScenario, profile: StrategyProfile):
     return (
-        float(welfare_loss(cs.scenario, profile)),
-        float(error_probability(cs.scenario, profile)),
+        float(welfare_loss(cs, profile)),
+        float(error_probability(cs, profile)),
         delta_table(cs, profile),
     )
 
@@ -416,7 +416,7 @@ def _dynamics_results(cs: eng.CompiledScenario, batch) -> list[DynamicsResult]:
 
 
 def best_response_dynamics(
-    scenario: Scenario,
+    scenario: Scenario | eng.CompiledScenario,
     init: StrategyProfile,
     max_iters: int = 1000,
 ) -> DynamicsResult:
@@ -427,9 +427,10 @@ def best_response_dynamics(
     4, 8, ... iterations after the last failed test) or on a sup-norm change
     below 1e-10; otherwise they stop at the iteration cap, reported as
     ``max_iters``.  A converged profile is certified against the schedule
-    try-list.
+    try-list.  ``scenario`` may also be its ``CompiledScenario``, which is
+    then not compiled again.
     """
-    cs = eng.compile_scenario(scenario)
+    cs = eng.compiled(scenario)
     stacked = eng.flatten_profile(cs, init)[None]
     batch = _dynamics_batch(cs, stacked, max_iters)
     return _dynamics_results(cs, batch)[0]

@@ -23,9 +23,12 @@ joint always satisfies ``outcome ⊥ a | (t, x)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from ._engine import CompiledScenario
 
 RESERVED_NAMES = ("t", "a", "y", "z")
 
@@ -183,8 +186,9 @@ class StrategyProfile:
     def __post_init__(self) -> None:
         sigmas = tuple(np.array(s, dtype=np.float64) for s in self.sigmas)
         for i, s in enumerate(sigmas):
-            if np.any(s < 0) or np.any(s > 1):
-                raise ModelError(f"strategy {i} has entries outside [0, 1]")
+            # written to pass only on good values, so a NaN entry fails it
+            if not np.all((s >= 0) & (s <= 1)):
+                raise ModelError(f"strategy {i} has entries not in [0, 1]")
         object.__setattr__(self, "sigmas", sigmas)
 
     def conforms(self, scenario: Scenario) -> None:
@@ -344,14 +348,28 @@ def induced_joint(scenario: Scenario, profile: StrategyProfile) -> JointTable:
     return JointTable(names, probs)
 
 
-def error_probability(scenario: Scenario, profile: StrategyProfile) -> float:
-    """Pr(a != t) under the induced joint."""
-    pa0, pa1 = (aggregate_behavior(scenario, profile, a) for a in (0, 1))
+def _population_rates(scenario: Scenario | CompiledScenario, profile: StrategyProfile):
+    """The scenario and its population rates p(a=0 | t, x), p(a=1 | t, x),
+    read on the engine's stacked layout."""
+    # _engine imports this module, so the engine is bound at call time
+    from ._engine import compiled, flatten_profile, population_rates
+
+    cs = compiled(scenario)
+    return (cs.scenario, *population_rates(cs, flatten_profile(cs, profile)))
+
+
+def error_probability(scenario: Scenario | CompiledScenario, profile: StrategyProfile) -> float:
+    """Pr(a != t) under the induced joint.
+
+    ``scenario`` is a ``Scenario`` or its ``_engine.CompiledScenario``,
+    which is then not compiled again.
+    """
+    scenario, pa0, pa1 = _population_rates(scenario, profile)
     mismatch = np.stack([pa1[0], pa0[1]])  # t = 0 errs with a=1, t = 1 with a=0
     return float((scenario.ptx * mismatch).sum())
 
 
-def welfare_loss(scenario: Scenario, profile: StrategyProfile) -> float:
+def welfare_loss(scenario: Scenario | CompiledScenario, profile: StrategyProfile) -> float:
     """Expected utility shortfall against a taste-matched DM who knows that
     the action never affects the outcome.
 
@@ -359,8 +377,10 @@ def welfare_loss(scenario: Scenario, profile: StrategyProfile) -> float:
     to ``c * Pr(a != t)``.  With a direct action weight beta the rational rule
     at t = 1 is always a = 1, and at t = 0 it is a = 1 exactly when beta > c;
     the loss weighs each deviation by the corresponding utility gap.
+    ``scenario`` is a ``Scenario`` or its ``_engine.CompiledScenario``, as
+    for ``error_probability``.
     """
-    pa0, pa1 = (aggregate_behavior(scenario, profile, a) for a in (0, 1))
+    scenario, pa0, pa1 = _population_rates(scenario, profile)
     beta, c = scenario.beta, scenario.c
     gap1 = beta + c  # t = 1, playing a = 0
     gap0_act = max(c - beta, 0.0)  # t = 0, playing a = 1

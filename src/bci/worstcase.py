@@ -21,12 +21,13 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import _engine as eng
-from .causal import delta
+from .causal import _check_type, delta_table
 from .equilibrium import (
     EquilibriumReport,
     _dynamics_batch,
@@ -128,6 +129,12 @@ class WitnessInstance:
     eps_profile: StrategyProfile | None = None
     notes: str = ""
 
+    @cached_property
+    def compiled(self) -> eng.CompiledScenario:
+        """The witness's compiled scenario, shared by ``reverify`` and
+        ``check_annotations``."""
+        return eng.compile_scenario(self.scenario)
+
 
 def reverify(witness: WitnessInstance) -> EquilibriumReport:
     """Re-run the equilibrium verdict from primitives, ignoring all claims.
@@ -136,19 +143,23 @@ def reverify(witness: WitnessInstance) -> EquilibriumReport:
     schedule); a limit claim is checked under the witness's own schedule.
     Either way the report must come back ``equilibrium_limit``.
     """
-    return verify_limit(witness.scenario, witness.profile, witness.schedule)
+    return verify_limit(witness.compiled, witness.profile, witness.schedule)
 
 
 def check_annotations(witness: WitnessInstance) -> float:
     """Max |closed form - computed| over the witness's effect and posterior
-    annotations; posteriors are recomputed from the induced joint."""
-    cs = eng.compile_scenario(witness.scenario)
+    annotations; effects are read from one delta table per annotated
+    profile, posteriors recomputed from the induced joint."""
+    tables = {}  # trembled flag -> the delta tables of that profile
     worst = 0.0
     for ann in witness.delta_annotations:
-        prof = witness.eps_profile if ann.trembled else witness.profile
-        if prof is None:
-            raise WorstCaseError("annotation marked trembled but no noisy profile stored")
-        got = delta(cs, prof, ann.type_index, ann.cell)
+        if ann.trembled not in tables:
+            prof = witness.eps_profile if ann.trembled else witness.profile
+            if prof is None:
+                raise WorstCaseError("annotation marked trembled but no noisy profile stored")
+            tables[ann.trembled] = delta_table(witness.compiled, prof)
+        _check_type(witness.scenario, ann.type_index)
+        got = tables[ann.trembled][ann.type_index].delta_at(ann.cell)
         if got is None:
             raise WorstCaseError(
                 f"annotated effect undefined at type {ann.type_index}, cell {ann.cell}"

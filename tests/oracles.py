@@ -208,6 +208,30 @@ def brute_error_probability(scenario, profile):
     return sum(p for key, p in joint.items() if key[0] != key[1 + K])
 
 
+def brute_welfare_loss(scenario, profile):
+    """Expected shortfall against a taste-matched DM who knows the action
+    never moves the outcome, summed over the raw joint.
+
+    The utility is u(a, t, y) = beta * a + (1 - beta) * y - c * [a != t]
+    (beta = 0 in the baseline convention).  At each (t, y) the rational DM
+    plays the action of highest utility; since y does not depend on the
+    action, that choice is the same for every y, and every joint entry
+    loses the utility gap between it and the action actually played.
+    """
+    beta, c = scenario.beta, scenario.c
+
+    def utility(a, t, y):
+        return beta * a + (1.0 - beta) * y - (c if a != t else 0.0)
+
+    K = len(scenario.x_cards)
+    total = 0.0
+    for key, p in full_joint(scenario, profile).items():
+        t, a, y = key[0], key[1 + K], key[2 + K]
+        best = max(utility(0, t, y), utility(1, t, y))
+        total += p * (best - utility(a, t, y))
+    return total
+
+
 # -- binary relations ----------------------------------------------------------
 
 

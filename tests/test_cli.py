@@ -467,6 +467,22 @@ def test_nan_probability_document_exits_1(tmp_path, capsys, command):
     assert "p_tx must sum to 1" in err
 
 
+@pytest.mark.parametrize("command", [["verify", "--limit"], ["delta"]])
+def test_nan_strategy_profile_exits_1(tmp_path, capsys, command):
+    # a NaN strategy entry once passed the range check: verify printed
+    # verdict undefined_cells with NaN welfare loss, and delta printed every
+    # cell as undefined, both with exit 0
+    nan = float("nan")
+    prof_path = tmp_path / "profile.json"
+    prof_path.write_text(json.dumps([[[nan, 0.0], [1.0, 1.0]], [[0.0, 0.0], [1.0, 1.0]]]))
+    code, out, err = run_cli(
+        capsys, command[0], "-b", "example_3_1", "--profile", str(prof_path), *command[1:],
+        "--format", "json",
+    )
+    assert (code, out) == (1, "")
+    assert "strategy 0 has entries not in [0, 1]" in err
+
+
 def test_missing_file_exits_3(capsys):
     code, _, err = run_cli(capsys, "verify", "-s", "/no/such/file.json")
     assert code == 3

@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
+from collections import OrderedDict
+from typing import Any, Mapping
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+import bci.cli
+import bci.document
 
 from bci.document import (
     DocumentError,
@@ -25,7 +35,7 @@ from bci.document import (
     validate,
 )
 from bci.equilibrium import verify_eps_equilibrium
-from bci.model import DataTypeSpec, Scenario
+from bci.model import DataTypeSpec, Scenario, StrategyProfile
 from bci.scenarios import (
     example_1_1_collider,
     example_1_1_confounder,
@@ -38,6 +48,7 @@ from bci.scenarios import (
     prop4,
     prop5,
 )
+from test_imports import load_bench
 
 def zero_weight_type():
     # the model allows a type of weight 0
@@ -274,6 +285,115 @@ def test_to_jsonable_handles_numpy_and_dataclasses():
     assert to_jsonable({1: (2, 3)}) == {"1": [2, 3]}
     assert to_jsonable({3, 1, 2}) == [1, 2, 3]
     assert to_jsonable(scenario) == document_from_scenario(scenario).to_dict()
+
+
+def reference_to_jsonable(obj: Any) -> Any:
+    """``to_jsonable`` as it was before its dict and list branches moved
+    up the isinstance chain."""
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
+    if isinstance(obj, float):
+        return obj
+    if isinstance(obj, (np.bool_,)):
+        return bool(obj)
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.floating,)):
+        return float(obj)
+    if isinstance(obj, np.ndarray):
+        return [reference_to_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, ScenarioDocument):
+        return obj.to_dict()
+    if isinstance(obj, Scenario):
+        return document_from_scenario(obj).to_dict()
+    if isinstance(obj, StrategyProfile):
+        return [reference_to_jsonable(np.asarray(s)) for s in obj.sigmas]
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {
+            f.name: reference_to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)
+        }
+    if isinstance(obj, Mapping):
+        return {str(k): reference_to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        items = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
+        return [reference_to_jsonable(v) for v in items]
+    return str(obj)
+
+
+def assert_same_as_reference(obj):
+    # repr tells 1, 1.0, True and np.float64(1.0) apart, and NaN from nothing
+    assert repr(to_jsonable(obj)) == repr(reference_to_jsonable(obj))
+
+
+def test_to_jsonable_matches_the_reference_on_cli_payloads(monkeypatch):
+    # every top-level conversion the benchmark's CLI scripts make, seeds 1-5
+    load_bench("tracing", monkeypatch)  # workloads imports it by name
+    workloads = load_bench("workloads", monkeypatch)
+    real = bci.document.to_jsonable
+    seen, depth = [], 0
+
+    def spy(obj):
+        nonlocal depth
+        if depth == 0:
+            seen.append(obj)
+        depth += 1
+        try:
+            return real(obj)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(bci.document, "to_jsonable", spy)
+    for seed in range(1, 6):
+        workload = workloads.Cli(bci, seed, 0.0)
+        for argv in workload.script[: len(workload.script) // workload.scripts]:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert bci.cli.main(argv) == 0, argv
+    monkeypatch.undo()
+    assert len(seen) > 100
+    for obj in seen:
+        assert_same_as_reference(obj)
+
+
+@dataclasses.dataclass(frozen=True)
+class Pair:
+    left: Any
+    right: Any
+
+
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=4),
+    st.floats().map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    hnp.arrays(
+        st.sampled_from([np.float64, np.int64, np.bool_]),
+        hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=3),
+    ),
+    st.sets(st.integers(), max_size=3),
+    st.frozensets(st.text(max_size=2), max_size=3),
+)
+_KEYS = st.one_of(st.text(max_size=3), st.integers(), st.booleans())
+_NESTED = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(_KEYS, inner, max_size=3),
+        st.dictionaries(_KEYS, inner, max_size=3).map(OrderedDict),
+        st.builds(Pair, inner, inner),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_NESTED)
+def test_to_jsonable_matches_the_reference(obj):
+    assert_same_as_reference(obj)
 
 
 def test_export_json_is_shortest_round_trip():

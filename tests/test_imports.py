@@ -3,8 +3,10 @@ imports the modules that are views over it, and every layer boundary the
 benchmark traces still exists and returns what its counters read."""
 
 import ast
+import contextlib
 import importlib.util
 import inspect
+import io
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -12,6 +14,7 @@ from time import perf_counter
 import numpy as np
 import pytest
 
+import bci._engine
 import bci.cli
 import bci.worstcase
 from bci.scenarios import example_3_1
@@ -155,7 +158,33 @@ def test_each_workload_reaches_its_boundaries(monkeypatch, name):
     assert [b for b in workload.absent if metrics[f"{b}.calls"] != 0] == []
     # certification reads its caller's compiled scenario: an enumeration
     # compiles once, and a search evaluation twice, because
-    # ``verified_equilibria`` hands ``enumerate_pure_equilibria`` the scenario
-    per_scenario = {"search": 2, "enumerate": 1}.get(name)
-    if per_scenario is not None:
-        assert metrics["engine.compile_scenario.per_scenario"] == per_scenario
+    # ``verified_equilibria`` hands ``enumerate_pure_equilibria`` the scenario;
+    # the CLI script compiles 31 times, once per distinct scenario per
+    # command, over 22 distinct scenarios
+    per_scenario = {"search": 2, "enumerate": 1, "cli": 31 / 22}[name]
+    assert metrics["engine.compile_scenario.per_scenario"] == per_scenario
+
+
+def test_each_cli_command_compiles_each_scenario_once(monkeypatch):
+    # the compiled scenario is handed down a command, never rebuilt: over
+    # the first CLI script of the benchmark's seed 1, each command compiles
+    # each distinct scenario it reads exactly once
+    tracing = load_bench("tracing", monkeypatch)  # workloads imports it by name
+    workload = load_bench("workloads", monkeypatch).Cli(bci, 1, 0.0)
+    script = workload.script[: len(workload.script) // workload.scripts]
+    real = bci._engine.compile_scenario
+    keys = []
+
+    def spy(scenario):
+        keys.append(tracing._scenario_key(scenario))
+        return real(scenario)
+
+    monkeypatch.setattr(bci._engine, "compile_scenario", spy)
+    total = 0
+    for argv in script:
+        keys.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert bci.cli.main(argv) == 0, argv
+        assert len(keys) == len(set(keys)), argv
+        total += len(keys)
+    assert total == 31

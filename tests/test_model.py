@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from bci._engine import compile_scenario, flatten_profile, population_rates
 from bci.model import (
     DataTypeSpec,
     JointTable,
@@ -104,6 +105,17 @@ def test_profile_shapes_checked():
         StrategyProfile((np.full((2, 2), 1.5), np.zeros(2))).conforms(s)
 
 
+def test_profile_rejects_nan_entries():
+    # every comparison with nan is false, so a range check written as "reject
+    # when s < 0 or s > 1" let a NaN through, and verify reported NaN loss
+    s = tiny_scenario()
+    for i in range(s.n_types):
+        sigmas = [np.zeros(s.sigma_shape(k)) for k in range(s.n_types)]
+        sigmas[i].flat[-1] = np.nan
+        with pytest.raises(ModelError, match=f"strategy {i} has entries not in"):
+            StrategyProfile(tuple(sigmas))
+
+
 def test_matching_profile_follows_taste():
     s = tiny_scenario()
     prof = StrategyProfile.matching(s)
@@ -194,6 +206,98 @@ def test_taste_matching_is_exact_under_inexact_weights():
     assert welfare_loss(s, prof) == 0.0
     ta = induced_joint(s, prof).marginalize(["t", "a"]).probs
     assert ta[0, 1] == 0.0 and ta[1, 0] == 0.0
+
+
+# -- report statistics on the stacked layout -------------------------------------
+
+
+def reference_stats(s, prof):
+    """(welfare loss, error probability) as the model computed them before it
+    read rates off the engine's stacked layout: each action's population rate
+    from ``aggregate_behavior`` on the full (t, x) grid, then the same
+    reductions."""
+    pa0, pa1 = (aggregate_behavior(s, prof, a) for a in (0, 1))
+    errp = float((s.ptx * np.stack([pa1[0], pa0[1]])).sum())
+    beta, c = s.beta, s.c
+    per_cell = np.stack(
+        [pa1[0] * max(c - beta, 0.0) + pa0[0] * max(beta - c, 0.0), pa0[1] * (beta + c)]
+    )
+    return float((s.ptx * per_cell).sum()), errp
+
+
+OUTCOMES = ("baseline", "beta_below_c", "beta_above_c")
+
+
+def random_report_case(rng, outcome, pure):
+    """A scenario of one to three covariates (cardinality 1 to 3, some zero
+    masses) and one to three types, one of them at weight 0 now and then,
+    under the given outcome convention, with a pure or a mixed profile."""
+    K = int(rng.integers(1, 4))
+    names = tuple(f"x{k + 1}" for k in range(K))
+    cards = tuple(int(rng.integers(1, 4)) for _ in range(K))
+    shape = (2,) + cards
+    ptx = rng.random(shape) ** 2
+    ptx[rng.random(shape) < 0.25] = 0.0
+    if ptx.sum() == 0.0:
+        ptx.flat[0] = 1.0
+    ptx /= ptx.sum()
+    types = []
+    for _ in range(int(rng.integers(1, 4))):
+        d = tuple(n for n in names if rng.random() < 0.6)
+        types.append(DataTypeSpec(tuple(n for n in d if rng.random() < 0.7), d))
+    lam = rng.dirichlet(np.ones(len(types)))
+    if len(types) > 1 and rng.random() < 0.3:
+        lam[0] = 0.0
+        lam /= lam.sum()
+    c = float(rng.uniform(0.05, 0.95))
+    beta = {
+        "baseline": 0.0,
+        "beta_below_c": float(rng.uniform(0.01, c)),
+        "beta_above_c": float(rng.uniform(c, 0.99)),
+    }[outcome]
+    kind = "baseline" if outcome == "baseline" else "consequential"
+    s = Scenario(names, cards, ptx, rng.random(shape), tuple(types), tuple(lam), c, kind, beta)
+    draw = (lambda sh: rng.integers(0, 2, sh).astype(float)) if pure else rng.random
+    return s, StrategyProfile(tuple(draw(s.sigma_shape(i)) for i in range(s.n_types)))
+
+
+def assert_report_stats(s, prof):
+    """The statistics, given the scenario or its compiled form, are bit-equal
+    to the reference formula and agree with the raw-joint oracles."""
+    loss, errp = reference_stats(s, prof)
+    cs = compile_scenario(s)
+    pa0, pa1 = population_rates(cs, flatten_profile(cs, prof))
+    assert np.array_equal(pa0, aggregate_behavior(s, prof, 0))
+    assert np.array_equal(pa1, aggregate_behavior(s, prof, 1))
+    for source in (s, cs):
+        assert welfare_loss(source, prof) == loss
+        assert error_probability(source, prof) == errp
+    assert loss == pytest.approx(oracles.brute_welfare_loss(s, prof), abs=1e-12)
+    assert errp == pytest.approx(oracles.brute_error_probability(s, prof), abs=1e-12)
+
+
+def test_report_stats_on_the_builtins():
+    # pandemic has beta = 1/2 > c = 0.3; its consequential copy of example
+    # 3.1 has beta < c
+    for s, prof in [
+        (pandemic(), pandemic_profile(pandemic())),
+        (example_3_1(), StrategyProfile.matching(example_3_1())),
+        (as_consequential(example_3_1(), 0.3), StrategyProfile.constant(example_3_1(), 0.4)),
+        (example_4_1(0.3, 0.5), StrategyProfile.constant(example_4_1(0.3, 0.5), 0.7)),
+    ]:
+        assert_report_stats(s, prof)
+
+
+def test_report_stats_on_random_scenarios():
+    rng = np.random.default_rng(19)
+    for k in range(120):
+        assert_report_stats(*random_report_case(rng, OUTCOMES[k % 3], pure=k % 2 == 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.sampled_from(OUTCOMES), st.booleans())
+def test_report_stats_property(seed, outcome, pure):
+    assert_report_stats(*random_report_case(np.random.default_rng(seed), outcome, pure))
 
 
 # -- trembles -------------------------------------------------------------------

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from bci.model import error_probability, induced_joint, welfare_loss
+from bci.model import ModelError, error_probability, induced_joint, welfare_loss
 from bci.ordering import build_relation, is_complete, is_quasitransitive
 from bci.worstcase import (
     SearchConfig,
@@ -87,6 +87,13 @@ def test_check_annotations_recomputes_posterior_claims():
     # a = 1 is never played at x2 = # in the limit profile
     with pytest.raises(WorstCaseError, match="null event"):
         check_annotations(null)
+
+
+def test_check_annotations_rejects_an_annotation_naming_no_type():
+    w = witness_incomplete(0.01, 0.5, 0.9)
+    ann = dataclasses.replace(w.delta_annotations[0], type_index=w.scenario.n_types)
+    with pytest.raises(ModelError, match="no type with index"):
+        check_annotations(dataclasses.replace(w, delta_annotations=(ann,)))
 
 
 def test_witness_full_loss_has_both_types_wrong():
