@@ -54,7 +54,8 @@ Population statistics
 ``population_rates`` reads the population's action rates p(a | t, x) off
 the stacked layout: ``CompiledScenario.x_cells`` maps each covariate cell to
 each type's stacked condition cell, so a type's rate on the full (t, x) grid
-is one gather.  The report statistics reduce those rates with ``p(t, x)``.
+is one gather.  The report statistics and ``model.induced_joint`` weigh
+those rates by ``p(t, x)``.
 
 Batches and results
 -------------------
@@ -287,9 +288,8 @@ def population_rates(cs: CompiledScenario, stacked: np.ndarray) -> tuple[np.ndar
     shaped (2, *x_cards).
 
     Each type adds its own lam-weighted rate of each action, in type order
-    and skipping weight 0, as ``model.aggregate_behavior`` does, so the sums
-    round the same way and an exactly pure profile leaves exactly zero mass
-    on the action nobody plays.
+    and skipping weight 0, so an exactly pure profile leaves exactly zero
+    mass on the action nobody plays.
     """
     sig = stacked[:, cs.x_cells]  # (taste, type, covariate cell)
     both = np.concatenate([1.0 - sig, sig])  # (action and taste, type, covariate cell)
@@ -528,19 +528,13 @@ def _pure_scores(cs: CompiledScenario, stacked: np.ndarray, eps: float):
     return sigma.reshape(2, n_s, n), scores, margin, defined
 
 
-def _score_margin(cs: CompiledScenario, stacked: np.ndarray, eps: float) -> np.ndarray:
-    """(batch, S) bound on |score(trembled) - score(pure)| over trembles of at
-    most ``eps`` per cell, on cells whose effect the pure profile defines."""
-    return _pure_scores(cs, stacked, eps)[2].T
-
-
 def pure_misfits(cs: CompiledScenario, stacked: np.ndarray, eps: float) -> np.ndarray:
     """(batch,) bool: pure stacked profiles that no tremble of at most ``eps``
     per cell can make pass ``check_rungs`` at threshold ``eps``.
 
     A profile is flagged where an active cell with a defined effect plays
     against a strict best reply by more than ``cs.tie_tol``, roundoff slack
-    and the ``_score_margin``: every such tremble leaves that cell's effect
+    and the ``_pure_scores`` margin: every such tremble leaves that cell's effect
     defined and its score on the same side of the tie band, and for
     eps < 1/2 the trembled cell still plays its action with probability
     1 - m > eps.

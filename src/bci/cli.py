@@ -326,12 +326,15 @@ def _render_text(payload: Any, indent: int = 0) -> str:
     return f"{pad}{payload}"
 
 
-def _emit(payload: Any, fmt: str, csv_rows: list[dict[str, Any]] | None = None) -> None:
+def _emit(
+    payload: Any, fmt: str, csv_rows: list[dict[str, Any]] | None = None,
+    columns: Sequence[str] | None = None,
+) -> None:
     if fmt == "json":
         print(docmod.export_json(payload))
     elif fmt == "csv":
         rows = csv_rows if csv_rows is not None else _flat_rows(payload)
-        print(docmod.export_csv(rows), end="")
+        print(docmod.export_csv(rows, columns), end="")
     else:
         print(_render_text(docmod.to_jsonable(payload)))
 
@@ -367,6 +370,10 @@ def _report_payload(scenario: Scenario, report: EquilibriumReport) -> dict[str, 
             for r in report.ladder_trace
         ]
     return payload
+
+
+# the CSV header of an equilibrium list, written even when the list is empty
+_EQUILIBRIUM_COLUMNS = ("profile", "verdict", "welfare_loss", "error_probability")
 
 
 def _equilibrium_entry(profile: StrategyProfile, report: EquilibriumReport) -> dict[str, Any]:
@@ -439,14 +446,15 @@ def _cmd_solve(args) -> int:
                 seen.add(key)
                 equilibria.append(_equilibrium_entry(result.profile, result.report))
         runs.append(entry)
-    _emit({"runs": runs, "equilibria": equilibria}, args.format, equilibria)
+    _emit({"runs": runs, "equilibria": equilibria}, args.format, equilibria, _EQUILIBRIUM_COLUMNS)
     return 0 if any_converged else 2
 
 
 def _cmd_enumerate(args) -> int:
     scenario, _ = _resolve_scenario(args)
     equilibria = [_equilibrium_entry(p, r) for p, r in enumerate_pure_equilibria(scenario)]
-    _emit({"count": len(equilibria), "equilibria": equilibria}, args.format, equilibria)
+    payload = {"count": len(equilibria), "equilibria": equilibria}
+    _emit(payload, args.format, equilibria, _EQUILIBRIUM_COLUMNS)
     return 0
 
 
@@ -713,9 +721,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("order", help="data-dominance relation and layers")
     p.add_argument("--types", default=None,
                    help='e.g. "[{C:[1],D:[1]},{C:[2],D:[2]}]" (1-based variables)')
-    p.add_argument("--builtin", "-b", default=None)
-    p.add_argument("--scenario", "-s", default=None)
-    _add_builtin_flags(p)
+    _add_source_args(p)
     _add_format_arg(p)
     p.set_defaults(func=_cmd_order)
 

@@ -233,8 +233,8 @@ def dumps(doc: ScenarioDocument, indent: int | None = 2) -> str:
     return json.dumps(doc.to_dict(), indent=indent)
 
 
-def validate(doc: ScenarioDocument) -> list[str]:
-    """Every invariant violation in the document, in a stable order."""
+def to_scenario(doc: ScenarioDocument) -> Scenario:
+    """Validated scenario, or DocumentError listing every violation in order."""
     problems: list[str] = []
     if doc.schema_version != SCHEMA_VERSION:
         problems.append(
@@ -284,14 +284,13 @@ def validate(doc: ScenarioDocument) -> list[str]:
         problems.append("lambda not on simplex")
     if not 0.0 < doc.c < 1.0:
         problems.append("c must lie in (0, 1)")
-    if problems:
-        return problems
-    # structural checks passed; let the model layer catch anything deeper
-    try:
-        _build_scenario(doc)
-    except (ModelError, ValueError) as exc:
-        problems.append(str(exc))
-    return problems
+    if not problems:
+        # structural checks passed; let the model layer catch anything deeper
+        try:
+            return _build_scenario(doc)
+        except (ModelError, ValueError) as exc:
+            problems.append(str(exc))
+    raise DocumentError(problems)
 
 
 def _build_scenario(doc: ScenarioDocument) -> Scenario:
@@ -316,12 +315,13 @@ def _build_scenario(doc: ScenarioDocument) -> Scenario:
     )
 
 
-def to_scenario(doc: ScenarioDocument) -> Scenario:
-    """Validated scenario, or DocumentError listing every violation."""
-    problems = validate(doc)
-    if problems:
-        raise DocumentError(problems)
-    return _build_scenario(doc)
+def validate(doc: ScenarioDocument) -> list[str]:
+    """Every invariant violation in the document, in a stable order."""
+    try:
+        to_scenario(doc)
+    except DocumentError as exc:
+        return exc.violations
+    return []
 
 
 def load_scenario(text: str) -> Scenario:
@@ -372,7 +372,7 @@ def to_jsonable(obj: Any) -> Any:
     if isinstance(obj, (np.floating,)):
         return float(obj)
     if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
+        return to_jsonable(obj.tolist())
     if isinstance(obj, ScenarioDocument):
         return obj.to_dict()
     if isinstance(obj, Scenario):

@@ -215,20 +215,8 @@ class StrategyProfile:
             sigmas.append(s)
         return cls(tuple(sigmas))
 
-    def expanded(self, scenario: Scenario, i: int) -> np.ndarray:
-        """Type i's action rule broadcast onto the full (t, x) grid."""
-        keep = set(scenario.c_axes(i))
-        newshape = (2,) + tuple(
-            card if k in keep else 1 for k, card in enumerate(scenario.x_cards)
-        )
-        full = (2,) + tuple(scenario.x_cards)
-        return np.broadcast_to(self.sigmas[i].reshape(newshape), full)
-
     def is_pure(self) -> bool:
         return all(bool(np.all((s == 0.0) | (s == 1.0))) for s in self.sigmas)
-
-    def rounded(self) -> "StrategyProfile":
-        return StrategyProfile(tuple(np.round(s) for s in self.sigmas))
 
 
 # -- trembles --------------------------------------------------------------
@@ -299,24 +287,6 @@ def apply_trembles(
 # -- induced behavior and outcomes ----------------------------------------
 
 
-def aggregate_behavior(
-    scenario: Scenario, profile: StrategyProfile, action: int = 1
-) -> np.ndarray:
-    """Population action rule p(a = action | t, x), shaped (2, *x_cards).
-
-    Each type contributes its own probability of ``action``, so an exactly
-    pure profile puts exactly zero mass on the action nobody plays even when
-    the type weights sum to 1 only up to roundoff.
-    """
-    profile.conforms(scenario)
-    out = np.zeros((2,) + tuple(scenario.x_cards))
-    for i, w in enumerate(scenario.lam):
-        if w:
-            sig = profile.expanded(scenario, i)
-            out += w * (sig if action == 1 else 1.0 - sig)
-    return out
-
-
 @dataclass(frozen=True)
 class JointTable:
     """A joint distribution: an array with one axis per named variable."""
@@ -333,15 +303,16 @@ class JointTable:
         return JointTable(tuple(n for n in self.names if n in keep), self.probs.sum(axis=drop))
 
 
-def induced_joint(scenario: Scenario, profile: StrategyProfile) -> JointTable:
+def induced_joint(scenario: Scenario | CompiledScenario, profile: StrategyProfile) -> JointTable:
     """Joint distribution over (t, x..., a, outcome) generated by the profile.
 
     Factorizes as p(t, x) * p(a | t, x) * p(outcome | t, x); the action and
     the outcome are conditionally independent given (t, x) by construction.
+    ``scenario`` is a ``Scenario`` or its ``_engine.CompiledScenario``, as
+    for ``error_probability``.
     """
-    action = np.stack(
-        [aggregate_behavior(scenario, profile, a) for a in (0, 1)], axis=-1
-    )  # (..., a)
+    scenario, pa0, pa1 = _population_rates(scenario, profile)
+    action = np.stack([pa0, pa1], axis=-1)  # (..., a)
     outcome = np.stack([1.0 - scenario.kernel, scenario.kernel], axis=-1)
     probs = scenario.ptx[..., None, None] * action[..., :, None] * outcome[..., None, :]
     names = ("t", *scenario.x_names, "a", "y" if scenario.outcome_kind == "baseline" else "z")

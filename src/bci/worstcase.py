@@ -166,7 +166,7 @@ def check_annotations(witness: WitnessInstance) -> float:
             )
         worst = max(worst, abs(got - ann.value))
     if witness.posterior_annotations:
-        joint = induced_joint(witness.scenario, witness.profile)
+        joint = induced_joint(witness.compiled, witness.profile)
     for post in witness.posterior_annotations:
         at = joint.marginalize(("t", post.covariate, "a")).probs[:, post.level, post.action]
         if not at.sum() > 0:

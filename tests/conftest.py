@@ -5,7 +5,3 @@ import pytest
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
-
-
-def pytest_configure(config):
-    config.addinivalue_line("markers", "acceptance: end-to-end acceptance checks")

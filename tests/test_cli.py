@@ -409,6 +409,20 @@ def test_enumerate_pure_equilibria(capsys):
     assert abs(losses[1] - 0.4) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("enumerate", "-b", "example_4_1"), 0),
+        (("solve", "-b", "example_4_1", "--inits", "0", "--max-iters", "1"), 2),
+    ],
+)
+def test_empty_equilibrium_csv_keeps_its_header(capsys, argv, code):
+    # no equilibrium found: the header row is still written
+    assert run_cli(capsys, *argv, "--format", "csv")[:2] == (
+        code, "profile,verdict,welfare_loss,error_probability\n"
+    )
+
+
 def test_verify_from_document_file(tmp_path, capsys):
     doc_path = tmp_path / "scenario.json"
     doc_path.write_text(dumps(document_from_scenario(example_3_1())))

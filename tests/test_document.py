@@ -35,7 +35,7 @@ from bci.document import (
     validate,
 )
 from bci.equilibrium import verify_eps_equilibrium
-from bci.model import DataTypeSpec, Scenario, StrategyProfile
+from bci.model import DataTypeSpec, JointTable, Scenario, StrategyProfile
 from bci.scenarios import (
     example_1_1_collider,
     example_1_1_confounder,
@@ -77,6 +77,19 @@ ALL_BUILDERS = [
     zero_weight_type,
     unary_covariate,
 ]
+
+
+def test_load_scenario_builds_the_scenario_once(monkeypatch):
+    built = []
+    real = bci.document._build_scenario
+
+    def spy(doc):
+        built.append(doc)
+        return real(doc)
+
+    monkeypatch.setattr(bci.document, "_build_scenario", spy)
+    load_scenario(dumps(document_from_scenario(example_3_1())))
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("build", ALL_BUILDERS)
@@ -285,6 +298,11 @@ def test_to_jsonable_handles_numpy_and_dataclasses():
     assert to_jsonable({1: (2, 3)}) == {"1": [2, 3]}
     assert to_jsonable({3, 1, 2}) == [1, 2, 3]
     assert to_jsonable(scenario) == document_from_scenario(scenario).to_dict()
+
+
+def test_to_jsonable_takes_a_0d_array():
+    assert repr(to_jsonable(np.array(0.0))) == "0.0"
+    assert json.loads(export_json(JointTable((), np.array(1.0))))["probs"] == 1.0
 
 
 def reference_to_jsonable(obj: Any) -> Any:

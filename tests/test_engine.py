@@ -247,7 +247,7 @@ def test_score_margin_bounds_every_tremble_of_at_most_eps(eps):
         trembled = (1.0 - m) * pure + m * (1.0 - pure)
         _, defined, before, _ = eng.best_replies(cs, pure)
         _, _, after, _ = eng.best_replies(cs, trembled)
-        margin = eng._score_margin(cs, pure, eps)
+        margin = eng._pure_scores(cs, pure, eps)[2].T
         assert margin.shape == defined.shape
         on = cs.active & defined[:, None, :]
         bound = np.broadcast_to(margin[:, None, :], on.shape)
@@ -283,7 +283,7 @@ def test_pure_misfits_flag_only_strict_misplays_beyond_the_margin():
     pure[:, 1] = 1.0  # a = t on the inactive taste
     flagged = eng.pure_misfits(cs, pure, 1e-6)
     _, defined, scores, code = eng.best_replies(cs, pure)
-    margin = eng._score_margin(cs, pure, 1e-6)
+    margin = eng._pure_scores(cs, pure, 1e-6)[2].T
     against = ((pure == 1) & (code == 0)) | ((pure == 0) & (code == 1))
     far = np.abs(scores) > margin[:, None, :] + cs.tie_tol + 1e-12
     assert flagged.tolist() == (against & far & cs.active & defined[:, None, :]).any(axis=(1, 2)).tolist()

@@ -169,7 +169,7 @@ def test_certification_is_first_passing_schedule_else_most_passing_rungs():
         cs = eng.compile_scenario(s)
         rest = best_response_dynamics(s, prof, max_iters=200).profile
         pure = StrategyProfile(tuple(np.floor(2 * rng.random(x.shape)) for x in prof.sigmas))
-        for p in (rest, prof.rounded(), pure):
+        for p in (rest, StrategyProfile(tuple(np.round(x) for x in prof.sigmas)), pure):
             stacked = eng.flatten_profile(cs, p)
             reports = [
                 verify_limit(s, p, make(stacked).to_schedule(cs.offsets)) for make in _try_list(cs)
@@ -680,7 +680,7 @@ def test_eps_verdicts_and_witnesses_match_oracle(seed):
         tuple(np.where(rng.random(x.shape) < 0.5, np.round(x), x) for x in prof.sigmas)
     )
     eps, tol = float(rng.uniform(0.01, 0.3)), tie_tolerance()
-    for p in (prof, prof.rounded(), part):
+    for p in (prof, StrategyProfile(tuple(np.round(x) for x in prof.sigmas)), part):
         verdict, undefined, offenders, scores = oracles.brute_eps_check(s, p, eps, tol)
         if any(abs(abs(score) - tol) <= 1e-9 for score in scores):
             continue  # the engine's and the oracle's roundoff may split a tie here

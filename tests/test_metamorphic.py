@@ -29,7 +29,7 @@ def _profiles(rng, s):
     """A random interior profile, its rounding, and a best-reply rest point."""
     prof = StrategyProfile(tuple(rng.random(s.sigma_shape(i)) for i in range(s.n_types)))
     rest = best_response_dynamics(s, StrategyProfile.matching(s), max_iters=200).profile
-    return prof, prof.rounded(), rest
+    return prof, StrategyProfile(tuple(np.round(x) for x in prof.sigmas)), rest
 
 
 def _verdicts(s, prof):

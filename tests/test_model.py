@@ -12,7 +12,6 @@ from bci.model import (
     Scenario,
     StrategyProfile,
     TrembleSchedule,
-    aggregate_behavior,
     apply_trembles,
     error_probability,
     induced_joint,
@@ -132,7 +131,7 @@ def test_matching_profile_follows_taste():
 def test_aggregate_behavior_mixes_types_by_weight():
     s = tiny_scenario()
     prof = StrategyProfile((np.array([[0.0, 1.0], [0.0, 1.0]]), np.array([1.0, 1.0])))
-    agg = aggregate_behavior(s, prof)
+    agg = induced_joint(s, prof).marginalize(("t", "x1", "a")).probs[..., 1] / s.ptx
     # type 1 (weight .6) plays x1, type 2 (weight .4) always 1
     assert np.allclose(agg, [[0.4, 1.0], [0.4, 1.0]])
 
@@ -211,12 +210,23 @@ def test_taste_matching_is_exact_under_inexact_weights():
 # -- report statistics on the stacked layout -------------------------------------
 
 
+def reference_rate(s, prof, action):
+    """Population rule p(a = action | t, x), shaped (2, *x_cards): each type's
+    strategy broadcast onto the full (t, x) grid, then lam-weighted and summed
+    in type order, skipping weight 0."""
+    out = np.zeros((2,) + tuple(s.x_cards))
+    for i, w in enumerate(s.lam):
+        if w:
+            keep = set(s.c_axes(i))
+            shape = (2,) + tuple(card if k in keep else 1 for k, card in enumerate(s.x_cards))
+            sig = prof.sigmas[i].reshape(shape)
+            out += w * (sig if action == 1 else 1.0 - sig)
+    return out
+
+
 def reference_stats(s, prof):
-    """(welfare loss, error probability) as the model computed them before it
-    read rates off the engine's stacked layout: each action's population rate
-    from ``aggregate_behavior`` on the full (t, x) grid, then the same
-    reductions."""
-    pa0, pa1 = (aggregate_behavior(s, prof, a) for a in (0, 1))
+    """(welfare loss, error probability) reduced from ``reference_rate``."""
+    pa0, pa1 = (reference_rate(s, prof, a) for a in (0, 1))
     errp = float((s.ptx * np.stack([pa1[0], pa0[1]])).sum())
     beta, c = s.beta, s.c
     per_cell = np.stack(
@@ -262,16 +272,20 @@ def random_report_case(rng, outcome, pure):
 
 
 def assert_report_stats(s, prof):
-    """The statistics, given the scenario or its compiled form, are bit-equal
-    to the reference formula and agree with the raw-joint oracles."""
+    """The statistics and the induced joint, given the scenario or its
+    compiled form, are bit-equal to the reference formula, and the statistics
+    agree with the raw-joint oracles."""
     loss, errp = reference_stats(s, prof)
     cs = compile_scenario(s)
     pa0, pa1 = population_rates(cs, flatten_profile(cs, prof))
-    assert np.array_equal(pa0, aggregate_behavior(s, prof, 0))
-    assert np.array_equal(pa1, aggregate_behavior(s, prof, 1))
+    assert np.array_equal(pa0, reference_rate(s, prof, 0))
+    assert np.array_equal(pa1, reference_rate(s, prof, 1))
+    outcome = np.stack([1.0 - s.kernel, s.kernel], axis=-1)
+    joint = s.ptx[..., None, None] * np.stack([pa0, pa1], -1)[..., None] * outcome[..., None, :]
     for source in (s, cs):
         assert welfare_loss(source, prof) == loss
         assert error_probability(source, prof) == errp
+        assert np.array_equal(induced_joint(source, prof).probs, joint)
     assert loss == pytest.approx(oracles.brute_welfare_loss(s, prof), abs=1e-12)
     assert errp == pytest.approx(oracles.brute_error_probability(s, prof), abs=1e-12)
 
