@@ -30,12 +30,11 @@ from .causal import delta_table
 from .equilibrium import (
     EquilibriumError,
     EquilibriumReport,
-    _dynamics_batch,
-    _dynamics_results,
-    _dynamics_starts,
     best_response_dynamics,
     certify_equilibrium,
+    dynamics_starts,
     enumerate_pure_equilibria,
+    solve,
     verify_eps_equilibrium,
 )
 from .model import DataTypeSpec, ModelError, Scenario, StrategyProfile
@@ -426,28 +425,16 @@ def _cmd_solve(args) -> int:
         raise CliError("--max-iters must be at least 1", 3)
     scenario, _ = _resolve_scenario(args)
     cs = eng.compile_scenario(scenario)
-    labels, starts = _dynamics_starts(cs, np.random.default_rng(args.seed), args.inits)
-    batch = _dynamics_batch(cs, starts, args.max_iters)
+    labels, starts = dynamics_starts(cs, np.random.default_rng(args.seed), args.inits)
+    results, found = solve(cs, starts, args.max_iters)
     runs = []
-    equilibria = []
-    seen: set[bytes] = set()
-    any_converged = False
-    for label, result in zip(labels, _dynamics_results(cs, batch)):
-        entry: dict[str, Any] = {
-            "init": label,
-            "status": result.status,
-            "iterations": result.iterations,
-        }
-        if result.status == "converged":
-            any_converged = True
-            entry["verdict"] = result.report.verdict
-            key = eng.profile_key(eng.flatten_profile(cs, result.profile))
-            if result.report.verdict == "equilibrium_limit" and key not in seen:
-                seen.add(key)
-                equilibria.append(_equilibrium_entry(result.profile, result.report))
-        runs.append(entry)
+    for label, result in zip(labels, results):
+        runs.append({"init": label, "status": result.status, "iterations": result.iterations})
+        if result.report is not None:
+            runs[-1]["verdict"] = result.report.verdict
+    equilibria = [_equilibrium_entry(p, r) for p, r in found]
     _emit({"runs": runs, "equilibria": equilibria}, args.format, equilibria, _EQUILIBRIUM_COLUMNS)
-    return 0 if any_converged else 2
+    return 0 if any(r.status == "converged" for r in results) else 2
 
 
 def _cmd_enumerate(args) -> int:

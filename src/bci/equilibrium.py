@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -43,6 +44,8 @@ __all__ = [
     "verify_eps_equilibrium",
     "verify_limit",
     "certify_equilibrium",
+    "dynamics_starts",
+    "solve",
     "best_response_dynamics",
     "enumerate_pure_equilibria",
 ]
@@ -384,14 +387,16 @@ def _dynamics_batch(cs: eng.CompiledScenario, stacked: np.ndarray, max_iters: in
 _FIXED_STARTS = {"taste": (0.0, 1.0), "zero": (0.0, 0.0), "one": (1.0, 1.0)}
 
 
-def _dynamics_starts(
+def dynamics_starts(
     cs: eng.CompiledScenario, rng: np.random.Generator, n_random: int
 ) -> tuple[list[str], np.ndarray]:
-    """Labels and the stacked start batch for ``_dynamics_batch``.
+    """Labels and the stacked start batch (batch, 2, S) for ``solve``.
 
     The fixed starts come first, then ``n_random`` uniform draws from
     ``rng``, drawn in (start, type, taste, cell) order.
     """
+    if n_random < 0:
+        raise EquilibriumError("the number of random starts must be nonnegative")
     n_flat = cs.active.size
     fixed = np.repeat(np.array(list(_FIXED_STARTS.values()))[:, :, None], n_flat // 2, axis=2)
     drawn = np.empty((n_random, n_flat))
@@ -400,19 +405,37 @@ def _dynamics_starts(
     return labels, np.concatenate([fixed, drawn.reshape((n_random,) + cs.active.shape)])
 
 
-def _dynamics_results(cs: eng.CompiledScenario, batch) -> list[DynamicsResult]:
-    """One result per start of a ``_dynamics_batch`` output; a converged
-    profile is certified against the schedule try-list."""
-    out, converged, _, iters = batch
+def solve(
+    cs: eng.CompiledScenario,
+    starts: np.ndarray,
+    max_iters: int,
+    known: Sequence[tuple[StrategyProfile, EquilibriumReport]] = (),
+) -> tuple[list[DynamicsResult], list[tuple[StrategyProfile, EquilibriumReport]]]:
+    """Damped best-reply dynamics from stacked starts (batch, 2, S), with
+    each distinct rest point (by ``_engine.profile_key``) certified once.
+
+    Returns one ``DynamicsResult`` per start, in start order, where starts
+    that reach one rest point share its profile and report; and the limit
+    equilibria: the (profile, report) pairs of ``known`` first, whose rest
+    points are not certified again, then each new one in the order its first
+    start reached it.
+    """
+    if max_iters < 1:
+        raise EquilibriumError("max_iters must be at least 1")
+    out, converged, _, iters = _dynamics_batch(cs, starts, max_iters)
+    rests = {eng.profile_key(eng.flatten_profile(cs, p)): (p, r) for p, r in known}
     results = []
-    for b in range(len(iters)):
-        profile = eng.unflatten_profile(cs, out[b])
-        if converged[b]:
-            status, report = "converged", certify_equilibrium(cs, profile)
-        else:
-            status, report = "max_iters", None
-        results.append(DynamicsResult(status, profile, report, int(iters[b])))
-    return results
+    for b, done in enumerate(converged):
+        if not done:
+            profile = eng.unflatten_profile(cs, out[b])
+            results.append(DynamicsResult("max_iters", profile, None, int(iters[b])))
+            continue
+        key = eng.profile_key(out[b])
+        if key not in rests:
+            profile = eng.unflatten_profile(cs, out[b])
+            rests[key] = (profile, certify_equilibrium(cs, profile))
+        results.append(DynamicsResult("converged", *rests[key], int(iters[b])))
+    return results, [pair for pair in rests.values() if pair[1].verdict == VERDICT_LIMIT]
 
 
 def best_response_dynamics(
@@ -420,20 +443,14 @@ def best_response_dynamics(
     init: StrategyProfile,
     max_iters: int = 1000,
 ) -> DynamicsResult:
-    """Iterate damped best replies from ``init`` and verify the rest point.
-
-    Dynamics converge at a rest point (the profile the previous iteration
-    snapped to reproduces the best replies it was built from, tested 1, 2,
-    4, 8, ... iterations after the last failed test) or on a sup-norm change
-    below 1e-10; otherwise they stop at the iteration cap, reported as
-    ``max_iters``.  A converged profile is certified against the schedule
-    try-list.  ``scenario`` may also be its ``CompiledScenario``, which is
-    then not compiled again.
+    """Iterate damped best replies from ``init`` and certify the rest point:
+    ``solve`` on one start.  Dynamics converge at a rest point or on a
+    sup-norm change below 1e-10, and otherwise stop at the iteration cap,
+    reported as ``max_iters``.  ``scenario`` may also be its
+    ``CompiledScenario``, which is then not compiled again.
     """
     cs = eng.compiled(scenario)
-    stacked = eng.flatten_profile(cs, init)[None]
-    batch = _dynamics_batch(cs, stacked, max_iters)
-    return _dynamics_results(cs, batch)[0]
+    return solve(cs, eng.flatten_profile(cs, init)[None], max_iters)[0][0]
 
 
 # -- exhaustive pure-profile enumeration -------------------------------------

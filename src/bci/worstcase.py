@@ -27,17 +27,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _engine as eng
-from .causal import _check_type, delta_table
+from .causal import delta_table
 from .equilibrium import (
     EquilibriumReport,
-    _dynamics_batch,
-    _dynamics_starts,
-    certify_equilibrium,
+    dynamics_starts,
     enumerate_pure_equilibria,
+    solve,
     verify_limit,
 )
 from .model import (
     DataTypeSpec,
+    ModelError,
     Scenario,
     StrategyProfile,
     TrembleSchedule,
@@ -158,7 +158,8 @@ def check_annotations(witness: WitnessInstance) -> float:
             if prof is None:
                 raise WorstCaseError("annotation marked trembled but no noisy profile stored")
             tables[ann.trembled] = delta_table(witness.compiled, prof)
-        _check_type(witness.scenario, ann.type_index)
+        if not 0 <= ann.type_index < witness.scenario.n_types:
+            raise ModelError(f"no type with index {ann.type_index}")
         got = tables[ann.trembled][ann.type_index].delta_at(ann.cell)
         if got is None:
             raise WorstCaseError(
@@ -534,28 +535,17 @@ def verified_equilibria(
     """Collect verified limit equilibria of one scenario.
 
     Exhaustive over pure profiles when the reachable-cell count permits,
-    then damped best-reply dynamics from taste-matching, constant, and
-    random starts, certifying each distinct rest point.  Coverage of mixed
-    equilibria is heuristic.
+    then ``solve`` from taste-matching, constant, and random starts, which
+    certifies each distinct rest point enumeration did not already list.
+    Enumeration's equilibria come first.  Coverage of mixed equilibria is
+    heuristic.
     """
     cs = eng.compile_scenario(scenario)
-    found: dict[bytes, tuple[StrategyProfile, EquilibriumReport]] = {}
+    _, starts = dynamics_starts(cs, rng, inner_inits)
     n_slots = int(cs.active.sum())
-    if n_slots < 63 and 2**n_slots <= _ENUMERATION_LIMIT:
-        for prof, rep in enumerate_pure_equilibria(scenario):
-            found[eng.profile_key(eng.flatten_profile(cs, prof))] = (prof, rep)
-
-    _, starts = _dynamics_starts(cs, rng, inner_inits)
-    out, converged, _, _ = _dynamics_batch(cs, starts, _MAX_ITERS)
-    for b in np.nonzero(converged)[0]:
-        key = eng.profile_key(out[b])
-        if key in found:
-            continue
-        prof = eng.unflatten_profile(cs, out[b])
-        rep = certify_equilibrium(cs, prof)
-        if rep.verdict == "equilibrium_limit":
-            found[key] = (prof, rep)
-    return list(found.values())
+    enumerable = n_slots < 63 and 2**n_slots <= _ENUMERATION_LIMIT
+    known = enumerate_pure_equilibria(scenario) if enumerable else ()
+    return solve(cs, starts, _MAX_ITERS, known)[1]
 
 
 def instance_digest(scenario: Scenario, profile: StrategyProfile) -> str:

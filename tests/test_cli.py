@@ -7,8 +7,10 @@ import inspect
 import io
 import json
 
+import numpy as np
 import pytest
 
+from bci._engine import profile_key
 from bci.cli import BUILTINS, main
 from bci.document import document_from_scenario, dumps, to_jsonable
 from bci.scenarios import example_3_1, example_3_1_profile
@@ -399,6 +401,20 @@ def test_solve_is_seed_reproducible(capsys):
     losses = [e["welfare_loss"] for e in payload["equilibria"]]
     assert any(abs(v - 0.2) < 1e-9 for v in losses)  # the a=1 corner
     assert all(e["verdict"] == "equilibrium_limit" for e in payload["equilibria"])
+
+
+def test_solve_lists_each_rest_point_once(capsys):
+    # eleven converged starts reach nine distinct rest points
+    payload = run_json(
+        capsys, "solve", "-b", "example_4_1", "--gamma", "0.3", "--c", "0.5",
+        "--seed", "0", "--inits", "8",
+    )
+    keys = [
+        profile_key(np.concatenate([np.ravel(sigma) for sigma in e["profile"]]))
+        for e in payload["equilibria"]
+    ]
+    assert len(keys) == len(set(keys))
+    assert sum(r["status"] == "converged" for r in payload["runs"]) > len(keys) > 1
 
 
 def test_enumerate_pure_equilibria(capsys):

@@ -18,7 +18,9 @@ from bci.equilibrium import (
     _try_list,
     best_response_dynamics,
     certify_equilibrium,
+    dynamics_starts,
     enumerate_pure_equilibria,
+    solve,
     verify_eps_equilibrium,
     verify_limit,
 )
@@ -310,6 +312,78 @@ def test_dynamics_from_never_acting_reach_the_interior_mix():
     alpha0, alpha1 = result.profile.sigmas[0].tolist()
     assert alpha0 == pytest.approx(gamma * (1 - c) / ((1 - gamma) * c), abs=1e-6)
     assert alpha1 == 1.0
+
+
+@pytest.mark.parametrize("max_iters", [0, -3])
+def test_dynamics_reject_an_empty_iteration_budget(max_iters):
+    s = example_3_1()
+    with pytest.raises(EquilibriumError, match="max_iters"):
+        best_response_dynamics(s, StrategyProfile.matching(s), max_iters=max_iters)
+
+
+def test_dynamics_starts_reject_a_negative_count():
+    s = example_3_1()
+    with pytest.raises(EquilibriumError, match="random starts"):
+        dynamics_starts(eng.compile_scenario(s), np.random.default_rng(0), -1)
+    with pytest.raises(EquilibriumError, match="random starts"):
+        verified_equilibria(s, np.random.default_rng(0), inner_inits=-1)
+
+
+def _key(cs, profile):
+    return eng.profile_key(eng.flatten_profile(cs, profile))
+
+
+@pytest.fixture
+def certified(monkeypatch):
+    """The profile keys ``certify_equilibrium`` certifies, in call order."""
+    calls = []
+    certify = equilibrium.certify_equilibrium
+
+    def spy(cs, profile):
+        calls.append(_key(cs, profile))
+        return certify(cs, profile)
+
+    monkeypatch.setattr(equilibrium, "certify_equilibrium", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "scenario", [example_3_1(), example_4_1(0.4, 0.5)], ids=["example_3_1", "example_4_1"]
+)
+def test_solve_certifies_each_distinct_rest_point_once(certified, scenario):
+    # a batch that repeats its starts: each distinct converged rest point is
+    # certified once, its repeats share its profile and report, and the
+    # equilibria come back in the order their first start reached them
+    cs = eng.compile_scenario(scenario)
+    _, starts = dynamics_starts(cs, np.random.default_rng(0), 8)
+    batch = np.concatenate([starts, starts])
+    results, found = solve(cs, batch, 400)
+    out, converged, _, _ = _dynamics_batch(cs, batch, 400)
+    keys = list(dict.fromkeys(eng.profile_key(out[b]) for b in np.nonzero(converged)[0]))
+    assert certified == keys
+    assert [r.status == "converged" for r in results] == converged.tolist()
+    n = len(starts)
+    for b in range(n):
+        assert results[b + n].profile is results[b].profile
+        assert results[b + n].report is results[b].report
+    report = {_key(cs, r.profile): r.report for r in results if r.report is not None}
+    assert [_key(cs, p) for p, _ in found] == [
+        k for k in keys if report[k].verdict == "equilibrium_limit"
+    ]
+    assert all(rep is report[_key(cs, p)] for p, rep in found)
+
+
+def test_verified_equilibria_list_enumeration_first_and_do_not_certify_it_again(certified):
+    s = example_3_1()
+    cs = eng.compile_scenario(s)
+    enumerated = [_key(cs, p) for p, _ in enumerate_pure_equilibria(s)]
+    n_enum = len(certified)
+    keys = [_key(cs, p) for p, _ in verified_equilibria(s, np.random.default_rng(0))]
+    assert len(keys) > len(enumerated) and keys[: len(enumerated)] == enumerated
+    # the calls after enumeration's own are the dynamics' new rest points
+    dynamics = certified[2 * n_enum :]
+    assert len(dynamics) == len(set(dynamics)) and not set(dynamics) & set(enumerated)
+    assert set(keys[len(enumerated) :]) <= set(dynamics)
 
 
 def test_enumerate_pure_finds_both_31_equilibria():

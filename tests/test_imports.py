@@ -1,6 +1,7 @@
 """Import discipline: numpy is the only runtime dependency, the engine never
-imports the modules that are views over it, and every layer boundary the
-benchmark traces still exists and returns what its counters read."""
+imports the modules that are views over it, no module imports another's
+private names but the engine's, and every layer boundary the benchmark
+traces still exists and returns what its counters read."""
 
 import ast
 import contextlib
@@ -56,6 +57,21 @@ def test_package_imports_only_stdlib_numpy_and_itself():
 def test_engine_imports_no_module_built_on_it():
     assert "bci.model" in imported_modules(SRC / "_engine.py")
     assert not imported_modules(SRC / "_engine.py") & ABOVE_ENGINE
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a module's underscore names are its own; the engine is the one shared
+    # private layer, imported whole or by name
+    crossings = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module != "_engine":
+                crossings += [
+                    (path.name, node.module, alias.name)
+                    for alias in node.names
+                    if alias.name.startswith("_") and alias.name != "_engine"
+                ]
+    assert crossings == []
 
 
 def own_functions(module):
