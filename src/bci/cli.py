@@ -460,22 +460,22 @@ def _tolerant_json(text: str) -> Any:
         raise CliError(f"cannot parse --types: {exc}", 3)
 
 
+def _is_index_list(value: Any) -> bool:
+    return isinstance(value, list) and all(type(i) is int and i >= 1 for i in value)
+
+
 def _cmd_order(args) -> int:
     if args.types is not None:
+        if args.builtin is not None or args.scenario is not None:
+            raise CliError("--types takes no --builtin or --scenario", 3)
         raw = _tolerant_json(args.types)
-        if not isinstance(raw, list):
-            raise CliError("--types must be a JSON list of {C, D} objects", 3)
-        specs = []
-        for entry in raw:
-            if not isinstance(entry, dict) or "C" not in entry or "D" not in entry:
-                raise CliError("--types entries must be {C: [...], D: [...]}", 3)
-            sets = (entry["C"], entry["D"])
-            if not all(
-                isinstance(v, list) and all(type(i) is int and i >= 1 for i in v) for v in sets
-            ):
-                raise CliError("cannot parse --types: C and D must be lists of integers >= 1", 3)
-            specs.append(tuple(tuple(f"x{i}" for i in sorted(v)) for v in sets))
-        types = tuple(DataTypeSpec(c, d) for c, d in specs)
+        if not isinstance(raw, list) or not all(
+            isinstance(e, dict) and _is_index_list(e.get("C")) and _is_index_list(e.get("D"))
+            for e in raw
+        ):
+            raise CliError("cannot parse --types: C and D must be lists of integers >= 1", 3)
+        names = [tuple(tuple(f"x{i}" for i in sorted(e[k])) for k in "CD") for e in raw]
+        types = tuple(DataTypeSpec(c, d) for c, d in names)
     else:
         scenario, _ = _resolve_scenario(args)
         types = scenario.types

@@ -21,10 +21,11 @@ Worked index-order example with variables x1 (cardinality 2) and x2
     (t=0,x1=1,x2=0), (t=0,x1=1,x2=1), (t=0,x1=1,x2=2),
     (t=1,x1=0,x2=0), ... , (t=1,x1=1,x2=2)
 
-Loading re-validates every model invariant and reports *all* violations,
-not just the first.  Export writes floats through ``repr`` (shortest
-round-trip form, at most 17 significant digits), so load(export(s)) is
-bit-exact on every decimal field.
+Loading reports every violation at once.  The format checks its own field
+kinds, schema version, list lengths and 1-based indices; every value rule
+is ``model.scenario_violations``.  Export writes floats through ``repr``
+(shortest round-trip form, at most 17 significant digits), so
+load(export(s)) is bit-exact on every decimal field.
 """
 
 from __future__ import annotations
@@ -37,9 +38,11 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .model import DataTypeSpec, ModelError, Scenario, StrategyProfile
+from .model import DataTypeSpec, Scenario, StrategyProfile, scenario_violations
 
 SCHEMA_VERSION = 1
+
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -98,17 +101,11 @@ class ScenarioDocument:
 def document_from_scenario(scenario: Scenario) -> ScenarioDocument:
     """Serialize a validated scenario; deterministic field order."""
     name_index = {n: i + 1 for i, n in enumerate(scenario.x_names)}
+    kernel = [float(v) for v in scenario.kernel.ravel()]
     if scenario.outcome_kind == "baseline":
-        outcome: dict[str, Any] = {
-            "kind": "baseline",
-            "y_given_tx": [float(v) for v in scenario.kernel.ravel()],
-        }
+        outcome: dict[str, Any] = {"kind": "baseline", "y_given_tx": kernel}
     else:
-        outcome = {
-            "kind": "consequential",
-            "z_given_tx": [float(v) for v in scenario.kernel.ravel()],
-            "beta": float(scenario.beta),
-        }
+        outcome = {"kind": "consequential", "z_given_tx": kernel, "beta": float(scenario.beta)}
     return ScenarioDocument(
         schema_version=SCHEMA_VERSION,
         variables=tuple((n, k) for n, k in zip(scenario.x_names, scenario.x_cards)),
@@ -132,7 +129,8 @@ def _is_int(value: Any) -> bool:
 
 
 def _is_number(value: Any) -> bool:
-    return _is_int(value) or isinstance(value, float)
+    """A JSON number that a float holds: an integer past 1.8e308 is not one."""
+    return isinstance(value, float) or (_is_int(value) and abs(value) <= _FLOAT_MAX)
 
 
 def _parse_raw(raw: Mapping[str, Any]) -> ScenarioDocument:
@@ -234,85 +232,58 @@ def dumps(doc: ScenarioDocument, indent: int | None = 2) -> str:
 
 
 def to_scenario(doc: ScenarioDocument) -> Scenario:
-    """Validated scenario, or DocumentError listing every violation in order."""
+    """Validated scenario, or DocumentError listing every violation: the
+    format's own first, then the model's.  The model gets only the tables of
+    the right length and each type's in-range names without repeats, so a
+    bad list is reported once, in the document's words."""
     problems: list[str] = []
     if doc.schema_version != SCHEMA_VERSION:
         problems.append(
             f"schema_version {doc.schema_version} unsupported (expected {SCHEMA_VERSION})"
         )
-    names = [n for n, _ in doc.variables]
-    if len(set(names)) != len(names):
-        problems.append("variable names must be distinct")
-    for n, k in doc.variables:
-        if k < 1:
-            problems.append(f"variable {n!r} needs cardinality >= 1")
-    n_vars = len(doc.variables)
-    n_cells = 2 * int(np.prod([k for _, k in doc.variables], dtype=np.int64)) if doc.variables else 2
-    if len(doc.p_tx) != n_cells:
-        problems.append(f"p_tx needs {n_cells} entries, got {len(doc.p_tx)}")
-    # the mass and weight checks pass only on good values, so a NaN fails them
-    if not all(v >= 0 for v in doc.p_tx):
-        problems.append("p_tx entries must be nonnegative")
-    total = float(sum(doc.p_tx))
-    if not abs(total - 1.0) <= 1e-9:
-        problems.append(f"p_tx must sum to 1 (got {total!r})")
-    kernel_key = "y_given_tx" if doc.outcome.get("kind") == "baseline" else "z_given_tx"
-    kernel = doc.outcome.get(kernel_key, ())
-    if len(kernel) != n_cells:
-        problems.append(f"outcome.{kernel_key} needs {n_cells} entries, got {len(kernel)}")
-    if any(not 0.0 <= float(v) <= 1.0 for v in kernel):
-        problems.append(f"outcome.{kernel_key} entries must lie in [0, 1]")
-    if doc.outcome.get("kind") == "consequential":
-        beta = float(doc.outcome.get("beta", -1.0))
-        if not 0.0 < beta < 1.0:
-            problems.append("consequential beta must lie in (0, 1)")
-    if not doc.types:
-        problems.append("at least one type is required")
-    for i, (cond, data) in enumerate(doc.types):
-        for idx in cond + data:
-            if not 1 <= idx <= n_vars:
-                problems.append(f"types[{i}] index {idx} out of range 1..{n_vars}")
-        if len(set(cond)) != len(cond) or len(set(data)) != len(data):
-            problems.append(f"types[{i}] has repeated indices")
-        if not set(cond) <= set(data):
-            problems.append(f"types[{i}]: C ⊄ D")
-    if len(doc.lam) != len(doc.types):
-        problems.append("lambda must have one weight per type")
-    if not all(v >= 0 for v in doc.lam):
-        problems.append("lambda weights must be nonnegative")
-    if doc.lam and not abs(sum(doc.lam) - 1.0) <= 1e-9:
-        problems.append("lambda not on simplex")
-    if not 0.0 < doc.c < 1.0:
-        problems.append("c must lie in (0, 1)")
-    if not problems:
-        # structural checks passed; let the model layer catch anything deeper
-        try:
-            return _build_scenario(doc)
-        except (ModelError, ValueError) as exc:
-            problems.append(str(exc))
-    raise DocumentError(problems)
-
-
-def _build_scenario(doc: ScenarioDocument) -> Scenario:
     names = tuple(n for n, _ in doc.variables)
     cards = tuple(k for _, k in doc.variables)
-    shape = (2,) + cards
-    ptx = np.array(doc.p_tx, dtype=float).reshape(shape)
-    kernel_key = "y_given_tx" if doc.outcome["kind"] == "baseline" else "z_given_tx"
-    kernel = np.array([float(v) for v in doc.outcome[kernel_key]], dtype=float).reshape(shape)
-    types = tuple(
-        DataTypeSpec(
-            tuple(names[i - 1] for i in sorted(cond)),
-            tuple(names[i - 1] for i in sorted(data)),
-        )
-        for cond, data in doc.types
-    )
-    if doc.outcome["kind"] == "baseline":
-        return Scenario(names, cards, ptx, kernel, types, doc.lam, doc.c)
-    return Scenario(
-        names, cards, ptx, kernel, types, doc.lam, doc.c,
-        outcome_kind="consequential", beta=float(doc.outcome["beta"]),
-    )
+    # counted in Python ints, so a huge cardinality neither overflows nor wraps
+    n_cells = 2 * int(np.prod(cards, dtype=object))
+    kind = doc.outcome.get("kind")
+    kernel_key = "y_given_tx" if kind == "baseline" else "z_given_tx"
+    tables = []
+    lists = (("p_tx", doc.p_tx), (f"outcome.{kernel_key}", doc.outcome.get(kernel_key, ())))
+    for label, values in lists:
+        table = None
+        if len(values) != n_cells:
+            problems.append(f"{label} needs {n_cells} entries, got {len(values)}")
+        else:
+            try:
+                table = np.array(values, dtype=float).reshape((2, *cards))
+            except ValueError:  # a cardinality below 1, which the model reports
+                pass
+        tables.append(table)
+
+    def names_at(indices: tuple[int, ...]) -> tuple[str, ...]:
+        # without repeats: two indices name one variable only where the
+        # variable names repeat, which the model reports
+        return tuple(dict.fromkeys(names[k - 1] for k in sorted(indices) if 1 <= k <= len(names)))
+
+    for i, (cond, data) in enumerate(doc.types):
+        for k in cond + data:
+            if not 1 <= k <= len(names):
+                problems.append(f"types[{i}] index {k} out of range 1..{len(names)}")
+        if len(set(cond)) != len(cond) or len(set(data)) != len(data):
+            problems.append(f"types[{i}] has repeated indices")
+    types = [(names_at(cond), names_at(data)) for cond, data in doc.types]
+    beta = float(doc.outcome.get("beta", np.nan)) if kind == "consequential" else 0.0
+    args = (names, cards, *tables, types, doc.lam, doc.c, kind, beta)
+    problems += scenario_violations(*args)
+    if problems:
+        raise DocumentError(problems)
+    return _build_scenario(args)
+
+
+def _build_scenario(args: tuple) -> Scenario:
+    """The scenario of ``scenario_violations``-style arguments that passed it."""
+    names, cards, ptx, kernel, types, *rest = args
+    return Scenario(names, cards, ptx, kernel, tuple(DataTypeSpec(c, d) for c, d in types), *rest)
 
 
 def validate(doc: ScenarioDocument) -> list[str]:

@@ -32,12 +32,92 @@ if TYPE_CHECKING:
 
 RESERVED_NAMES = ("t", "a", "y", "z")
 
-#: Tolerance for "masses sum to one" checks.
+#: The one tolerance of every "masses sum to one" check.
 NORM_TOL = 1e-12
 
 
 class ModelError(ValueError):
     """Raised for malformed scenarios, types, profiles, or tremble schedules."""
+
+
+def _type_violations(
+    condition_set: Sequence[str], data_set: Sequence[str], known: set[str] | None = None
+) -> list[str]:
+    """Every violation of one type's (C, D) pair.  Inside a scenario each name
+    must be a covariate (``known``); a lone type must use no reserved name."""
+    problems = []
+    cond, data = set(condition_set), set(data_set)
+    if len(cond) != len(condition_set):
+        problems.append(f"repeated names in C {tuple(condition_set)}")
+    if len(data) != len(data_set):
+        problems.append(f"repeated names in D {tuple(data_set)}")
+    if not cond <= data:
+        problems.append(f"C ⊄ D: {tuple(condition_set)} is not a subset of {tuple(data_set)}")
+    names = cond | data
+    if known is None:
+        if not names.isdisjoint(RESERVED_NAMES):
+            problems.append(f"reserved names {sorted(names.intersection(RESERVED_NAMES))}")
+    elif not names <= known:
+        problems.append(f"references unknown covariates {sorted(names - known)}")
+    return problems
+
+
+def scenario_violations(
+    x_names: Sequence[str], x_cards: Sequence[int], ptx: np.ndarray | None,
+    kernel: np.ndarray | None, types: Sequence[tuple[Sequence[str], Sequence[str]]],
+    lam: Sequence[float], c: float, outcome_kind: str = "baseline", beta: float = 0.0,
+) -> list[str]:
+    """Every violation of a scenario's primitives, in a stable order.
+
+    ``types`` holds each type's (C, D) name pair.  A ``None`` table is one
+    the caller could not shape; its values go unchecked.  Each check passes
+    only on good values, so a NaN fails it (as it fails ``min`` and ``max``).
+    """
+    problems = []
+    if len(x_names) != len(x_cards):
+        problems.append("x_names and x_cards length mismatch")
+    known = set(x_names)
+    if len(known) != len(x_names):
+        problems.append(f"variable names must be distinct, got {tuple(x_names)}")
+    for name in dict.fromkeys(n for n in x_names if n in RESERVED_NAMES):
+        problems.append(f"variable name {name!r} is reserved")
+    for name, card in zip(x_names, x_cards):
+        if not card >= 1:
+            problems.append(f"variable {name!r} needs cardinality >= 1")
+    shape = (2, *x_cards)
+    for label, table in (("p_tx", ptx), ("kernel", kernel)):
+        if table is not None and table.shape != shape:
+            problems.append(f"{label} shaped {table.shape}, expected {shape}")
+    if ptx is not None:
+        if ptx.size and not ptx.min() >= 0:
+            problems.append("p_tx entries must be nonnegative")
+        # an infinite or huge entry is a violation here, not a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(ptx.sum())
+        if not abs(total - 1.0) <= NORM_TOL:
+            problems.append(f"p_tx must sum to 1 (got {total!r})")
+    if kernel is not None and kernel.size and not (kernel.min() >= 0 and kernel.max() <= 1):
+        problems.append("kernel entries must lie in [0, 1]")
+    if not types:
+        problems.append("at least one type is required")
+    for i, (condition_set, data_set) in enumerate(types):
+        for problem in _type_violations(condition_set, data_set, known):
+            problems.append(f"types[{i}]: {problem}")
+    if len(lam) != len(types):
+        problems.append("lambda must have one weight per type")
+    if not all(w >= 0 for w in lam):
+        problems.append("lambda weights must be nonnegative")
+    if lam and not abs(sum(lam) - 1.0) <= NORM_TOL:
+        problems.append(f"lambda not on simplex: weights sum to {float(sum(lam))!r}")
+    if not 0.0 < c < 1.0:
+        problems.append("taste-mismatch cost c must lie in (0, 1)")
+    if outcome_kind not in ("baseline", "consequential"):
+        problems.append(f"unknown outcome_kind {outcome_kind!r}")
+    elif outcome_kind == "baseline" and beta != 0.0:
+        problems.append("baseline scenarios must have beta = 0")
+    elif outcome_kind == "consequential" and not 0.0 < beta < 1.0:
+        problems.append("consequential beta must lie in (0, 1)")
+    return problems
 
 
 @dataclass(frozen=True)
@@ -48,17 +128,9 @@ class DataTypeSpec:
     data_set: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        for label, names in (("condition_set", self.condition_set), ("data_set", self.data_set)):
-            if len(set(names)) != len(names):
-                raise ModelError(f"duplicate names in {label}: {names}")
-        if not set(self.condition_set) <= set(self.data_set):
-            raise ModelError(
-                f"condition_set {self.condition_set} must be a subset of data_set {self.data_set}"
-            )
-        bad = set(self.condition_set) | set(self.data_set)
-        bad &= set(RESERVED_NAMES)
-        if bad:
-            raise ModelError(f"reserved variable names in type spec: {sorted(bad)}")
+        problems = _type_violations(self.condition_set, self.data_set)
+        if problems:
+            raise ModelError("; ".join(problems))
 
     @property
     def simple(self) -> bool:
@@ -68,7 +140,8 @@ class DataTypeSpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Exogenous primitives of one decision environment."""
+    """Exogenous primitives of one decision environment; construction raises
+    ``ModelError`` listing every violation ``scenario_violations`` finds."""
 
     x_names: tuple[str, ...]
     x_cards: tuple[int, ...]
@@ -81,54 +154,17 @@ class Scenario:
     beta: float = 0.0
 
     def __post_init__(self) -> None:
-        if len(self.x_names) != len(self.x_cards):
-            raise ModelError("x_names and x_cards length mismatch")
-        if len(set(self.x_names)) != len(self.x_names):
-            raise ModelError(f"duplicate covariate names: {self.x_names}")
-        clash = set(self.x_names) & set(RESERVED_NAMES)
-        if clash:
-            raise ModelError(f"covariate names {sorted(clash)} are reserved")
-        for name, card in zip(self.x_names, self.x_cards):
-            if card < 1:
-                raise ModelError(f"covariate {name!r} needs cardinality >= 1")
-
-        shape = (2,) + tuple(self.x_cards)
         ptx = np.asarray(self.ptx, dtype=np.float64)
-        if ptx.shape != shape:
-            raise ModelError(f"ptx shaped {ptx.shape}, expected {shape}")
-        # every check is written to pass only on good values, so a NaN fails it
-        if not (np.all(ptx >= 0) and abs(float(ptx.sum()) - 1.0) <= NORM_TOL):
-            raise ModelError("ptx must be a probability table summing to 1")
         kernel = np.asarray(self.kernel, dtype=np.float64)
-        if kernel.shape != shape:
-            raise ModelError(f"kernel shaped {kernel.shape}, expected {shape}")
-        if not np.all((kernel >= 0) & (kernel <= 1)):
-            raise ModelError("kernel entries must lie in [0, 1]")
+        lam = tuple(map(float, self.lam))
+        types = [(spec.condition_set, spec.data_set) for spec in self.types]
+        problems = scenario_violations(self.x_names, self.x_cards, ptx, kernel, types, lam,
+                                       self.c, self.outcome_kind, self.beta)
+        if problems:
+            raise ModelError("; ".join(problems))
         object.__setattr__(self, "ptx", ptx)
         object.__setattr__(self, "kernel", kernel)
-
-        if not self.types:
-            raise ModelError("at least one DM type is required")
-        if len(self.lam) != len(self.types):
-            raise ModelError("lam must have one weight per type")
-        lam = tuple(float(w) for w in self.lam)
-        if not (all(w >= 0 for w in lam) and abs(sum(lam) - 1.0) <= NORM_TOL):
-            raise ModelError("type weights must be nonnegative and sum to 1")
         object.__setattr__(self, "lam", lam)
-        known = set(self.x_names)
-        for i, spec in enumerate(self.types):
-            unknown = set(spec.data_set) - known
-            if unknown:
-                raise ModelError(f"type {i} references unknown covariates {sorted(unknown)}")
-
-        if not 0.0 < self.c < 1.0:
-            raise ModelError("taste-mismatch cost c must lie in (0, 1)")
-        if self.outcome_kind not in ("baseline", "consequential"):
-            raise ModelError(f"unknown outcome_kind {self.outcome_kind!r}")
-        if self.outcome_kind == "baseline" and self.beta != 0.0:
-            raise ModelError("baseline scenarios must have beta = 0")
-        if self.outcome_kind == "consequential" and not 0.0 < self.beta < 1.0:
-            raise ModelError("consequential scenarios need beta in (0, 1)")
 
     # -- derived geometry -------------------------------------------------
 
@@ -143,11 +179,7 @@ class Scenario:
 
     def x_axes(self, names: Iterable[str]) -> tuple[int, ...]:
         """Positions of ``names`` within the covariate tuple, in x order."""
-        index = {n: k for k, n in enumerate(self.x_names)}
-        try:
-            return tuple(sorted(index[n] for n in names))
-        except KeyError as err:
-            raise ModelError(f"unknown covariate {err.args[0]!r}") from None
+        return tuple(sorted(self.x_names.index(n) for n in names))
 
     def c_axes(self, i: int) -> tuple[int, ...]:
         return self.x_axes(self.types[i].condition_set)

@@ -191,9 +191,8 @@ def prop2_cycle(
     each type dominates the next but not the previous.  Mass 1-eps on the
     all-ones cell, eps/3 on each single-zero cell, outcome = x1*x2*x3.
     """
-    lam = tuple(float(v) for v in lambdas)
-    if len(lam) != 3 or min(lam) <= 0 or abs(sum(lam) - 1.0) > 1e-12:
-        raise ModelError("lambdas must be three positive weights summing to 1")
+    if len(lambdas) != 3 or min(lambdas) <= 0:  # the model checks that they sum to 1
+        raise ModelError("lambdas must be three positive weights")
     if not 0 < eps < 1:
         raise ModelError("need eps in (0,1)")
     ptx = np.zeros((2, 2, 2, 2))
@@ -206,11 +205,11 @@ def prop2_cycle(
         DataTypeSpec(("x2",), ("x2", "x3")),
         DataTypeSpec(("x3",), ("x1", "x3")),
     )
-    scenario = Scenario(("x1", "x2", "x3"), (2, 2, 2), ptx, kernel, types, lam, c)
+    scenario = Scenario(("x1", "x2", "x3"), (2, 2, 2), ptx, kernel, types, lambdas, c)
     spoiler = {0: 2, 1: 0, 2: 1}  # the type whose covariate lies outside D_i
     shrink = (1.0 - 2 * eps / 3) / (1.0 - eps / 3)
     for i in range(3):
-        top = shrink * (1.0 - eps) / (1.0 - eps + (eps / 3) * (1.0 - lam[spoiler[i]]))
+        top = shrink * (1.0 - eps) / (1.0 - eps + (eps / 3) * (1.0 - scenario.lam[spoiler[i]]))
         if top <= c:
             raise ModelError(f"infeasible: type {i} perceived effect {top:.6f} <= c={c}")
     return scenario
@@ -229,10 +228,9 @@ def prop4(
     (t=0, #, #): 1-gamma; (t=1, 0, 0): gamma - beta - 2 beta^2.
     The outcome simply equals the taste.
     """
-    lam = tuple(float(v) for v in lambdas)
     rest = gamma - beta - 2 * beta**2
-    if len(lam) != 2 or min(lam) <= 0 or abs(sum(lam) - 1.0) > 1e-12:
-        raise ModelError("lambdas must be two positive weights summing to 1")
+    if len(lambdas) != 2 or min(lambdas) <= 0:  # the model checks that they sum to 1
+        raise ModelError("lambdas must be two positive weights")
     if not 0 < beta < 1 or rest <= 0 or gamma < 0.5:
         raise ModelError(f"need gamma >= 1/2 and gamma - beta - 2 beta^2 > 0 (got {rest})")
     ptx = np.zeros((2, 3, 3))
@@ -242,8 +240,8 @@ def prop4(
     ptx[1, 0, 0] = rest
     kernel = np.zeros((2, 3, 3))
     kernel[1] = 1.0
-    scenario = Scenario(("x1", "x2"), (3, 3), ptx, kernel, _pair("x1", "x2"), lam, c)
-    for i, li in enumerate(lam):
+    scenario = Scenario(("x1", "x2"), (3, 3), ptx, kernel, _pair("x1", "x2"), lambdas, c)
+    for i, li in enumerate(scenario.lam):
         up = 1.0 / (1.0 + li * beta)
         down = rest / (rest + li * beta**2)
         if up <= c or down <= c:
@@ -348,8 +346,6 @@ def as_consequential(scenario: Scenario, beta: float) -> Scenario:
     """
     if scenario.outcome_kind != "baseline":
         raise ModelError("only baseline scenarios can be converted")
-    if not 0 < beta < 1:
-        raise ModelError("beta must lie in (0, 1)")
     return Scenario(
         scenario.x_names,
         scenario.x_cards,

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import inspect
 import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bci._engine import profile_key
 from bci.cli import BUILTINS, main
@@ -495,6 +499,78 @@ def test_nan_probability_document_exits_1(tmp_path, capsys, command):
     code, out, err = run_cli(capsys, command[0], "-s", str(bad), *command[1:], "--format", "json")
     assert (code, out) == (1, "")
     assert "p_tx must sum to 1" in err
+
+
+@pytest.mark.parametrize(
+    "cards, n_cells", [((2**64, 2), 2**66), ((2**62, 4), 2**65)], ids=["overflow", "wrap"]
+)
+def test_huge_cardinality_reports_its_true_cell_count(tmp_path, capsys, cards, n_cells):
+    # the count once overflowed int64 (2**64) or wrapped around to 0 (2**62 * 4)
+    raw = json.loads(dumps(document_from_scenario(example_3_1())))
+    for variable, card in zip(raw["variables"], cards):
+        variable["cardinality"] = card
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(raw))
+    code, out, err = run_cli(capsys, "enumerate", "-s", str(bad))
+    assert (code, out) == (1, "")
+    assert f"p_tx needs {n_cells} entries, got 8" in err
+
+
+_ODD_VALUES = st.sampled_from(
+    [0, -1, 1, 3, 99, 2**62, 2**64, 10**400, 0.5, 1.5, -0.5, 1e308, math.nan, math.inf, -math.inf]
+)
+
+
+def _mangle(raw: dict, op: str, k: int, value) -> None:
+    tables = (raw["p_tx"], raw["outcome"]["y_given_tx"], raw["lambda"])
+    if op == "cardinality":
+        raw["variables"][k % len(raw["variables"])]["cardinality"] = value
+    elif op == "entry":
+        table = tables[k % 3]
+        if table:
+            table[k % len(table)] = value
+    elif op == "c":
+        raw["c"] = value
+    elif op == "index":
+        entry = raw["types"][k % len(raw["types"])]
+        entry["CD"[k % 2]].append(value)
+    elif op == "drop":
+        table = tables[k % 3]
+        if table:
+            table.pop()
+    elif op == "append":
+        tables[k % 3].append(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["cardinality", "entry", "c", "index", "drop", "append"]),
+            st.integers(0, 11),
+            _ODD_VALUES,
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_a_mangled_document_keeps_the_exit_code_contract(tmp_path_factory, edits):
+    raw = json.loads(dumps(document_from_scenario(example_3_1())))
+    for op, k, value in edits:
+        _mangle(raw, op, k, value)
+    path = tmp_path_factory.getbasetemp() / "mangled.json"
+    path.write_text(json.dumps(raw))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["enumerate", "-s", str(path)])
+    assert code in (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("source", [["-b", "example_3_1"], ["-s", "-"]])
+def test_order_types_takes_no_scenario_source(capsys, source):
+    # --types once won silently over the scenario the source named
+    code, out, err = run_cli(capsys, "order", "--types", "[{C:[1],D:[1]}]", *source)
+    assert (code, out) == (3, "")
+    assert "--types takes no --builtin or --scenario" in err
 
 
 @pytest.mark.parametrize("command", [["verify", "--limit"], ["delta"]])

@@ -35,7 +35,7 @@ from bci.document import (
     validate,
 )
 from bci.equilibrium import verify_eps_equilibrium
-from bci.model import DataTypeSpec, JointTable, Scenario, StrategyProfile
+from bci.model import DataTypeSpec, JointTable, ModelError, Scenario, StrategyProfile
 from bci.scenarios import (
     example_1_1_collider,
     example_1_1_confounder,
@@ -451,3 +451,121 @@ def test_export_json_keeps_nan_for_unreachable_rates():
     text = export_json({"rate": float("nan")}, indent=None)
     assert "NaN" in text
     assert math.isnan(json.loads(text)["rate"])
+
+
+def _reserved_name_and_bad_c(raw):
+    raw["variables"][0]["name"] = "t"
+    raw["c"] = 1.5
+
+
+def _two_reserved_names(raw):
+    raw["variables"][0]["name"] = "a"
+    raw["variables"][1]["name"] = "y"
+
+
+def _p_tx_just_off_and_bad_c(raw):
+    raw["p_tx"][0] += 5e-10
+    raw["c"] = 1.5
+
+
+def _lambda_just_off_and_c_outside_d(raw):
+    raw["lambda"][0] += 5e-10
+    raw["types"][0] = {"C": [1, 2], "D": [2]}
+
+
+@pytest.mark.parametrize(
+    "mangle, messages",
+    [
+        (_reserved_name_and_bad_c, ("variable name 't' is reserved", "c must lie in (0, 1)")),
+        (_two_reserved_names, ("variable name 'a' is reserved", "variable name 'y' is reserved")),
+        (_p_tx_just_off_and_bad_c, ("p_tx must sum to 1", "c must lie in (0, 1)")),
+        (_lambda_just_off_and_c_outside_d, ("lambda not on simplex", "types[0]: C ⊄ D")),
+    ],
+)
+def test_validate_lists_each_of_two_independent_violations(mangle, messages):
+    # the format's own checks once kept the model from running at all
+    raw = _valid_raw()
+    mangle(raw)
+    problems = validate(loads(json.dumps(raw)))
+    for message in messages:
+        assert any(message in p for p in problems), (message, problems)
+
+
+def test_a_bad_index_list_is_reported_once_in_the_documents_words():
+    raw = _valid_raw()
+    raw["types"][1] = {"C": [2, 2], "D": [2, 5]}
+    problems = validate(loads(json.dumps(raw)))
+    assert [p for p in problems if p.startswith("types[1]")] == [
+        "types[1] index 5 out of range 1..2",
+        "types[1] has repeated indices",
+    ]
+
+
+def _scenario_from_fields(doc: ScenarioDocument) -> Scenario:
+    """The scenario a document's fields describe, built without the document layer."""
+    names = tuple(n for n, _ in doc.variables)
+    shape = (2,) + tuple(k for _, k in doc.variables)
+    kind = doc.outcome["kind"]
+    kernel = doc.outcome["y_given_tx" if kind == "baseline" else "z_given_tx"]
+    return Scenario(
+        names,
+        shape[1:],
+        np.reshape(doc.p_tx, shape),
+        np.reshape(kernel, shape),
+        tuple(
+            DataTypeSpec(tuple(names[i - 1] for i in c), tuple(names[i - 1] for i in d))
+            for c, d in doc.types
+        ),
+        doc.lam,
+        doc.c,
+        kind,
+        doc.outcome.get("beta", 0.0),
+    )
+
+
+def _slot(raw: dict, field: str, position: int) -> tuple[Any, Any]:
+    """The container and key of one numeric entry of a raw document."""
+    if field == "c":
+        return raw, "c"
+    if field == "kernel":
+        outcome = raw["outcome"]
+        table = outcome["y_given_tx" if outcome["kind"] == "baseline" else "z_given_tx"]
+    else:
+        table = raw[field]
+    return table, position % len(table)
+
+
+_PERTURBATIONS = st.one_of(
+    st.just(("set", math.nan)),
+    st.tuples(st.just("set"), st.floats(-1.0, -1e-300)),
+    st.tuples(
+        st.just("add"),
+        st.builds(lambda e, sign: sign * 10.0**e, st.floats(-13.0, -6.0), st.sampled_from([-1, 1])),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(ALL_BUILDERS),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["p_tx", "kernel", "lambda", "c"]), st.integers(0, 63), _PERTURBATIONS
+        ),
+        max_size=3,
+    ),
+)
+def test_validate_is_empty_exactly_when_the_scenario_builds(build, edits):
+    # NaN, negative entries and sums off by 1e-13 to 1e-6, on both sides of
+    # the one tolerance
+    raw = json.loads(dumps(document_from_scenario(build())))
+    for field, position, (how, value) in edits:
+        container, key = _slot(raw, field, position)
+        container[key] = value if how == "set" else container[key] + value
+    doc = loads(json.dumps(raw))
+    try:
+        _scenario_from_fields(doc)
+        builds = True
+    except ModelError:
+        builds = False
+    assert (validate(doc) == []) == builds, validate(doc)

@@ -385,6 +385,29 @@ def test_as_consequential_rescales_cost_and_tags_kind():
         as_consequential(s, 0.0)
 
 
+def test_as_consequential_leaves_beta_to_the_model():
+    # beta = 1.5 also rescales c to 1.25; the model reports both at once
+    with pytest.raises(ModelError) as info:
+        as_consequential(example_3_1(), 1.5)
+    assert "consequential beta must lie in (0, 1)" in str(info.value)
+    assert "c must lie in (0, 1)" in str(info.value)
+
+
+def test_scenario_reports_every_violation():
+    ok = tiny_scenario()
+    with pytest.raises(ModelError) as info:
+        Scenario(("x1",), (2,), ok.ptx * 2, ok.kernel + 1.0, ok.types, (0.5, 0.6), 1.5)
+    for message in (
+        "p_tx must sum to 1 (got 2.0)",
+        "kernel entries must lie in [0, 1]",
+        "lambda not on simplex",
+        "taste-mismatch cost c must lie in (0, 1)",
+    ):
+        assert message in str(info.value)
+    with pytest.raises(ModelError, match=r"repeated names in C .*; C ⊄ D: .*; reserved names \['t'\]"):
+        DataTypeSpec(("x1", "x1", "t"), ("x1",))
+
+
 def test_consequential_loss_charges_beta_plus_c_for_waiting_at_taste_one():
     # pandemic: beta = 1/2 > c = 0.3, so the rational rule acts at both
     # tastes; every (t, x) cell here plays a = 0 with some probability
