@@ -57,6 +57,14 @@ each type's stacked condition cell, so a type's rate on the full (t, x) grid
 is one gather.  The report statistics and ``model.induced_joint`` weigh
 those rates by ``p(t, x)``.
 
+Trembles
+--------
+A tremble schedule compiles to one form, its flip exponent per (taste,
+type), NaN where a slice has no rule: a ``(batch..., 2, n_types)`` table.
+``cell_exponents`` repeats a table onto the stacked cells, and
+``apply_compiled_trembles`` leaves a NaN cell exact.  Stacked tables tremble
+one batch under several schedules at once, as enumeration's screen does.
+
 Batches and results
 -------------------
 A batch lives only as long as the engine call or the caller's loop step
@@ -67,10 +75,10 @@ pure profiles in chunks sized in bytes.  ``pure_misfits`` first rejects the
 profiles that provably fail the floor rung; it transposes each chunk once and
 runs batch-last, ``(2S, n)``, so that every elementwise op runs along the
 long batch axis.  The exact screen and certification then see only the rest.
-``equilibrium._CHUNK_BYTES`` bounds the moments array, the largest
-temporary of either pass (``(2D, 2n)`` in the first, ``(2n, 2D)`` in
-``profile_beliefs``), so that every chunk reuses the same cache-sized
-buffers.
+``equilibrium._CHUNK_BYTES`` bounds the first pass's moments array,
+``(2D, 2n)``, so that every chunk reuses the same cache-sized buffers; the
+exact screen, which sees few profiles, checks three schedules per profile,
+``(6n, 2D)`` in ``profile_beliefs``.
 """
 
 from __future__ import annotations
@@ -82,7 +90,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import ModelError, Scenario, StrategyProfile, TrembleSchedule
+from .model import ModelError, Scenario, StrategyProfile
 
 LADDER_START = 0.1
 LADDER_RATIO = 0.5
@@ -304,45 +312,20 @@ def population_rates(cs: CompiledScenario, stacked: np.ndarray) -> tuple[np.ndar
 # -- trembles ---------------------------------------------------------------
 
 
-@dataclass
-class CompiledSchedule:
-    """Flip exponents on the stacked layout, per (taste, cell)."""
-
-    exponents: np.ndarray  # (..., 2, S), broadcastable to the profile batch
-    still: np.ndarray  # (2, S) bool: cells with no tremble rule
-
-    @classmethod
-    def from_schedule(cls, schedule: TrembleSchedule, offsets) -> "CompiledSchedule":
-        """Compile for the stacked cell axis whose type blocks ``offsets`` bounds."""
-        # nan (from None) marks a slice without a rule: no exponent is nan
-        rules = np.array(
-            [[schedule.exponent_for(i, taste) for i in range(len(offsets) - 1)] for taste in (0, 1)],
-            dtype=np.float64,
-        )
-        rules = np.repeat(rules, np.diff(offsets), axis=-1)
-        still = np.isnan(rules)
-        return cls(np.where(still, 1.0, rules), still)
-
-    def to_schedule(self, offsets) -> TrembleSchedule:
-        """The per-(type, taste) rules of a schedule compiled for one profile."""
-        return TrembleSchedule.of(
-            {
-                (i, taste): float(self.exponents[taste, first])
-                for i, first in enumerate(offsets[:-1])
-                for taste in (0, 1)
-                if not self.still[taste, first]
-            }
-        )
+def cell_exponents(table: np.ndarray, offsets) -> np.ndarray:
+    """A (..., 2, n_types) exponent table expanded onto the stacked cell axis
+    whose type blocks ``offsets`` bounds: (..., 2, S)."""
+    return np.repeat(table, np.diff(offsets), axis=-1)
 
 
-def taste_weighted_schedule(cs: CompiledScenario, stacked: np.ndarray) -> CompiledSchedule:
+def taste_weighted_schedule(cs: CompiledScenario, stacked: np.ndarray) -> np.ndarray:
     """Flip trembles that fade faster where the slice already matches taste.
 
     Slices whose majority action over active cells equals the taste get
     exponent 2 (second-order noise); others get exponent 1.  This mirrors the
     natural construction for taste-driven corner profiles, where the
     taste-matching side must tremble an order slower to keep the perceived
-    effect alive.
+    effect alive.  Returns the exponent table, (batch..., 2, n_types).
     """
     played = stacked * cs.weights
     # per-block slice sums, as for ``cs.total``: a segmented reduction
@@ -352,25 +335,24 @@ def taste_weighted_schedule(cs: CompiledScenario, stacked: np.ndarray) -> Compil
     total = cs.total
     share = np.divide(mass, total, out=np.full(mass.shape, 0.5), where=total > 0)
     majority = share >= 0.5  # (..., 2, n_types) per-slice majority action
-    exps = np.where(majority == (np.arange(2)[:, None] == 1), 2.0, 1.0)
-    return CompiledSchedule(
-        np.repeat(exps, np.diff(cs.offsets), axis=-1),
-        np.zeros(cs.active.shape, dtype=bool),
-    )
+    return np.where(majority == (np.arange(2)[:, None] == 1), 2.0, 1.0)
 
 
 def apply_compiled_trembles(
-    stacked: np.ndarray, sched: CompiledSchedule, eps: np.ndarray
+    stacked: np.ndarray, exponents: np.ndarray, eps: np.ndarray
 ) -> np.ndarray:
     """Trembled copies of stacked profiles at noise levels ``eps``.
 
-    ``eps`` may be scalar or (R,); with (R,) the output gains a leading rung
-    axis: (R, batch..., 2, S).
+    ``exponents`` holds each cell's flip exponent (NaN: exact), (..., 2, S),
+    and the batch broadcasts it against the profiles.  ``eps`` may be scalar
+    or (R,); with (R,) the output gains a leading rung axis: (R, batch..., 2, S).
     """
     eps = np.asarray(eps, dtype=np.float64)
     tgt = np.where(stacked >= 0.5, 0.0, 1.0)
-    m = np.minimum(eps.reshape(eps.shape + (1,) * stacked.ndim) ** sched.exponents, 1.0)
-    np.copyto(m, 0.0, where=sched.still)
+    ndim = max(stacked.ndim, exponents.ndim)
+    m = np.minimum(eps.reshape(eps.shape + (1,) * ndim) ** exponents, 1.0)
+    # not m's own NaN: 1 ** NaN is 1
+    np.copyto(m, 0.0, where=np.isnan(exponents))
     return (1.0 - m) * stacked + m * tgt
 
 

@@ -648,8 +648,7 @@ def _cmd_sweep(args) -> int:
         row["error_probability"] = report.error_probability
         for table in _delta_payload(cs, profile):
             for cell in table["cells"]:
-                value = "" if cell["delta"] is None else cell["delta"]
-                row[f"delta_{table['type']}({cell['cell']})"] = value
+                row[f"delta_{table['type']}({cell['cell']})"] = cell["delta"]
     # export_csv orders columns by first appearance: the parameters first
     _emit(rows, args.format)
     return 0

@@ -313,14 +313,22 @@ def profile_from_document(scenario: Scenario, raw: Any) -> StrategyProfile:
         )
     sigmas = []
     for i, entry in enumerate(raw):
-        arr = np.asarray(entry, dtype=float)
         want = scenario.sigma_shape(i)
-        if arr.shape != want:
-            raise DocumentParseError(
-                f"profile table {i} has shape {arr.shape}, expected {want}"
-            )
-        sigmas.append(arr)
+        if not _number_table(entry, want):
+            raise DocumentParseError(f"profile table {i} must be a table of numbers shaped {want}")
+        sigmas.append(np.array(entry, dtype=float))
     return StrategyProfile(tuple(sigmas))
+
+
+def _number_table(value: Any, shape: tuple[int, ...]) -> bool:
+    """Nested lists of JSON numbers, exactly ``shape``."""
+    if not shape:
+        return _is_number(value)
+    return (
+        isinstance(value, list)
+        and len(value) == shape[0]
+        and all(_number_table(v, shape[1:]) for v in value)
+    )
 
 
 # -- generic export -----------------------------------------------------------
@@ -367,7 +375,8 @@ def export_csv(rows: Sequence[Mapping[str, Any]], columns: Sequence[str] | None 
     """Long-format CSV: header row always present, one row per entry.
 
     Column order: ``columns`` if given, else first-seen order across rows.
-    Cell values serialize through repr for floats (bit-exact round-trip).
+    Cell values serialize through repr for floats (bit-exact round-trip);
+    ``None`` and a missing value are both an empty cell.
     """
     if columns is None:
         seen: dict[str, None] = {}
@@ -381,8 +390,10 @@ def export_csv(rows: Sequence[Mapping[str, Any]], columns: Sequence[str] | None 
     for row in rows:
         out = []
         for col in columns:
-            v = row.get(col, "")
-            if isinstance(v, (bool, np.bool_)):
+            v = row.get(col)
+            if v is None:
+                out.append("")
+            elif isinstance(v, (bool, np.bool_)):
                 out.append(str(bool(v)).lower())
             elif isinstance(v, (float, np.floating)):
                 out.append(repr(float(v)))

@@ -162,27 +162,24 @@ def _profile_stats(cs: eng.CompiledScenario, profile: StrategyProfile):
     )
 
 
-def _rung_passes(cs, stacked, sched, rungs) -> np.ndarray:
-    """Per-rung passes (R, batch...) of stacked profiles trembled by a compiled schedule."""
-    return eng.check_rungs(cs, eng.apply_compiled_trembles(stacked, sched, rungs), rungs)[0]
-
-
 def _reaches_floor(ok: np.ndarray) -> np.ndarray:
     """The ladder rule on per-rung passes (R, batch...): a passing suffix of
     ``DEFAULT_TAIL_MIN`` rungs, or of every rung on a shorter ladder."""
     return eng.tail_lengths(ok) >= min(eng.DEFAULT_TAIL_MIN, len(ok))
 
 
-def _ladder(cs, stacked, sched, rungs):
-    """The ladder core of both verifiers: the stacked (2, S) profile trembled
-    by the compiled schedule at each rung, each rung checked at its own noise
+def _ladder(cs, profile, schedule, rungs):
+    """The ladder core of both verifiers: the profile, on the stacked layout,
+    trembled by the schedule at each rung, each rung checked at its own noise
     level, and the deepest failing rung diagnosed.
 
     Returns (trace, sup_gap, failed_at, witness, undefined); ``failed_at`` is
     the deepest failing rung's noise level, or None (and no diagnosis) when
     the ladder passes ``_reaches_floor``.
     """
-    trembled = eng.apply_compiled_trembles(stacked, sched, rungs)
+    stacked = eng.flatten_profile(cs, profile)
+    exponents = eng.cell_exponents(schedule.exponents(cs.scenario.n_types), cs.offsets)
+    trembled = eng.apply_compiled_trembles(stacked, exponents, rungs)
     ok, undef, bad, scores = eng.check_rungs(cs, trembled, rungs)
     viol = np.where(bad, np.abs(scores), 0.0).max(axis=(-2, -1))
     trace = tuple(
@@ -211,10 +208,8 @@ def verify_eps_equilibrium(
     if not 0 < eps < 1:
         raise EquilibriumError("eps must lie in (0, 1)")
     cs = eng.compiled(scenario)
-    sched = eng.CompiledSchedule.from_schedule(TrembleSchedule.none(), cs.offsets)
-    trace, _, failed_at, witness, undefined = _ladder(
-        cs, eng.flatten_profile(cs, profile), sched, np.array([eps])
-    )
+    none = TrembleSchedule.none()
+    trace, _, failed_at, witness, undefined = _ladder(cs, profile, none, np.array([eps]))
     loss, errp, tables = _profile_stats(cs, profile)
     if undefined:
         verdict, witness = VERDICT_UNDEFINED, None
@@ -242,10 +237,7 @@ def verify_limit(
     """
     schedule = schedule if schedule is not None else TrembleSchedule.none()
     cs = eng.compiled(scenario)
-    sched = eng.CompiledSchedule.from_schedule(schedule, cs.offsets)
-    trace, sup_gap, failed_at, witness, undefined = _ladder(
-        cs, eng.flatten_profile(cs, profile), sched, cs.rungs
-    )
+    trace, sup_gap, failed_at, witness, undefined = _ladder(cs, profile, schedule, cs.rungs)
     loss, errp, tables = _profile_stats(cs, profile)
     if failed_at is None:
         verdict = VERDICT_LIMIT
@@ -256,23 +248,26 @@ def verify_limit(
     )
 
 
-def _try_list(cs: eng.CompiledScenario):
-    """The schedule try-list of ``certify_equilibrium`` and
-    ``enumerate_pure_equilibria`` in the order tried: the first schedule whose
-    ladder passes wins, else the one with the most passing rungs.  Each entry
-    maps a stacked profile batch to its compiled schedule.  No trembles and
-    uniform flip do not depend on the batch, so they compile once, here.
+def _try_list(cs: eng.CompiledScenario, stacked: np.ndarray) -> np.ndarray:
+    """The try-list of ``certify_equilibrium`` and ``enumerate_pure_equilibria``
+    for stacked profiles (batch..., 2, S): the exponent tables, shaped
+    (3, batch..., 2, n_types), of no trembles, uniform flip and taste-weighted
+    flip, in the order tried.
 
     At the floor rung eps, every schedule trembles each cell by at most eps:
     none by 0, uniform flip by eps, taste-weighted flip by eps or eps**2.
     ``enumerate_pure_equilibria`` rests its misfit filter on this."""
-    none = eng.CompiledSchedule.from_schedule(TrembleSchedule.none(), cs.offsets)
-    flip = eng.CompiledSchedule.from_schedule(TrembleSchedule.uniform_flip(1.0), cs.offsets)
-    return (
-        lambda batch: none,
-        lambda batch: flip,
-        lambda batch: eng.taste_weighted_schedule(cs, batch),
-    )
+    weighted = eng.taste_weighted_schedule(cs, stacked)
+    return np.stack([np.full_like(weighted, np.nan), np.ones_like(weighted), weighted])
+
+
+def _floor_screen(cs: eng.CompiledScenario, stacked: np.ndarray) -> np.ndarray:
+    """(batch,) bool: stacked profiles (batch, 2, S) that pass the floor rung
+    under some schedule of the try-list, all three in one rung check."""
+    floor = cs.rungs[-1:]
+    exponents = eng.cell_exponents(_try_list(cs, stacked), cs.offsets)
+    trembled = eng.apply_compiled_trembles(stacked, exponents, floor)
+    return eng.check_rungs(cs, trembled, floor)[0][0].any(axis=0)
 
 
 def certify_equilibrium(
@@ -291,10 +286,9 @@ def certify_equilibrium(
     compiled again.
     """
     cs = eng.compiled(scenario)
-    stacked = eng.flatten_profile(cs, profile)
     best, most = None, -1
-    for make in _try_list(cs):
-        report = verify_limit(cs, profile, make(stacked).to_schedule(cs.offsets))
+    for table in _try_list(cs, eng.flatten_profile(cs, profile)):
+        report = verify_limit(cs, profile, TrembleSchedule.from_exponents(table))
         if report.passed:
             return report
         passes = sum(rung.passed for rung in report.ladder_trace)
@@ -456,9 +450,11 @@ def best_response_dynamics(
 # -- exhaustive pure-profile enumeration -------------------------------------
 
 ENUMERATION_CAP = 1 << 20
-# Bound on the largest per-chunk temporary of either pass, the moments array:
-# two actions' data moments per profile, (2D, 2n) in ``_engine.pure_misfits``
-# and (2n, 2D) in ``profile_beliefs`` on the exact screen.  Chunks this small
+# Bound on the largest per-chunk temporary of the first pass, the moments
+# array: two actions' data moments per profile, (2D, 2n) in
+# ``_engine.pure_misfits``.  The exact screen checks three schedules per
+# profile, (6n, 2D) in ``profile_beliefs``, on the few profiles the first
+# pass keeps.  Chunks this small
 # reuse the same few cache-sized buffers chunk after chunk; larger ones fault
 # each chunk's temporaries in anew, and smaller ones pay numpy's per-call
 # cost more often.  On a 2-core x86 VM, a pass of the ``enumerate`` benchmark
@@ -499,7 +495,6 @@ def enumerate_pure_equilibria(scenario: Scenario) -> list[tuple[StrategyProfile,
     if n_slots.bit_length() > 63 or 2**n_slots > ENUMERATION_CAP:
         raise EquilibriumError(f"instance-too-large: 2^{n_slots} pure profiles exceed the cap")
     n_profiles = 1 << n_slots
-    floor = cs.rungs[-1:]
     chunk = max(1, _CHUNK_BYTES // (2 * cs.mass_map[0].nbytes))
 
     def pure(idx: np.ndarray) -> np.ndarray:
@@ -511,26 +506,13 @@ def enumerate_pure_equilibria(scenario: Scenario) -> list[tuple[StrategyProfile,
     kept = []
     for start in range(0, n_profiles, chunk):
         idx = np.arange(start, min(start + chunk, n_profiles), dtype=np.int64)
-        kept.append(idx[~eng.pure_misfits(cs, pure(idx), floor[0])])
+        kept.append(idx[~eng.pure_misfits(cs, pure(idx), cs.rungs[-1])])
     kept = np.concatenate(kept)
 
-    try_list = _try_list(cs)
     results: list[tuple[StrategyProfile, EquilibriumReport]] = []
     for start in range(0, len(kept), chunk):
         batch = pure(kept[start : start + chunk])
-
-        # each schedule of the try-list screens the profiles the earlier ones left
-        passing = np.zeros(len(batch), dtype=bool)
-        todo = np.arange(len(batch))
-        for make in try_list:
-            rest = batch[todo]
-            ok = _rung_passes(cs, rest, make(rest), floor)[0]
-            passing[todo[ok]] = True
-            todo = todo[~ok]
-            if not todo.size:
-                break
-
-        for b in np.nonzero(passing)[0]:
+        for b in np.nonzero(_floor_screen(cs, batch))[0]:
             profile = eng.unflatten_profile(cs, batch[b])
             report = certify_equilibrium(cs, profile)
             if report.passed:

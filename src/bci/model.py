@@ -291,11 +291,20 @@ class TrembleSchedule:
     def is_empty(self) -> bool:
         return not self.entries and self.default is None
 
-    def exponent_for(self, type_index: int, taste: int) -> float | None:
-        for key, exponent in self.entries:
-            if key == (type_index, taste):
-                return exponent
-        return self.default
+    def exponents(self, n_types: int) -> np.ndarray:
+        """The (2, n_types) table of flip exponents per (taste, type): each
+        slice's own rule, else ``default``, else NaN (no rule: left exact)."""
+        rules = dict(self.entries)
+        rows = [[rules.get((i, taste), self.default) for i in range(n_types)] for taste in (0, 1)]
+        return np.array(rows, dtype=np.float64)
+
+    @classmethod
+    def from_exponents(cls, table: np.ndarray) -> "TrembleSchedule":
+        """The schedule of one explicit rule per non-NaN entry of a
+        (2, n_types) exponent table."""
+        return cls.of(
+            {(i, taste): float(k) for (taste, i), k in np.ndenumerate(table) if not np.isnan(k)}
+        )
 
 
 def apply_trembles(
@@ -307,12 +316,12 @@ def apply_trembles(
     if eps == 0.0 or schedule.is_empty:
         return profile
     # _engine imports this module, so the engine is bound at call time
-    from ._engine import CompiledSchedule, apply_compiled_trembles
+    from ._engine import apply_compiled_trembles, cell_exponents
 
     offsets = np.cumsum([0] + [sigma[0].size for sigma in profile.sigmas])
     stacked = np.concatenate([sigma.reshape(2, -1) for sigma in profile.sigmas], axis=-1)
-    compiled = CompiledSchedule.from_schedule(schedule, offsets)
-    blocks = np.split(apply_compiled_trembles(stacked, compiled, np.float64(eps)), offsets[1:-1], axis=-1)
+    exponents = cell_exponents(schedule.exponents(len(profile.sigmas)), offsets)
+    blocks = np.split(apply_compiled_trembles(stacked, exponents, np.float64(eps)), offsets[1:-1], axis=-1)
     return StrategyProfile(tuple(b.reshape(s.shape) for b, s in zip(blocks, profile.sigmas)))
 
 

@@ -457,7 +457,8 @@ def _draw_structure(cfg: SearchConfig, rng: np.random.Generator) -> _Structure:
             conds = []
             for s in chain:
                 k = int(rng.integers(0, len(smallest) + 1))
-                picked = sorted(rng.choice(smallest, size=k, replace=False)) if k else []
+                # tolist: plain str names, not numpy.str_ (whose repr enters digests)
+                picked = sorted(rng.choice(smallest, size=k, replace=False).tolist()) if k else []
                 conds.append(tuple(picked))
             types = tuple(DataTypeSpec(cond, s) for cond, s in zip(conds, chain))
         rel = build_relation(types)
@@ -677,7 +678,9 @@ def check_bound(family: SearchConfig, bound: Callable[[float], float] | float) -
     gamma.  A violation (a best value above the ceiling by more than
     ``BOUND_TOL``) means a verified equilibrium beat a proven ceiling,
     which can only be a bug in the implementation (or a family outside the
-    ceiling's hypotheses) — callers should treat it as fatal.
+    ceiling's hypotheses) — callers should treat it as fatal.  A ceiling
+    that is not finite (NaN can never be exceeded) raises ``WorstCaseError``
+    before the search runs.
     """
     if callable(bound):
         if family.gamma is None:
@@ -685,6 +688,8 @@ def check_bound(family: SearchConfig, bound: Callable[[float], float] | float) -
         bound_value = float(bound(family.gamma))
     else:
         bound_value = float(bound)
+    if not math.isfinite(bound_value):
+        raise WorstCaseError(f"the ceiling must be a finite number, got {bound_value!r}")
     best, trace = search_max_loss(family)
     observed = (
         best.claimed_loss if family.metric == "welfare_loss" else best.claimed_error_probability

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from bci._engine import profile_key
 from bci.cli import BUILTINS, main
 from bci.document import document_from_scenario, dumps, to_jsonable
+from bci.equilibrium import certify_equilibrium
+from bci.model import StrategyProfile
 from bci.scenarios import example_3_1, example_3_1_profile
 
 
@@ -616,3 +618,99 @@ def test_worstcase_search_seeded(capsys):
     assert payload["observed"] <= 0.21 + 1e-9
     assert payload["violated"] is False
     assert payload["evaluations"] > 0
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        [[[0, 1], [0]], [[0, 1], [0, 1]]],  # ragged
+        [[[0, "x"], [0, 1]], [[0, 1], [0, 1]]],  # a string entry
+        [[[False, True], [False, True]], [[0, 1], [0, 1]]],  # booleans, not numbers
+    ],
+)
+def test_malformed_profile_file_exits_3(tmp_path, capsys, table):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(table))
+    code, out, err = run_cli(capsys, "verify", "-b", "example_3_1", "--profile", str(path))
+    assert (code, out) == (3, "")
+    assert "profile table 0 must be a table of numbers shaped (2, 2)" in err
+
+
+def test_worstcase_search_rejects_a_nan_bound(capsys):
+    code, out, err = run_cli(
+        capsys, "worstcase", "search", "--gamma", "0.3", "--restarts", "1",
+        "--refine-rounds", "0", "--bound", "nan", "--format", "json",
+    )
+    assert (code, out) == (1, "")
+    assert "finite" in err
+
+
+def _flat_cells(prefix: str, value):
+    """The JSON payload's leaves under dotted keys, as the CSV flattens them."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _flat_cells(f"{prefix}.{k}" if prefix else k, v)
+    else:
+        yield prefix, value
+
+
+@pytest.mark.parametrize(
+    "argv, nested",
+    [
+        (("verify", "-b", "example_1_1_collider"), True),  # a witness
+        (("order", "-b", "prop2_incomplete"), False),  # no layers: None
+        (("scenario", "run", "pandemic"), True),
+        (("worstcase", "witness", "incomplete"), True),
+    ],
+)
+def test_nested_payload_csv_is_one_flat_row(capsys, argv, nested):
+    # one header and one row: dotted keys, lists as JSON text, None as an
+    # empty cell, and every scalar the JSON output's
+    expected = dict(_flat_cells("", run_json(capsys, *argv)))
+    code, out, err = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0, err
+    header, *rows = csv.reader(io.StringIO(out))
+    assert len(rows) == 1 and header == list(expected)
+    assert any("." in key for key in header) == nested
+    for key, cell in zip(header, rows[0]):
+        value = expected[key]
+        if isinstance(value, list):
+            assert json.loads(cell) == value, key
+        elif value is None:
+            assert cell == "", key
+        elif isinstance(value, bool):
+            assert cell == str(value).lower(), key
+        elif isinstance(value, float):
+            assert float(cell) == value, key
+        else:
+            assert cell == str(value), key
+
+
+def test_delta_csv_writes_an_undefined_effect_as_an_empty_cell(capsys):
+    payload = run_json(capsys, "delta", "-b", "prop4")
+    undefined = sum(c["delta"] is None for t in payload["deltas"] for c in t["cells"])
+    code, out, _ = run_cli(capsys, "delta", "-b", "prop4", "--format", "csv")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert code == 0 and undefined
+    assert sum(r["delta"] == "" for r in rows) == undefined
+    assert "None" not in out
+
+
+@pytest.mark.parametrize(
+    "builtin, choice, make",
+    [
+        ("example_3_1", "taste", StrategyProfile.matching),
+        ("pandemic", "zero", lambda s: StrategyProfile.constant(s, 0.0)),
+        ("example_1_1_collider", "one", lambda s: StrategyProfile.constant(s, 1.0)),
+        # a builtin without a canonical profile falls back to taste
+        ("example_4_1", "canonical", StrategyProfile.matching),
+    ],
+)
+def test_named_profiles_match_the_library(capsys, builtin, choice, make):
+    s = BUILTINS[builtin].build()
+    report = certify_equilibrium(s, make(s))
+    payload = run_json(capsys, "verify", "-b", builtin, "--profile", choice, "--limit")
+    assert payload["verdict"] == report.verdict
+    assert payload["welfare_loss"] == report.welfare_loss
+    assert payload["error_probability"] == report.error_probability
+    assert [r["passed"] for r in payload["ladder"]] == [r.passed for r in report.ladder_trace]

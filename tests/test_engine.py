@@ -67,8 +67,8 @@ def test_compiled_trembles_match_object_level():
     # entries for three (type, taste) slices override the default, which
     # only type 1's taste 1 falls back to
     sched = TrembleSchedule.of({(0, 0): 2.0, (0, 1): 1.0, (1, 0): 3.0}, default=0.5)
-    compiled = eng.CompiledSchedule.from_schedule(sched, offsets)
-    out = eng.apply_compiled_trembles(stacked, compiled, np.array([0.01, 1.0]))
+    exponents = eng.cell_exponents(sched.exponents(2), offsets)
+    out = eng.apply_compiled_trembles(stacked, exponents, np.array([0.01, 1.0]))
     assert out.shape == (2, 2, 4)
     assert np.array_equal(out[0], np.concatenate(apply_trembles(prof, sched, 0.01).sigmas, axis=-1))
     # eps = 0.01: each slice mixes in eps**exponent of its opposite action
@@ -76,14 +76,16 @@ def test_compiled_trembles_match_object_level():
     assert np.allclose(out[0], want, atol=1e-15)
     # eps = 1: every slice lands on the opposite pure action
     assert np.array_equal(out[1], [[1.0, 0.0, 1.0, 0.0], [1.0, 0.0, 1.0, 1.0]])
-    # slices without a rule are bit-unchanged, and the rules read back
+    # slices without a rule (NaN) are bit-unchanged, and the rules read back
     partial = TrembleSchedule.of({(0, 0): 2.0, (1, 1): 1.0})
-    compiled = eng.CompiledSchedule.from_schedule(partial, offsets)
-    assert compiled.still.tolist() == [[False] * 3 + [True], [True] * 3 + [False]]
-    assert compiled.to_schedule(offsets) == partial
-    out = eng.apply_compiled_trembles(stacked, compiled, np.array([0.01, 1.0]))
-    assert np.array_equal(out[:, compiled.still], np.tile(stacked[compiled.still], (2, 1)))
-    assert np.array_equal(out[1][~compiled.still], 1.0 - stacked[~compiled.still].round())
+    table = partial.exponents(2)
+    exponents = eng.cell_exponents(table, offsets)
+    still = np.isnan(exponents)
+    assert still.tolist() == [[False] * 3 + [True], [True] * 3 + [False]]
+    assert TrembleSchedule.from_exponents(table) == partial
+    out = eng.apply_compiled_trembles(stacked, exponents, np.array([0.01, 1.0]))
+    assert np.array_equal(out[:, still], np.tile(stacked[still], (2, 1)))
+    assert np.array_equal(out[1][~still], 1.0 - stacked[~still].round())
 
 
 def test_rung_ladder_geometry():
@@ -120,9 +122,9 @@ def test_tail_lengths_counts_passing_suffix_on_rung_axis():
 def test_taste_weighted_schedule_orients_exponents():
     s = prop4()
     cs = eng.compile_scenario(s)
-    sched = eng.taste_weighted_schedule(cs, eng.flatten_profile(cs, StrategyProfile.matching(s)))
-    assert sched.exponents.shape == (2, cs.offsets[-1])
-    assert np.all((sched.exponents == 1.0) | (sched.exponents == 2.0))
+    table = eng.taste_weighted_schedule(cs, eng.flatten_profile(cs, StrategyProfile.matching(s)))
+    assert table.shape == (2, s.n_types)
+    assert np.all((table == 1.0) | (table == 2.0))
 
 
 def test_taste_weighted_majority_at_exactly_one_half_plays_action_one():
@@ -134,10 +136,10 @@ def test_taste_weighted_majority_at_exactly_one_half_plays_action_one():
     )
     cs = eng.compile_scenario(s)
     half = eng.flatten_profile(cs, StrategyProfile((np.array([[1.0, 0.0], [1.0, 0.0]]),)))
-    sched = eng.taste_weighted_schedule(cs, half)
+    table = eng.taste_weighted_schedule(cs, half)
     # a share of 1/2 is a majority for a = 1: it matches taste 1 (second-order
     # noise there) and not taste 0
-    assert sched.exponents.tolist() == [[1.0, 1.0], [2.0, 2.0]]
+    assert table.tolist() == [[1.0], [2.0]]
     assert cs.total.tolist() == [[0.5], [0.5]]
 
 
@@ -268,8 +270,9 @@ def test_every_try_list_schedule_trembles_pure_cells_by_at_most_the_floor(monkey
         cs = eng.compile_scenario(s)
         pure = random_pure_batch(rng, cs, 64)
         eps = cs.rungs[-1:]
-        for make in _try_list(cs):
-            trembled = eng.apply_compiled_trembles(pure, make(pure), eps)[0]
+        for table in _try_list(cs, pure):
+            exponents = eng.cell_exponents(table, cs.offsets)
+            trembled = eng.apply_compiled_trembles(pure, exponents, eps)[0]
             assert (np.abs(trembled - pure) <= eps[0] + np.finfo(float).eps).all()
 
 

@@ -13,8 +13,8 @@ from bci.equilibrium import (
     EquilibriumError,
     UndefinedCell,
     _dynamics_batch,
+    _floor_screen,
     _reaches_floor,
-    _rung_passes,
     _try_list,
     best_response_dynamics,
     certify_equilibrium,
@@ -174,7 +174,8 @@ def test_certification_is_first_passing_schedule_else_most_passing_rungs():
         for p in (rest, StrategyProfile(tuple(np.round(x) for x in prof.sigmas)), pure):
             stacked = eng.flatten_profile(cs, p)
             reports = [
-                verify_limit(s, p, make(stacked).to_schedule(cs.offsets)) for make in _try_list(cs)
+                verify_limit(s, p, TrembleSchedule.from_exponents(table))
+                for table in _try_list(cs, stacked)
             ]
             passing = [r for r in reports if r.passed]
             passes = [np.array([r.passed for r in rep.ladder_trace]) for rep in reports]
@@ -271,8 +272,10 @@ def test_certification_walks_one_ladder_per_schedule_tried(monkeypatch):
     assert ladders == [len(cs.rungs)]
     ladders.clear()
     s = example_4_1(0.3, 0.5)
-    assert not certify_equilibrium(s, StrategyProfile.matching(s)).passed
-    assert ladders == [len(cs.rungs)] * len(_try_list(cs))
+    cs = eng.compile_scenario(s)
+    matching = StrategyProfile.matching(s)
+    assert not certify_equilibrium(cs, matching).passed
+    assert ladders == [len(cs.rungs)] * len(_try_list(cs, eng.flatten_profile(cs, matching)))
 
 
 def test_dynamics_converges_to_known_interior():
@@ -470,8 +473,11 @@ def exhaustive_floor_screen(s):
     batch = np.stack([eng.flatten_profile(cs, p) for p in profiles])
     floor = cs.rungs[-1:]
     passing = np.zeros(len(batch), dtype=bool)
-    for make in _try_list(cs):
-        passing |= _rung_passes(cs, batch, make(batch), floor)[0]
+    for table in _try_list(cs, batch):
+        trembled = eng.apply_compiled_trembles(batch, eng.cell_exponents(table, cs.offsets), floor)
+        passing |= eng.check_rungs(cs, trembled, floor)[0][0]
+    # the screen checks the three schedules in one call, with the same verdicts
+    assert np.array_equal(_floor_screen(cs, batch), passing)
     return profiles, batch, passing
 
 

@@ -221,3 +221,34 @@ def test_check_bound_reports_headroom():
     assert rep.observed <= rep.bound_value + 1e-9
     with pytest.raises(WorstCaseError):
         check_bound(SearchConfig(restarts=1), lambda g: g)  # gamma-free family
+
+
+def test_check_bound_rejects_a_ceiling_that_is_not_finite(monkeypatch):
+    # a NaN ceiling is never exceeded, so it could only ever report headroom
+    import bci.worstcase as wc
+
+    def no_search(cfg):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(wc, "search_max_loss", no_search)
+    cfg = SearchConfig(gamma=0.4, t_only_outcome=True, restarts=1)
+    for bound in (float("nan"), lambda g: float("nan"), float("inf")):
+        with pytest.raises(WorstCaseError, match="finite"):
+            check_bound(cfg, bound)
+
+
+def test_mixed_type_draws_name_plain_strings():
+    # condition sets drawn from the smallest data set hold str names, so a
+    # drawn scenario's digest survives the round trip through its document
+    from bci.document import document_from_scenario, dumps, load_scenario
+    from bci.model import StrategyProfile
+
+    cfg = SearchConfig(simple_types=False, n_types=3, n_covariates=3)
+    s = random_scenario(cfg, np.random.default_rng(4))
+    assert any(spec.condition_set for spec in s.types)
+    assert all(
+        type(n) is str for spec in s.types for n in spec.condition_set + spec.data_set
+    )
+    p = StrategyProfile.matching(s)
+    back = load_scenario(dumps(document_from_scenario(s)))
+    assert instance_digest(back, p) == instance_digest(s, p)
