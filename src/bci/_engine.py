@@ -32,15 +32,17 @@ type's data cell are sums over (taste, covariate cell) of ``p(t, x)``,
 the outcome kernel and the type weight times the probability that the
 playing type takes action ``a``.  ``compile_scenario`` folds all of that
 into ``mass_map``, one matrix from the stacked strategy ``(2 tastes,
-stacked cells)`` to every type's data-cell moments.  ``profile_beliefs``
-multiplies it by the stacked pair ``[1 - sigma, sigma]``, so the a=0 mass is
-the sum of each type's own ``lam * (1 - sigma)``: an exactly pure profile
-leaves exactly zero mass on the unplayed action even when the type weights
-sum to 1 only up to roundoff (``1 - sum(lam * sigma)`` would leave about
-1e-16 there and call an unseen event observed).  One divide gives the
+stacked cells)`` to every type's data-cell moments.  ``_beliefs``, the one
+belief kernel, takes a batch as columns, ``(2S, n)``, and multiplies the
+transposed map by ``[1 - sigma | sigma]``, so the a=0 mass is the sum of
+each type's own ``lam * (1 - sigma)``: an exactly pure profile leaves
+exactly zero mass on the unplayed action even when the type weights sum to
+1 only up to roundoff (``1 - sum(lam * sigma)`` would leave about 1e-16
+there and call an unseen event observed).  One divide gives the
 conditional outcome rates, one matmul with the block-diagonal ``adjust``
 matrix averages them into beliefs, and one with the block-diagonal
-``missing`` matrix flags condition cells that need an unseen event.
+``missing`` matrix flags condition cells that need an unseen event.  Best
+replies and enumeration's misfit filter both read this kernel.
 
 A caller that holds a compiled scenario hands it on: the verifiers, the
 delta tables and the report statistics (``model.welfare_loss`` and
@@ -72,13 +74,11 @@ that made it.  ``unflatten_profile`` cuts per-type blocks out of one stacked
 row and ``StrategyProfile`` copies them, so a returned profile owns its
 arrays and never keeps its batch alive.  Enumeration makes two passes over
 pure profiles in chunks sized in bytes.  ``pure_misfits`` first rejects the
-profiles that provably fail the floor rung; it transposes each chunk once and
-runs batch-last, ``(2S, n)``, so that every elementwise op runs along the
-long batch axis.  The exact screen and certification then see only the rest.
-``equilibrium._CHUNK_BYTES`` bounds the first pass's moments array,
-``(2D, 2n)``, so that every chunk reuses the same cache-sized buffers; the
-exact screen, which sees few profiles, checks three schedules per profile,
-``(6n, 2D)`` in ``profile_beliefs``.
+profiles that provably fail the floor rung: the kernel's scores, less a
+tremble margin.  The exact screen and certification then see only the rest.
+``equilibrium._CHUNK_BYTES`` bounds the kernel's moments array, ``(2D, 2n)``,
+so that every chunk reuses the same cache-sized buffers; the exact screen,
+which sees few profiles, checks three schedules per profile, ``(2D, 6n)``.
 """
 
 from __future__ import annotations
@@ -366,43 +366,39 @@ def flip_floor(stacked: np.ndarray) -> np.ndarray:
 # -- perceived effects and best replies ------------------------------------
 
 
-def profile_beliefs(cs: CompiledScenario, stacked: np.ndarray):
-    """Do-beliefs b(y=1 | x_C, do(a)) for a batch of stacked profiles, per action.
+def _beliefs(cs: CompiledScenario, sigma: np.ndarray):
+    """The belief kernel, on a batch of stacked profiles held as columns.
 
-    ``stacked`` is (batch..., 2, S); every type and every batch entry goes
-    through the compiled maps in one pass.  Returns (belief, defined), both
-    shaped (batch..., 2 actions, S).  A belief is defined where its condition
-    cell is reachable and every data cell it averages over with positive
-    weight has seen that action; belief is meaningless where it is not
-    defined.
+    ``sigma`` is (2S, n), column j profile j's (taste, cell) strategy.
+    Returns (mass, belief, defined): the data-cell masses p(a, x_D), shaped
+    (D, 2n); the do-beliefs b(y=1 | x_C, do(a)) and their definedness, shaped
+    (S, 2n).  Columns run over every profile under a=0, then under a=1.  A
+    belief is defined where its condition cell is reachable and every data
+    cell it averages over with positive weight has seen that action; belief
+    is meaningless where it is not defined.
     """
-    lead, n_s = stacked.shape[:-2], stacked.shape[-1]
     n_d = cs.adjust.shape[0]
-    sigma = stacked.reshape(-1, 1, 2 * n_s)
-    both = np.concatenate([1.0 - sigma, sigma], axis=1)  # (n, action, 2 * S)
-    moments = (both.reshape(-1, 2 * n_s) @ cs.mass_map).reshape(-1, 2 * n_d)
-    mass, ymass = moments[:, :n_d], moments[:, n_d:]
+    moments = cs.mass_map.T @ np.concatenate([1.0 - sigma, sigma], axis=1)  # (2D, 2n)
+    mass, ymass = moments[:n_d], moments[n_d:]
     seen = mass > 0
     cond = np.divide(ymass, mass, out=np.zeros_like(mass), where=seen)
-    belief = (cond @ cs.adjust).reshape(lead + (2, n_s))
-    unseen = (~seen).astype(np.float64)
-    defined = ((unseen @ cs.missing) == 0).reshape(lead + (2, n_s)) & cs.reachable
-    return belief, defined
+    unseen = cs.missing.T @ (~seen).astype(np.float64)
+    return mass, cs.adjust.T @ cond, (unseen == 0) & cs.reachable[:, None]
 
 
 def _stacked_effects(cs: CompiledScenario, stacked: np.ndarray):
     """(delta, defined) for a batch of stacked profiles, both shaped (batch..., S).
 
-    delta = b(do(1)) - b(do(0)) from ``profile_beliefs``, defined where both
+    delta = b(do(1)) - b(do(0)) from ``_beliefs``, defined where both
     beliefs are, and 0 where undefined.
     """
-    belief, defined = profile_beliefs(cs, stacked)
-    # the same as defined.all(axis=-2), which is several times slower on a
-    # reduction axis of length 2
-    both = defined[..., 0, :] & defined[..., 1, :]
+    lead, n_s = stacked.shape[:-2], stacked.shape[-1]
+    n = math.prod(lead)
+    _, belief, defined = _beliefs(cs, stacked.reshape(n, 2 * n_s).T)
+    both = defined[:, :n] & defined[:, n:]
     delta = np.zeros(both.shape)
-    np.copyto(delta, belief[..., 1, :] - belief[..., 0, :], where=both)
-    return delta, both
+    np.copyto(delta, belief[:, n:] - belief[:, :n], where=both)
+    return delta.T.reshape(lead + (n_s,)), both.T.reshape(lead + (n_s,))
 
 
 def profile_effects(cs: CompiledScenario, flats: list[np.ndarray]):
@@ -435,29 +431,23 @@ def best_replies(cs: CompiledScenario, stacked: np.ndarray):
     return delta, defined, scores, code
 
 
-def offside(stacked: np.ndarray, code: np.ndarray, eps) -> tuple[np.ndarray, np.ndarray]:
-    """Where action 1, and where action 0, is played above ``eps`` against a strict best reply."""
-    return (
-        (stacked > eps + PLAY_SLACK) & (code == 0),
-        ((1.0 - stacked) > eps + PLAY_SLACK) & (code == 1),
-    )
-
-
 def check_rungs(cs: CompiledScenario, trembled: np.ndarray, eps: np.ndarray):
     """Definition test for trembled profiles at matching noise thresholds.
 
     ``trembled`` is (R, batch..., 2, S); ``eps`` is (R,).  Returns
-    (ok, undef, bad, scores): ok and undef shaped (R, batch...), bad and the
-    ``best_replies`` scores shaped like ``trembled``.  bad marks an action
-    played above the threshold against a strict best reply; undef, an active
-    cell whose effect is undefined; ok, neither anywhere in the profile.
+    (ok, undef, bad, replies): ok and undef shaped (R, batch...), bad shaped
+    like ``trembled``, and replies the ``best_replies`` arrays (delta,
+    defined, scores, code) the test decided from.  bad marks an action
+    played above the threshold against a strict best reply; undef, a
+    reachable cell whose effect is undefined; ok, neither anywhere in the
+    profile.
     """
-    _, defined, scores, code = best_replies(cs, trembled)
-    bad1, bad0 = offside(trembled, code, eps.reshape(eps.shape + (1,) * (trembled.ndim - 1)))
-    bad = bad1 | bad0
-    undef = (~defined & cs.active.any(axis=0)).any(axis=-1)
+    _, defined, _, code = replies = best_replies(cs, trembled)
+    above = eps.reshape(eps.shape + (1,) * (trembled.ndim - 1)) + PLAY_SLACK
+    bad = ((trembled > above) & (code == 0)) | ((1.0 - trembled > above) & (code == 1))
+    undef = (~defined & cs.reachable).any(axis=-1)
     ok = ~bad.any(axis=(-2, -1)) & ~undef
-    return ok, undef, bad, scores
+    return ok, undef, bad, replies
 
 
 def tail_lengths(passes: np.ndarray) -> np.ndarray:
@@ -480,34 +470,26 @@ def _pure_scores(cs: CompiledScenario, stacked: np.ndarray, eps: float):
     bound on how far trembles of at most ``eps`` per cell can move them.
 
     Returns (sigma, scores, margin, defined): sigma and scores shaped
-    (2 tastes, S, batch), margin and defined shaped (S, batch).  A tremble
+    (2 tastes, S, batch), margin and defined shaped (S, batch); scores and
+    defined are those ``best_replies`` reads off ``_beliefs``.  A tremble
     m <= eps moves action a's outcome rate at data cell d by at most
     eps / (1 - eps) * T(d) / M_a(d), where M_a(d) is the pure profile's mass
     of a at d and T(d) = M_0(d) + M_1(d); margin is that bound carried
     through ``adjust`` and ``effect_weight``, on cells whose effect is
-    defined.  Every elementwise op runs along the long batch axis.
+    defined.
     """
-    n = stacked.shape[0]
-    n_s, n_d = cs.offsets[-1], cs.adjust.shape[0]
+    n, n_s = stacked.shape[0], cs.offsets[-1]
     sigma = stacked.reshape(n, 2 * n_s).T
-    moments = cs.mass_map.T @ np.concatenate([1.0 - sigma, sigma], axis=1)  # (2D, 2n)
-    mass, ymass = moments[:n_d], moments[n_d:]
-    seen = mass > 0
-    cond = np.divide(ymass, mass, out=np.zeros_like(mass), where=seen)
-    belief = cs.adjust.T @ cond  # (S, 2n): action 0 | action 1
-    delta = belief[:, n:] - belief[:, :n]
-    unseen = cs.missing.T @ (~seen).astype(np.float64)
-    defined = (unseen[:, :n] == 0) & (unseen[:, n:] == 0) & cs.reachable[:, None]
-
-    by_action = mass.reshape(n_d, 2, n)
+    mass, belief, defined = _beliefs(cs, sigma)
+    by_action = mass.reshape(-1, 2, n)
     total = by_action.sum(axis=1, keepdims=True)
     ratio = np.divide(
-        total, by_action, out=np.full(by_action.shape, _UNSEEN_RATIO), where=seen.reshape(n_d, 2, n)
+        total, by_action, out=np.full(by_action.shape, _UNSEEN_RATIO), where=by_action > 0
     )
     margin = cs.adjust.T @ ratio.sum(axis=1)
     margin *= cs.effect_weight * eps / (1.0 - eps)
-    scores = cs.score_base[:, None, None] + cs.effect_weight * delta
-    return sigma.reshape(2, n_s, n), scores, margin, defined
+    scores = cs.score_base[:, None, None] + cs.effect_weight * (belief[:, n:] - belief[:, :n])
+    return sigma.reshape(2, n_s, n), scores, margin, defined[:, :n] & defined[:, n:]
 
 
 def pure_misfits(cs: CompiledScenario, stacked: np.ndarray, eps: float) -> np.ndarray:

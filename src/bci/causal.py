@@ -17,10 +17,10 @@ a zero-mass event while carrying positive adjustment weight.  Undefined
 values propagate as ``None`` (scalar API) or masked entries (table API);
 nothing is imputed.
 
-Every belief and effect here is read from the compiled engine
-(``_engine.profile_beliefs`` and ``_engine.profile_effects``), the same
-computation that decides equilibrium verdicts; this module only lays its
-output out per type and condition cell.
+Every effect here is read from the compiled engine
+(``_engine.profile_effects``, a per-type view of the one belief kernel), the
+same computation that decides equilibrium verdicts; this module only lays
+its output out per type and condition cell.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ import inspect
 import itertools
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -75,6 +76,17 @@ def _flag_bool(text: str) -> bool:
     if text.lower() in ("0", "false", "no", "off"):
         return False
     raise ValueError(f"not a boolean: {text!r}")
+
+
+def _eps_check(text: str) -> float:
+    """An --eps-check value: a number strictly between 0 and 1 (NaN is not)."""
+    try:
+        eps = float(text)
+    except ValueError:
+        eps = math.nan
+    if not 0 < eps < 1:
+        raise argparse.ArgumentTypeError(f"must be a number in (0, 1), got {text!r}")
+    return eps
 
 
 # a builtin flag's parser, by the type of its default
@@ -330,12 +342,18 @@ def _emit(
     columns: Sequence[str] | None = None,
 ) -> None:
     if fmt == "json":
-        print(docmod.export_json(payload))
+        text = docmod.export_json(payload) + "\n"
     elif fmt == "csv":
-        rows = csv_rows if csv_rows is not None else _flat_rows(payload)
-        print(docmod.export_csv(rows, columns), end="")
+        text = docmod.export_csv(csv_rows if csv_rows is not None else _flat_rows(payload), columns)
     else:
-        print(_render_text(docmod.to_jsonable(payload)))
+        text = _render_text(docmod.to_jsonable(payload)) + "\n"
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): send the rest to devnull, so
+        # that the flush at exit stays quiet, and keep the command's exit code
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _report_payload(scenario: Scenario, report: EquilibriumReport) -> dict[str, Any]:
@@ -685,7 +703,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="check a profile as an (eps or limit) equilibrium")
     _add_source_args(p)
     p.add_argument("--profile", default="canonical")
-    p.add_argument("--eps-check", type=float, default=0.01,
+    p.add_argument("--eps-check", type=_eps_check, default=0.01,
                    help="tremble size for the eps-equilibrium check")
     p.add_argument("--limit", action="store_true", help="certify as a limit instead")
     _add_format_arg(p)
@@ -715,7 +733,7 @@ def _build_parser() -> _Parser:
     p.add_argument("action", choices=("run",))
     p.add_argument("name")
     _add_builtin_flags(p)
-    p.add_argument("--eps-check", type=float, default=0.01)
+    p.add_argument("--eps-check", type=_eps_check, default=0.01)
     _add_format_arg(p)
     p.set_defaults(func=_cmd_scenario)
 
@@ -747,7 +765,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="grid over builtin parameters, long CSV out")
     p.add_argument("name")
     _add_builtin_flags(p)
-    p.add_argument("--eps-check", type=float, default=0.01)
+    p.add_argument("--eps-check", type=_eps_check, default=0.01)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_sweep)
 

@@ -125,33 +125,27 @@ def _slot(cs: eng.CompiledScenario, flat: int) -> tuple[int, int, tuple[int, ...
     return i, taste, tuple(int(v) for v in cell)
 
 
-def _diagnose(
-    cs: eng.CompiledScenario, stacked: np.ndarray, eps: float
-) -> tuple[ViolationWitness | None, tuple[UndefinedCell, ...]]:
-    """Worst violation and undefined-cell list for one stacked (trembled) profile.
+def _diagnose(cs, played, bad, replies, eps):
+    """Worst violation and undefined-cell list for one stacked (trembled)
+    profile, read off its rung check: ``bad`` and the ``best_replies`` arrays.
 
     Both are read in (type, taste, cell) order; the witness is the first
-    maximum of |score| over cells where an action is played above ``eps``
-    against a strict best reply.
+    maximum of |score| over bad cells.  A bad cell plays against its strict
+    best reply, so its action is 1 exactly where its score is below 0.
     """
-    delta, defined, scores, code = eng.best_replies(cs, stacked)
-    bad1, bad0 = eng.offside(stacked, code, eps)
-    bad = bad1 | bad0
+    delta, defined, scores, _ = replies
     order = cs.type_major
-    undefined = tuple(
-        UndefinedCell(*_slot(cs, k))
-        for k in order[(cs.active & ~defined).reshape(-1)[order]]
-    )
+    undef = (cs.active & ~defined).reshape(-1)[order]
+    undefined = tuple(UndefinedCell(*_slot(cs, k)) for k in order[undef])
     if not bad.any():
         return None, undefined
     k = int(order[np.argmax(np.where(bad, np.abs(scores), -np.inf).reshape(-1)[order])])
     at = divmod(k, cs.offsets[-1])  # (taste, stacked cell)
-    action = 1 if bad1[at] else 0
-    played = float(stacked[at]) if action == 1 else float(1.0 - stacked[at])
-    witness = ViolationWitness(
-        *_slot(cs, k), action, played, float(delta[at[1]]), float(scores[at]), float(eps)
-    )
-    return witness, undefined
+    action = int(scores[at] < 0)
+    freq = float(played[at]) if action == 1 else float(1.0 - played[at])
+    return ViolationWitness(
+        *_slot(cs, k), action, freq, float(delta[at[1]]), float(scores[at]), eps
+    ), undefined
 
 
 def _profile_stats(cs: eng.CompiledScenario, profile: StrategyProfile):
@@ -180,8 +174,8 @@ def _ladder(cs, profile, schedule, rungs):
     stacked = eng.flatten_profile(cs, profile)
     exponents = eng.cell_exponents(schedule.exponents(cs.scenario.n_types), cs.offsets)
     trembled = eng.apply_compiled_trembles(stacked, exponents, rungs)
-    ok, undef, bad, scores = eng.check_rungs(cs, trembled, rungs)
-    viol = np.where(bad, np.abs(scores), 0.0).max(axis=(-2, -1))
+    ok, undef, bad, replies = eng.check_rungs(cs, trembled, rungs)
+    viol = np.where(bad, np.abs(replies[2]), 0.0).max(axis=(-2, -1))
     trace = tuple(
         LadderRung(float(e), bool(o), float(v), bool(u))
         for e, o, v, u in zip(rungs, ok, viol, undef)
@@ -189,9 +183,10 @@ def _ladder(cs, profile, schedule, rungs):
     sup_gap = float(np.max(np.abs(trembled[-1] - stacked)))
     if _reaches_floor(ok):
         return trace, sup_gap, None, None, ()
-    deepest = int(np.nonzero(~ok)[0][-1])
-    failed_at = float(rungs[deepest])
-    return (trace, sup_gap, failed_at) + _diagnose(cs, trembled[deepest], failed_at)
+    r = int(np.nonzero(~ok)[0][-1])  # the deepest failing rung
+    failed_at = float(rungs[r])
+    diagnosis = _diagnose(cs, trembled[r], bad[r], [a[r] for a in replies], failed_at)
+    return (trace, sup_gap, failed_at) + diagnosis
 
 
 def verify_eps_equilibrium(
@@ -452,9 +447,8 @@ def best_response_dynamics(
 ENUMERATION_CAP = 1 << 20
 # Bound on the largest per-chunk temporary of the first pass, the moments
 # array: two actions' data moments per profile, (2D, 2n) in
-# ``_engine.pure_misfits``.  The exact screen checks three schedules per
-# profile, (6n, 2D) in ``profile_beliefs``, on the few profiles the first
-# pass keeps.  Chunks this small
+# ``_engine._beliefs``.  The exact screen checks three schedules per
+# profile, (2D, 6n), on the few profiles the first pass keeps.  Chunks this small
 # reuse the same few cache-sized buffers chunk after chunk; larger ones fault
 # each chunk's temporaries in anew, and smaller ones pay numpy's per-call
 # cost more often.  On a 2-core x86 VM, a pass of the ``enumerate`` benchmark

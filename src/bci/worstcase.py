@@ -681,6 +681,11 @@ def check_bound(family: SearchConfig, bound: Callable[[float], float] | float) -
     ceiling's hypotheses) — callers should treat it as fatal.  A ceiling
     that is not finite (NaN can never be exceeded) raises ``WorstCaseError``
     before the search runs.
+
+    The paper's ceiling gamma (1 - gamma) bounds the welfare loss.  Its
+    error-probability form holds in Example 4.1 and its taste mirror only
+    for c >= 1 / (1 + min(gamma, 1 - gamma)): at (gamma, c) = (0.3, 0.5) the
+    interior equilibrium has error probability 0.30 > 0.21.
     """
     if callable(bound):
         if family.gamma is None:

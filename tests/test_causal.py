@@ -82,7 +82,8 @@ def test_do_belief_marginalizes_taste_out():
     prof = StrategyProfile((np.array([[0.3, 0.6], [0.9, 0.1]]),))
     joint = oracles.full_joint(s, prof)
     cs = eng.compile_scenario(s)
-    belief, defined = eng.profile_beliefs(cs, eng.flatten_profile(cs, prof))  # (action, x1)
+    column = eng.flatten_profile(cs, prof).reshape(-1, 1)
+    belief, defined = (arr.T for arr in eng._beliefs(cs, column)[1:])  # (action, x1)
     assert defined.all()
     for xv in (0, 1):
         for a in (0, 1):

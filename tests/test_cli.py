@@ -8,12 +8,17 @@ import inspect
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bci
 from bci._engine import profile_key
 from bci.cli import BUILTINS, main
 from bci.document import document_from_scenario, dumps, to_jsonable
@@ -714,3 +719,41 @@ def test_named_profiles_match_the_library(capsys, builtin, choice, make):
     assert payload["welfare_loss"] == report.welfare_loss
     assert payload["error_probability"] == report.error_probability
     assert [r["passed"] for r in payload["ladder"]] == [r.passed for r in report.ladder_trace]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scenario", "run", "prop4", "--eps-check", "7"),
+        ("sweep", "prop5", "--gamma", "0.4", "--eps-check", "0"),
+        ("scenario", "run", "example_4_1", "--eps-check", "-3"),
+        ("verify", "-b", "example_3_1", "--limit", "--eps-check", "9"),
+        ("verify", "-b", "example_3_1", "--eps-check", "2"),
+        ("verify", "-b", "example_3_1", "--eps-check", "nan"),
+        ("verify", "-b", "example_3_1", "--eps-check", "1"),
+    ],
+)
+def test_eps_check_outside_the_open_unit_interval_exits_3(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert "--eps-check: must be a number in (0, 1)" in err
+
+
+def test_a_closed_output_pipe_ends_the_command_quietly():
+    # about 95 kB of JSON, more than a pipe buffer holds, of which the reader
+    # takes one line before closing its end
+    src = str(Path(bci.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["sweep", "example_3_1", "--q", "0.5:0.95:0.001", "--format", "json"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bci", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path),
+    )
+    try:
+        assert proc.stdout.readline() == b"[\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=120), err) == (0, b"")
+    finally:
+        proc.kill()
+        proc.wait()

@@ -38,7 +38,9 @@ def assert_effects_match_oracle(s, prof):
     cs = eng.compile_scenario(s)
     stacked = eng.flatten_profile(cs, prof)
     effects = eng.profile_effects(cs, eng.split_cells(cs, stacked))
-    belief, belief_ok = (eng.split_cells(cs, arr) for arr in eng.profile_beliefs(cs, stacked))
+    # the belief kernel takes profiles as columns and returns (cell, action) arrays
+    kernel = eng._beliefs(cs, stacked.reshape(-1, 1))[1:]
+    belief, belief_ok = (eng.split_cells(cs, arr.T) for arr in kernel)
     for i, ((d, ok), tab) in enumerate(zip(effects, delta_table(s, prof))):
         for cell, expected in oracles.brute_delta(s, prof, i).items():
             flat = np.ravel_multi_index(cell, tab.defined.shape) if cell else 0
@@ -274,6 +276,22 @@ def test_every_try_list_schedule_trembles_pure_cells_by_at_most_the_floor(monkey
             exponents = eng.cell_exponents(table, cs.offsets)
             trembled = eng.apply_compiled_trembles(pure, exponents, eps)[0]
             assert (np.abs(trembled - pure) <= eps[0] + np.finfo(float).eps).all()
+
+
+def test_filter_reads_the_best_reply_scores_bit_for_bit():
+    # the misfit filter and the verdicts read one belief kernel: on every
+    # active cell whose effect is defined the filter's score is the score
+    # ``best_replies`` decides from, to the bit, and the two agree on which
+    # effects are defined
+    rng = np.random.default_rng(34)
+    for s in random_family_scenarios(rng, 200):
+        cs = eng.compile_scenario(s)
+        pure = random_pure_batch(rng, cs, 64)
+        _, scores, _, defined = eng._pure_scores(cs, pure, cs.rungs[-1])
+        _, want_defined, want, _ = eng.best_replies(cs, pure)
+        assert np.array_equal(defined.T, want_defined)
+        on = cs.active & want_defined[:, None, :]
+        assert np.array_equal(scores.transpose(2, 0, 1)[on], want[on])
 
 
 def test_pure_misfits_flag_only_strict_misplays_beyond_the_margin():

@@ -751,6 +751,54 @@ def test_eps_and_limit_checks_keep_their_undefined_cell_policies():
     assert w.score == pytest.approx(-0.5) and w.eps == lim.eps == eng.ladder_rungs()[-1]
 
 
+def test_a_failing_ladder_is_diagnosed_from_its_deepest_failing_rung():
+    # the witness is a bad cell of the deepest failing rung and carries that
+    # rung's score, effect and play; the undefined cells are that rung's
+    rng = np.random.default_rng(34)
+    witnessed = undefined_seen = 0
+    for _ in range(80):
+        s, prof = random_small_scenario(rng)
+        cs = eng.compile_scenario(s)
+        for p in (prof, StrategyProfile(tuple(np.round(x) for x in prof.sigmas))):
+            stacked = eng.flatten_profile(cs, p)
+            for sched in (TrembleSchedule.none(), TrembleSchedule.uniform_flip()):
+                report = verify_limit(cs, p, sched)
+                if report.passed:
+                    continue
+                exponents = eng.cell_exponents(sched.exponents(s.n_types), cs.offsets)
+                trembled = eng.apply_compiled_trembles(stacked, exponents, cs.rungs)
+                ok, _, bad, replies = eng.check_rungs(cs, trembled, cs.rungs)
+                r = np.nonzero(~ok)[0][-1]
+                delta, defined, scores, _ = (a[r] for a in replies)
+                assert report.eps == cs.rungs[r]
+                want = {
+                    (i, taste, cell)
+                    for i in range(s.n_types)
+                    for taste in (0, 1)
+                    for flat, cell in enumerate(np.ndindex(*cs.c_cards[i]))
+                    if cs.active[taste, cs.offsets[i] + flat] and not defined[cs.offsets[i] + flat]
+                }
+                got = {(u.type_index, u.taste, u.cell) for u in report.undefined_cells}
+                assert got == want
+                undefined_seen += bool(want)
+                w = report.witness
+                if not bad[r].any():
+                    assert w is None
+                    continue
+                i = w.type_index
+                k = cs.offsets[i] + (np.ravel_multi_index(w.cell, cs.c_cards[i]) if w.cell else 0)
+                assert bad[r][w.taste, k]
+                assert w.score == scores[w.taste, k]
+                assert abs(w.score) == np.abs(scores)[bad[r]].max()
+                assert w.delta == delta[k]
+                assert w.action == int(w.score < -cs.tie_tol)
+                play = trembled[r][w.taste, k]
+                assert w.played == (play if w.action == 1 else 1.0 - play)
+                assert w.eps == report.eps
+                witnessed += 1
+    assert witnessed > 200 and undefined_seen > 25
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_eps_verdicts_and_witnesses_match_oracle(seed):

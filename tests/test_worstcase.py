@@ -3,8 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from bci.equilibrium import certify_equilibrium
 from bci.model import ModelError, error_probability, induced_joint, welfare_loss
 from bci.ordering import build_relation, is_complete, is_quasitransitive
+from bci.scenarios import example_4_1, example_4_1_interior_profile
 from bci.worstcase import (
     SearchConfig,
     WorstCaseError,
@@ -221,6 +223,30 @@ def test_check_bound_reports_headroom():
     assert rep.observed <= rep.bound_value + 1e-9
     with pytest.raises(WorstCaseError):
         check_bound(SearchConfig(restarts=1), lambda g: g)  # gamma-free family
+
+
+def test_the_gamma_one_minus_gamma_ceiling_bounds_welfare_loss_not_error_probability():
+    # Example 4.1's interior equilibrium has welfare loss gamma (1 - c), below
+    # gamma (1 - gamma) wherever it exists (gamma < c), and error probability
+    # gamma (1 - c) / c, which exceeds gamma (1 - gamma) once c < 1 / (2 - gamma)
+    gamma, c = 0.3, 0.5
+    s = example_4_1(gamma, c)
+    report = certify_equilibrium(s, example_4_1_interior_profile(s))
+    assert report.verdict == "equilibrium_limit"
+    assert report.welfare_loss == pytest.approx(gamma * (1 - c), abs=1e-12)
+    assert report.welfare_loss < gamma * (1 - gamma)
+    assert report.error_probability == pytest.approx(gamma * (1 - c) / c, abs=1e-12)
+    assert report.error_probability > gamma * (1 - gamma)
+    # at criterion 06's c = 0.9 the hypothesis c >= 1 / (1 + min(gamma, 1 - gamma))
+    # of the error-probability form holds, and so does the form
+    c = 0.9
+    for gamma in (0.3, 0.5, 0.7):
+        assert c >= 1 / (1 + min(gamma, 1 - gamma))
+        s = example_4_1(gamma, c)
+        report = certify_equilibrium(s, example_4_1_interior_profile(s))
+        assert report.verdict == "equilibrium_limit"
+        assert report.error_probability == pytest.approx(gamma * (1 - c) / c, abs=1e-12)
+        assert report.error_probability <= gamma * (1 - gamma)
 
 
 def test_check_bound_rejects_a_ceiling_that_is_not_finite(monkeypatch):
