@@ -33,12 +33,12 @@ the outcome kernel and the type weight times the probability that the
 playing type takes action ``a``.  ``compile_scenario`` folds all of that
 into ``mass_map``, one matrix from the stacked strategy ``(2 tastes,
 stacked cells)`` to every type's data-cell moments.  ``_beliefs``, the one
-belief kernel, takes a batch as columns, ``(2S, n)``, and multiplies the
-transposed map by ``[1 - sigma | sigma]``, so the a=0 mass is the sum of
-each type's own ``lam * (1 - sigma)``: an exactly pure profile leaves
-exactly zero mass on the unplayed action even when the type weights sum to
-1 only up to roundoff (``1 - sum(lam * sigma)`` would leave about 1e-16
-there and call an unseen event observed).  One divide gives the
+belief kernel, takes a batch as the column pair ``[1 - sigma | sigma]``,
+``(2S, 2n)``, and multiplies the transposed map by it, so the a=0 mass is
+the sum of each type's own ``lam * (1 - sigma)``: an exactly pure profile
+leaves exactly zero mass on the unplayed action even when the type weights
+sum to 1 only up to roundoff (``1 - sum(lam * sigma)`` would leave about
+1e-16 there and call an unseen event observed).  One divide gives the
 conditional outcome rates, one matmul with the block-diagonal ``adjust``
 matrix averages them into beliefs, and one with the block-diagonal
 ``missing`` matrix flags condition cells that need an unseen event.  Best
@@ -75,7 +75,10 @@ row and ``StrategyProfile`` copies them, so a returned profile owns its
 arrays and never keeps its batch alive.  Enumeration makes two passes over
 pure profiles in chunks sized in bytes.  ``pure_misfits`` first rejects the
 profiles that provably fail the floor rung: the kernel's scores, less a
-tremble margin.  The exact screen and certification then see only the rest.
+tremble margin.  Its column block is built once per enumeration call, a
+power-of-two chunk wide, with every pattern of the bits below that width;
+each chunk rewrites only the rows of the slots whose bits lie above it.
+The exact screen and certification then see only the rest.
 ``equilibrium._CHUNK_BYTES`` bounds the kernel's moments array, ``(2D, 2n)``,
 so that every chunk reuses the same cache-sized buffers; the exact screen,
 which sees few profiles, checks three schedules per profile, ``(2D, 6n)``.
@@ -366,19 +369,20 @@ def flip_floor(stacked: np.ndarray) -> np.ndarray:
 # -- perceived effects and best replies ------------------------------------
 
 
-def _beliefs(cs: CompiledScenario, sigma: np.ndarray):
+def _beliefs(cs: CompiledScenario, cols: np.ndarray):
     """The belief kernel, on a batch of stacked profiles held as columns.
 
-    ``sigma`` is (2S, n), column j profile j's (taste, cell) strategy.
-    Returns (mass, belief, defined): the data-cell masses p(a, x_D), shaped
-    (D, 2n); the do-beliefs b(y=1 | x_C, do(a)) and their definedness, shaped
-    (S, 2n).  Columns run over every profile under a=0, then under a=1.  A
-    belief is defined where its condition cell is reachable and every data
-    cell it averages over with positive weight has seen that action; belief
-    is meaningless where it is not defined.
+    ``cols`` is ``[1 - sigma | sigma]``, (2S, 2n), column j of sigma profile
+    j's (taste, cell) strategy.  Returns (mass, belief, defined): the
+    data-cell masses p(a, x_D), shaped (D, 2n); the do-beliefs
+    b(y=1 | x_C, do(a)) and their definedness, shaped (S, 2n).  Columns run
+    over every profile under a=0, then under a=1.  A belief is defined where
+    its condition cell is reachable and every data cell it averages over
+    with positive weight has seen that action; belief is meaningless where
+    it is not defined.
     """
     n_d = cs.adjust.shape[0]
-    moments = cs.mass_map.T @ np.concatenate([1.0 - sigma, sigma], axis=1)  # (2D, 2n)
+    moments = cs.mass_map.T @ cols  # (2D, 2n)
     mass, ymass = moments[:n_d], moments[n_d:]
     seen = mass > 0
     cond = np.divide(ymass, mass, out=np.zeros_like(mass), where=seen)
@@ -394,7 +398,8 @@ def _stacked_effects(cs: CompiledScenario, stacked: np.ndarray):
     """
     lead, n_s = stacked.shape[:-2], stacked.shape[-1]
     n = math.prod(lead)
-    _, belief, defined = _beliefs(cs, stacked.reshape(n, 2 * n_s).T)
+    sigma = stacked.reshape(n, 2 * n_s).T
+    _, belief, defined = _beliefs(cs, np.concatenate([1.0 - sigma, sigma], axis=1))
     both = defined[:, :n] & defined[:, n:]
     delta = np.zeros(both.shape)
     np.copyto(delta, belief[:, n:] - belief[:, :n], where=both)
@@ -465,22 +470,21 @@ _UNSEEN_RATIO = 1e300
 _SCORE_ROUNDOFF = 1e-12
 
 
-def _pure_scores(cs: CompiledScenario, stacked: np.ndarray, eps: float):
-    """Scores of pure stacked profiles (batch, 2, S), batch-last, with the
+def _pure_scores(cs: CompiledScenario, cols: np.ndarray, eps: float):
+    """Scores of pure profiles, as ``_beliefs`` columns (2S, 2n), with the
     bound on how far trembles of at most ``eps`` per cell can move them.
 
-    Returns (sigma, scores, margin, defined): sigma and scores shaped
-    (2 tastes, S, batch), margin and defined shaped (S, batch); scores and
-    defined are those ``best_replies`` reads off ``_beliefs``.  A tremble
-    m <= eps moves action a's outcome rate at data cell d by at most
+    Returns (scores, margin, defined): scores shaped (2 tastes, S, n),
+    margin and defined shaped (S, n); scores and defined are those
+    ``best_replies`` reads off ``_beliefs``.  A tremble m <= eps moves
+    action a's outcome rate at data cell d by at most
     eps / (1 - eps) * T(d) / M_a(d), where M_a(d) is the pure profile's mass
     of a at d and T(d) = M_0(d) + M_1(d); margin is that bound carried
     through ``adjust`` and ``effect_weight``, on cells whose effect is
     defined.
     """
-    n, n_s = stacked.shape[0], cs.offsets[-1]
-    sigma = stacked.reshape(n, 2 * n_s).T
-    mass, belief, defined = _beliefs(cs, sigma)
+    n = cols.shape[1] // 2
+    mass, belief, defined = _beliefs(cs, cols)
     by_action = mass.reshape(-1, 2, n)
     total = by_action.sum(axis=1, keepdims=True)
     ratio = np.divide(
@@ -489,12 +493,13 @@ def _pure_scores(cs: CompiledScenario, stacked: np.ndarray, eps: float):
     margin = cs.adjust.T @ ratio.sum(axis=1)
     margin *= cs.effect_weight * eps / (1.0 - eps)
     scores = cs.score_base[:, None, None] + cs.effect_weight * (belief[:, n:] - belief[:, :n])
-    return sigma.reshape(2, n_s, n), scores, margin, defined[:, :n] & defined[:, n:]
+    return scores, margin, defined[:, :n] & defined[:, n:]
 
 
-def pure_misfits(cs: CompiledScenario, stacked: np.ndarray, eps: float) -> np.ndarray:
-    """(batch,) bool: pure stacked profiles that no tremble of at most ``eps``
-    per cell can make pass ``check_rungs`` at threshold ``eps``.
+def pure_misfits(cs: CompiledScenario, cols: np.ndarray, eps: float) -> np.ndarray:
+    """(n,) bool: pure profiles, as ``_beliefs`` columns (2S, 2n), that no
+    tremble of at most ``eps`` per cell can make pass ``check_rungs`` at
+    threshold ``eps``.
 
     A profile is flagged where an active cell with a defined effect plays
     against a strict best reply by more than ``cs.tie_tol``, roundoff slack
@@ -503,9 +508,10 @@ def pure_misfits(cs: CompiledScenario, stacked: np.ndarray, eps: float) -> np.nd
     eps < 1/2 the trembled cell still plays its action with probability
     1 - m > eps.
     """
-    sigma, scores, margin, defined = _pure_scores(cs, stacked, eps)
+    scores, margin, defined = _pure_scores(cs, cols, eps)
     margin += cs.tie_tol + _SCORE_ROUNDOFF
+    n = cols.shape[1] // 2
     # the score of the action played over the other: a misfit is far below 0
-    scores *= 2.0 * sigma - 1.0
+    scores *= (cols[:, n:] - cols[:, :n]).reshape(scores.shape)  # 2 sigma - 1
     misfit = (scores < -margin) & defined & cs.active[..., None]
     return misfit.any(axis=(0, 1))

@@ -66,8 +66,19 @@ class _Parser(argparse.ArgumentParser):
 # -- builtin registry ----------------------------------------------------------
 
 
+def _finite(text: str) -> float:
+    """A float flag value: a finite number (NaN and the infinities are not)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _lambdas(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(","))
+    return tuple(_finite(v) for v in text.split(","))
 
 
 def _flag_bool(text: str) -> bool:
@@ -90,7 +101,7 @@ def _eps_check(text: str) -> float:
 
 
 # a builtin flag's parser, by the type of its default
-_PARSERS: dict[type, Callable[[str], Any]] = {float: float, bool: _flag_bool, tuple: _lambdas}
+_PARSERS: dict[type, Callable[[str], Any]] = {float: _finite, bool: _flag_bool, tuple: _lambdas}
 
 
 @functools.cache
@@ -162,11 +173,9 @@ MAX_SWEEP_POINTS = 10_000
 
 def _sweep_values(text: str) -> list[float]:
     """One float, or the points of a ``start:stop:step`` range."""
-    parts = [float(part) for part in text.split(":")]
+    parts = [_finite(part) for part in text.split(":")]
     if len(parts) not in (1, 3):
         raise ValueError(f"expected a number or start:stop:step, got {text!r}")
-    if not np.all(np.isfinite(parts)):
-        raise ValueError(f"sweep values must be finite, got {text!r}")
     if len(parts) == 1:
         return parts
     start, stop, step = parts
@@ -200,8 +209,8 @@ def _builtin_values(name: str, args: argparse.Namespace, grid: bool = False) -> 
         else:
             conv = _PARSERS[type(default)]
             try:
-                points = _sweep_values(raw) if grid and conv is float else [conv(raw)]
-            except ValueError as exc:
+                points = _sweep_values(raw) if grid and conv is _finite else [conv(raw)]
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise CliError(f"bad value for {_flag(pname)}: {exc}", 3)
         values[pname] = points if grid else points[0]
     for spec in BUILTINS.values():
@@ -606,20 +615,23 @@ def _cmd_worstcase(args) -> int:
             )
         name = _WITNESSES[args.name]
         return _emit_run(args, name, _builtin_values(name, args), {})
-    cfg = wc.SearchConfig(
-        gamma=args.gamma,
-        t_only_outcome=args.t_only_outcome,
-        simple_types=not args.mixed_types,
-        p_structure=args.structure,
-        n_covariates=args.covariates,
-        n_types=args.types,
-        c=args.c,
-        restarts=args.restarts,
-        seed=args.seed,
-        param_scale=args.param_scale,
-        refine_rounds=args.refine_rounds,
-        metric=args.metric,
-    )
+    try:
+        cfg = wc.SearchConfig(
+            gamma=args.gamma,
+            t_only_outcome=args.t_only_outcome,
+            simple_types=not args.mixed_types,
+            p_structure=args.structure,
+            n_covariates=args.covariates,
+            n_types=args.types,
+            c=args.c,
+            restarts=args.restarts,
+            seed=args.seed,
+            param_scale=args.param_scale,
+            refine_rounds=args.refine_rounds,
+            metric=args.metric,
+        )
+    except wc.WorstCaseError as exc:  # a bad flag value, not a failed search
+        raise CliError(str(exc), 3)
     checked = None if args.bound is None else wc.check_bound(cfg, args.bound)
     best, trace = wc.search_max_loss(cfg) if checked is None else (checked.best, checked.trace)
     payload: dict[str, Any] = {
@@ -758,7 +770,7 @@ def _build_parser() -> _Parser:
     ps.add_argument("--param-scale", type=float, default=2.0)
     ps.add_argument("--refine-rounds", type=int, default=15)
     ps.add_argument("--metric", choices=wc._METRICS, default="welfare_loss")
-    ps.add_argument("--bound", type=float, default=None)
+    ps.add_argument("--bound", type=_finite, default=None)
     _add_format_arg(ps)
     ps.set_defaults(func=_cmd_worstcase)
 

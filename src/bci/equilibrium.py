@@ -447,16 +447,17 @@ def best_response_dynamics(
 ENUMERATION_CAP = 1 << 20
 # Bound on the largest per-chunk temporary of the first pass, the moments
 # array: two actions' data moments per profile, (2D, 2n) in
-# ``_engine._beliefs``.  The exact screen checks three schedules per
-# profile, (2D, 6n), on the few profiles the first pass keeps.  Chunks this small
-# reuse the same few cache-sized buffers chunk after chunk; larger ones fault
-# each chunk's temporaries in anew, and smaller ones pay numpy's per-call
-# cost more often.  On a 2-core x86 VM, a pass of the ``enumerate`` benchmark
-# took under 200 page faults with this bound (512 profiles per chunk on its
-# 12-cell, 6-data-cell scenarios); 1024-profile chunks took about 115k and
-# ran 10-20 % slower, and 256-profile chunks ran 20-35 % slower.  With the
-# misfit filter in front of the screen, bounds of 48, 192 and 384 KiB were
-# again slower than this one on the same benchmark.
+# ``_engine._beliefs``.  A first-pass chunk is the largest power of two of
+# profiles, at most all of them, whose moments fit, so that pass builds its
+# kernel columns once per call and each chunk rewrites only its high-bit
+# rows.  The exact screen takes as many kept profiles per chunk as fit, and
+# checks three schedules per profile, (2D, 6n).  Chunks this small reuse the
+# same few cache-sized buffers chunk after chunk; larger ones fault each
+# chunk's temporaries in anew, and smaller ones pay numpy's per-call cost
+# more often.  On a 2-core x86 VM, a pass of the ``enumerate`` benchmark took
+# under 200 page faults with this bound (512 profiles per chunk on its
+# 12-cell, 6-data-cell scenarios); 1024-profile chunks (115k faults) ran
+# 10-20 % slower, 256-profile ones 20-35 %, and 48, 192 and 384 KiB slower.
 _CHUNK_BYTES = 96 << 10
 
 
@@ -465,13 +466,14 @@ def enumerate_pure_equilibria(scenario: Scenario) -> list[tuple[StrategyProfile,
 
     Pure assignments range over taste cells that occur with positive
     probability, bit by bit in (type, taste, cell) order; unreachable cells
-    are pinned to a = t.  Two passes run over chunks of as many profiles as
-    keep the moments array within ``_CHUNK_BYTES``.  The first runs over
-    consecutive indices and drops every profile ``_engine.pure_misfits``
-    flags at the floor rung.  The second runs over the indices the first
-    kept: an exact screen keeps the profiles that pass the floor rung under
-    some schedule of the try-list, and ``certify_equilibrium`` decides each
-    of them.
+    are pinned to a = t.  Two passes run over chunks sized by
+    ``_CHUNK_BYTES``.  The first drops every profile ``_engine.pure_misfits``
+    flags at the floor rung, in power-of-two chunks, on kernel columns built
+    once per call for every low-bit pattern, of which each chunk rewrites
+    only its high-bit rows.  The second runs over the indices the first kept,
+    as many as fit per chunk: an exact screen keeps the profiles that pass
+    the floor rung under some schedule of the try-list, and
+    ``certify_equilibrium`` decides each of them.
 
     Neither pass drops a profile that certification would pass.  A passing
     ladder suffix always contains the floor rung.  At that rung every
@@ -488,8 +490,9 @@ def enumerate_pure_equilibria(scenario: Scenario) -> list[tuple[StrategyProfile,
     n_slots = len(slots)
     if n_slots.bit_length() > 63 or 2**n_slots > ENUMERATION_CAP:
         raise EquilibriumError(f"instance-too-large: 2^{n_slots} pure profiles exceed the cap")
-    n_profiles = 1 << n_slots
-    chunk = max(1, _CHUNK_BYTES // (2 * cs.mass_map[0].nbytes))
+    fit = max(1, _CHUNK_BYTES // (2 * cs.mass_map[0].nbytes))  # profiles whose moments fit
+    width = min(n_slots, fit.bit_length() - 1)
+    chunk = 1 << width
 
     def pure(idx: np.ndarray) -> np.ndarray:
         batch = np.zeros((len(idx),) + cs.active.shape)
@@ -497,15 +500,18 @@ def enumerate_pure_equilibria(scenario: Scenario) -> list[tuple[StrategyProfile,
         batch.reshape(len(idx), -1)[:, slots] = (idx[:, None] >> np.arange(n_slots)) & 1
         return batch
 
+    sigma = pure(np.arange(chunk)).reshape(chunk, -1).T  # chunk 0, as kernel columns
+    cols = np.concatenate([1.0 - sigma, sigma], axis=1)
     kept = []
-    for start in range(0, n_profiles, chunk):
-        idx = np.arange(start, min(start + chunk, n_profiles), dtype=np.int64)
-        kept.append(idx[~eng.pure_misfits(cs, pure(idx), cs.rungs[-1])])
+    for start in range(0, 1 << n_slots, chunk):
+        bits = (start >> np.arange(width, n_slots))[:, None] & 1
+        cols[slots[width:], :chunk], cols[slots[width:], chunk:] = 1 - bits, bits
+        kept.append(start + np.flatnonzero(~eng.pure_misfits(cs, cols, cs.rungs[-1])))
     kept = np.concatenate(kept)
 
     results: list[tuple[StrategyProfile, EquilibriumReport]] = []
-    for start in range(0, len(kept), chunk):
-        batch = pure(kept[start : start + chunk])
+    for start in range(0, len(kept), fit):
+        batch = pure(kept[start : start + fit])
         for b in np.nonzero(_floor_screen(cs, batch))[0]:
             profile = eng.unflatten_profile(cs, batch[b])
             report = certify_equilibrium(cs, profile)

@@ -83,7 +83,8 @@ def test_do_belief_marginalizes_taste_out():
     joint = oracles.full_joint(s, prof)
     cs = eng.compile_scenario(s)
     column = eng.flatten_profile(cs, prof).reshape(-1, 1)
-    belief, defined = (arr.T for arr in eng._beliefs(cs, column)[1:])  # (action, x1)
+    cols = np.concatenate([1.0 - column, column], axis=1)  # the kernel's [1 - sigma | sigma]
+    belief, defined = (arr.T for arr in eng._beliefs(cs, cols)[1:])  # (action, x1)
     assert defined.all()
     for xv in (0, 1):
         for a in (0, 1):

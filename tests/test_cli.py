@@ -301,6 +301,13 @@ def test_exit_code_foreign_flag(capsys):
         (("sweep", "example_3_1", "--q", "abc"), "--q"),
         (("sweep", "example_3_1", "--blind-second-type", "maybe"), "--blind-second-type"),
         (("worstcase", "witness", "incomplete", "--eps", "abc"), "--eps"),
+        # a float flag takes finite numbers only, as a sweep value does
+        (("verify", "-b", "example_3_1", "--q", "nan"), "--q"),
+        (("scenario", "run", "example_3_1", "--q", "inf"), "--q"),
+        (("delta", "-b", "example_3_1", "--c", "nan"), "--c"),
+        (("enumerate", "-b", "pandemic", "--q", "nan"), "--q"),
+        (("worstcase", "witness", "full_loss", "--gamma", "nan"), "--gamma"),
+        (("scenario", "run", "prop4", "--lambdas", "0.5,-inf"), "--lambdas"),
     ],
 )
 def test_exit_code_bad_builtin_value(capsys, argv, flag):
@@ -374,14 +381,21 @@ def test_exit_code_solver_did_not_converge(capsys):
     "argv, code, message",
     [
         (("solve", "-b", "example_3_1", "--inits", "-1"), 3, "--inits"),
-        (("worstcase", "search", "--restarts", "2", "--param-scale", "-1"), 1, "param_scale"),
-        (("worstcase", "search", "--restarts", "2", "--refine-rounds", "-1"), 1, "refine_rounds"),
+        (("worstcase", "search", "--restarts", "2", "--param-scale", "-1"), 3, "param_scale"),
+        (("worstcase", "search", "--restarts", "2", "--refine-rounds", "-1"), 3, "refine_rounds"),
         (("solve", "-b", "example_3_1", "--max-iters", "-1", "--inits", "0"), 3, "--max-iters"),
         (("solve", "-b", "example_3_1", "--max-iters", "0", "--inits", "0"), 3, "--max-iters"),
         (("solve", "-b", "example_3_1", "--damping", "0.5"), 3, "--damping"),
         (("solve", "-b", "example_3_1", "--seed", "-1"), 3, "--seed"),
-        (("worstcase", "search", "--seed", "-1", "--restarts", "2"), 1, "seed"),
-        (("worstcase", "search", "--covariates", "40", "--restarts", "1"), 1, "n_covariates"),
+        (("worstcase", "search", "--seed", "-1", "--restarts", "2"), 3, "seed"),
+        (("worstcase", "search", "--covariates", "40", "--restarts", "1"), 3, "n_covariates"),
+        (("worstcase", "search", "--restarts", "0"), 3, "restarts must be positive"),
+        (("worstcase", "search", "--covariates", "0"), 3, "need at least one covariate"),
+        (("worstcase", "search", "--types", "0"), 3, "need at least one covariate"),
+        (("worstcase", "search", "--restarts", "1", "--c", "1.5"), 3, "c must lie in (0, 1)"),
+        (("worstcase", "search", "--restarts", "1", "--gamma", "1.5"), 3, "gamma must lie"),
+        (("worstcase", "search", "--restarts", "1", "--gamma", "nan"), 3, "gamma must lie"),
+        (("worstcase", "search", "--restarts", "1", "--refine-rounds", "-2"), 3, "refine_rounds"),
     ],
 )
 def test_exit_code_bad_numeric_option(capsys, argv, code, message):
@@ -646,7 +660,7 @@ def test_worstcase_search_rejects_a_nan_bound(capsys):
         capsys, "worstcase", "search", "--gamma", "0.3", "--restarts", "1",
         "--refine-rounds", "0", "--bound", "nan", "--format", "json",
     )
-    assert (code, out) == (1, "")
+    assert (code, out) == (3, "")
     assert "finite" in err
 
 

@@ -38,8 +38,9 @@ def assert_effects_match_oracle(s, prof):
     cs = eng.compile_scenario(s)
     stacked = eng.flatten_profile(cs, prof)
     effects = eng.profile_effects(cs, eng.split_cells(cs, stacked))
-    # the belief kernel takes profiles as columns and returns (cell, action) arrays
-    kernel = eng._beliefs(cs, stacked.reshape(-1, 1))[1:]
+    # the belief kernel takes profiles as columns, [1 - sigma | sigma], and
+    # returns (cell, action) arrays
+    kernel = eng._beliefs(cs, kernel_columns(stacked[None]))[1:]
     belief, belief_ok = (eng.split_cells(cs, arr.T) for arr in kernel)
     for i, ((d, ok), tab) in enumerate(zip(effects, delta_table(s, prof))):
         for cell, expected in oracles.brute_delta(s, prof, i).items():
@@ -234,6 +235,14 @@ def random_pure_batch(rng, cs, n):
     return rng.integers(0, 2, size=(n,) + cs.active.shape).astype(np.float64)
 
 
+def kernel_columns(stacked):
+    """The belief kernel's input for a stacked batch (n, 2, S): the column
+    pair [1 - sigma | sigma], sigma's column j profile j's (taste, cell)
+    strategy."""
+    sigma = stacked.reshape(len(stacked), -1).T
+    return np.concatenate([1.0 - sigma, sigma], axis=1)
+
+
 @pytest.mark.parametrize("eps", [1e-6, 1e-3, 0.05, 0.2])
 def test_score_margin_bounds_every_tremble_of_at_most_eps(eps):
     # the filter's soundness: a per-cell tremble m in [0, eps] moves the score
@@ -251,7 +260,7 @@ def test_score_margin_bounds_every_tremble_of_at_most_eps(eps):
         trembled = (1.0 - m) * pure + m * (1.0 - pure)
         _, defined, before, _ = eng.best_replies(cs, pure)
         _, _, after, _ = eng.best_replies(cs, trembled)
-        margin = eng._pure_scores(cs, pure, eps)[2].T
+        margin = eng._pure_scores(cs, kernel_columns(pure), eps)[1].T
         assert margin.shape == defined.shape
         on = cs.active & defined[:, None, :]
         bound = np.broadcast_to(margin[:, None, :], on.shape)
@@ -287,7 +296,7 @@ def test_filter_reads_the_best_reply_scores_bit_for_bit():
     for s in random_family_scenarios(rng, 200):
         cs = eng.compile_scenario(s)
         pure = random_pure_batch(rng, cs, 64)
-        _, scores, _, defined = eng._pure_scores(cs, pure, cs.rungs[-1])
+        scores, _, defined = eng._pure_scores(cs, kernel_columns(pure), cs.rungs[-1])
         _, want_defined, want, _ = eng.best_replies(cs, pure)
         assert np.array_equal(defined.T, want_defined)
         on = cs.active & want_defined[:, None, :]
@@ -302,9 +311,9 @@ def test_pure_misfits_flag_only_strict_misplays_beyond_the_margin():
     cs = eng.compile_scenario(s)
     pure = random_pure_batch(np.random.default_rng(2), cs, 256)
     pure[:, 1] = 1.0  # a = t on the inactive taste
-    flagged = eng.pure_misfits(cs, pure, 1e-6)
+    flagged = eng.pure_misfits(cs, kernel_columns(pure), 1e-6)
     _, defined, scores, code = eng.best_replies(cs, pure)
-    margin = eng._pure_scores(cs, pure, 1e-6)[2].T
+    margin = eng._pure_scores(cs, kernel_columns(pure), 1e-6)[1].T
     against = ((pure == 1) & (code == 0)) | ((pure == 0) & (code == 1))
     far = np.abs(scores) > margin[:, None, :] + cs.tie_tol + 1e-12
     assert flagged.tolist() == (against & far & cs.active & defined[:, None, :]).any(axis=(1, 2)).tolist()

@@ -53,7 +53,7 @@ from bci.worstcase import (
 )
 
 from test_causal import assert_same, compiled_path_cases, random_small_scenario
-from test_engine import random_family_scenarios
+from test_engine import kernel_columns, random_family_scenarios
 
 
 def test_eps_equilibrium_golden_two_covariates():
@@ -495,7 +495,7 @@ def test_misfit_filter_keeps_every_profile_the_exact_screen_passes():
     for s in cases:
         cs = eng.compile_scenario(s)
         profiles, batch, passing = exhaustive_floor_screen(s)
-        assert not (eng.pure_misfits(cs, batch, cs.rungs[-1]) & passing).any()
+        assert not (eng.pure_misfits(cs, kernel_columns(batch), cs.rungs[-1]) & passing).any()
         expected = [
             (p, r) for p, ok in zip(profiles, passing)
             if ok and (r := certify_equilibrium(s, p)).passed
@@ -523,25 +523,86 @@ def test_exact_screen_sees_under_two_percent_of_pure_profiles(monkeypatch):
     assert sum(seen) < 0.02 * 4096
 
 
-@pytest.mark.parametrize("budget", [1, 3000])
+def moments_bytes(cs, n: int) -> int:
+    """Bytes of the first pass's moments array, (2D, 2n), for n profiles."""
+    return 2 * cs.adjust.shape[0] * 2 * n * 8
+
+
+@pytest.mark.parametrize(
+    "budget",
+    [
+        lambda cs, n_slots: 1,  # one profile per chunk
+        lambda cs, n_slots: 3000,  # 11 to 23 profiles' worth: first-pass chunks of 8 or 16
+        lambda cs, n_slots: moments_bytes(cs, 1 << (n_slots - 1)),  # half the profiles
+        lambda cs, n_slots: moments_bytes(cs, 3 << (n_slots - 2)),  # three quarters: halves
+        lambda cs, n_slots: moments_bytes(cs, 1 << n_slots),  # every profile, exactly
+        lambda cs, n_slots: moments_bytes(cs, 1 << (n_slots + 1)),  # room for twice that
+    ],
+    ids=["1", "3000", "half", "three-quarters", "all", "twice"],
+)
 def test_enumeration_does_not_depend_on_chunk_boundaries(monkeypatch, budget):
-    # budget 1 screens one profile per chunk; 3000 bytes makes chunks of
-    # 11 to 23 profiles, most scenarios ending in a short one
-    def run(cases):
-        return [
-            [
+    # a chunk is the widest power of two of profiles whose moments fit the
+    # budget, and at most every profile: the budgets put it below, at and
+    # above 2^n_slots, and at budgets that are no power of two in profiles
+    def run(cases, budget):
+        out = []
+        for s in cases:
+            cs = eng.compile_scenario(s)
+            monkeypatch.setattr(equilibrium, "_CHUNK_BYTES", budget(cs, int(cs.active.sum())))
+            out.append([
                 (tuple(sig.tobytes() for sig in p.sigmas), r.verdict, r.schedule, r.welfare_loss)
                 for p, r in enumerate_pure_equilibria(s)
-            ]
-            for s in cases
-        ]
+            ])
+        return out
 
     cases = enumeration_cases(5, 6, 8, seed=1)
-    monkeypatch.setattr(equilibrium, "_CHUNK_BYTES", 1 << 40)
-    whole = run(cases)
-    monkeypatch.setattr(equilibrium, "_CHUNK_BYTES", budget)
-    assert run(cases) == whole
+    whole = run(cases, lambda cs, n_slots: 1 << 40)
+    assert run(cases, budget) == whole
     assert all(whole)
+
+
+@pytest.mark.parametrize("budget", [None, 3000])
+def test_the_first_pass_hands_the_kernel_each_chunk_as_its_pure_batch_columns(monkeypatch, budget):
+    # every block the first pass scores is [1 - sigma | sigma] of its chunk's
+    # stacked pure batch, built the way a stacked batch is laid out for the
+    # kernel, and the second pass sees exactly the indices those blocks keep
+    draws = {}
+    for s in enumeration_cases(300, 1, 12, seed=35):
+        draws.setdefault(int(eng.compile_scenario(s).active.sum()), s)
+    assert sorted(draws) == list(range(1, 13))
+    pure_misfits, floor_screen = eng.pure_misfits, equilibrium._floor_screen
+    for s in draws.values():
+        cs = eng.compile_scenario(s)
+        batch = np.stack([eng.flatten_profile(cs, p) for p in pure_profiles_in_index_order(s)])
+        blocks, screened = [], []
+
+        def spy_misfits(cs, cols, eps):
+            blocks.append(cols.copy(order="K"))  # memory layout included
+            return pure_misfits(cs, cols, eps)
+
+        def spy_screen(cs, stacked):
+            screened.append(stacked.copy())
+            return floor_screen(cs, stacked)
+
+        monkeypatch.setattr(eng, "pure_misfits", spy_misfits)
+        monkeypatch.setattr(equilibrium, "_floor_screen", spy_screen)
+        if budget is not None:
+            monkeypatch.setattr(equilibrium, "_CHUNK_BYTES", budget)
+        enumerate_pure_equilibria(s)
+        monkeypatch.undo()
+        chunk = blocks[0].shape[1] // 2
+        assert len(blocks) * chunk == len(batch)
+        kept = []
+        for k, cols in enumerate(blocks):
+            chunk_batch = batch[k * chunk : (k + 1) * chunk]
+            want = kernel_columns(chunk_batch)
+            assert (cols.dtype, cols.strides) == (want.dtype, want.strides)
+            assert cols.tobytes(order="A") == want.tobytes(order="A")
+            flags = pure_misfits(cs, want, cs.rungs[-1])
+            kept.append(k * chunk + np.flatnonzero(~flags))
+        kept = np.concatenate(kept)
+        seen = np.concatenate(screened) if screened else batch[:0]
+        assert seen.tobytes() == batch[kept].tobytes()
 
 
 def test_returned_profiles_own_their_arrays():
