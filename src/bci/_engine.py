@@ -75,10 +75,11 @@ row and ``StrategyProfile`` copies them, so a returned profile owns its
 arrays and never keeps its batch alive.  Enumeration makes two passes over
 pure profiles in chunks sized in bytes.  ``pure_misfits`` first rejects the
 profiles that provably fail the floor rung: the kernel's scores, less a
-tremble margin.  Its column block is built once per enumeration call, a
-power-of-two chunk wide, with every pattern of the bits below that width;
-each chunk rewrites only the rows of the slots whose bits lie above it.
-The exact screen and certification then see only the rest.
+tremble margin, of the half whose last slot plays 0 and, off the same
+columns, of their complements.  Its column block is built once per
+enumeration call, a power-of-two chunk wide, with every pattern of the bits
+below that width; each chunk rewrites only the rows of the slots whose bits
+lie above it.  The exact screen and certification then see only the rest.
 ``equilibrium._CHUNK_BYTES`` bounds the kernel's moments array, ``(2D, 2n)``,
 so that every chunk reuses the same cache-sized buffers; the exact screen,
 which sees few profiles, checks three schedules per profile, ``(2D, 6n)``.
@@ -471,13 +472,17 @@ _SCORE_ROUNDOFF = 1e-12
 
 
 def _pure_scores(cs: CompiledScenario, cols: np.ndarray, eps: float):
-    """Scores of pure profiles, as ``_beliefs`` columns (2S, 2n), with the
-    bound on how far trembles of at most ``eps`` per cell can move them.
+    """Scores of pure profiles, as ``_beliefs`` columns (2S, 2n), and of
+    their complements, with the bound on how far trembles of at most ``eps``
+    per cell can move them.
 
-    Returns (scores, margin, defined): scores shaped (2 tastes, S, n),
-    margin and defined shaped (S, n); scores and defined are those
-    ``best_replies`` reads off ``_beliefs``.  A tremble m <= eps moves
-    action a's outcome rate at data cell d by at most
+    Returns (scores, margin, defined): scores shaped (2 tastes, S, 2n), the
+    profiles' then their complements', margin and defined shaped (S, n);
+    scores and defined are those ``best_replies`` reads off ``_beliefs``.  A
+    complement flips every active cell, so on the rows ``mass_map`` weighs its
+    columns are ``[sigma | 1 - sigma]``: its effect is -delta to the bit, and
+    its margin and definedness (sums over both actions) are the profile's.  A
+    tremble m <= eps moves action a's outcome rate at data cell d by at most
     eps / (1 - eps) * T(d) / M_a(d), where M_a(d) is the pure profile's mass
     of a at d and T(d) = M_0(d) + M_1(d); margin is that bound carried
     through ``adjust`` and ``effect_weight``, on cells whose effect is
@@ -492,12 +497,14 @@ def _pure_scores(cs: CompiledScenario, cols: np.ndarray, eps: float):
     )
     margin = cs.adjust.T @ ratio.sum(axis=1)
     margin *= cs.effect_weight * eps / (1.0 - eps)
-    scores = cs.score_base[:, None, None] + cs.effect_weight * (belief[:, n:] - belief[:, :n])
+    effect = cs.effect_weight * (belief[:, n:] - belief[:, :n])
+    scores = cs.score_base[:, None, None] + np.concatenate([effect, -effect], axis=1)
     return scores, margin, defined[:, :n] & defined[:, n:]
 
 
 def pure_misfits(cs: CompiledScenario, cols: np.ndarray, eps: float) -> np.ndarray:
-    """(n,) bool: pure profiles, as ``_beliefs`` columns (2S, 2n), that no
+    """(2, n) bool: pure profiles, as ``_beliefs`` columns (2S, 2n), in row
+    0, and their complements (see ``_pure_scores``) in row 1, that no
     tremble of at most ``eps`` per cell can make pass ``check_rungs`` at
     threshold ``eps``.
 
@@ -512,6 +519,8 @@ def pure_misfits(cs: CompiledScenario, cols: np.ndarray, eps: float) -> np.ndarr
     margin += cs.tie_tol + _SCORE_ROUNDOFF
     n = cols.shape[1] // 2
     # the score of the action played over the other: a misfit is far below 0
-    scores *= (cols[:, n:] - cols[:, :n]).reshape(scores.shape)  # 2 sigma - 1
-    misfit = (scores < -margin) & defined & cs.active[..., None]
+    played = (cols[:, n:] - cols[:, :n]).reshape(2, -1, 1, n)  # 2 sigma - 1
+    scores = scores.reshape(played.shape[:2] + (2, n)) * played
+    scores[:, :, 1] *= -1.0  # a complement plays the other action
+    misfit = (scores < -margin[:, None]) & (defined & cs.active[..., None])[:, :, None]
     return misfit.any(axis=(0, 1))

@@ -448,16 +448,17 @@ ENUMERATION_CAP = 1 << 20
 # Bound on the largest per-chunk temporary of the first pass, the moments
 # array: two actions' data moments per profile, (2D, 2n) in
 # ``_engine._beliefs``.  A first-pass chunk is the largest power of two of
-# profiles, at most all of them, whose moments fit, so that pass builds its
-# kernel columns once per call and each chunk rewrites only its high-bit
-# rows.  The exact screen takes as many kept profiles per chunk as fit, and
-# checks three schedules per profile, (2D, 6n).  Chunks this small reuse the
-# same few cache-sized buffers chunk after chunk; larger ones fault each
-# chunk's temporaries in anew, and smaller ones pay numpy's per-call cost
-# more often.  On a 2-core x86 VM, a pass of the ``enumerate`` benchmark took
-# under 200 page faults with this bound (512 profiles per chunk on its
-# 12-cell, 6-data-cell scenarios); 1024-profile chunks (115k faults) ran
-# 10-20 % slower, 256-profile ones 20-35 %, and 48, 192 and 384 KiB slower.
+# profiles whose moments fit, at most the half that pass scores, so it builds
+# its kernel columns once per call and each chunk rewrites its high-bit rows.
+# The exact screen takes as many kept profiles per chunk as fit, and checks
+# three schedules per profile, (2D, 6n).  Chunks this small reuse the same
+# few cache-sized buffers chunk after chunk; larger ones fault each chunk's
+# temporaries in anew, and smaller ones pay numpy's per-call cost more often.
+# On a 2-core x86 VM, when the first pass still scored all 4096 profiles of
+# the ``enumerate`` benchmark's 12-cell, 6-data-cell scenarios in 8 chunks of
+# 512 (4 now), a pass took under 200 page faults with this bound; 1024-profile
+# chunks (115k faults) ran 10-20 % slower, 256-profile ones 20-35 %, and 48,
+# 192 and 384 KiB slower.
 _CHUNK_BYTES = 96 << 10
 
 
@@ -470,8 +471,11 @@ def enumerate_pure_equilibria(scenario: Scenario) -> list[tuple[StrategyProfile,
     ``_CHUNK_BYTES``.  The first drops every profile ``_engine.pure_misfits``
     flags at the floor rung, in power-of-two chunks, on kernel columns built
     once per call for every low-bit pattern, of which each chunk rewrites
-    only its high-bit rows.  The second runs over the indices the first kept,
-    as many as fit per chunk: an exact screen keeps the profiles that pass
+    only its high-bit rows.  It scores the profiles j < 2^(n_slots - 1),
+    whose last slot plays 0; the same columns flag each one's complement,
+    2^n_slots - 1 - j, which flips every slot.  The second runs over the
+    indices the first kept, as many as fit per chunk: an exact screen keeps
+    the profiles that pass
     the floor rung under some schedule of the try-list, and
     ``certify_equilibrium`` decides each of them.
 
@@ -491,7 +495,7 @@ def enumerate_pure_equilibria(scenario: Scenario) -> list[tuple[StrategyProfile,
     if n_slots.bit_length() > 63 or 2**n_slots > ENUMERATION_CAP:
         raise EquilibriumError(f"instance-too-large: 2^{n_slots} pure profiles exceed the cap")
     fit = max(1, _CHUNK_BYTES // (2 * cs.mass_map[0].nbytes))  # profiles whose moments fit
-    width = min(n_slots, fit.bit_length() - 1)
+    width = min(n_slots - 1, fit.bit_length() - 1)
     chunk = 1 << width
 
     def pure(idx: np.ndarray) -> np.ndarray:
@@ -502,12 +506,13 @@ def enumerate_pure_equilibria(scenario: Scenario) -> list[tuple[StrategyProfile,
 
     sigma = pure(np.arange(chunk)).reshape(chunk, -1).T  # chunk 0, as kernel columns
     cols = np.concatenate([1.0 - sigma, sigma], axis=1)
-    kept = []
-    for start in range(0, 1 << n_slots, chunk):
+    keep = np.empty(1 << n_slots, dtype=bool)  # profile j's complement: keep[::-1][j]
+    for start in range(0, len(keep) // 2, chunk):
         bits = (start >> np.arange(width, n_slots))[:, None] & 1
         cols[slots[width:], :chunk], cols[slots[width:], chunk:] = 1 - bits, bits
-        kept.append(start + np.flatnonzero(~eng.pure_misfits(cs, cols, cs.rungs[-1])))
-    kept = np.concatenate(kept)
+        fits = ~eng.pure_misfits(cs, cols, cs.rungs[-1])  # the profiles, their complements
+        keep[start : start + chunk], keep[::-1][start : start + chunk] = fits
+    kept = np.flatnonzero(keep)
 
     results: list[tuple[StrategyProfile, EquilibriumReport]] = []
     for start in range(0, len(kept), fit):

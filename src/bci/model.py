@@ -154,8 +154,10 @@ class Scenario:
     beta: float = 0.0
 
     def __post_init__(self) -> None:
-        ptx = np.asarray(self.ptx, dtype=np.float64)
-        kernel = np.asarray(self.kernel, dtype=np.float64)
+        ptx = np.array(self.ptx, dtype=np.float64)  # read-only copies, not the caller's arrays
+        kernel = np.array(self.kernel, dtype=np.float64)
+        ptx.setflags(write=False)
+        kernel.setflags(write=False)
         lam = tuple(map(float, self.lam))
         types = [(spec.condition_set, spec.data_set) for spec in self.types]
         problems = scenario_violations(self.x_names, self.x_cards, ptx, kernel, types, lam,

@@ -38,11 +38,9 @@ class DominanceRelation:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=bool)
+        m = np.array(self.matrix, dtype=bool)  # a copy: the caller keeps its own array
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise OrderError("relation matrix must be square")
-        if not m.flags["C_CONTIGUOUS"]:
-            m = np.ascontiguousarray(m)
         if not np.diagonal(m).all():
             raise OrderError("relation must be reflexive")
         object.__setattr__(self, "matrix", m)

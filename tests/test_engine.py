@@ -243,6 +243,11 @@ def kernel_columns(stacked):
     return np.concatenate([1.0 - sigma, sigma], axis=1)
 
 
+def complements(cs, pure):
+    """A stacked pure batch with every active cell flipped, the rest held."""
+    return np.where(cs.active, 1.0 - pure, pure)
+
+
 @pytest.mark.parametrize("eps", [1e-6, 1e-3, 0.05, 0.2])
 def test_score_margin_bounds_every_tremble_of_at_most_eps(eps):
     # the filter's soundness: a per-cell tremble m in [0, eps] moves the score
@@ -297,10 +302,13 @@ def test_filter_reads_the_best_reply_scores_bit_for_bit():
         cs = eng.compile_scenario(s)
         pure = random_pure_batch(rng, cs, 64)
         scores, _, defined = eng._pure_scores(cs, kernel_columns(pure), cs.rungs[-1])
-        _, want_defined, want, _ = eng.best_replies(cs, pure)
-        assert np.array_equal(defined.T, want_defined)
-        on = cs.active & want_defined[:, None, :]
-        assert np.array_equal(scores.transpose(2, 0, 1)[on], want[on])
+        # the profiles' scores, then their complements', which share the
+        # profiles' definedness
+        for got, batch in zip(np.split(scores, 2, axis=-1), (pure, complements(cs, pure))):
+            _, want_defined, want, _ = eng.best_replies(cs, batch)
+            assert np.array_equal(defined.T, want_defined)
+            on = cs.active & want_defined[:, None, :]
+            assert np.array_equal(got.transpose(2, 0, 1)[on], want[on])
 
 
 def test_pure_misfits_flag_only_strict_misplays_beyond_the_margin():
@@ -311,10 +319,29 @@ def test_pure_misfits_flag_only_strict_misplays_beyond_the_margin():
     cs = eng.compile_scenario(s)
     pure = random_pure_batch(np.random.default_rng(2), cs, 256)
     pure[:, 1] = 1.0  # a = t on the inactive taste
-    flagged = eng.pure_misfits(cs, kernel_columns(pure), 1e-6)
-    _, defined, scores, code = eng.best_replies(cs, pure)
+    misfits = eng.pure_misfits(cs, kernel_columns(pure), 1e-6)
     margin = eng._pure_scores(cs, kernel_columns(pure), 1e-6)[1].T
-    against = ((pure == 1) & (code == 0)) | ((pure == 0) & (code == 1))
-    far = np.abs(scores) > margin[:, None, :] + cs.tie_tol + 1e-12
-    assert flagged.tolist() == (against & far & cs.active & defined[:, None, :]).any(axis=(1, 2)).tolist()
-    assert flagged.any() and not flagged.all()
+    # row 0 flags the profiles, row 1 their complements
+    for flagged, batch in zip(misfits, (pure, complements(cs, pure))):
+        _, defined, scores, code = eng.best_replies(cs, batch)
+        against = ((batch == 1) & (code == 0)) | ((batch == 0) & (code == 1))
+        far = np.abs(scores) > margin[:, None, :] + cs.tie_tol + 1e-12
+        assert flagged.tolist() == (against & far & cs.active & defined[:, None, :]).any(axis=(1, 2)).tolist()
+        assert flagged.any() and not flagged.all()
+
+
+def test_zero_taste_mass_cells_have_zero_mass_map_rows():
+    # a complement's column pair differs from [sigma | 1 - sigma] only on
+    # cells with no taste mass, which the kernel must weigh by exactly 0
+    rng = np.random.default_rng(36)
+    cases = random_family_scenarios(rng, 60) + [example_3_1(), prop4()]
+    cases += [Scenario(("x",), (2,), ptx, np.full((2, 2), 0.5), (DataTypeSpec(("x",), ("x",)),), (1.0,), 0.5)
+              for ptx in ([[0.5, 0.0], [0.0, 0.5]], [[0.0, 0.0], [0.3, 0.7]], [[0.4, 0.0], [0.6, 0.0]])]
+    pinned = unreachable = 0
+    for s in cases:
+        cs = eng.compile_scenario(s)
+        rows = cs.mass_map.reshape(cs.active.shape + (-1,))[~cs.active]
+        assert (rows == 0).all()
+        pinned += len(rows)
+        unreachable += int((~cs.reachable).sum())
+    assert pinned and unreachable

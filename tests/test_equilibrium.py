@@ -495,7 +495,10 @@ def test_misfit_filter_keeps_every_profile_the_exact_screen_passes():
     for s in cases:
         cs = eng.compile_scenario(s)
         profiles, batch, passing = exhaustive_floor_screen(s)
-        assert not (eng.pure_misfits(cs, kernel_columns(batch), cs.rungs[-1]) & passing).any()
+        # profile j's complement is profile 2^n_slots - 1 - j
+        misfit, complement = eng.pure_misfits(cs, kernel_columns(batch), cs.rungs[-1])
+        assert not (misfit & passing).any()
+        assert not (complement & passing[::-1]).any()
         expected = [
             (p, r) for p, ok in zip(profiles, passing)
             if ok and (r := certify_equilibrium(s, p)).passed
@@ -533,17 +536,19 @@ def moments_bytes(cs, n: int) -> int:
     [
         lambda cs, n_slots: 1,  # one profile per chunk
         lambda cs, n_slots: 3000,  # 11 to 23 profiles' worth: first-pass chunks of 8 or 16
+        lambda cs, n_slots: moments_bytes(cs, 1 << (n_slots - 2)),  # a quarter of the profiles
         lambda cs, n_slots: moments_bytes(cs, 1 << (n_slots - 1)),  # half the profiles
         lambda cs, n_slots: moments_bytes(cs, 3 << (n_slots - 2)),  # three quarters: halves
         lambda cs, n_slots: moments_bytes(cs, 1 << n_slots),  # every profile, exactly
         lambda cs, n_slots: moments_bytes(cs, 1 << (n_slots + 1)),  # room for twice that
     ],
-    ids=["1", "3000", "half", "three-quarters", "all", "twice"],
+    ids=["1", "3000", "quarter", "half", "three-quarters", "all", "twice"],
 )
 def test_enumeration_does_not_depend_on_chunk_boundaries(monkeypatch, budget):
-    # a chunk is the widest power of two of profiles whose moments fit the
-    # budget, and at most every profile: the budgets put it below, at and
-    # above 2^n_slots, and at budgets that are no power of two in profiles
+    # a first-pass chunk is the widest power of two of profiles whose moments
+    # fit the budget, and at most the half of the profiles whose last slot
+    # plays 0: the budgets put it below, at and above 2^(n_slots - 1), and at
+    # budgets that are no power of two in profiles
     def run(cases, budget):
         out = []
         for s in cases:
@@ -565,7 +570,9 @@ def test_enumeration_does_not_depend_on_chunk_boundaries(monkeypatch, budget):
 def test_the_first_pass_hands_the_kernel_each_chunk_as_its_pure_batch_columns(monkeypatch, budget):
     # every block the first pass scores is [1 - sigma | sigma] of its chunk's
     # stacked pure batch, built the way a stacked batch is laid out for the
-    # kernel, and the second pass sees exactly the indices those blocks keep
+    # kernel; the blocks cover the profiles whose last slot plays 0, and the
+    # second pass sees exactly the indices those blocks keep, their
+    # complements' included
     draws = {}
     for s in enumeration_cases(300, 1, 12, seed=35):
         draws.setdefault(int(eng.compile_scenario(s).active.sum()), s)
@@ -591,18 +598,52 @@ def test_the_first_pass_hands_the_kernel_each_chunk_as_its_pure_batch_columns(mo
         enumerate_pure_equilibria(s)
         monkeypatch.undo()
         chunk = blocks[0].shape[1] // 2
-        assert len(blocks) * chunk == len(batch)
-        kept = []
+        assert len(blocks) * chunk == len(batch) // 2
+        keep = np.zeros(len(batch), dtype=bool)
         for k, cols in enumerate(blocks):
             chunk_batch = batch[k * chunk : (k + 1) * chunk]
             want = kernel_columns(chunk_batch)
             assert (cols.dtype, cols.strides) == (want.dtype, want.strides)
             assert cols.tobytes(order="A") == want.tobytes(order="A")
-            flags = pure_misfits(cs, want, cs.rungs[-1])
-            kept.append(k * chunk + np.flatnonzero(~flags))
-        kept = np.concatenate(kept)
+            misfit, complement = pure_misfits(cs, want, cs.rungs[-1])
+            keep[k * chunk : (k + 1) * chunk] = ~misfit
+            keep[len(batch) - 1 - k * chunk - np.arange(chunk)] = ~complement
         seen = np.concatenate(screened) if screened else batch[:0]
-        assert seen.tobytes() == batch[kept].tobytes()
+        assert seen.tobytes() == batch[keep].tobytes()
+
+
+def test_the_first_pass_keeps_what_a_pass_over_every_profile_keeps(monkeypatch):
+    # the complement flags of a block are the flags of the complements'
+    # own column pair, and the kept set is that of a first pass that scores
+    # all 2^n_slots profiles itself
+    draws = {}
+    for s in enumeration_cases(300, 1, 12, seed=36):
+        draws.setdefault(int(eng.compile_scenario(s).active.sum()), s)
+    assert sorted(draws) == list(range(1, 13))
+    floor_screen = equilibrium._floor_screen
+    for s in draws.values():
+        cs = eng.compile_scenario(s)
+        batch = np.stack([eng.flatten_profile(cs, p) for p in pure_profiles_in_index_order(s)])
+        half = batch[: len(batch) // 2]
+        misfit, complement = eng.pure_misfits(cs, kernel_columns(half), cs.rungs[-1])
+        flipped = np.where(cs.active, 1.0 - half, half)
+        assert np.array_equal(flipped, batch[::-1][: len(half)])
+        own, _ = eng.pure_misfits(cs, kernel_columns(flipped), cs.rungs[-1])
+        assert np.array_equal(complement, own)
+
+        every, _ = eng.pure_misfits(cs, kernel_columns(batch), cs.rungs[-1])
+        assert np.array_equal(every, np.concatenate([misfit, complement[::-1]]))
+        screened = []
+
+        def spy_screen(cs, stacked):
+            screened.append(stacked.copy())
+            return floor_screen(cs, stacked)
+
+        monkeypatch.setattr(equilibrium, "_floor_screen", spy_screen)
+        enumerate_pure_equilibria(s)
+        monkeypatch.undo()
+        seen = np.concatenate(screened) if screened else batch[:0]
+        assert seen.tobytes() == batch[~every].tobytes()
 
 
 def test_returned_profiles_own_their_arrays():

@@ -15,6 +15,7 @@ from bci.model import (
     apply_trembles,
     error_probability,
     induced_joint,
+    scenario_violations,
     welfare_loss,
 )
 from bci.scenarios import as_consequential, example_3_1, example_4_1, pandemic, pandemic_profile
@@ -88,6 +89,23 @@ def test_scenario_rejects_nan_probabilities(field):
     args[field].flat[0] = np.nan
     with pytest.raises(ModelError):
         Scenario(ok.x_names, ok.x_cards, args["ptx"], args["kernel"], ok.types, tuple(args["lam"]), ok.c)
+
+
+def test_scenario_keeps_its_own_read_only_arrays():
+    # a frozen scenario that shared the caller's arrays would change, and
+    # fail its own validation, when the caller wrote to them
+    ptx = np.array([[0.3, 0.3], [0.2, 0.2]])
+    kernel = np.array([[0.1, 0.9], [0.2, 0.8]])
+    s = Scenario(("x1",), (2,), ptx, kernel, (DataTypeSpec(("x1",), ("x1",)),), (1.0,), 0.5)
+    ptx[...] = 5.0
+    kernel[...] = 2.0
+    assert s.ptx.sum() == pytest.approx(1.0) and s.kernel.max() == 0.9
+    types = [(spec.condition_set, spec.data_set) for spec in s.types]
+    assert scenario_violations(s.x_names, s.x_cards, s.ptx, s.kernel, types, s.lam, s.c,
+                               s.outcome_kind, s.beta) == []
+    for a in (s.ptx, s.kernel):
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.5
 
 
 def test_profile_shapes_checked():

@@ -26,6 +26,21 @@ def test_relation_must_be_square_and_reflexive():
         rel([[True, False], [False, False]])
 
 
+def test_relation_copies_the_callers_matrix():
+    # the relation neither freezes the caller's array nor follows later
+    # writes to it, through a view or otherwise
+    own = np.eye(2, dtype=bool)
+    r = DominanceRelation(own)
+    own[0, 1] = True
+    assert own.flags.writeable and not r.holds(0, 1)
+    base = np.array([True, False, False, True])
+    r = DominanceRelation(base.reshape(2, 2))
+    base[1] = base[2] = True
+    assert not is_complete(r)
+    with pytest.raises(ValueError):
+        r.matrix[0, 1] = True
+
+
 def test_build_relation_reads_data_coverage():
     types = (
         DataTypeSpec(("x1",), ("x1", "x2")),
