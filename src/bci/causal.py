@@ -14,7 +14,7 @@ the confounding at the heart of the model.
 A belief is *undefined* at a condition cell when the cell itself has zero
 probability, or when some needed conditional p(y | a, x_D) would condition on
 a zero-mass event while carrying positive adjustment weight.  Undefined
-values propagate as ``None`` (scalar API) or masked entries (table API);
+values propagate as ``None`` (``delta``) or masked entries (``delta_table``);
 nothing is imputed.
 
 Every effect here is read from the compiled engine
@@ -31,7 +31,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import _engine as eng
-from ._engine import tie_tolerance
 from .model import ModelError, Scenario, StrategyProfile
 
 
@@ -52,21 +51,27 @@ class DeltaTable:
     reachable: np.ndarray
 
     def delta_at(self, cell: Mapping[str, int] | Sequence[int]) -> float | None:
-        idx = _cell_index(self.c_names, cell)
+        idx = _cell_index(self.c_names, self.values.shape, cell)
         if not bool(self.defined[idx]):
             return None
         return float(self.values[idx])
 
 
-def _cell_index(names: tuple[str, ...], cell: Mapping[str, int] | Sequence[int]) -> tuple[int, ...]:
+def _cell_index(
+    names: tuple[str, ...], cards: tuple[int, ...], cell: Mapping[str, int] | Sequence[int]
+) -> tuple[int, ...]:
     if isinstance(cell, Mapping):
         missing = set(names) - set(cell)
         if missing:
             raise ModelError(f"cell must assign {names}, missing {sorted(missing)}")
-        return tuple(int(cell[n]) for n in names)
-    idx = tuple(int(v) for v in cell)
-    if len(idx) != len(names):
-        raise ModelError(f"cell must assign {len(names)} values for {names}")
+        idx = tuple(int(cell[n]) for n in names)
+    else:
+        idx = tuple(int(v) for v in cell)
+        if len(idx) != len(names):
+            raise ModelError(f"cell must assign {len(names)} values for {names}")
+    # a negative index would wrap around to another cell
+    if not all(0 <= v < card for v, card in zip(idx, cards)):
+        raise ModelError(f"cell {idx} lies outside {names} with cardinalities {cards}")
     return idx
 
 
@@ -114,49 +119,3 @@ def delta(
     ``scenario`` may also be its ``CompiledScenario``, as for ``delta_table``.
     """
     return delta_table(scenario, profile, type_index).delta_at(cell)
-
-
-def score_from_delta(scenario: Scenario, delta_value: float, taste: int) -> float:
-    """Subjective utility advantage of a=1 over a=0 at the given taste.
-
-    The outcome term weighs the perceived effect by (1 - beta), the action
-    itself carries weight beta, and following taste saves the mismatch cost.
-    The baseline convention is the beta = 0 special case.
-    """
-    sign = 1.0 if taste == 1 else -1.0
-    # the engine's association (``_engine.best_replies``), so that scalar best
-    # replies and verdicts agree to the last bit at the edge of the tie band
-    return (scenario.beta + sign * scenario.c) + (1.0 - scenario.beta) * delta_value
-
-
-def best_reply_set(scenario: Scenario, delta_value: float, taste: int) -> frozenset[int]:
-    """Subjectively optimal actions given a perceived effect and a taste.
-
-    Within ``tie_tolerance()`` of indifference both actions are best replies.
-    """
-    if taste not in (0, 1):
-        raise ModelError("taste must be 0 or 1")
-    tol = tie_tolerance()
-    s = score_from_delta(scenario, delta_value, taste)
-    if s > tol:
-        return frozenset((1,))
-    if s < -tol:
-        return frozenset((0,))
-    return frozenset((0, 1))
-
-
-def best_reply_at(
-    scenario: Scenario,
-    profile: StrategyProfile,
-    type_index: int,
-    taste: int,
-    cell: Mapping[str, int] | Sequence[int],
-) -> frozenset[int] | None:
-    """Best replies for one type at (taste, condition cell) under a profile.
-
-    Returns None when the type's perceived effect is undefined there.
-    """
-    d = delta(scenario, profile, type_index, cell)
-    if d is None:
-        return None
-    return best_reply_set(scenario, d, taste)

@@ -261,10 +261,10 @@ class TrembleSchedule:
     """Per-(type, taste) flip exponents defining a profile sequence.
 
     At noise level eps a slice with exponent k mixes weight eps**k of the
-    action it plays with probability < 1/2 into its strategy.
-    ``apply_trembles`` perturbs each strategy slice that has an exponent;
-    slices without one are left exact.  The empty schedule therefore yields
-    the constant sequence, and eps = 0 is always the identity.
+    action it plays with probability < 1/2 into its strategy; slices
+    without an exponent (a rule names a type index and a taste 0 or 1) are
+    left exact.  The empty schedule therefore yields the constant sequence,
+    and eps = 0 is always the identity.
     """
 
     entries: tuple[tuple[tuple[int, int], float], ...] = ()
@@ -276,27 +276,26 @@ class TrembleSchedule:
             exponents.append(self.default)
         if not all(k > 0 for k in exponents):
             raise ModelError("tremble exponent must be positive")
+        keys = [key for key, _ in self.entries]
+        if not all(i >= 0 and i == int(i) and taste in (0, 1) for i, taste in keys):
+            raise ModelError(f"tremble rules need a type index >= 0 and a taste 0 or 1, got {keys}")
 
     @classmethod
     def none(cls) -> "TrembleSchedule":
         return cls()
 
     @classmethod
-    def uniform_flip(cls, exponent: float = 1.0) -> "TrembleSchedule":
-        return cls(default=exponent)
-
-    @classmethod
     def of(cls, rules: Mapping[tuple[int, int], float], default: float | None = None) -> "TrembleSchedule":
         return cls(tuple(sorted(rules.items())), default)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.entries and self.default is None
-
     def exponents(self, n_types: int) -> np.ndarray:
         """The (2, n_types) table of flip exponents per (taste, type): each
-        slice's own rule, else ``default``, else NaN (no rule: left exact)."""
+        slice's own rule, else ``default``, else NaN (no rule: left exact).
+        A rule for a type the scenario lacks raises ``ModelError``."""
         rules = dict(self.entries)
+        top = max((i for i, _ in rules), default=-1)
+        if top >= n_types:
+            raise ModelError(f"tremble rule for type {top}, but the scenario has {n_types} types")
         rows = [[rules.get((i, taste), self.default) for i in range(n_types)] for taste in (0, 1)]
         return np.array(rows, dtype=np.float64)
 
@@ -307,24 +306,6 @@ class TrembleSchedule:
         return cls.of(
             {(i, taste): float(k) for (taste, i), k in np.ndenumerate(table) if not np.isnan(k)}
         )
-
-
-def apply_trembles(
-    profile: StrategyProfile, schedule: TrembleSchedule, eps: float
-) -> StrategyProfile:
-    """Perturbed profile at noise level ``eps`` (identity at eps = 0)."""
-    if eps < 0:
-        raise ModelError("eps must be nonnegative")
-    if eps == 0.0 or schedule.is_empty:
-        return profile
-    # _engine imports this module, so the engine is bound at call time
-    from ._engine import apply_compiled_trembles, cell_exponents
-
-    offsets = np.cumsum([0] + [sigma[0].size for sigma in profile.sigmas])
-    stacked = np.concatenate([sigma.reshape(2, -1) for sigma in profile.sigmas], axis=-1)
-    exponents = cell_exponents(schedule.exponents(len(profile.sigmas)), offsets)
-    blocks = np.split(apply_compiled_trembles(stacked, exponents, np.float64(eps)), offsets[1:-1], axis=-1)
-    return StrategyProfile(tuple(b.reshape(s.shape) for b, s in zip(blocks, profile.sigmas)))
 
 
 # -- induced behavior and outcomes ----------------------------------------

@@ -337,12 +337,13 @@ def pandemic_corner_profile(scenario: Scenario) -> StrategyProfile:
 
 
 def as_consequential(scenario: Scenario, beta: float) -> Scenario:
-    """Give the action a direct outcome weight while preserving taste-0 choices.
+    """Give the action a direct outcome weight while keeping taste-0 choices.
 
     The new outcome is a coin that follows the action with probability beta
     and the old outcome channel otherwise.  The mismatch cost is rescaled to
-    beta + (1-beta)c so that the taste-0 decision margin scales by exactly
-    (1-beta): every taste-0 best-reply set (ties included) is preserved.
+    beta + (1-beta)c so that the taste-0 score scales by (1-beta): every
+    taste-0 tie stays a tie and every strict taste-0 reply is the baseline's,
+    but the tie band is absolute, so a strict reply near it may become a tie.
     """
     if scenario.outcome_kind != "baseline":
         raise ModelError("only baseline scenarios can be converted")

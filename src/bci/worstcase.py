@@ -41,7 +41,6 @@ from .model import (
     Scenario,
     StrategyProfile,
     TrembleSchedule,
-    apply_trembles,
     error_probability,
     induced_joint,
     welfare_loss,
@@ -88,7 +87,7 @@ class DeltaAnnotation:
     """A closed-form perceived-effect value pinned to one decision cell.
 
     ``trembled`` selects which profile the claim is evaluated at: the limit
-    profile itself, or the stored noisy profile (needed when the limit
+    profile itself, or the witness's ``eps_profile`` (needed when the limit
     profile leaves the cell's effect undefined).
     """
 
@@ -126,7 +125,6 @@ class WitnessInstance:
     delta_annotations: tuple[DeltaAnnotation, ...] = ()
     posterior_annotations: tuple[PosteriorAnnotation, ...] = ()
     eps: float | None = None
-    eps_profile: StrategyProfile | None = None
     notes: str = ""
 
     @cached_property
@@ -134,6 +132,17 @@ class WitnessInstance:
         """The witness's compiled scenario, shared by ``reverify`` and
         ``check_annotations``."""
         return eng.compile_scenario(self.scenario)
+
+    @cached_property
+    def eps_profile(self) -> StrategyProfile | None:
+        """The profile trembled by the witness's schedule at ``eps``, the
+        rung the engine's ladder would check there; None without an ``eps``."""
+        if self.eps is None:
+            return None
+        cs = self.compiled
+        stacked = eng.flatten_profile(cs, self.profile)
+        exponents = eng.cell_exponents(self.schedule.exponents(cs.scenario.n_types), cs.offsets)
+        return eng.unflatten_profile(cs, eng.apply_compiled_trembles(stacked, exponents, self.eps))
 
 
 def reverify(witness: WitnessInstance) -> EquilibriumReport:
@@ -156,7 +165,7 @@ def check_annotations(witness: WitnessInstance) -> float:
         if ann.trembled not in tables:
             prof = witness.eps_profile if ann.trembled else witness.profile
             if prof is None:
-                raise WorstCaseError("annotation marked trembled but no noisy profile stored")
+                raise WorstCaseError("annotation marked trembled but the witness has no eps")
             tables[ann.trembled] = delta_table(witness.compiled, prof)
         if not 0 <= ann.type_index < witness.scenario.n_types:
             raise ModelError(f"no type with index {ann.type_index}")
@@ -257,14 +266,15 @@ def witness_incomplete_hetero(
     The limit profile acts at covariate value 1 and abstains at 0 and #, so
     its effect at # is undefined; certification trembles taste-0 cells at
     noise and taste-1 cells at noise^6, which keeps the # belief pinned at
-    exactly zero while the 0-vs-1 contrast stays decisive.  The stored noisy
-    profile realizes the schedule at ``eps`` for annotation checks.
+    exactly zero while the 0-vs-1 contrast stays decisive.  The witness's
+    ``eps_profile`` realizes the schedule at ``eps`` for annotation checks.
     """
+    if not 0 < eps < 1:
+        raise ModelError("need eps in (0,1)")
     scenario = prop4(gamma, beta, lambdas, c)
     profile = prop4_profile(scenario)
     rules = {(i, taste): 1.0 if taste == 0 else 6.0 for i in range(2) for taste in (0, 1)}
     schedule = TrembleSchedule.of(rules)
-    eps_profile = apply_trembles(profile, schedule, eps)
     anns = (
         DeltaAnnotation(0, (2,), 0.0, trembled=True),
         DeltaAnnotation(1, (2,), 0.0, trembled=True),
@@ -281,7 +291,6 @@ def witness_incomplete_hetero(
         delta_annotations=anns,
         posterior_annotations=posteriors,
         eps=eps,
-        eps_profile=eps_profile,
         notes="mismatch at the limit: all of (t=1, 0, 0) errs plus one "
         "rare row per type; claims are for the limit profile",
     )

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 import oracles
-from bci.causal import best_reply_set, delta, delta_table
+from bci import _engine as eng
+from bci.causal import delta, delta_table
 from bci.equilibrium import (
     best_response_dynamics,
     certify_equilibrium,
@@ -333,7 +334,9 @@ def test_criterion_11_effect_formula_matches_raw_joint(rng):
 
 def test_criterion_12_consequential_mode_thresholds_and_scaling():
     with criterion(12, "action-taste mode: beta-vs-c threshold and (1-beta) scaling"):
-        for beta, expected in ((0.6, frozenset({1})), (0.2, frozenset({0}))):
+        # taste-0 best-reply code at perceived effect 0: 1 plays a=1 (beta > c),
+        # 0 plays a=0 (beta < c)
+        for beta, expected in ((0.6, 1), (0.2, 0)):
             scenario = Scenario(
                 (),
                 (),
@@ -345,7 +348,10 @@ def test_criterion_12_consequential_mode_thresholds_and_scaling():
                 outcome_kind="consequential",
                 beta=beta,
             )
-            assert best_reply_set(scenario, 0.0, 0) == expected, beta
+            cs = eng.compile_scenario(scenario)
+            stacked = eng.flatten_profile(cs, StrategyProfile.constant(scenario, 0.5))
+            effect, _, _, code = eng.best_replies(cs, stacked)
+            assert effect.tolist() == [0.0] and code[0, 0] == expected, beta
 
         cases = [
             (example_4_1(gamma=0.3, c=0.5), example_4_1_interior_profile),

@@ -7,14 +7,8 @@ from hypothesis import strategies as st
 
 import oracles
 from bci import _engine as eng
-from bci.causal import (
-    best_reply_at,
-    best_reply_set,
-    delta,
-    delta_table,
-    score_from_delta,
-    tie_tolerance,
-)
+from bci._engine import tie_tolerance
+from bci.causal import delta, delta_table
 from bci.model import DataTypeSpec, ModelError, Scenario, StrategyProfile
 from bci.scenarios import (
     as_consequential,
@@ -100,9 +94,21 @@ def test_undefined_when_conditioning_cell_unreached():
     tabs = delta_table(s, prof)
     assert not tabs[0].defined.any()
     assert delta(s, prof, 0, (1,)) is None
-    assert best_reply_at(s, prof, 0, 0, (1,)) is None
     # reachable mask still marks the cells as visited
     assert tabs[0].reachable.all()
+
+
+def test_cells_outside_a_covariates_range_raise():
+    s = example_3_1()
+    prof = example_3_1_profile(s)
+    tab = delta_table(s, prof, 0)
+    assert tab.delta_at((1,)) == tab.delta_at({"x1": 1}) == pytest.approx(8.0 / 9.0, abs=1e-12)
+    # a negative coordinate must not wrap around to another cell
+    for bad in ((-1,), (2,), {"x1": -1}, {"x1": 2}):
+        with pytest.raises(ModelError, match="outside"):
+            tab.delta_at(bad)
+        with pytest.raises(ModelError, match="outside"):
+            delta(s, prof, 0, bad)
 
 
 def test_nonsimple_type_averages_over_unconditioned_data():
@@ -115,34 +121,34 @@ def test_nonsimple_type_averages_over_unconditioned_data():
     compare_with_oracle(s, prof)
 
 
+def no_covariate_replies(beta, c):
+    """``best_replies`` (scores, code) at the one cell of a no-covariate
+    consequential scenario whose action never moves the outcome, under the
+    constant 0.5 profile: the effect there is exactly 0, so the taste-0
+    score is beta - c and the taste-1 score beta + c.  The scenario is
+    compiled here, so it reads the tie band set before the call."""
+    s = Scenario(
+        (), (), np.array([0.7, 0.3]), np.array([0.5, 0.5]), (DataTypeSpec((), ()),), (1.0,), c,
+        outcome_kind="consequential", beta=beta,
+    )
+    cs = eng.compile_scenario(s)
+    effect, defined, scores, code = eng.best_replies(
+        cs, eng.flatten_profile(cs, StrategyProfile.constant(s, 0.5))
+    )
+    assert defined.all() and effect.tolist() == [0.0]
+    return scores[:, 0], code[:, 0]
+
+
 def test_score_and_best_reply_thresholds():
-    s = example_3_1(c=0.5)
-    assert score_from_delta(s, 0.6, 0) == pytest.approx(0.1)
-    assert score_from_delta(s, 0.6, 1) == pytest.approx(1.1)
-    assert best_reply_set(s, 0.6, 0) == frozenset((1,))
-    assert best_reply_set(s, 0.4, 0) == frozenset((0,))
-    assert best_reply_set(s, 0.5, 0) == frozenset((0, 1))  # exact tie
-    with pytest.raises(ModelError):
-        best_reply_set(s, 0.5, 2)
-
-
-def test_scalar_scores_equal_the_engine_scores(rng):
-    # best_reply_set must split ties exactly where the verdicts do
-    for _ in range(40):
-        base, prof = random_small_scenario(rng)
-        s = Scenario(
-            base.x_names, base.x_cards, base.ptx, base.kernel, base.types, base.lam, base.c,
-            outcome_kind="consequential", beta=float(rng.uniform(0.05, 0.95)),
-        )
-        cs = eng.compile_scenario(s)
-        _, _, scores, _ = eng.best_replies(cs, eng.flatten_profile(cs, prof))
-        for i, tab in enumerate(delta_table(s, prof)):
-            for cell in np.ndindex(tab.defined.shape):
-                if not tab.defined[cell]:
-                    continue
-                at = cs.offsets[i] + (np.ravel_multi_index(cell, tab.defined.shape) if cell else 0)
-                for taste in (0, 1):
-                    assert score_from_delta(s, float(tab.values[cell]), taste) == scores[taste, at]
+    # best-reply codes: 1 or 0 for a strict reply, -1 for a tie
+    scores, code = no_covariate_replies(0.6, 0.5)  # beta - c = 0.1
+    assert scores[0] == pytest.approx(0.1) and scores[1] == pytest.approx(1.1)
+    assert code.tolist() == [1, 1]
+    scores, code = no_covariate_replies(0.4, 0.5)  # beta - c = -0.1
+    assert scores[0] == pytest.approx(-0.1)
+    assert code[0] == 0
+    scores, code = no_covariate_replies(0.5, 0.5)  # exact tie
+    assert scores[0] == 0.0 and code[0] == -1
 
 
 def test_tie_tolerance_env_override(monkeypatch):
@@ -151,11 +157,10 @@ def test_tie_tolerance_env_override(monkeypatch):
     assert tie_tolerance() == 1e-3
     monkeypatch.setenv("BCI_TIE_TOL", "1e-4")
     assert tie_tolerance() == 1e-4
-    s = example_3_1(c=0.5)
-    # 0.50005 is a tie only under the loosened env tolerance
-    assert best_reply_set(s, 0.50005, 0) == frozenset((0, 1))
+    # beta - c = 5e-5 is a tie only under the loosened env tolerance
+    assert no_covariate_replies(0.50005, 0.5)[1][0] == -1
     monkeypatch.delenv("BCI_TIE_TOL")
-    assert best_reply_set(s, 0.50005, 0) == frozenset((1,))
+    assert no_covariate_replies(0.50005, 0.5)[1][0] == 1
     # zero is a valid band; negative, non-finite and unparsable ones are not
     monkeypatch.setenv("BCI_TIE_TOL", "0")
     assert tie_tolerance() == 0.0

@@ -269,6 +269,14 @@ def test_worstcase_witness_lists_witnesses_in_order(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("eps", ["0", "1", "-0.01"])
+def test_worstcase_witness_hetero_rejects_eps_outside_the_unit_interval(capsys, eps):
+    code, out, err = run_cli(capsys, "worstcase", "witness", "incomplete_hetero", "--eps", eps)
+    assert code == 1
+    assert err == "invariant violation: need eps in (0,1)\n"
+    assert out == ""
+
+
 def test_exit_code_unknown_builtin(capsys):
     code, _, err = run_cli(capsys, "verify", "-b", "frobnicate")
     assert code == 3

@@ -8,14 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from bci import _engine as eng
 from bci.causal import delta_table
-from bci.model import (
-    DataTypeSpec,
-    ModelError,
-    Scenario,
-    StrategyProfile,
-    TrembleSchedule,
-    apply_trembles,
-)
+from bci.model import DataTypeSpec, ModelError, Scenario, StrategyProfile, TrembleSchedule
 from bci.equilibrium import _try_list
 from bci.scenarios import as_consequential, example_3_1, prop2_cycle, prop4
 from bci.worstcase import SearchConfig, WorstCaseError, random_scenario
@@ -63,17 +56,17 @@ def test_profile_effects_match_delta_table(rng):
 
 
 def test_compiled_trembles_match_object_level():
-    # type 0 owns stacked cells 0-2, type 1 cell 3
+    # a schedule's (type, taste) rules, compiled onto the stacked cells,
+    # tremble each cell by its own slice's rule; type 0 owns stacked cells
+    # 0-2, type 1 cell 3
     offsets = (0, 3, 4)
     stacked = np.array([[0.0, 1.0, 0.4, 1.0], [0.0, 1.0, 0.4, 0.2]])
-    prof = StrategyProfile((stacked[:, :3], stacked[:, 3:]))
     # entries for three (type, taste) slices override the default, which
     # only type 1's taste 1 falls back to
     sched = TrembleSchedule.of({(0, 0): 2.0, (0, 1): 1.0, (1, 0): 3.0}, default=0.5)
     exponents = eng.cell_exponents(sched.exponents(2), offsets)
     out = eng.apply_compiled_trembles(stacked, exponents, np.array([0.01, 1.0]))
     assert out.shape == (2, 2, 4)
-    assert np.array_equal(out[0], np.concatenate(apply_trembles(prof, sched, 0.01).sigmas, axis=-1))
     # eps = 0.01: each slice mixes in eps**exponent of its opposite action
     want = [[1e-4, 1.0 - 1e-4, 0.40006, 1.0 - 1e-6], [0.01, 0.99, 0.406, 0.28]]
     assert np.allclose(out[0], want, atol=1e-15)

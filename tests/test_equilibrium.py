@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from bci import _engine as eng, equilibrium
+from bci._engine import tie_tolerance
 from bci.equilibrium import (
     ENUMERATION_CAP,
     EquilibriumError,
@@ -24,7 +25,6 @@ from bci.equilibrium import (
     verify_eps_equilibrium,
     verify_limit,
 )
-from bci.causal import tie_tolerance
 from bci.model import DataTypeSpec, Scenario, StrategyProfile, TrembleSchedule
 from bci.scenarios import (
     example_1_1_collider,
@@ -100,7 +100,7 @@ def test_limit_certification_interior_rest_point():
     s = example_4_1(0.3, 0.5)
     report = certify_equilibrium(s, example_4_1_interior_profile(s))
     assert report.verdict == "equilibrium_limit"
-    assert report.schedule is not None and report.schedule.is_empty
+    assert report.schedule == TrembleSchedule.none()
     assert len(report.ladder_trace) == 17
     assert all(r.passed for r in report.ladder_trace)
 
@@ -205,7 +205,7 @@ def test_compiled_scenario_gives_the_same_reports():
             for verify in (
                 lambda x: verify_eps_equilibrium(x, p, 0.01),
                 lambda x: verify_limit(x, p),
-                lambda x: verify_limit(x, p, TrembleSchedule.uniform_flip(1.0)),
+                lambda x: verify_limit(x, p, TrembleSchedule(default=1.0)),
                 lambda x: certify_equilibrium(x, p),
             ):
                 want = verify(s)
@@ -268,7 +268,7 @@ def test_certification_walks_one_ladder_per_schedule_tried(monkeypatch):
     s = example_3_1()
     cs = eng.compile_scenario(s)
     report = certify_equilibrium(cs, matching_on_own_covariate(s))
-    assert report.passed and report.schedule.is_empty
+    assert report.passed and report.schedule == TrembleSchedule.none()
     assert ladders == [len(cs.rungs)]
     ladders.clear()
     s = example_4_1(0.3, 0.5)
@@ -863,7 +863,7 @@ def test_a_failing_ladder_is_diagnosed_from_its_deepest_failing_rung():
         cs = eng.compile_scenario(s)
         for p in (prof, StrategyProfile(tuple(np.round(x) for x in prof.sigmas))):
             stacked = eng.flatten_profile(cs, p)
-            for sched in (TrembleSchedule.none(), TrembleSchedule.uniform_flip()):
+            for sched in (TrembleSchedule.none(), TrembleSchedule(default=1.0)):
                 report = verify_limit(cs, p, sched)
                 if report.passed:
                     continue

@@ -8,6 +8,7 @@ import contextlib
 import importlib.util
 import inspect
 import io
+import re
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -204,3 +205,36 @@ def test_each_cli_command_compiles_each_scenario_once(monkeypatch):
         assert len(keys) == len(set(keys)), argv
         total += len(keys)
     assert total == 31
+
+
+def referenced_names(path: Path) -> dict[str, set[str]]:
+    """Each name a source file reads (a bare name or an attribute), mapped to
+    the top-level definitions it is read in ("" for module level)."""
+    out: dict[str, set[str]] = {}
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        where = getattr(top, "name", "")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                out.setdefault(node.id, set()).add(where)
+            elif isinstance(node, ast.Attribute):
+                out.setdefault(node.attr, set()).add(where)
+    return out
+
+
+def test_every_public_name_has_a_caller_or_a_readme_line():
+    # dead public API cannot come back quietly: each exported name is read
+    # somewhere in the package outside its own definition and the package's
+    # re-export, or the README documents it
+    callers: dict[str, set[str]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "__init__.py":
+            for name, where in referenced_names(path).items():
+                callers.setdefault(name, set()).update(where)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    unused = [
+        name
+        for name in bci.__all__
+        if not callers.get(name, set()) - {name}
+        and not re.search(rf"\b{re.escape(name)}\b", readme)
+    ]
+    assert unused == []

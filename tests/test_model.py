@@ -4,7 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from bci._engine import compile_scenario, flatten_profile, population_rates
+from bci._engine import (
+    apply_compiled_trembles,
+    cell_exponents,
+    compile_scenario,
+    flatten_profile,
+    population_rates,
+    unflatten_profile,
+)
+from bci.equilibrium import verify_limit
 from bci.model import (
     DataTypeSpec,
     JointTable,
@@ -12,7 +20,6 @@ from bci.model import (
     Scenario,
     StrategyProfile,
     TrembleSchedule,
-    apply_trembles,
     error_probability,
     induced_joint,
     scenario_violations,
@@ -335,27 +342,35 @@ def test_report_stats_property(seed, outcome, pure):
 # -- trembles -------------------------------------------------------------------
 
 
+def tremble(scenario, profile, schedule, eps):
+    """The profile trembled by the schedule at ``eps``, on the engine's one
+    tremble path."""
+    cs = compile_scenario(scenario)
+    exponents = cell_exponents(schedule.exponents(scenario.n_types), cs.offsets)
+    return unflatten_profile(cs, apply_compiled_trembles(flatten_profile(cs, profile), exponents, eps))
+
+
 def test_flip_tremble_rules():
     s = tiny_scenario()
     prof = StrategyProfile((np.array([[0.0, 1.0], [0.4, 0.6]]), np.array([0.0, 1.0])))
     # at eps = 0.25: 3/4 of the strategy plus 1/4 of the action it plays
     # with probability < 1/2
     flipped = ([[0.25, 0.75], [0.55, 0.45]], [0.25, 0.75])
-    out = apply_trembles(prof, TrembleSchedule.uniform_flip(), 0.25)
+    out = tremble(s, prof, TrembleSchedule(default=1.0), 0.25)
     assert np.allclose(out.sigmas[0], flipped[0], atol=1e-15)
     assert np.allclose(out.sigmas[1], flipped[1], atol=1e-15)
     # an entry overrides the default for its (type, taste) slice only
     sched = TrembleSchedule.of({(1, 1): 2.0}, 1.0)
-    out = apply_trembles(prof, sched, 0.25)
+    out = tremble(s, prof, sched, 0.25)
     assert np.allclose(out.sigmas[1], [0.25, 0.9375], atol=1e-15)
     assert np.allclose(out.sigmas[0], flipped[0], atol=1e-15)
     # eps = 1 lands exactly on the opposite pure action
-    out = apply_trembles(prof, TrembleSchedule.uniform_flip(), 1.0)
+    out = tremble(s, prof, TrembleSchedule(default=1.0), 1.0)
     assert np.array_equal(out.sigmas[0], [[1.0, 0.0], [1.0, 0.0]])
     assert np.array_equal(out.sigmas[1], [1.0, 0.0])
     for bad in (0.0, -1.0, float("nan")):
         with pytest.raises(ModelError):
-            TrembleSchedule.uniform_flip(bad)
+            TrembleSchedule(default=bad)
         with pytest.raises(ModelError):
             TrembleSchedule.of({(0, 1): bad}, 1.0)
 
@@ -363,18 +378,34 @@ def test_flip_tremble_rules():
 def test_apply_trembles_identity_cases():
     s = tiny_scenario()
     prof = StrategyProfile.matching(s)
-    assert apply_trembles(prof, TrembleSchedule.none(), 0.5) is prof
-    assert apply_trembles(prof, TrembleSchedule.uniform_flip(), 0.0) is prof
+    for sched, eps in ((TrembleSchedule.none(), 0.5), (TrembleSchedule(default=1.0), 0.0)):
+        out = tremble(s, prof, sched, eps)
+        for got, want in zip(out.sigmas, prof.sigmas):
+            assert np.array_equal(got, want)
 
 
 def test_apply_trembles_exponent_and_selectivity():
     s = tiny_scenario()
     prof = StrategyProfile.matching(s)
     sched = TrembleSchedule.of({(0, 0): 2.0})
-    out = apply_trembles(prof, sched, 0.1)
+    out = tremble(s, prof, sched, 0.1)
     assert np.allclose(out.sigmas[0][0], 0.01)  # eps^2 toward the flip
     assert np.all(out.sigmas[0][1] == 1.0)  # no rule: untouched
     assert np.all(out.sigmas[1] == prof.sigmas[1])
+
+
+def test_tremble_rules_must_name_a_slice_the_scenario_has():
+    # a rule for a slice no scenario has, or that this scenario lacks, must
+    # not be read as "no trembles" there
+    for rules in ({(-1, 0): 1.0}, {(0.5, 0): 1.0}, {(0, 2): 1.0}, {(0, -1): 1.0}):
+        with pytest.raises(ModelError, match="tremble rules need"):
+            TrembleSchedule.of(rules)
+    schedule = TrembleSchedule.of({(3, 0): 1.0, (0, 1): 1.0})
+    assert schedule.exponents(4)[0, 3] == 1.0
+    with pytest.raises(ModelError, match="tremble rule for type 3"):
+        schedule.exponents(2)
+    with pytest.raises(ModelError, match="tremble rule for type 3"):
+        verify_limit(example_4_1(), StrategyProfile.matching(example_4_1()), schedule)
 
 
 @settings(max_examples=30, deadline=None)
@@ -383,7 +414,7 @@ def test_trembled_profile_stays_feasible(eps, seed):
     s = tiny_scenario()
     rng = np.random.default_rng(seed)
     prof = StrategyProfile(tuple(rng.random(s.sigma_shape(i)) for i in range(2)))
-    out = apply_trembles(prof, TrembleSchedule.uniform_flip(1.5), eps)
+    out = tremble(s, prof, TrembleSchedule(default=1.5), eps)
     out.conforms(s)
     for sig in out.sigmas:
         assert np.all(sig >= 0.0) and np.all(sig <= 1.0)

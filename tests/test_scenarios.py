@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from bci import _engine as eng
 from bci.model import ModelError, StrategyProfile, error_probability, welfare_loss
 from bci.causal import delta_table
 from bci.ordering import build_relation, is_complete, is_quasitransitive
@@ -23,6 +24,7 @@ from bci.scenarios import (
     prop5,
     prop5_profile,
 )
+from test_causal import random_small_scenario
 
 
 def test_example_3_1_masses_and_feasibility():
@@ -129,10 +131,28 @@ def test_matching_on_own_covariate_requires_binary_view():
         matching_on_own_covariate(s)
 
 
-def test_as_consequential_preserves_taste0_ties():
-    from bci.causal import best_reply_set
-
-    s = example_3_1(c=0.5)
-    conv = as_consequential(s, 0.3)
-    for d in (0.4999999999, 0.5, 0.5000000001, 0.2, 0.9):
-        assert best_reply_set(s, d, 0) == best_reply_set(conv, d, 0)
+def test_as_consequential_preserves_taste0_ties(monkeypatch):
+    # the taste-0 score scales by (1 - beta) against an absolute tie band:
+    # every baseline tie stays a tie and every strict converted reply is the
+    # baseline's, while a strict baseline reply near the band may become a
+    # tie; a 0.1 band makes both common on random profiles
+    for band in (None, "0.1"):
+        if band is not None:
+            monkeypatch.setenv("BCI_TIE_TOL", band)
+        rng = np.random.default_rng(37)
+        ties = tie_made = 0
+        for _ in range(60):
+            base, prof = random_small_scenario(rng)
+            beta = float(rng.uniform(0.05, 0.95))
+            cs = eng.compile_scenario(base)
+            _, defined, base_scores, base_code = eng.best_replies(cs, eng.flatten_profile(cs, prof))
+            conv = eng.compile_scenario(as_consequential(base, beta))
+            _, _, scores, code = eng.best_replies(conv, eng.flatten_profile(conv, prof))
+            assert np.allclose(scores[0], (1.0 - beta) * base_scores[0], rtol=0.0, atol=1e-14)
+            assert np.all(code[0][base_code[0] == -1] == -1)
+            strict = code[0] != -1
+            assert np.array_equal(code[0][strict], base_code[0][strict])
+            decided = defined & cs.active[0]  # a tie here is one of scores
+            ties += int(np.sum(decided & (base_code[0] == -1)))
+            tie_made += int(np.sum(decided & (base_code[0] != -1) & ~strict))
+    assert ties and tie_made

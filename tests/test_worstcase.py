@@ -9,6 +9,7 @@ from bci.ordering import build_relation, is_complete, is_quasitransitive
 from bci.scenarios import example_4_1, example_4_1_interior_profile
 from bci.worstcase import (
     SearchConfig,
+    WitnessInstance,
     WorstCaseError,
     check_annotations,
     check_bound,
@@ -61,6 +62,30 @@ def test_witness_hetero_uses_trembled_annotations():
     assert w.posterior_annotations  # the hash-covariate posterior is recorded
 
 
+def test_witness_noisy_profile_follows_its_schedule_and_eps():
+    # the noisy profile is derived, not stored: taste-0 slices flip at eps,
+    # taste-1 slices at eps**6, and a witness with another eps trembles by it
+    assert "eps_profile" not in {f.name for f in dataclasses.fields(WitnessInstance)}
+    w = witness_incomplete_hetero()
+    for eps, witness in ((0.001, w), (0.01, dataclasses.replace(w, eps=0.01))):
+        for sig, noisy in zip(witness.profile.sigmas, witness.eps_profile.sigmas):
+            assert set(np.unique(sig)) == {0.0, 1.0}
+            for taste, m in ((0, eps), (1, eps**6)):
+                want = np.where(sig[taste] == 1.0, 1.0 - m, m)
+                assert np.array_equal(noisy[taste], want)
+    assert dataclasses.replace(w, eps=None).eps_profile is None
+    # the plain witnesses have no schedule: their noisy profile is the limit one
+    plain = witness_incomplete(0.01, 0.5, 0.9)
+    for sig, noisy in zip(plain.profile.sigmas, plain.eps_profile.sigmas):
+        assert np.array_equal(sig, noisy)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1.0, 5.0, -0.01, float("nan")])
+def test_witness_hetero_rejects_eps_outside_the_unit_interval(eps):
+    with pytest.raises(ModelError, match=r"need eps in \(0,1\)"):
+        witness_incomplete_hetero(eps=eps)
+
+
 def test_witness_hetero_posterior_recomputes_from_induced_joint():
     # p(t=1 | a=1, x1=1) = beta / (beta + lambda_1 beta^2), at the limit
     # profile and at the stored noisy one alike
@@ -96,6 +121,11 @@ def test_check_annotations_rejects_an_annotation_naming_no_type():
     ann = dataclasses.replace(w.delta_annotations[0], type_index=w.scenario.n_types)
     with pytest.raises(ModelError, match="no type with index"):
         check_annotations(dataclasses.replace(w, delta_annotations=(ann,)))
+    # nor a cell outside the type's covariate range
+    for cell in ((2,), (-1,)):
+        ann = dataclasses.replace(w.delta_annotations[0], cell=cell)
+        with pytest.raises(ModelError, match="outside"):
+            check_annotations(dataclasses.replace(w, delta_annotations=(ann,)))
 
 
 def test_witness_full_loss_has_both_types_wrong():
