@@ -61,8 +61,9 @@ those rates by ``p(t, x)``.
 
 Trembles
 --------
-A tremble schedule compiles to one form, its flip exponent per (taste,
-type), NaN where a slice has no rule: a ``(batch..., 2, n_types)`` table.
+A tremble schedule is its ``(2, n_types)`` table of flip exponents: rows
+are tastes, columns types, and NaN leaves a slice exact.  ``schedule_table``
+is the one check of a caller's table (``None``: all NaN, no trembles).
 ``cell_exponents`` repeats a table onto the stacked cells, and
 ``apply_compiled_trembles`` leaves a NaN cell exact.  Stacked tables tremble
 one batch under several schedules at once, as enumeration's screen does.
@@ -152,7 +153,7 @@ def ladder_rungs() -> np.ndarray:
     return np.array(out)
 
 
-@dataclass
+@dataclass(eq=False)
 class CompiledScenario:
     scenario: Scenario
     c_cards: tuple[tuple[int, ...], ...]  # per type: its condition covariates' cards
@@ -314,6 +315,24 @@ def population_rates(cs: CompiledScenario, stacked: np.ndarray) -> tuple[np.ndar
 
 
 # -- trembles ---------------------------------------------------------------
+
+
+def schedule_table(cs: CompiledScenario, schedule) -> np.ndarray:
+    """A caller's tremble schedule, checked: a read-only float64 copy of its
+    (2, n_types) exponent table, all NaN for ``None``.  Another shape, a
+    non-numeric entry, or an exponent neither positive nor NaN raises
+    ``ModelError``."""
+    shape = (2, cs.scenario.n_types)
+    table = np.full(shape, np.nan) if schedule is None else np.array(schedule)
+    if table.shape != shape or table.dtype.kind not in "iuf":
+        raise ModelError(
+            f"a tremble schedule is a {shape} table of numbers, got {table.shape} {table.dtype}"
+        )
+    table = table.astype(np.float64, copy=False)  # np.array has already copied
+    if not np.all((table > 0) | np.isnan(table)):
+        raise ModelError("tremble exponent must be positive or NaN")
+    table.setflags(write=False)
+    return table
 
 
 def cell_exponents(table: np.ndarray, offsets) -> np.ndarray:

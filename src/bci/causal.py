@@ -34,7 +34,7 @@ from . import _engine as eng
 from .model import ModelError, Scenario, StrategyProfile
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeltaTable:
     """Perceived effect of switching a=0 -> a=1 on the outcome, per condition cell.
 

@@ -26,13 +26,7 @@ import numpy as np
 
 from . import _engine as eng
 from .causal import DeltaTable, delta_table
-from .model import (
-    Scenario,
-    StrategyProfile,
-    TrembleSchedule,
-    error_probability,
-    welfare_loss,
-)
+from .model import Scenario, StrategyProfile, error_probability, welfare_loss
 
 __all__ = [
     "EquilibriumError",
@@ -91,7 +85,7 @@ class LadderRung:
     undefined: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquilibriumReport:
     verdict: str
     eps: float | None
@@ -101,7 +95,7 @@ class EquilibriumReport:
     welfare_loss: float
     error_probability: float
     delta_tables: tuple[DeltaTable, ...]
-    schedule: TrembleSchedule | None
+    schedule: np.ndarray | None  # the checked (2, n_types) exponent table
     sup_gap: float
 
     @property
@@ -162,17 +156,17 @@ def _reaches_floor(ok: np.ndarray) -> np.ndarray:
     return eng.tail_lengths(ok) >= min(eng.DEFAULT_TAIL_MIN, len(ok))
 
 
-def _ladder(cs, profile, schedule, rungs):
+def _ladder(cs, profile, table, rungs):
     """The ladder core of both verifiers: the profile, on the stacked layout,
-    trembled by the schedule at each rung, each rung checked at its own noise
-    level, and the deepest failing rung diagnosed.
+    trembled by the exponent table at each rung, each rung checked at its own
+    noise level, and the deepest failing rung diagnosed.
 
     Returns (trace, sup_gap, failed_at, witness, undefined); ``failed_at`` is
     the deepest failing rung's noise level, or None (and no diagnosis) when
     the ladder passes ``_reaches_floor``.
     """
     stacked = eng.flatten_profile(cs, profile)
-    exponents = eng.cell_exponents(schedule.exponents(cs.scenario.n_types), cs.offsets)
+    exponents = eng.cell_exponents(table, cs.offsets)
     trembled = eng.apply_compiled_trembles(stacked, exponents, rungs)
     ok, undef, bad, replies = eng.check_rungs(cs, trembled, rungs)
     viol = np.where(bad, np.abs(replies[2]), 0.0).max(axis=(-2, -1))
@@ -203,7 +197,7 @@ def verify_eps_equilibrium(
     if not 0 < eps < 1:
         raise EquilibriumError("eps must lie in (0, 1)")
     cs = eng.compiled(scenario)
-    none = TrembleSchedule.none()
+    none = eng.schedule_table(cs, None)
     trace, _, failed_at, witness, undefined = _ladder(cs, profile, none, np.array([eps]))
     loss, errp, tables = _profile_stats(cs, profile)
     if undefined:
@@ -216,10 +210,12 @@ def verify_eps_equilibrium(
 def verify_limit(
     scenario: Scenario | eng.CompiledScenario,
     profile: StrategyProfile,
-    schedule: TrembleSchedule | None = None,
+    schedule: np.ndarray | None = None,
 ) -> EquilibriumReport:
     """Witness the profile as a limit of eps-equilibria along the ladder.
 
+    ``schedule`` is a (2, n_types) exponent table (rows tastes, NaN: exact;
+    ``None``: no trembles), and the report keeps its checked copy.
     Each rung perturbs the profile with the schedule at that rung's noise
     level and demands an eps-equilibrium at the same level.  The verdict is
     a limit equilibrium when a passing suffix of at least
@@ -230,8 +226,8 @@ def verify_limit(
     there.  ``scenario`` may also be its ``CompiledScenario``, which is then
     not compiled again.
     """
-    schedule = schedule if schedule is not None else TrembleSchedule.none()
     cs = eng.compiled(scenario)
+    schedule = eng.schedule_table(cs, schedule)
     trace, sup_gap, failed_at, witness, undefined = _ladder(cs, profile, schedule, cs.rungs)
     loss, errp, tables = _profile_stats(cs, profile)
     if failed_at is None:
@@ -273,7 +269,7 @@ def certify_equilibrium(
     The try-list is: no trembles at all (exact equilibria), uniform flip
     trembles (fills in undefined effects without biasing them), then
     taste-weighted flip trembles (keeps taste-driven corner profiles alive),
-    each recorded as its per-(type, taste) rules.  Each schedule in turn is
+    each recorded as its exponent table.  Each schedule in turn is
     verified by ``verify_limit``, one ladder each, and the report returned
     is the first that passes or, if none passes, the one with the most
     passing rungs anywhere on the ladder (the earliest on ties).
@@ -283,7 +279,7 @@ def certify_equilibrium(
     cs = eng.compiled(scenario)
     best, most = None, -1
     for table in _try_list(cs, eng.flatten_profile(cs, profile)):
-        report = verify_limit(cs, profile, TrembleSchedule.from_exponents(table))
+        report = verify_limit(cs, profile, table)
         if report.passed:
             return report
         passes = sum(rung.passed for rung in report.ladder_trace)

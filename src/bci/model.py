@@ -1,4 +1,4 @@
-"""Core model objects: scenarios, DM data types, strategy profiles, trembles.
+"""Core model objects: scenarios, DM data types, strategy profiles, induced joints.
 
 A *scenario* fixes everything exogenous: the joint distribution of the binary
 taste ``t`` and the covariates ``x``, a binary outcome kernel, the population
@@ -23,7 +23,7 @@ joint always satisfies ``outcome ⊥ a | (t, x)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -138,7 +138,7 @@ class DataTypeSpec:
         return set(self.condition_set) == set(self.data_set)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """Exogenous primitives of one decision environment; construction raises
     ``ModelError`` listing every violation ``scenario_violations`` finds."""
@@ -206,7 +206,7 @@ class Scenario:
 # -- strategy profiles ----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StrategyProfile:
     """One strategy per type: probability of a = 1 given (t, x_C).
 
@@ -253,65 +253,10 @@ class StrategyProfile:
         return all(bool(np.all((s == 0.0) | (s == 1.0))) for s in self.sigmas)
 
 
-# -- trembles --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TrembleSchedule:
-    """Per-(type, taste) flip exponents defining a profile sequence.
-
-    At noise level eps a slice with exponent k mixes weight eps**k of the
-    action it plays with probability < 1/2 into its strategy; slices
-    without an exponent (a rule names a type index and a taste 0 or 1) are
-    left exact.  The empty schedule therefore yields the constant sequence,
-    and eps = 0 is always the identity.
-    """
-
-    entries: tuple[tuple[tuple[int, int], float], ...] = ()
-    default: float | None = None
-
-    def __post_init__(self) -> None:
-        exponents = [k for _, k in self.entries]
-        if self.default is not None:
-            exponents.append(self.default)
-        if not all(k > 0 for k in exponents):
-            raise ModelError("tremble exponent must be positive")
-        keys = [key for key, _ in self.entries]
-        if not all(i >= 0 and i == int(i) and taste in (0, 1) for i, taste in keys):
-            raise ModelError(f"tremble rules need a type index >= 0 and a taste 0 or 1, got {keys}")
-
-    @classmethod
-    def none(cls) -> "TrembleSchedule":
-        return cls()
-
-    @classmethod
-    def of(cls, rules: Mapping[tuple[int, int], float], default: float | None = None) -> "TrembleSchedule":
-        return cls(tuple(sorted(rules.items())), default)
-
-    def exponents(self, n_types: int) -> np.ndarray:
-        """The (2, n_types) table of flip exponents per (taste, type): each
-        slice's own rule, else ``default``, else NaN (no rule: left exact).
-        A rule for a type the scenario lacks raises ``ModelError``."""
-        rules = dict(self.entries)
-        top = max((i for i, _ in rules), default=-1)
-        if top >= n_types:
-            raise ModelError(f"tremble rule for type {top}, but the scenario has {n_types} types")
-        rows = [[rules.get((i, taste), self.default) for i in range(n_types)] for taste in (0, 1)]
-        return np.array(rows, dtype=np.float64)
-
-    @classmethod
-    def from_exponents(cls, table: np.ndarray) -> "TrembleSchedule":
-        """The schedule of one explicit rule per non-NaN entry of a
-        (2, n_types) exponent table."""
-        return cls.of(
-            {(i, taste): float(k) for (taste, i), k in np.ndenumerate(table) if not np.isnan(k)}
-        )
-
-
 # -- induced behavior and outcomes ----------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointTable:
     """A joint distribution: an array with one axis per named variable."""
 

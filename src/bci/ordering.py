@@ -31,7 +31,7 @@ class OrderError(ValueError):
     """Raised for malformed relations or partition preconditions."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DominanceRelation:
     """Boolean matrix of the data-coverage relation: entry (i, j) = iPj."""
 

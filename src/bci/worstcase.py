@@ -40,7 +40,6 @@ from .model import (
     ModelError,
     Scenario,
     StrategyProfile,
-    TrembleSchedule,
     error_probability,
     induced_joint,
     welfare_loss,
@@ -112,13 +111,15 @@ class PosteriorAnnotation:
         return f"p(t=1 | a={self.action}, {self.covariate}={self.level})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WitnessInstance:
-    """A scenario/profile pair with externally checkable loss claims."""
+    """A scenario/profile pair with externally checkable loss claims: a limit
+    claim is checked under ``schedule``, an exponent table (None: exact),
+    which ``eps_profile`` realizes at the tremble level ``eps``."""
 
     scenario: Scenario
     profile: StrategyProfile
-    schedule: TrembleSchedule
+    schedule: np.ndarray | None
     claimed_verdict: str  # "equilibrium" (exact) or "equilibrium_limit"
     claimed_loss: float
     claimed_error_probability: float
@@ -141,14 +142,14 @@ class WitnessInstance:
             return None
         cs = self.compiled
         stacked = eng.flatten_profile(cs, self.profile)
-        exponents = eng.cell_exponents(self.schedule.exponents(cs.scenario.n_types), cs.offsets)
+        exponents = eng.cell_exponents(eng.schedule_table(cs, self.schedule), cs.offsets)
         return eng.unflatten_profile(cs, eng.apply_compiled_trembles(stacked, exponents, self.eps))
 
 
 def reverify(witness: WitnessInstance) -> EquilibriumReport:
     """Re-run the equilibrium verdict from primitives, ignoring all claims.
 
-    An exact-equilibrium claim is checked as the constant sequence (empty
+    An exact-equilibrium claim is checked as the constant sequence (no
     schedule); a limit claim is checked under the witness's own schedule.
     Either way the report must come back ``equilibrium_limit``.
     """
@@ -208,12 +209,11 @@ def witness_incomplete(
     return WitnessInstance(
         scenario=scenario,
         profile=profile,
-        schedule=TrembleSchedule.none(),
+        schedule=None,
         claimed_verdict="equilibrium",
         claimed_loss=c * (1.0 - eps / 2),
         claimed_error_probability=1.0 - eps / 2,
         delta_annotations=tuple(anns),
-        eps=eps,
         notes="unordered pair of types; a = own covariate is self-confirming",
     )
 
@@ -244,12 +244,11 @@ def witness_cycle(
     return WitnessInstance(
         scenario=scenario,
         profile=profile,
-        schedule=TrembleSchedule.none(),
+        schedule=None,
         claimed_verdict="equilibrium",
         claimed_loss=c * (1.0 - eps / 3),
         claimed_error_probability=1.0 - eps / 3,
         delta_annotations=tuple(anns),
-        eps=eps,
         notes="cyclic dominance among three types; a = own covariate",
     )
 
@@ -264,17 +263,15 @@ def witness_incomplete_hetero(
     """Heterogeneous tastes, ternary covariates, loss approaching max(gamma, 1-gamma).
 
     The limit profile acts at covariate value 1 and abstains at 0 and #, so
-    its effect at # is undefined; certification trembles taste-0 cells at
-    noise and taste-1 cells at noise^6, which keeps the # belief pinned at
-    exactly zero while the 0-vs-1 contrast stays decisive.  The witness's
-    ``eps_profile`` realizes the schedule at ``eps`` for annotation checks.
+    its effect at # is undefined; its schedule ``[[1, 1], [6, 6]]`` trembles
+    taste-0 cells at noise and taste-1 cells at noise^6, which keeps the #
+    belief pinned at exactly zero while the 0-vs-1 contrast stays decisive.
+    The witness's ``eps_profile`` realizes the schedule at ``eps``.
     """
     if not 0 < eps < 1:
         raise ModelError("need eps in (0,1)")
     scenario = prop4(gamma, beta, lambdas, c)
     profile = prop4_profile(scenario)
-    rules = {(i, taste): 1.0 if taste == 0 else 6.0 for i in range(2) for taste in (0, 1)}
-    schedule = TrembleSchedule.of(rules)
     anns = (
         DeltaAnnotation(0, (2,), 0.0, trembled=True),
         DeltaAnnotation(1, (2,), 0.0, trembled=True),
@@ -284,7 +281,7 @@ def witness_incomplete_hetero(
     return WitnessInstance(
         scenario=scenario,
         profile=profile,
-        schedule=schedule,
+        schedule=np.array([[1.0, 1.0], [6.0, 6.0]]),
         claimed_verdict="equilibrium_limit",
         claimed_loss=c * errprob,
         claimed_error_probability=errprob,
@@ -317,12 +314,11 @@ def witness_full_loss(gamma: float = 0.5, eps: float = 0.001, c: float = 0.9) ->
     return WitnessInstance(
         scenario=scenario,
         profile=profile,
-        schedule=TrembleSchedule.none(),
+        schedule=None,
         claimed_verdict="equilibrium",
         claimed_loss=c * (1.0 - eps),
         claimed_error_probability=1.0 - eps,
         delta_annotations=tuple(anns),
-        eps=eps,
         notes="outcome tracks the covariates; a = own covariate mismatches "
         "the taste with probability exactly 1 - eps",
     )
@@ -559,7 +555,8 @@ def verified_equilibria(
 
 
 def instance_digest(scenario: Scenario, profile: StrategyProfile) -> str:
-    """Canonical content hash used for deterministic tiebreaks."""
+    """Canonical content hash used for deterministic tiebreaks; the outcome
+    convention enters only off the baseline, where it can vary."""
     h = hashlib.sha256()
     h.update(repr(scenario.x_names).encode())
     h.update(repr(scenario.x_cards).encode())
@@ -567,6 +564,8 @@ def instance_digest(scenario: Scenario, profile: StrategyProfile) -> str:
         h.update(repr((spec.condition_set, spec.data_set)).encode())
     h.update(repr(scenario.lam).encode())
     h.update(repr(scenario.c).encode())
+    if scenario.outcome_kind != "baseline":
+        h.update(repr((scenario.outcome_kind, scenario.beta)).encode())
     h.update(scenario.ptx.tobytes())
     h.update(scenario.kernel.tobytes())
     for sig in profile.sigmas:
@@ -574,7 +573,7 @@ def instance_digest(scenario: Scenario, profile: StrategyProfile) -> str:
     return h.hexdigest()
 
 
-@dataclass
+@dataclass(eq=False)
 class _Candidate:
     value: float
     loss: float
@@ -671,7 +670,7 @@ def search_max_loss(cfg: SearchConfig) -> tuple[WitnessInstance, tuple[SearchRec
     witness = WitnessInstance(
         scenario=best.scenario,
         profile=best.profile,
-        schedule=best.report.schedule or TrembleSchedule.none(),
+        schedule=best.report.schedule,
         claimed_verdict="equilibrium_limit",
         claimed_loss=best.report.welfare_loss,
         claimed_error_probability=best.report.error_probability,

@@ -29,7 +29,6 @@ from bci.model import (
     DataTypeSpec,
     Scenario,
     StrategyProfile,
-    TrembleSchedule,
     induced_joint,
     welfare_loss,
 )
@@ -128,7 +127,7 @@ def test_criterion_03_no_covariate_example_dynamics_and_corner():
         # above the cost threshold the all-act corner survives as a limit:
         # taste-0 mistakes vanish one order faster than taste-1 ones
         corner_scenario = example_4_1(gamma=0.6, c=0.5)
-        schedule = TrembleSchedule(entries=(((0, 0), 1.0), ((0, 1), 2.0)))
+        schedule = np.array([[1.0], [2.0]])  # (taste, type) flip exponents
         report = verify_limit(
             corner_scenario, example_4_1_corner_profile(corner_scenario), schedule
         )

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from bci import _engine as eng
 from bci.causal import delta_table
-from bci.model import DataTypeSpec, ModelError, Scenario, StrategyProfile, TrembleSchedule
+from bci.model import DataTypeSpec, ModelError, Scenario, StrategyProfile
 from bci.equilibrium import _try_list
 from bci.scenarios import as_consequential, example_3_1, prop2_cycle, prop4
 from bci.worstcase import SearchConfig, WorstCaseError, random_scenario
@@ -56,15 +56,13 @@ def test_profile_effects_match_delta_table(rng):
 
 
 def test_compiled_trembles_match_object_level():
-    # a schedule's (type, taste) rules, compiled onto the stacked cells,
-    # tremble each cell by its own slice's rule; type 0 owns stacked cells
-    # 0-2, type 1 cell 3
+    # a schedule's (taste, type) exponents, compiled onto the stacked cells,
+    # tremble each cell by its own slice's exponent; type 0 owns stacked
+    # cells 0-2, type 1 cell 3
     offsets = (0, 3, 4)
     stacked = np.array([[0.0, 1.0, 0.4, 1.0], [0.0, 1.0, 0.4, 0.2]])
-    # entries for three (type, taste) slices override the default, which
-    # only type 1's taste 1 falls back to
-    sched = TrembleSchedule.of({(0, 0): 2.0, (0, 1): 1.0, (1, 0): 3.0}, default=0.5)
-    exponents = eng.cell_exponents(sched.exponents(2), offsets)
+    table = np.array([[2.0, 3.0], [1.0, 0.5]])  # rows tastes, columns types
+    exponents = eng.cell_exponents(table, offsets)
     out = eng.apply_compiled_trembles(stacked, exponents, np.array([0.01, 1.0]))
     assert out.shape == (2, 2, 4)
     # eps = 0.01: each slice mixes in eps**exponent of its opposite action
@@ -72,16 +70,37 @@ def test_compiled_trembles_match_object_level():
     assert np.allclose(out[0], want, atol=1e-15)
     # eps = 1: every slice lands on the opposite pure action
     assert np.array_equal(out[1], [[1.0, 0.0, 1.0, 0.0], [1.0, 0.0, 1.0, 1.0]])
-    # slices without a rule (NaN) are bit-unchanged, and the rules read back
-    partial = TrembleSchedule.of({(0, 0): 2.0, (1, 1): 1.0})
-    table = partial.exponents(2)
-    exponents = eng.cell_exponents(table, offsets)
+    # slices without an exponent (NaN) are bit-unchanged
+    partial = np.array([[2.0, np.nan], [np.nan, 1.0]])
+    exponents = eng.cell_exponents(partial, offsets)
     still = np.isnan(exponents)
     assert still.tolist() == [[False] * 3 + [True], [True] * 3 + [False]]
-    assert TrembleSchedule.from_exponents(table) == partial
     out = eng.apply_compiled_trembles(stacked, exponents, np.array([0.01, 1.0]))
     assert np.array_equal(out[:, still], np.tile(stacked[still], (2, 1)))
     assert np.array_equal(out[1][~still], 1.0 - stacked[~still].round())
+
+
+def test_schedule_table_checks_a_callers_table():
+    cs = eng.compile_scenario(example_3_1())  # two types
+    bad = (
+        np.ones((2, 3)), np.ones((3, 2)), np.ones(2), np.ones((1, 2, 2)),  # shapes
+        [[1.0, 0.0], [1.0, 1.0]], np.full((2, 2), -1.0),  # exponents
+        [["1", "1"], ["1", "1"]], [[1.0, None], [1.0, 1.0]], "1",  # not numbers
+    )
+    for table in bad:
+        with pytest.raises(ModelError):
+            eng.schedule_table(cs, table)
+    # NaN leaves a slice exact; an infinite exponent is a valid, if idle, one
+    caller = [[np.nan, np.inf], [1, 2.5]]
+    table = eng.schedule_table(cs, caller)
+    assert table.dtype == np.float64 and not table.flags.writeable
+    assert np.array_equal(table, [[np.nan, np.inf], [1.0, 2.5]], equal_nan=True)
+    # no schedule is the all-NaN table
+    none = eng.schedule_table(cs, None)
+    assert none.shape == (2, 2) and np.isnan(none).all() and not none.flags.writeable
+    # the checked table is a copy, never the caller's array
+    mine = np.ones((2, 2))
+    assert not np.shares_memory(eng.schedule_table(cs, mine), mine)
 
 
 def test_rung_ladder_geometry():

@@ -25,7 +25,7 @@ from bci.equilibrium import (
     verify_eps_equilibrium,
     verify_limit,
 )
-from bci.model import DataTypeSpec, Scenario, StrategyProfile, TrembleSchedule
+from bci.model import DataTypeSpec, Scenario, StrategyProfile
 from bci.scenarios import (
     example_1_1_collider,
     example_1_1_confounder,
@@ -100,7 +100,7 @@ def test_limit_certification_interior_rest_point():
     s = example_4_1(0.3, 0.5)
     report = certify_equilibrium(s, example_4_1_interior_profile(s))
     assert report.verdict == "equilibrium_limit"
-    assert report.schedule == TrembleSchedule.none()
+    assert np.array_equal(report.schedule, np.full((2, 1), np.nan), equal_nan=True)
     assert len(report.ladder_trace) == 17
     assert all(r.passed for r in report.ladder_trace)
 
@@ -111,15 +111,49 @@ def test_limit_certification_corner_needs_uneven_schedule():
     # the taste-0 pool must tremble harder (lower exponent) than the taste-1
     # pool for the a=0 observations to keep reading as taste-0 people, which
     # is what props the perceived effect above c; the opposite orientation fails
-    good = TrembleSchedule.of({(0, 0): 1.0, (0, 1): 2.0})
+    good = np.array([[1.0], [2.0]])  # rows tastes, columns types
     report = verify_limit(s, corner, good)
     assert report.verdict == "equilibrium_limit"
     assert report.welfare_loss == pytest.approx(0.5 * (1 - 0.6), abs=1e-12)
-    flipped = TrembleSchedule.of({(0, 0): 2.0, (0, 1): 1.0})
+    flipped = np.array([[2.0], [1.0]])
     assert verify_limit(s, corner, flipped).verdict == "not_equilibrium"
     # the built-in certification search finds a working schedule on its own
     auto = certify_equilibrium(s, corner)
     assert auto.verdict == "equilibrium_limit"
+
+
+def test_report_schedule_is_its_own_read_only_copy():
+    s = example_4_1(0.6, 0.5)
+    good = np.array([[1.0], [2.0]])
+    report = verify_limit(s, example_4_1_corner_profile(s), good)
+    assert not report.schedule.flags.writeable
+    assert not np.shares_memory(report.schedule, good)
+    good[:] = 5.0
+    assert report.schedule.tolist() == [[1.0], [2.0]]
+    # a report at one eps has no schedule at all
+    assert verify_eps_equilibrium(s, example_4_1_corner_profile(s), 0.01).schedule is None
+
+
+def test_certification_reports_the_try_list_table_it_passed(monkeypatch):
+    # the report's schedule is the try-list table handed to ``verify_limit``,
+    # copied, not a view of the try-list's buffer
+    passed = []
+    real = equilibrium.verify_limit
+
+    def spy(cs, profile, table):
+        passed.append(table)
+        return real(cs, profile, table)
+
+    monkeypatch.setattr(equilibrium, "verify_limit", spy)
+    s = example_4_1(0.6, 0.5)
+    cs = eng.compile_scenario(s)
+    corner = example_4_1_corner_profile(s)
+    report = certify_equilibrium(cs, corner)
+    assert report.passed and len(passed) > 1  # the corner needs a trembling schedule
+    tried = _try_list(cs, eng.flatten_profile(cs, corner))
+    assert np.array_equal(passed[-1], tried[len(passed) - 1], equal_nan=True)
+    assert np.array_equal(report.schedule, passed[-1], equal_nan=True)
+    assert not np.shares_memory(report.schedule, passed[-1])
 
 
 def test_ladder_rule_needs_a_passing_suffix_of_tail_min_rungs():
@@ -141,7 +175,7 @@ def test_tail_rule_rejects_transient_passes():
     s = prop2_incomplete()
     prof = witness_incomplete().profile
     # a schedule that trembles far too hard at small eps ruins the tail
-    bad = TrembleSchedule.of({(0, 0): 0.05, (1, 0): 0.05})
+    bad = np.array([[0.05, 0.05], [np.nan, np.nan]])
     report = verify_limit(s, prof, bad)
     assert report.verdict in ("not_equilibrium", "undefined_cells")
 
@@ -173,10 +207,7 @@ def test_certification_is_first_passing_schedule_else_most_passing_rungs():
         pure = StrategyProfile(tuple(np.floor(2 * rng.random(x.shape)) for x in prof.sigmas))
         for p in (rest, StrategyProfile(tuple(np.round(x) for x in prof.sigmas)), pure):
             stacked = eng.flatten_profile(cs, p)
-            reports = [
-                verify_limit(s, p, TrembleSchedule.from_exponents(table))
-                for table in _try_list(cs, stacked)
-            ]
+            reports = [verify_limit(s, p, table) for table in _try_list(cs, stacked)]
             passing = [r for r in reports if r.passed]
             passes = [np.array([r.passed for r in rep.ladder_trace]) for rep in reports]
             most = [int(ok.sum()) for ok in passes]
@@ -184,7 +215,7 @@ def test_certification_is_first_passing_schedule_else_most_passing_rungs():
             expected = passing[0] if passing else reports[most.index(max(most))]
             got = certify_equilibrium(s, p)
             for f in fields:
-                assert getattr(got, f) == getattr(expected, f), f
+                assert_same(getattr(got, f), getattr(expected, f), (f,))
             picked["pass" if passing else "fail"] += 1
             picked["later"] += not passing and most.index(max(most)) > 0
             picked["not_longest_suffix"] += not passing and (
@@ -205,7 +236,7 @@ def test_compiled_scenario_gives_the_same_reports():
             for verify in (
                 lambda x: verify_eps_equilibrium(x, p, 0.01),
                 lambda x: verify_limit(x, p),
-                lambda x: verify_limit(x, p, TrembleSchedule(default=1.0)),
+                lambda x: verify_limit(x, p, np.ones((2, s.n_types))),
                 lambda x: certify_equilibrium(x, p),
             ):
                 want = verify(s)
@@ -268,7 +299,8 @@ def test_certification_walks_one_ladder_per_schedule_tried(monkeypatch):
     s = example_3_1()
     cs = eng.compile_scenario(s)
     report = certify_equilibrium(cs, matching_on_own_covariate(s))
-    assert report.passed and report.schedule == TrembleSchedule.none()
+    assert report.passed
+    assert np.array_equal(report.schedule, np.full((2, 2), np.nan), equal_nan=True)
     assert ladders == [len(cs.rungs)]
     ladders.clear()
     s = example_4_1(0.3, 0.5)
@@ -448,7 +480,7 @@ def assert_same_equilibria(got, expected):
     for (got_p, got_r), (want_p, want_r) in zip(got, expected):
         assert all(np.array_equal(a, b) for a, b in zip(got_p.sigmas, want_p.sigmas))
         for f in REPORT_FIELDS:
-            assert getattr(got_r, f) == getattr(want_r, f), f
+            assert_same(getattr(got_r, f), getattr(want_r, f), (f,))
 
 
 def test_enumeration_returns_exactly_the_certified_pure_profiles():
@@ -555,7 +587,7 @@ def test_enumeration_does_not_depend_on_chunk_boundaries(monkeypatch, budget):
             cs = eng.compile_scenario(s)
             monkeypatch.setattr(equilibrium, "_CHUNK_BYTES", budget(cs, int(cs.active.sum())))
             out.append([
-                (tuple(sig.tobytes() for sig in p.sigmas), r.verdict, r.schedule, r.welfare_loss)
+                (tuple(sig.tobytes() for sig in p.sigmas), r.verdict, r.schedule.tobytes(), r.welfare_loss)
                 for p, r in enumerate_pure_equilibria(s)
             ])
         return out
@@ -863,11 +895,11 @@ def test_a_failing_ladder_is_diagnosed_from_its_deepest_failing_rung():
         cs = eng.compile_scenario(s)
         for p in (prof, StrategyProfile(tuple(np.round(x) for x in prof.sigmas))):
             stacked = eng.flatten_profile(cs, p)
-            for sched in (TrembleSchedule.none(), TrembleSchedule(default=1.0)):
+            for sched in (np.full((2, s.n_types), np.nan), np.ones((2, s.n_types))):
                 report = verify_limit(cs, p, sched)
                 if report.passed:
                     continue
-                exponents = eng.cell_exponents(sched.exponents(s.n_types), cs.offsets)
+                exponents = eng.cell_exponents(sched, cs.offsets)
                 trembled = eng.apply_compiled_trembles(stacked, exponents, cs.rungs)
                 ok, _, bad, replies = eng.check_rungs(cs, trembled, cs.rungs)
                 r = np.nonzero(~ok)[0][-1]

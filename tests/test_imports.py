@@ -1,10 +1,12 @@
 """Import discipline: numpy is the only runtime dependency, the engine never
 imports the modules that are views over it, no module imports another's
 private names but the engine's, and every layer boundary the benchmark
-traces still exists and returns what its counters read."""
+traces still exists and returns what its counters read.  Dataclasses that
+hold arrays keep identity equality."""
 
 import ast
 import contextlib
+import dataclasses
 import importlib.util
 import inspect
 import io
@@ -103,6 +105,27 @@ def test_no_function_takes_a_tolerance():
             assert not {"tol", "tie_tol"} & set(inspect.signature(fn).parameters), fn
             checked += 1
     assert checked > 100
+
+
+def test_dataclasses_that_hold_arrays_compare_by_identity():
+    # a generated ``__eq__`` compares fields with ==, which raises on arrays,
+    # and a frozen dataclass's generated ``__hash__`` raises on them too; a
+    # dataclass whose fields name ndarray keeps object's identity rules
+    holders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__main__":
+            continue
+        module = importlib.import_module("bci" if path.stem == "__init__" else f"bci.{path.stem}")
+        for obj in vars(module).values():
+            if not (inspect.isclass(obj) and dataclasses.is_dataclass(obj)):
+                continue
+            if obj.__module__ != module.__name__:
+                continue
+            if any("ndarray" in str(f.type) for f in dataclasses.fields(obj)):
+                holders.append(obj.__qualname__)
+                assert obj.__eq__ is object.__eq__, obj.__qualname__
+                assert obj.__hash__ is object.__hash__, obj.__qualname__
+    assert {"Scenario", "StrategyProfile", "EquilibriumReport", "CompiledScenario"} <= set(holders)
 
 
 def load_bench(name: str, monkeypatch=None):

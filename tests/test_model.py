@@ -10,8 +10,10 @@ from bci._engine import (
     compile_scenario,
     flatten_profile,
     population_rates,
+    schedule_table,
     unflatten_profile,
 )
+from bci.causal import delta_table
 from bci.equilibrium import verify_limit
 from bci.model import (
     DataTypeSpec,
@@ -19,13 +21,14 @@ from bci.model import (
     ModelError,
     Scenario,
     StrategyProfile,
-    TrembleSchedule,
     error_probability,
     induced_joint,
     scenario_violations,
     welfare_loss,
 )
+from bci.ordering import build_relation
 from bci.scenarios import as_consequential, example_3_1, example_4_1, pandemic, pandemic_profile
+from bci.worstcase import witness_incomplete
 
 
 def tiny_scenario(c=0.5):
@@ -339,14 +342,34 @@ def test_report_stats_property(seed, outcome, pure):
     assert_report_stats(*random_report_case(np.random.default_rng(seed), outcome, pure))
 
 
+def test_objects_that_hold_arrays_compare_and_hash_by_identity():
+    # a field-by-field == on arrays has no single truth value, so these
+    # compare and hash as objects: an equal copy is another object
+    s = example_3_1()
+    p = StrategyProfile.matching(s)
+    pairs = (
+        (s, example_3_1()),
+        (p, StrategyProfile.matching(s)),
+        (induced_joint(s, p), induced_joint(s, p)),
+        (build_relation(s.types), build_relation(s.types)),
+        (delta_table(s, p)[0], delta_table(s, p)[0]),
+        (verify_limit(s, p), verify_limit(s, p)),
+        (witness_incomplete(), witness_incomplete()),
+        (compile_scenario(s), compile_scenario(s)),
+    )
+    for one, copy in pairs:
+        assert one == one and one != copy, type(one).__name__
+        assert len({one, one, copy}) == 2
+
+
 # -- trembles -------------------------------------------------------------------
 
 
 def tremble(scenario, profile, schedule, eps):
-    """The profile trembled by the schedule at ``eps``, on the engine's one
-    tremble path."""
+    """The profile trembled by the schedule, a (taste, type) exponent table,
+    at ``eps``, on the engine's one tremble path."""
     cs = compile_scenario(scenario)
-    exponents = cell_exponents(schedule.exponents(scenario.n_types), cs.offsets)
+    exponents = cell_exponents(schedule_table(cs, schedule), cs.offsets)
     return unflatten_profile(cs, apply_compiled_trembles(flatten_profile(cs, profile), exponents, eps))
 
 
@@ -356,29 +379,29 @@ def test_flip_tremble_rules():
     # at eps = 0.25: 3/4 of the strategy plus 1/4 of the action it plays
     # with probability < 1/2
     flipped = ([[0.25, 0.75], [0.55, 0.45]], [0.25, 0.75])
-    out = tremble(s, prof, TrembleSchedule(default=1.0), 0.25)
+    out = tremble(s, prof, np.ones((2, 2)), 0.25)
     assert np.allclose(out.sigmas[0], flipped[0], atol=1e-15)
     assert np.allclose(out.sigmas[1], flipped[1], atol=1e-15)
-    # an entry overrides the default for its (type, taste) slice only
-    sched = TrembleSchedule.of({(1, 1): 2.0}, 1.0)
+    # an exponent acts on its own (taste, type) slice only
+    sched = np.array([[1.0, 1.0], [1.0, 2.0]])
     out = tremble(s, prof, sched, 0.25)
     assert np.allclose(out.sigmas[1], [0.25, 0.9375], atol=1e-15)
     assert np.allclose(out.sigmas[0], flipped[0], atol=1e-15)
     # eps = 1 lands exactly on the opposite pure action
-    out = tremble(s, prof, TrembleSchedule(default=1.0), 1.0)
+    out = tremble(s, prof, np.ones((2, 2)), 1.0)
     assert np.array_equal(out.sigmas[0], [[1.0, 0.0], [1.0, 0.0]])
     assert np.array_equal(out.sigmas[1], [1.0, 0.0])
-    for bad in (0.0, -1.0, float("nan")):
+    for bad in (0.0, -1.0):
         with pytest.raises(ModelError):
-            TrembleSchedule(default=bad)
+            tremble(s, prof, np.full((2, 2), bad), 0.25)
         with pytest.raises(ModelError):
-            TrembleSchedule.of({(0, 1): bad}, 1.0)
+            tremble(s, prof, np.array([[1.0, 1.0], [bad, 1.0]]), 0.25)
 
 
 def test_apply_trembles_identity_cases():
     s = tiny_scenario()
     prof = StrategyProfile.matching(s)
-    for sched, eps in ((TrembleSchedule.none(), 0.5), (TrembleSchedule(default=1.0), 0.0)):
+    for sched, eps in ((None, 0.5), (np.ones((2, 2)), 0.0)):
         out = tremble(s, prof, sched, eps)
         for got, want in zip(out.sigmas, prof.sigmas):
             assert np.array_equal(got, want)
@@ -387,25 +410,20 @@ def test_apply_trembles_identity_cases():
 def test_apply_trembles_exponent_and_selectivity():
     s = tiny_scenario()
     prof = StrategyProfile.matching(s)
-    sched = TrembleSchedule.of({(0, 0): 2.0})
+    sched = np.array([[2.0, np.nan], [np.nan, np.nan]])
     out = tremble(s, prof, sched, 0.1)
     assert np.allclose(out.sigmas[0][0], 0.01)  # eps^2 toward the flip
-    assert np.all(out.sigmas[0][1] == 1.0)  # no rule: untouched
+    assert np.all(out.sigmas[0][1] == 1.0)  # NaN: untouched
     assert np.all(out.sigmas[1] == prof.sigmas[1])
 
 
 def test_tremble_rules_must_name_a_slice_the_scenario_has():
-    # a rule for a slice no scenario has, or that this scenario lacks, must
-    # not be read as "no trembles" there
-    for rules in ({(-1, 0): 1.0}, {(0.5, 0): 1.0}, {(0, 2): 1.0}, {(0, -1): 1.0}):
-        with pytest.raises(ModelError, match="tremble rules need"):
-            TrembleSchedule.of(rules)
-    schedule = TrembleSchedule.of({(3, 0): 1.0, (0, 1): 1.0})
-    assert schedule.exponents(4)[0, 3] == 1.0
-    with pytest.raises(ModelError, match="tremble rule for type 3"):
-        schedule.exponents(2)
-    with pytest.raises(ModelError, match="tremble rule for type 3"):
-        verify_limit(example_4_1(), StrategyProfile.matching(example_4_1()), schedule)
+    # a table shaped for slices this scenario lacks must not be read as
+    # "no trembles" there: it is (2 tastes, n_types) or it raises
+    s = example_4_1()  # one type
+    for table in (np.ones((2, 4)), np.ones((3, 1)), np.ones(2)):
+        with pytest.raises(ModelError, match=r"tremble schedule is a \(2, 1\) table"):
+            verify_limit(s, StrategyProfile.matching(s), table)
 
 
 @settings(max_examples=30, deadline=None)
@@ -414,7 +432,7 @@ def test_trembled_profile_stays_feasible(eps, seed):
     s = tiny_scenario()
     rng = np.random.default_rng(seed)
     prof = StrategyProfile(tuple(rng.random(s.sigma_shape(i)) for i in range(2)))
-    out = tremble(s, prof, TrembleSchedule(default=1.5), eps)
+    out = tremble(s, prof, np.full((2, 2), 1.5), eps)
     out.conforms(s)
     for sig in out.sigmas:
         assert np.all(sig >= 0.0) and np.all(sig <= 1.0)

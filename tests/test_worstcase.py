@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from bci.equilibrium import certify_equilibrium
-from bci.model import ModelError, error_probability, induced_joint, welfare_loss
+from bci.model import (
+    ModelError,
+    StrategyProfile,
+    error_probability,
+    induced_joint,
+    welfare_loss,
+)
 from bci.ordering import build_relation, is_complete, is_quasitransitive
 from bci.scenarios import example_4_1, example_4_1_interior_profile
 from bci.worstcase import (
@@ -74,10 +80,20 @@ def test_witness_noisy_profile_follows_its_schedule_and_eps():
                 want = np.where(sig[taste] == 1.0, 1.0 - m, m)
                 assert np.array_equal(noisy[taste], want)
     assert dataclasses.replace(w, eps=None).eps_profile is None
-    # the plain witnesses have no schedule: their noisy profile is the limit one
-    plain = witness_incomplete(0.01, 0.5, 0.9)
-    for sig, noisy in zip(plain.profile.sigmas, plain.eps_profile.sigmas):
-        assert np.array_equal(sig, noisy)
+    # the plain witnesses have no schedule and no tremble level (their eps is
+    # a scenario parameter), so they have no noisy profile
+    for plain in (witness_incomplete(0.01, 0.5, 0.9), witness_cycle(), witness_full_loss()):
+        assert plain.schedule is None and plain.eps is None and plain.eps_profile is None
+
+
+def test_trembled_annotation_on_a_plain_witness_raises():
+    # a plain witness has no trembled profile, so a claim on one cannot be
+    # checked, least of all against the limit profile in its place
+    for plain in (witness_incomplete(0.01, 0.5, 0.9), witness_cycle(), witness_full_loss()):
+        ann = dataclasses.replace(plain.delta_annotations[0], trembled=True)
+        claim = dataclasses.replace(plain, delta_annotations=(ann,))
+        with pytest.raises(WorstCaseError, match="has no eps"):
+            check_annotations(claim)
 
 
 @pytest.mark.parametrize("eps", [0.0, 1.0, 5.0, -0.01, float("nan")])
@@ -224,6 +240,20 @@ def test_instance_digest_is_stable_and_sensitive(rng):
     d2 = instance_digest(s, p)
     assert d1 == d2 and len(d1) == 64
     assert instance_digest(example_3_1(q=0.85), p) != d1
+    # a baseline digest reads the fields it always read
+    assert d1 == "d6602a9c9f067c25a72edbe5168afe582d79d853307e10d3573d892b0c2d52c2"
+
+
+def test_instance_digest_tells_outcome_conventions_apart():
+    # same tables, weights and c; only the outcome convention differs, and
+    # with it the welfare loss of the same profile
+    s = example_4_1(0.5, 0.5)
+    p = StrategyProfile.matching(s)
+    copies = [s] + [
+        dataclasses.replace(s, outcome_kind="consequential", beta=b) for b in (0.3, 0.6)
+    ]
+    assert [welfare_loss(x, p) for x in copies] == pytest.approx([0.0, 0.0, 0.05])
+    assert len({instance_digest(x, p) for x in copies}) == 3
 
 
 def test_small_search_is_reproducible():
@@ -297,7 +327,6 @@ def test_mixed_type_draws_name_plain_strings():
     # condition sets drawn from the smallest data set hold str names, so a
     # drawn scenario's digest survives the round trip through its document
     from bci.document import document_from_scenario, dumps, load_scenario
-    from bci.model import StrategyProfile
 
     cfg = SearchConfig(simple_types=False, n_types=3, n_covariates=3)
     s = random_scenario(cfg, np.random.default_rng(4))
