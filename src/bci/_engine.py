@@ -2,10 +2,9 @@
 
 Everything expensive in the package funnels through here: perceived-effect
 computation, best-reply tests, tremble ladders, best-response dynamics, and
-pure-profile enumeration all operate on stacked ``(batch..., 2, S)``
-strategy arrays so that batches of profiles (dynamics inits, enumeration
-chunks, ladder rungs) ride one set of matrix products, and all of them
-decide best replies with ``best_replies``.
+pure-profile enumeration.  Batches of profiles (dynamics starts, enumeration
+chunks, ladder rungs) ride one set of matrix products, and all of them decide
+best replies with one column-native rule, ``column_replies``.
 
 Index conventions
 -----------------
@@ -13,16 +12,18 @@ Covariate cells are raveled C-order over ``x_cards``; each type's condition
 and data cells are raveled C-order over that type's covariates in covariate
 order.  The *stacked* cell axis concatenates every type's condition cells in
 type order (``CompiledScenario.offsets`` marks the blocks), and the stacked
-data axis does the same for data cells.
+data axis does the same for data cells.  ``type_major`` orders the flattened
+(taste, stacked cell) axis by (type, taste, cell), the order in which
+enumeration assigns pure actions, random starts are drawn and witnesses are
+reported.
 
-The stacked array is the one profile layout between engine calls.  Per-type
-arrays remain in three places only, where a reader wants one table per type:
-``StrategyProfile``, ``causal.DeltaTable``, and ``profile_effects``, the
-per-type view of the stacked effects that ``causal.delta_table`` reads
-(``best_replies`` takes the stacked effects directly).  ``type_major``
-orders the flattened (taste, stacked cell) axis by (type, taste, cell), the
-order in which enumeration assigns pure actions, random starts are drawn and
-witnesses are reported.
+A profile is a stacked (2, S) array between engine calls; a batch is either
+a stack of them, (batch..., 2, S), or the kernel's C-ordered column block
+(see ``column_pair``).  Dynamics and enumeration hold column blocks.
+Batch-first callers, the rung checks and ``causal.delta_table``, go through
+``best_replies`` and ``profile_effects``, which convert a stack in and the
+results out.  Per-type arrays remain only where a reader wants one table per
+type: ``StrategyProfile``, ``causal.DeltaTable`` and ``profile_effects``.
 
 Compiled linear map
 -------------------
@@ -41,8 +42,9 @@ sum to 1 only up to roundoff (``1 - sum(lam * sigma)`` would leave about
 1e-16 there and call an unseen event observed).  One divide gives the
 conditional outcome rates, one matmul with the block-diagonal ``adjust``
 matrix averages them into beliefs, and one with the block-diagonal
-``missing`` matrix flags condition cells that need an unseen event.  Best
-replies and enumeration's misfit filter both read this kernel.
+``missing`` matrix counts each condition cell's seen data cells, against
+``need``.  Best replies and enumeration's misfit filter both read this
+kernel.
 
 A caller that holds a compiled scenario hands it on: the verifiers, the
 delta tables and the report statistics (``model.welfare_loss`` and
@@ -73,17 +75,14 @@ Batches and results
 A batch lives only as long as the engine call or the caller's loop step
 that made it.  ``unflatten_profile`` cuts per-type blocks out of one stacked
 row and ``StrategyProfile`` copies them, so a returned profile owns its
-arrays and never keeps its batch alive.  Enumeration makes two passes over
-pure profiles in chunks sized in bytes.  ``pure_misfits`` first rejects the
-profiles that provably fail the floor rung: the kernel's scores, less a
-tremble margin, of the half whose last slot plays 0 and, off the same
-columns, of their complements.  Its column block is built once per
-enumeration call, a power-of-two chunk wide, with every pattern of the bits
-below that width; each chunk rewrites only the rows of the slots whose bits
-lie above it.  The exact screen and certification then see only the rest.
-``equilibrium._CHUNK_BYTES`` bounds the kernel's moments array, ``(2D, 2n)``,
-so that every chunk reuses the same cache-sized buffers; the exact screen,
-which sees few profiles, checks three schedules per profile, ``(2D, 6n)``.
+arrays and never keeps its batch alive.  Enumeration's first pass hands
+``pure_misfits`` column blocks of pure profiles; it flags the profiles, and
+their complements, that provably fail the floor rung, off the kernel's
+scores less a tremble margin, and the exact screen and certification see
+only the rest.  ``equilibrium._CHUNK_BYTES`` bounds the kernel's moments
+array, ``(2D, 2n)``, so that every chunk reuses the same cache-sized
+buffers; the exact screen, which sees few profiles, checks three schedules
+per profile, ``(2D, 6n)``.
 """
 
 from __future__ import annotations
@@ -168,6 +167,7 @@ class CompiledScenario:
     mass_map: np.ndarray
     adjust: np.ndarray  # (D, S) block-diagonal w_d * agg_c
     missing: np.ndarray  # (D, S) block-diagonal agg_c where w_d > 0
+    need: np.ndarray  # (S, 1) missing's column sums, -1 where unreachable
     x_cells: np.ndarray  # (n_types, nx) per type: covariate cell -> stacked condition cell
     # the two settings, each read once on first use: a call that never
     # decides a best reply or walks the ladder never reads a bad one
@@ -262,6 +262,7 @@ def compile_scenario(scenario: Scenario) -> CompiledScenario:
         mass_map=mass_map.transpose(1, 2, 0, 3).reshape(2 * n_s, 2 * n_d),
         adjust=adjust,
         missing=(adjust > 0).astype(np.float64),
+        need=np.where(tcm.sum(axis=0) > 0, (adjust > 0).sum(axis=0), -1.0)[:, None],
         x_cells=x_cells,
     )
 
@@ -379,11 +380,10 @@ def apply_compiled_trembles(
     return (1.0 - m) * stacked + m * tgt
 
 
-def flip_floor(stacked: np.ndarray) -> np.ndarray:
-    """Full-support copy: mix ``BR_FLOOR`` of the opposite pure action everywhere."""
-    out = (1.0 - BR_FLOOR) * stacked
-    np.add(out, BR_FLOOR, out=out, where=stacked < 0.5)
-    return out
+def flip_floor(sigma: np.ndarray) -> np.ndarray:
+    """The column pair (see ``column_pair``) of sigma's full-support copy,
+    ``BR_FLOOR`` of the opposite pure action mixed in everywhere."""
+    return column_pair(sigma * (1.0 - BR_FLOOR) + np.where(sigma < 0.5, BR_FLOOR, 0.0))
 
 
 # -- perceived effects and best replies ------------------------------------
@@ -398,62 +398,70 @@ def _beliefs(cs: CompiledScenario, cols: np.ndarray):
     b(y=1 | x_C, do(a)) and their definedness, shaped (S, 2n).  Columns run
     over every profile under a=0, then under a=1.  A belief is defined where
     its condition cell is reachable and every data cell it averages over
-    with positive weight has seen that action; belief is meaningless where
-    it is not defined.
+    with positive weight has seen that action (``CompiledScenario.need``);
+    belief is meaningless where it is not defined.
     """
     n_d = cs.adjust.shape[0]
     moments = cs.mass_map.T @ cols  # (2D, 2n)
     mass, ymass = moments[:n_d], moments[n_d:]
     seen = mass > 0
     cond = np.divide(ymass, mass, out=np.zeros_like(mass), where=seen)
-    unseen = cs.missing.T @ (~seen).astype(np.float64)
-    return mass, cs.adjust.T @ cond, (unseen == 0) & cs.reachable[:, None]
+    return mass, cs.adjust.T @ cond, cs.missing.T @ seen.astype(np.float64) == cs.need
 
 
-def _stacked_effects(cs: CompiledScenario, stacked: np.ndarray):
-    """(delta, defined) for a batch of stacked profiles, both shaped (batch..., S).
+def column_pair(sigma: np.ndarray) -> np.ndarray:
+    """The kernel's C-ordered column pair ``[1 - sigma | sigma]`` of ``sigma``, (2S, n)."""
+    sigma = np.ascontiguousarray(sigma)
+    return np.concatenate([1.0 - sigma, sigma], axis=1)
 
-    delta = b(do(1)) - b(do(0)) from ``_beliefs``, defined where both
-    beliefs are, and 0 where undefined.
+
+def column_effects(cs: CompiledScenario, cols: np.ndarray):
+    """(delta, defined) of a batch as the kernel's column pair (2S, 2n), both
+    (S, n): delta = b(do(1)) - b(do(0)) from ``_beliefs``, defined where
+    both beliefs are, and 0 where undefined."""
+    n = cols.shape[1] // 2
+    _, belief, defined = _beliefs(cs, cols)
+    defined = defined[:, :n] & defined[:, n:]
+    return np.where(defined, belief[:, n:] - belief[:, :n], 0.0), defined
+
+
+def column_replies(cs: CompiledScenario, cols: np.ndarray):
+    """The best-reply rule, on a batch as the kernel's column pair (2S, 2n).
+
+    Returns (delta, defined, scores, code): the ``column_effects``, (S, n);
+    the score of a=1 over a=0, ``score_base + effect_weight * delta``, and
+    the strict best-reply code, both (2 tastes, S, n).  The code is 1 or 0
+    where that action is the strict best reply, and -1 at a tie within
+    ``cs.tie_tol``, on an inactive cell, or where the effect is undefined.
     """
+    delta, defined = column_effects(cs, cols)
+    scores = cs.score_base[:, None, None] + cs.effect_weight * delta
+    code = np.full(scores.shape, -1, dtype=np.int8)
+    strict = (np.abs(scores) > cs.tie_tol) & cs.active[..., None] & defined
+    np.copyto(code, scores > cs.tie_tol, where=strict)
+    return delta, defined, scores, code
+
+
+def _batch_first(rule, cs: CompiledScenario, stacked: np.ndarray) -> tuple:
+    """A column rule on stacked profiles (batch..., 2, S): their column pair
+    in, each result's column axis out as the batch axes."""
     lead, n_s = stacked.shape[:-2], stacked.shape[-1]
-    n = math.prod(lead)
-    sigma = stacked.reshape(n, 2 * n_s).T
-    _, belief, defined = _beliefs(cs, np.concatenate([1.0 - sigma, sigma], axis=1))
-    both = defined[:, :n] & defined[:, n:]
-    delta = np.zeros(both.shape)
-    np.copyto(delta, belief[:, n:] - belief[:, :n], where=both)
-    return delta.T.reshape(lead + (n_s,)), both.T.reshape(lead + (n_s,))
-
-
-def profile_effects(cs: CompiledScenario, flats: list[np.ndarray]):
-    """Per-type (delta, defined) lists for a batch of profiles.
-
-    ``flats`` holds per-type arrays shaped (batch..., 2, nc), such as the
-    ``split_cells`` views of a stacked batch; the effects are
-    ``_stacked_effects`` split the same way.
-    """
-    delta, defined = _stacked_effects(cs, np.concatenate(flats, axis=-1))
-    return list(zip(split_cells(cs, delta), split_cells(cs, defined)))
+    results = rule(cs, column_pair(stacked.reshape(-1, 2 * n_s).T))
+    return tuple(np.moveaxis(a, -1, 0).reshape(lead + a.shape[:-1]) for a in results)
 
 
 def best_replies(cs: CompiledScenario, stacked: np.ndarray):
-    """The best-reply rule for a batch of stacked profiles (batch..., 2, S).
+    """``column_replies``, batch-first: (delta, defined) shaped (batch..., S),
+    (scores, code) shaped (batch..., 2, S)."""
+    return _batch_first(column_replies, cs, stacked)
 
-    Returns (delta, defined, scores, code): the perceived effect and its
-    definedness, shaped (batch..., S); the score of a=1 over a=0,
-    ``score_base + effect_weight * delta``, and the strict best-reply code,
-    both shaped (batch..., 2 tastes, S).  The code is 1 or 0 where that
-    action is the strict best reply, and -1 at a tie within ``cs.tie_tol``, on
-    an inactive cell, or where the effect is undefined.
-    """
-    delta, defined = _stacked_effects(cs, stacked)
-    scores = cs.score_base.reshape((2, 1)) + cs.effect_weight * delta[..., None, :]
-    tol = cs.tie_tol
-    code = np.full(scores.shape, -1, dtype=np.int8)
-    strict = (np.abs(scores) > tol) & cs.active & defined[..., None, :]
-    np.copyto(code, scores > tol, where=strict)
-    return delta, defined, scores, code
+
+def profile_effects(cs: CompiledScenario, flats: list[np.ndarray]):
+    """Per-type (delta, defined) lists of per-type arrays (batch..., 2, nc),
+    such as the ``split_cells`` views of a stacked batch: the batch-first
+    ``column_effects``, split the same way."""
+    delta, defined = _batch_first(column_effects, cs, np.concatenate(flats, axis=-1))
+    return list(zip(split_cells(cs, delta), split_cells(cs, defined)))
 
 
 def check_rungs(cs: CompiledScenario, trembled: np.ndarray, eps: np.ndarray):
@@ -497,7 +505,7 @@ def _pure_scores(cs: CompiledScenario, cols: np.ndarray, eps: float):
 
     Returns (scores, margin, defined): scores shaped (2 tastes, S, 2n), the
     profiles' then their complements', margin and defined shaped (S, n);
-    scores and defined are those ``best_replies`` reads off ``_beliefs``.  A
+    scores and defined are those ``column_replies`` reads off ``_beliefs``.  A
     complement flips every active cell, so on the rows ``mass_map`` weighs its
     columns are ``[sigma | 1 - sigma]``: its effect is -delta to the bit, and
     its margin and definedness (sums over both actions) are the profile's.  A

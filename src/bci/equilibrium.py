@@ -294,13 +294,6 @@ def certify_equilibrium(
 DAMPING = 0.5
 
 
-def _snap(state: np.ndarray, code: np.ndarray) -> np.ndarray:
-    """Strict-best-reply cells of ``state`` at their code, every other cell held."""
-    out = state.copy()
-    np.copyto(out, code, where=code >= 0)
-    return out
-
-
 def _dynamics_batch(cs: eng.CompiledScenario, stacked: np.ndarray, max_iters: int):
     """Damped best-reply iteration on a batch of stacked profiles (batch, 2, S).
 
@@ -315,46 +308,49 @@ def _dynamics_batch(cs: eng.CompiledScenario, stacked: np.ndarray, max_iters: in
     snapped to (strict cells at their best reply, every other cell held)
     reproduces the best-reply codes it was built from.  Such a snapped
     profile is a rest point of the damped update, and the start ends there.
-    The rest-point test rides the iteration's own ``best_replies`` call, for
-    the starts that are due: 1, 2, 4, 8, ... iterations after a start's last
-    failed test, so a start that runs to ``max_iters`` adds a few rows to
-    the calls, not one per iteration.
-
-    Returns (state, converged, cycled, iters); ``cycled`` is all False and
-    stays only because ``perfbench/tracing.py`` unpacks four values.
+    The rest-point test rides the iteration's own ``column_replies`` call,
+    for the starts that are due: 1, 2, 4, 8, ... iterations after a start's
+    last failed test, so a start that runs to ``max_iters`` adds a few
+    columns to the calls, not one per iteration.  The loop holds the batch
+    as C-ordered kernel columns, (2S, batch), and returns (state, converged,
+    cycled, iters) batch-first; ``cycled`` is all False and stays only
+    because ``perfbench/tracing.py`` unpacks four values.
     """
-    state = stacked
-    n_init = state.shape[0]
+    n_init = stacked.shape[0]
+    state = np.ascontiguousarray(stacked.reshape(n_init, -1).T, dtype=np.float64)
     steps = np.full(state.shape, DAMPING)
     prev = np.full(state.shape, -1, dtype=np.int8)
     done = np.zeros(n_init, dtype=bool)
     iters = np.zeros(n_init, dtype=int)
     # rest-point test: each start's last snapped profile and the codes it
-    # was built from, the iteration its next test is due, and the wait after
-    # that test if it fails
+    # was built from, the iteration its next test is due (the earliest
+    # still to come in ``next_due``), and the wait after that test if it fails
     snapped = built = None
     due = np.ones(n_init, dtype=int)
     wait = np.full(n_init, 2)
+    next_due = 1
 
     for it in range(max_iters):
-        test = np.nonzero((due == it) & ~done)[0]
-        rows = np.concatenate([state, snapped[test]]) if test.size else state
-        code = eng.best_replies(cs, eng.flip_floor(rows))[3]
-        code, test_code = code[:n_init], code[n_init:]
-        target = _snap(state, code)
+        test = np.flatnonzero((due == it) & ~done) if it == next_due else due[:0]
+        rows = np.concatenate([state, snapped[:, test]], axis=1) if test.size else state
+        code = eng.column_replies(cs, eng.flip_floor(rows))[3].reshape(rows.shape)
+        code, test_code = code[:, :n_init], code[:, n_init:]
+        strict = code >= 0
+        target = np.where(strict, code, state)
         # codes are -1, 0 or 1: only two strict and different codes xor to 1
         np.multiply(steps, 0.5, out=steps, where=(prev ^ code) == 1)
-        np.copyto(prev, code, where=code >= 0)
+        np.copyto(prev, code, where=strict)
         upd = state + steps * (target - state)
-        np.copyto(upd, state, where=done[:, None, None])
-        max_change = np.abs(upd - state).max(axis=(1, 2))
-        if test.size:
-            rest = (test_code == built[test]).all(axis=(1, 2))
+        np.copyto(upd, state, where=done)
+        max_change = np.abs(upd - state).max(axis=0)
+        if it == next_due:
+            rest = (test_code == built[:, test]).all(axis=0)
             at_rest, failed = test[rest], test[~rest]
-            upd[at_rest] = snapped[at_rest]
+            upd[:, at_rest] = snapped[:, at_rest]
             max_change[at_rest] = 0.0
             due[failed] = it + wait[failed]
             wait[failed] *= 2
+            next_due = int(due[due > it].min(initial=max_iters))
         state, snapped, built = upd, target, code
         iters[~done] = it + 1
         done |= max_change < eng.CONVERGENCE_TOL
@@ -363,9 +359,9 @@ def _dynamics_batch(cs: eng.CompiledScenario, stacked: np.ndarray, max_iters: in
 
     # Snap strictly-best-reply cells of converged runs to the pure action;
     # a rest point snaps to itself.
-    code = eng.best_replies(cs, eng.flip_floor(state))[3]
-    state = np.where(done[:, None, None], _snap(state, code), state)
-    return state, done, np.zeros(n_init, dtype=bool), iters
+    code = eng.column_replies(cs, eng.flip_floor(state))[3].reshape(state.shape)
+    state = np.where((code >= 0) & done, code, state)
+    return state.T.reshape(stacked.shape).copy(), done, np.zeros(n_init, dtype=bool), iters
 
 
 # Deterministic dynamics starts by name: the action each taste plays everywhere.
@@ -403,10 +399,15 @@ def solve(
     that reach one rest point share its profile and report; and the limit
     equilibria: the (profile, report) pairs of ``known`` first, whose rest
     points are not certified again, then each new one in the order its first
-    start reached it.
+    start reached it.  Bad starts or a bad ``max_iters`` raise ``EquilibriumError``.
     """
-    if max_iters < 1:
-        raise EquilibriumError("max_iters must be at least 1")
+    starts = np.asarray(starts, dtype=np.float64)
+    if starts.ndim != 3 or starts.shape[1:] != cs.active.shape:
+        raise EquilibriumError(f"starts are shaped (batch, 2, {cs.offsets[-1]}), not {starts.shape}")
+    if not np.all((starts >= 0) & (starts <= 1)):
+        raise EquilibriumError("every start entry must lie in [0, 1]")
+    if not isinstance(max_iters, (int, np.integer)) or max_iters < 1:
+        raise EquilibriumError("max_iters must be an integer of at least 1")
     out, converged, _, iters = _dynamics_batch(cs, starts, max_iters)
     rests = {eng.profile_key(eng.flatten_profile(cs, p)): (p, r) for p, r in known}
     results = []
@@ -500,8 +501,7 @@ def enumerate_pure_equilibria(scenario: Scenario) -> list[tuple[StrategyProfile,
         batch.reshape(len(idx), -1)[:, slots] = (idx[:, None] >> np.arange(n_slots)) & 1
         return batch
 
-    sigma = pure(np.arange(chunk)).reshape(chunk, -1).T  # chunk 0, as kernel columns
-    cols = np.concatenate([1.0 - sigma, sigma], axis=1)
+    cols = eng.column_pair(pure(np.arange(chunk)).reshape(chunk, -1).T)  # chunk 0
     keep = np.empty(1 << n_slots, dtype=bool)  # profile j's complement: keep[::-1][j]
     for start in range(0, len(keep) // 2, chunk):
         bits = (start >> np.arange(width, n_slots))[:, None] & 1

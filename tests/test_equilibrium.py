@@ -356,6 +356,36 @@ def test_dynamics_reject_an_empty_iteration_budget(max_iters):
         best_response_dynamics(s, StrategyProfile.matching(s), max_iters=max_iters)
 
 
+def _solve_example_3_1(starts, max_iters=400):
+    cs = eng.compile_scenario(example_3_1())
+    return solve(cs, np.broadcast_to(starts, starts.shape[:-1] + (cs.offsets[-1],)), max_iters)
+
+
+def test_solve_rejects_starts_of_another_cell_count():
+    cs = eng.compile_scenario(example_3_1())
+    with pytest.raises(EquilibriumError, match="shaped"):
+        solve(cs, np.full((2, 2, cs.offsets[-1] + 1), 0.5), 400)
+
+
+def test_solve_rejects_a_single_unbatched_start():
+    cs = eng.compile_scenario(example_3_1())
+    with pytest.raises(EquilibriumError, match="shaped"):
+        solve(cs, np.full(cs.active.shape, 0.5), 400)
+
+
+def test_solve_rejects_a_fractional_iteration_budget():
+    with pytest.raises(EquilibriumError, match="max_iters"):
+        _solve_example_3_1(np.full((1, 2, 1), 0.5), 2.5)
+
+
+@pytest.mark.parametrize("entry", [1.5, np.nan])
+def test_solve_rejects_start_entries_outside_the_unit_interval(entry):
+    starts = np.full((2, 2, 1), 0.5)
+    starts[1, 0] = entry
+    with pytest.raises(EquilibriumError, match=r"\[0, 1\]"):
+        _solve_example_3_1(starts)
+
+
 def test_dynamics_starts_reject_a_negative_count():
     s = example_3_1()
     with pytest.raises(EquilibriumError, match="random starts"):
@@ -601,7 +631,7 @@ def test_enumeration_does_not_depend_on_chunk_boundaries(monkeypatch, budget):
 @pytest.mark.parametrize("budget", [None, 3000])
 def test_the_first_pass_hands_the_kernel_each_chunk_as_its_pure_batch_columns(monkeypatch, budget):
     # every block the first pass scores is [1 - sigma | sigma] of its chunk's
-    # stacked pure batch, built the way a stacked batch is laid out for the
+    # stacked pure batch, C-ordered like every pair the engine hands the
     # kernel; the blocks cover the profiles whose last slot plays 0, and the
     # second pass sees exactly the indices those blocks keep, their
     # complements' included
@@ -635,6 +665,7 @@ def test_the_first_pass_hands_the_kernel_each_chunk_as_its_pure_batch_columns(mo
         for k, cols in enumerate(blocks):
             chunk_batch = batch[k * chunk : (k + 1) * chunk]
             want = kernel_columns(chunk_batch)
+            assert cols.flags.c_contiguous
             assert (cols.dtype, cols.strides) == (want.dtype, want.strides)
             assert cols.tobytes(order="A") == want.tobytes(order="A")
             misfit, complement = pure_misfits(cs, want, cs.rungs[-1])
@@ -855,18 +886,110 @@ def test_capped_starts_test_their_snaps_on_a_doubling_schedule(monkeypatch):
     s = example_4_1(0.8, 0.7)
     cs = eng.compile_scenario(s)
     rows = []
-    best_replies = eng.best_replies
+    column_replies = eng.column_replies
 
-    def counted(cs, stacked):
-        rows.append(len(stacked))
-        return best_replies(cs, stacked)
+    def counted(cs, cols):
+        rows.append(cols.shape[1] // 2)  # the pair holds two columns per row
+        return column_replies(cs, cols)
 
-    monkeypatch.setattr(eng, "best_replies", counted)
+    monkeypatch.setattr(eng, "column_replies", counted)
     starts = np.random.default_rng(3).random((4,) + cs.active.shape)
     _, converged, _, iters = _dynamics_batch(cs, starts, 400)
     assert not converged.any() and (iters == 400).all()
     assert len(rows) == 401  # the iterations, then the final snap
     assert sum(rows) == 4 * (401 + 8)
+
+
+def batch_first_dynamics(cs, stacked, max_iters):
+    """A reference for ``_dynamics_batch``: the same damped update, rest-point
+    test and final snap, run on stacked (batch, 2, S) rows through
+    ``best_replies``.  Returns (state, converged, iters)."""
+
+    def floored(rows):
+        out = (1.0 - eng.BR_FLOOR) * rows
+        np.add(out, eng.BR_FLOOR, out=out, where=rows < 0.5)
+        return out
+
+    def snap(state, code):
+        out = state.copy()
+        np.copyto(out, code, where=code >= 0)
+        return out
+
+    state, n = stacked, len(stacked)
+    steps = np.full(state.shape, equilibrium.DAMPING)
+    prev = np.full(state.shape, -1, dtype=np.int8)
+    done, iters = np.zeros(n, dtype=bool), np.zeros(n, dtype=int)
+    snapped = built = None
+    due, wait = np.ones(n, dtype=int), np.full(n, 2)
+    for it in range(max_iters):
+        test = np.nonzero((due == it) & ~done)[0]
+        rows = np.concatenate([state, snapped[test]]) if test.size else state
+        code = eng.best_replies(cs, floored(rows))[3]
+        code, test_code = code[:n], code[n:]
+        target = snap(state, code)
+        np.multiply(steps, 0.5, out=steps, where=(prev ^ code) == 1)
+        np.copyto(prev, code, where=code >= 0)
+        upd = state + steps * (target - state)
+        np.copyto(upd, state, where=done[:, None, None])
+        max_change = np.abs(upd - state).max(axis=(1, 2))
+        if test.size:
+            rest = (test_code == built[test]).all(axis=(1, 2))
+            upd[test[rest]] = snapped[test[rest]]
+            max_change[test[rest]] = 0.0
+            due[test[~rest]] = it + wait[test[~rest]]
+            wait[test[~rest]] *= 2
+        state, snapped, built = upd, target, code
+        iters[~done] = it + 1
+        done |= max_change < eng.CONVERGENCE_TOL
+        if done.all():
+            break
+    code = eng.best_replies(cs, floored(state))[3]
+    return np.where(done[:, None, None], snap(state, code), state), done, iters
+
+
+def test_column_dynamics_equal_the_batch_first_loop_byte_for_byte():
+    # criterion 06's family (some batches run every start to the cap) and
+    # the builtins: state, convergence and iteration counts agree exactly
+    cases, all_capped = [], 0
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        cfg = SearchConfig(
+            gamma=(0.3, 0.5, 0.7)[seed % 3], t_only_outcome=True, simple_types=True,
+            p_structure="complete_qt", metric="error_probability",
+            param_scale=(2.0, 4.0, 8.0)[seed % 3], seed=seed,
+        )
+        cs = eng.compile_scenario(random_scenario(cfg, rng))
+        cases.append((cs, rng.random((15,) + cs.active.shape)))
+    for s in (example_3_1(), example_4_1(0.8, 0.7), prop2_cycle(), prop4(), pandemic()):
+        cs = eng.compile_scenario(s)
+        cases.append((cs, np.random.default_rng(7).random((6,) + cs.active.shape)))
+    for cs, starts in cases:
+        state, converged, _, iters = _dynamics_batch(cs, starts, 400)
+        want_state, want_converged, want_iters = batch_first_dynamics(cs, starts, 400)
+        assert state.tobytes() == want_state.tobytes()
+        assert converged.tolist() == want_converged.tolist()
+        assert iters.tolist() == want_iters.tolist()
+        all_capped += not converged.any()
+    assert all_capped >= 3
+
+
+def test_dynamics_hand_the_rule_c_ordered_pairs(monkeypatch):
+    # every call, rest-point tests and the final snap included, and a single
+    # start as well as a batch
+    pairs = []
+    column_replies = eng.column_replies
+
+    def spy(cs, cols):
+        pairs.append(cols)
+        return column_replies(cs, cols)
+
+    monkeypatch.setattr(eng, "column_replies", spy)
+    for s, n in ((example_3_1(), 6), (example_4_1(0.8, 0.7), 4), (pandemic(), 1)):
+        cs = eng.compile_scenario(s)
+        _dynamics_batch(cs, np.random.default_rng(3).random((n,) + cs.active.shape), 40)
+    assert len(pairs) > 40 and len({p.shape[1] for p in pairs}) > 3
+    for cols in pairs:
+        assert cols.dtype == np.float64 and cols.flags.c_contiguous and cols.shape[1] % 2 == 0
 
 
 def test_eps_and_limit_checks_keep_their_undefined_cell_policies():
