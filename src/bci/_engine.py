@@ -246,6 +246,8 @@ def compile_scenario(scenario: Scenario) -> CompiledScenario:
     adjust[np.arange(n_d), np.concatenate(adj_cols)] = np.concatenate(w_d)
 
     tcm = np.concatenate(tcms, axis=1)
+    reachable = tcm.sum(axis=0) > 0
+    missing = (adjust > 0).astype(np.float64)
     # stable sort of the taste-major flat axis by type: (type, taste, cell)
     type_of_cell = np.repeat(np.arange(scenario.n_types), np.diff(offsets))
     beta, c = scenario.beta, scenario.c
@@ -255,14 +257,14 @@ def compile_scenario(scenario: Scenario) -> CompiledScenario:
         score_base=np.array([beta - c, beta + c]),
         effect_weight=1.0 - beta,
         offsets=tuple(offsets),
-        reachable=tcm.sum(axis=0) > 0,
+        reachable=reachable,
         tcm=tcm,
         active=tcm > 0,
         type_major=np.argsort(np.tile(type_of_cell, 2), kind="stable"),
         mass_map=mass_map.transpose(1, 2, 0, 3).reshape(2 * n_s, 2 * n_d),
         adjust=adjust,
-        missing=(adjust > 0).astype(np.float64),
-        need=np.where(tcm.sum(axis=0) > 0, (adjust > 0).sum(axis=0), -1.0)[:, None],
+        missing=missing,
+        need=np.where(reachable, missing.sum(axis=0), -1.0)[:, None],
         x_cells=x_cells,
     )
 
@@ -447,7 +449,7 @@ def _batch_first(rule, cs: CompiledScenario, stacked: np.ndarray) -> tuple:
     in, each result's column axis out as the batch axes."""
     lead, n_s = stacked.shape[:-2], stacked.shape[-1]
     results = rule(cs, column_pair(stacked.reshape(-1, 2 * n_s).T))
-    return tuple(np.moveaxis(a, -1, 0).reshape(lead + a.shape[:-1]) for a in results)
+    return tuple(a.transpose(-1, *range(a.ndim - 1)).reshape(lead + a.shape[:-1]) for a in results)
 
 
 def best_replies(cs: CompiledScenario, stacked: np.ndarray):
