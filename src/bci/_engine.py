@@ -17,13 +17,12 @@ data axis does the same for data cells.  ``type_major`` orders the flattened
 enumeration assigns pure actions, random starts are drawn and witnesses are
 reported.
 
-A profile is a stacked (2, S) array between engine calls; a batch is either
-a stack of them, (batch..., 2, S), or the kernel's C-ordered column block
-(see ``column_pair``).  Dynamics and enumeration hold column blocks.
-Batch-first callers, the rung checks and ``causal.delta_table``, go through
-``best_replies`` and ``profile_effects``, which convert a stack in and the
-results out.  Per-type arrays remain only where a reader wants one table per
-type: ``StrategyProfile``, ``causal.DeltaTable`` and ``profile_effects``.
+A profile is a stacked (2, S) array between engine calls.  A batch is a
+stack of them, (batch..., 2, S), or the kernel's C-ordered column block (see
+``column_pair``), which dynamics and enumeration hold.  Batch-first callers
+(the rung checks, ``causal.delta_table``) go through the adapters
+``best_replies`` and ``profile_effects``.  Per-type arrays remain only in
+``StrategyProfile``, ``causal.DeltaTable`` and ``profile_effects``.
 
 Compiled linear map
 -------------------
@@ -407,7 +406,7 @@ def _beliefs(cs: CompiledScenario, cols: np.ndarray):
     moments = cs.mass_map.T @ cols  # (2D, 2n)
     mass, ymass = moments[:n_d], moments[n_d:]
     seen = mass > 0
-    cond = np.divide(ymass, mass, out=np.zeros_like(mass), where=seen)
+    cond = np.divide(ymass, mass, out=np.zeros(mass.shape), where=seen)
     return mass, cs.adjust.T @ cond, cs.missing.T @ seen.astype(np.float64) == cs.need
 
 
@@ -438,7 +437,8 @@ def column_replies(cs: CompiledScenario, cols: np.ndarray):
     """
     delta, defined = column_effects(cs, cols)
     scores = cs.score_base[:, None, None] + cs.effect_weight * delta
-    code = np.full(scores.shape, -1, dtype=np.int8)
+    code = np.empty(scores.shape, dtype=np.int8)
+    code.fill(-1)
     strict = (np.abs(scores) > cs.tie_tol) & cs.active[..., None] & defined
     np.copyto(code, scores > cs.tie_tol, where=strict)
     return delta, defined, scores, code
