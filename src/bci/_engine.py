@@ -382,8 +382,7 @@ def apply_compiled_trembles(
 
 
 def flip_floor(sigma: np.ndarray) -> np.ndarray:
-    """The column pair (see ``column_pair``) of sigma's full-support copy,
-    ``BR_FLOOR`` of the opposite pure action mixed in everywhere."""
+    """The ``column_pair`` of sigma with ``BR_FLOOR`` of the opposite pure action mixed in."""
     return column_pair(sigma * (1.0 - BR_FLOOR) + np.where(sigma < 0.5, BR_FLOOR, 0.0))
 
 

@@ -260,9 +260,9 @@ def kernel_columns(stacked, order="C"):
 
 
 def test_the_belief_kernel_gives_equal_bits_in_either_memory_order():
-    # the engine hands the kernel C-ordered pairs, built before as
-    # Fortran-ordered ones; both orders give the same moments, beliefs and
-    # definedness to the bit, on pure and interior profiles, 1 to 512 at a time
+    # a C-ordered pair (the engine's layout) and a Fortran-ordered one give
+    # the same moments, beliefs and definedness to the bit, on pure and
+    # interior profiles, 1 to 512 at a time
     rng = np.random.default_rng(19)
     widths = set()
     for s in random_family_scenarios(rng, 40):
