@@ -309,8 +309,8 @@ def _dynamics_batch(cs: eng.CompiledScenario, stacked: np.ndarray, max_iters: in
     reproduces the best-reply codes it was built from.  Such a snapped
     profile is a rest point of the damped update, and the start ends there.
     The rest-point test rides the iteration's own ``column_replies`` call,
-    for the starts that are due: 1, 2, 4, 8, ... iterations after a start's
-    last failed test, so a start that runs to ``max_iters`` adds a few
+    for every start still running, at iterations 1, 3, 7, 15, ... (each wait
+    twice the last), so a start that runs to ``max_iters`` adds a few
     columns to the calls, not one per iteration.  The loop holds the batch
     as C-ordered kernel columns, (2S, batch), and returns (state, converged,
     cycled, iters) batch-first; ``cycled`` is all False and stays only
@@ -323,16 +323,14 @@ def _dynamics_batch(cs: eng.CompiledScenario, stacked: np.ndarray, max_iters: in
     done = np.zeros(n_init, dtype=bool)
     iters = np.zeros(n_init, dtype=int)
     # rest-point test: each start's last snapped profile and the codes it
-    # was built from, the iteration its next test is due (the earliest
-    # still to come in ``next_due``), and the wait after that test if it fails
+    # was built from; every start is tested at iteration 1 and fails each
+    # test until it stops, so running starts share one due iteration and wait
     snapped = built = None
-    due = np.ones(n_init, dtype=int)
-    wait = np.full(n_init, 2)
-    next_due = 1
+    due, wait = 1, 2
 
     for it in range(max_iters):
-        test = np.flatnonzero((due == it) & ~done) if it == next_due else due[:0]
-        rows = np.concatenate([state, snapped[:, test]], axis=1) if test.size else state
+        test = np.flatnonzero(~done) if it == due else None
+        rows = state if test is None else np.concatenate([state, snapped[:, test]], axis=1)
         code = eng.column_replies(cs, eng.flip_floor(rows))[3].reshape(rows.shape)
         code, test_code = code[:, :n_init], code[:, n_init:]
         strict = code >= 0
@@ -343,14 +341,11 @@ def _dynamics_batch(cs: eng.CompiledScenario, stacked: np.ndarray, max_iters: in
         upd = state + steps * (target - state)
         np.copyto(upd, state, where=done)
         max_change = np.abs(upd - state).max(axis=0)
-        if it == next_due:
-            rest = (test_code == built[:, test]).all(axis=0)
-            at_rest, failed = test[rest], test[~rest]
+        if test is not None:
+            at_rest = test[(test_code == built[:, test]).all(axis=0)]
             upd[:, at_rest] = snapped[:, at_rest]
             max_change[at_rest] = 0.0
-            due[failed] = it + wait[failed]
-            wait[failed] *= 2
-            next_due = int(due[due > it].min(initial=max_iters))
+            due, wait = it + wait, 2 * wait
         state, snapped, built = upd, target, code
         iters[~done] = it + 1
         done |= max_change < eng.CONVERGENCE_TOL
