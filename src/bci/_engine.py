@@ -17,12 +17,12 @@ data axis does the same for data cells.  ``type_major`` orders the flattened
 enumeration assigns pure actions, random starts are drawn and witnesses are
 reported.
 
-A profile is a stacked (2, S) array between engine calls.  A batch is a
-stack of them, (batch..., 2, S), or the kernel's C-ordered column block (see
-``column_pair``), which dynamics and enumeration hold.  Batch-first callers
-(the rung checks, ``causal.delta_table``) go through the adapters
-``best_replies`` and ``profile_effects``.  Per-type arrays remain only in
-``StrategyProfile``, ``causal.DeltaTable`` and ``profile_effects``.
+A profile is a stacked (2, S) array between engine calls.  A batch is the
+kernel's C-ordered column block (see ``column_pair``), (2S, n), column j
+profile j's (taste, cell) strategy: the dynamics loop, enumeration, the
+trembles and the rung checks hold it.  ``flatten_profile`` and
+``unflatten_profile`` are the one boundary to per-type arrays, which remain
+only in ``StrategyProfile``, ``causal.DeltaTable`` and ``profile_effects``.
 
 Compiled linear map
 -------------------
@@ -65,7 +65,7 @@ Trembles
 A tremble schedule is its ``(2, n_types)`` table of flip exponents: rows
 are tastes, columns types, and NaN leaves a slice exact.  ``schedule_table``
 is the one check of a caller's table (``None``: all NaN, no trembles).
-``cell_exponents`` repeats a table onto the stacked cells, and
+``cell_exponents`` repeats tables onto the stacked rows as columns, and
 ``apply_compiled_trembles`` leaves a NaN cell exact.  Stacked tables tremble
 one batch under several schedules at once, as enumeration's screen does.
 
@@ -73,12 +73,14 @@ Batches and results
 -------------------
 A batch lives only as long as the engine call or the caller's loop step
 that made it.  ``unflatten_profile`` cuts per-type blocks out of one stacked
-row and ``StrategyProfile`` copies them, so a returned profile owns its
-arrays and never keeps its batch alive.  Enumeration's first pass hands
-``pure_misfits`` column blocks of pure profiles; it flags the profiles, and
-their complements, that provably fail the floor rung, off the kernel's
-scores less a tremble margin, and the exact screen and certification see
-only the rest.  ``equilibrium._CHUNK_BYTES`` bounds the kernel's moments
+profile and ``StrategyProfile`` copies them, so a returned profile owns its
+arrays and never keeps its batch alive.  Trembled rungs form one block,
+(2S, R n), column r n + j rung r of profile j, whose C-ordered
+``column_replies`` results the rung checks read as they come.
+Enumeration's first pass hands ``pure_misfits`` column blocks of pure
+profiles; it flags the profiles, and their complements, that provably fail
+the floor rung, off the kernel's scores less a tremble margin, and the
+exact screen and certification see only the rest.  ``equilibrium._CHUNK_BYTES`` bounds the kernel's moments
 array, ``(2D, 2n)``, so that every chunk reuses the same cache-sized
 buffers; the exact screen, which sees few profiles, checks three schedules
 per profile, ``(2D, 6n)``.
@@ -110,6 +112,12 @@ CONVERGENCE_TOL = 1e-10
 # routinely place mass of exactly eps on a non-best reply, and 1-(1-eps)
 # reproduces eps only up to roundoff.
 PLAY_SLACK = 1e-12
+
+
+def is_integer(value) -> bool:
+    """An int or numpy integer, but not a bool: the one test of a count or
+    index a caller passes (int() would truncate 0.7, and True acts as 1)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def tie_tolerance() -> float:
@@ -283,8 +291,8 @@ def flatten_profile(cs: CompiledScenario, profile: StrategyProfile) -> np.ndarra
 
 
 def unflatten_profile(cs: CompiledScenario, stacked: np.ndarray) -> StrategyProfile:
-    """The profile of one stacked (2, S) row; its sigmas are copies, not views."""
-    blocks = split_cells(cs, stacked)
+    """The profile of a stacked (2, S) row or (2S,) column; its sigmas are copies."""
+    blocks = split_cells(cs, stacked.reshape(2, -1))
     return StrategyProfile(tuple(b.reshape((2,) + cards) for b, cards in zip(blocks, cs.c_cards)))
 
 
@@ -338,47 +346,46 @@ def schedule_table(cs: CompiledScenario, schedule) -> np.ndarray:
 
 
 def cell_exponents(table: np.ndarray, offsets) -> np.ndarray:
-    """A (..., 2, n_types) exponent table expanded onto the stacked cell axis
-    whose type blocks ``offsets`` bounds: (..., 2, S)."""
-    return np.repeat(table, np.diff(offsets), axis=-1)
+    """(2, n_types, ...) exponent tables expanded onto the stacked rows whose
+    type blocks ``offsets`` bounds: (2S, m), a column per trailing index."""
+    return np.repeat(table, np.diff(offsets), axis=1).reshape(2 * offsets[-1], -1)
 
 
-def taste_weighted_schedule(cs: CompiledScenario, stacked: np.ndarray) -> np.ndarray:
+def taste_weighted_schedule(cs: CompiledScenario, sigma: np.ndarray) -> np.ndarray:
     """Flip trembles that fade faster where the slice already matches taste.
 
     Slices whose majority action over active cells equals the taste get
     exponent 2 (second-order noise); others get exponent 1.  This mirrors the
     natural construction for taste-driven corner profiles, where the
     taste-matching side must tremble an order slower to keep the perceived
-    effect alive.  Returns the exponent table, (batch..., 2, n_types).
+    effect alive.  Returns the (2, n_types, n) tables of columns (2S, n).
     """
-    played = stacked * cs.weights
-    # per-block slice sums, as for ``cs.total``: a segmented reduction
-    # (np.add.reduceat) would round differently and move majorities that sit
-    # exactly at one half
+    # per-block slice sums along a contiguous cell axis, as for ``cs.total``:
+    # sums down the column block or a segmented reduction (np.add.reduceat)
+    # would round differently and move majorities that sit exactly at one half
+    played = np.multiply(sigma.T.reshape((-1,) + cs.weights.shape), cs.weights, order="C")
     mass = np.stack([p.sum(axis=-1) for p in split_cells(cs, played)], axis=-1)
     total = cs.total
     share = np.divide(mass, total, out=np.full(mass.shape, 0.5), where=total > 0)
-    majority = share >= 0.5  # (..., 2, n_types) per-slice majority action
-    return np.where(majority == (np.arange(2)[:, None] == 1), 2.0, 1.0)
+    majority = share >= 0.5  # (n, 2, n_types) per-slice majority action
+    return np.where(majority == (np.arange(2)[:, None] == 1), 2.0, 1.0).transpose(1, 2, 0)
 
 
 def apply_compiled_trembles(
-    stacked: np.ndarray, exponents: np.ndarray, eps: np.ndarray
+    sigma: np.ndarray, exponents: np.ndarray, eps: np.ndarray
 ) -> np.ndarray:
-    """Trembled copies of stacked profiles at noise levels ``eps``.
+    """Trembled copies of profiles held as columns, (2S, n), at noise levels
+    ``eps``, scalar or (R,): (2S, R n), column r n + j rung r of profile j.
 
-    ``exponents`` holds each cell's flip exponent (NaN: exact), (..., 2, S),
-    and the batch broadcasts it against the profiles.  ``eps`` may be scalar
-    or (R,); with (R,) the output gains a leading rung axis: (R, batch..., 2, S).
+    ``exponents`` holds each cell's flip exponent (NaN: exact) as columns,
+    (2S, n) or (2S, 1) for one schedule shared by the batch.
     """
-    eps = np.asarray(eps, dtype=np.float64)
-    tgt = np.where(stacked >= 0.5, 0.0, 1.0)
-    ndim = max(stacked.ndim, exponents.ndim)
-    m = np.minimum(eps.reshape(eps.shape + (1,) * ndim) ** exponents, 1.0)
+    eps = np.asarray(eps, dtype=np.float64).reshape(-1, 1)
+    m = np.minimum(eps ** exponents[:, None], 1.0)  # (2S, R, n)
     # not m's own NaN: 1 ** NaN is 1
-    np.copyto(m, 0.0, where=np.isnan(exponents))
-    return (1.0 - m) * stacked + m * tgt
+    np.copyto(m, 0.0, where=np.isnan(exponents[:, None]))
+    sigma = sigma[:, None]
+    return ((1.0 - m) * sigma + m * np.where(sigma >= 0.5, 0.0, 1.0)).reshape(len(sigma), -1)
 
 
 def flip_floor(sigma: np.ndarray) -> np.ndarray:
@@ -443,44 +450,33 @@ def column_replies(cs: CompiledScenario, cols: np.ndarray):
     return delta, defined, scores, code
 
 
-def _batch_first(rule, cs: CompiledScenario, stacked: np.ndarray) -> tuple:
-    """A column rule on stacked profiles (batch..., 2, S): their column pair
-    in, each result's column axis out as the batch axes."""
-    lead, n_s = stacked.shape[:-2], stacked.shape[-1]
-    results = rule(cs, column_pair(stacked.reshape(-1, 2 * n_s).T))
-    return tuple(a.transpose(-1, *range(a.ndim - 1)).reshape(lead + a.shape[:-1]) for a in results)
-
-
-def best_replies(cs: CompiledScenario, stacked: np.ndarray):
-    """``column_replies``, batch-first: (delta, defined) shaped (batch..., S),
-    (scores, code) shaped (batch..., 2, S)."""
-    return _batch_first(column_replies, cs, stacked)
-
-
 def profile_effects(cs: CompiledScenario, flats: list[np.ndarray]):
     """Per-type (delta, defined) lists of per-type arrays (batch..., 2, nc),
-    such as the ``split_cells`` views of a stacked batch: the batch-first
-    ``column_effects``, split the same way."""
-    delta, defined = _batch_first(column_effects, cs, np.concatenate(flats, axis=-1))
+    such as the ``split_cells`` views of a stacked batch: ``column_effects``
+    of their column pair, batch-first and split the same way."""
+    stacked = np.concatenate(flats, axis=-1)
+    results = column_effects(cs, column_pair(stacked.reshape(-1, 2 * cs.offsets[-1]).T))
+    delta, defined = (a.T.reshape(stacked.shape[:-2] + (-1,)) for a in results)
     return list(zip(split_cells(cs, delta), split_cells(cs, defined)))
 
 
 def check_rungs(cs: CompiledScenario, trembled: np.ndarray, eps: np.ndarray):
     """Definition test for trembled profiles at matching noise thresholds.
 
-    ``trembled`` is (R, batch..., 2, S); ``eps`` is (R,).  Returns
-    (ok, undef, bad, replies): ok and undef shaped (R, batch...), bad shaped
-    like ``trembled``, and replies the ``best_replies`` arrays (delta,
-    defined, scores, code) the test decided from.  bad marks an action
-    played above the threshold against a strict best reply; undef, a
-    reachable cell whose effect is undefined; ok, neither anywhere in the
-    profile.
+    ``trembled`` is the ``apply_compiled_trembles`` block (2S, R n), column
+    r n + j at threshold ``eps[r]``; ``eps`` is (R,).  Returns (ok, undef,
+    bad, replies): ok and undef shaped (R n,), bad (2, S, R n), and replies
+    the ``column_replies`` arrays (delta, defined, scores, code) the test
+    decided from.  bad marks an action played above the threshold against a
+    strict best reply; undef, a reachable cell whose effect is undefined;
+    ok, neither anywhere in the profile.
     """
-    _, defined, _, code = replies = best_replies(cs, trembled)
-    above = eps.reshape(eps.shape + (1,) * (trembled.ndim - 1)) + PLAY_SLACK
-    bad = ((trembled > above) & (code == 0)) | ((1.0 - trembled > above) & (code == 1))
-    undef = (~defined & cs.reachable).any(axis=-1)
-    ok = ~bad.any(axis=(-2, -1)) & ~undef
+    _, defined, _, code = replies = column_replies(cs, column_pair(trembled))
+    played = trembled.reshape(code.shape)
+    above = np.repeat(eps + PLAY_SLACK, played.shape[-1] // len(eps))
+    bad = ((played > above) & (code == 0)) | ((1.0 - played > above) & (code == 1))
+    undef = (~defined & cs.reachable[:, None]).any(axis=0)
+    ok = ~bad.any(axis=(0, 1)) & ~undef
     return ok, undef, bad, replies
 
 

@@ -64,11 +64,14 @@ def _cell_index(
         missing = set(names) - set(cell)
         if missing:
             raise ModelError(f"cell must assign {names}, missing {sorted(missing)}")
-        idx = tuple(int(cell[n]) for n in names)
+        idx = tuple(cell[n] for n in names)
     else:
-        idx = tuple(int(v) for v in cell)
+        idx = tuple(cell)
         if len(idx) != len(names):
             raise ModelError(f"cell must assign {len(names)} values for {names}")
+    if not all(map(eng.is_integer, idx)):
+        raise ModelError(f"cell {idx} must assign integer coordinates to {names}")
+    idx = tuple(int(v) for v in idx)
     # a negative index would wrap around to another cell
     if not all(0 <= v < card for v, card in zip(idx, cards)):
         raise ModelError(f"cell {idx} lies outside {names} with cardinalities {cards}")
@@ -76,8 +79,8 @@ def _cell_index(
 
 
 def _check_type(scenario: Scenario, type_index: int) -> None:
-    if not 0 <= type_index < scenario.n_types:
-        raise ModelError(f"no type with index {type_index}")
+    if not (eng.is_integer(type_index) and 0 <= type_index < scenario.n_types):
+        raise ModelError(f"no type with index {type_index!r}")
 
 
 def delta_table(

@@ -120,8 +120,8 @@ def _slot(cs: eng.CompiledScenario, flat: int) -> tuple[int, int, tuple[int, ...
 
 
 def _diagnose(cs, played, bad, replies, eps):
-    """Worst violation and undefined-cell list for one stacked (trembled)
-    profile, read off its rung check: ``bad`` and the ``best_replies`` arrays.
+    """Worst violation and undefined-cell list for one trembled column (2S,),
+    read off its rung check: ``bad`` and the ``column_replies`` arrays there.
 
     Both are read in (type, taste, cell) order; the witness is the first
     maximum of |score| over bad cells.  A bad cell plays against its strict
@@ -136,7 +136,7 @@ def _diagnose(cs, played, bad, replies, eps):
     k = int(order[np.argmax(np.where(bad, np.abs(scores), -np.inf).reshape(-1)[order])])
     at = divmod(k, cs.offsets[-1])  # (taste, stacked cell)
     action = int(scores[at] < 0)
-    freq = float(played[at]) if action == 1 else float(1.0 - played[at])
+    freq = float(played[k]) if action == 1 else float(1.0 - played[k])
     return ViolationWitness(
         *_slot(cs, k), action, freq, float(delta[at[1]]), float(scores[at]), eps
     ), undefined
@@ -157,29 +157,29 @@ def _reaches_floor(ok: np.ndarray) -> np.ndarray:
 
 
 def _ladder(cs, profile, table, rungs):
-    """The ladder core of both verifiers: the profile, on the stacked layout,
-    trembled by the exponent table at each rung, each rung checked at its own
+    """The ladder core of both verifiers: the profile, as one column, trembled
+    by the exponent table at each rung (one column each), each checked at its own
     noise level, and the deepest failing rung diagnosed.
 
     Returns (trace, sup_gap, failed_at, witness, undefined); ``failed_at`` is
     the deepest failing rung's noise level, or None (and no diagnosis) when
     the ladder passes ``_reaches_floor``.
     """
-    stacked = eng.flatten_profile(cs, profile)
+    sigma = eng.flatten_profile(cs, profile).reshape(-1, 1)
     exponents = eng.cell_exponents(table, cs.offsets)
-    trembled = eng.apply_compiled_trembles(stacked, exponents, rungs)
+    trembled = eng.apply_compiled_trembles(sigma, exponents, rungs)  # column r: rung r
     ok, undef, bad, replies = eng.check_rungs(cs, trembled, rungs)
-    viol = np.where(bad, np.abs(replies[2]), 0.0).max(axis=(-2, -1))
+    viol = np.where(bad, np.abs(replies[2]), 0.0).max(axis=(0, 1))
     trace = tuple(
         LadderRung(float(e), bool(o), float(v), bool(u))
         for e, o, v, u in zip(rungs, ok, viol, undef)
     )
-    sup_gap = float(np.max(np.abs(trembled[-1] - stacked)))
+    sup_gap = float(np.max(np.abs(trembled[:, -1] - sigma[:, 0])))
     if _reaches_floor(ok):
         return trace, sup_gap, None, None, ()
     r = int(np.nonzero(~ok)[0][-1])  # the deepest failing rung
     failed_at = float(rungs[r])
-    diagnosis = _diagnose(cs, trembled[r], bad[r], [a[r] for a in replies], failed_at)
+    diagnosis = _diagnose(cs, trembled[:, r], bad[..., r], [a[..., r] for a in replies], failed_at)
     return (trace, sup_gap, failed_at) + diagnosis
 
 
@@ -239,26 +239,26 @@ def verify_limit(
     )
 
 
-def _try_list(cs: eng.CompiledScenario, stacked: np.ndarray) -> np.ndarray:
+def _try_list(cs: eng.CompiledScenario, sigma: np.ndarray) -> np.ndarray:
     """The try-list of ``certify_equilibrium`` and ``enumerate_pure_equilibria``
-    for stacked profiles (batch..., 2, S): the exponent tables, shaped
-    (3, batch..., 2, n_types), of no trembles, uniform flip and taste-weighted
-    flip, in the order tried.
+    for profiles held as columns (2S, n): the exponent tables, shaped
+    (2, n_types, 3, n), of no trembles, uniform flip and taste-weighted flip,
+    in the order tried.
 
     At the floor rung eps, every schedule trembles each cell by at most eps:
     none by 0, uniform flip by eps, taste-weighted flip by eps or eps**2.
     ``enumerate_pure_equilibria`` rests its misfit filter on this."""
-    weighted = eng.taste_weighted_schedule(cs, stacked)
-    return np.stack([np.full_like(weighted, np.nan), np.ones_like(weighted), weighted])
+    weighted = eng.taste_weighted_schedule(cs, sigma)
+    return np.stack([np.full_like(weighted, np.nan), np.ones_like(weighted), weighted], axis=2)
 
 
-def _floor_screen(cs: eng.CompiledScenario, stacked: np.ndarray) -> np.ndarray:
-    """(batch,) bool: stacked profiles (batch, 2, S) that pass the floor rung
+def _floor_screen(cs: eng.CompiledScenario, sigma: np.ndarray) -> np.ndarray:
+    """(n,) bool: profiles held as columns (2S, n) that pass the floor rung
     under some schedule of the try-list, all three in one rung check."""
     floor = cs.rungs[-1:]
-    exponents = eng.cell_exponents(_try_list(cs, stacked), cs.offsets)
-    trembled = eng.apply_compiled_trembles(stacked, exponents, floor)
-    return eng.check_rungs(cs, trembled, floor)[0][0].any(axis=0)
+    exponents = eng.cell_exponents(_try_list(cs, sigma), cs.offsets)
+    trembled = eng.apply_compiled_trembles(np.tile(sigma, 3), exponents, floor)
+    return eng.check_rungs(cs, trembled, floor)[0].reshape(3, -1).any(axis=0)
 
 
 def certify_equilibrium(
@@ -278,7 +278,8 @@ def certify_equilibrium(
     """
     cs = eng.compiled(scenario)
     best, most = None, -1
-    for table in _try_list(cs, eng.flatten_profile(cs, profile)):
+    tried = _try_list(cs, eng.flatten_profile(cs, profile).reshape(-1, 1))[..., 0]
+    for table in np.moveaxis(tried, -1, 0):
         report = verify_limit(cs, profile, table)
         if report.passed:
             return report
@@ -371,8 +372,8 @@ def dynamics_starts(
     The fixed starts come first, then ``n_random`` uniform draws from
     ``rng``, drawn in (start, type, taste, cell) order.
     """
-    if n_random < 0:
-        raise EquilibriumError("the number of random starts must be nonnegative")
+    if not eng.is_integer(n_random) or n_random < 0:
+        raise EquilibriumError("the number of random starts must be a nonnegative integer")
     n_flat = cs.active.size
     fixed = np.repeat(np.array(list(_FIXED_STARTS.values()))[:, :, None], n_flat // 2, axis=2)
     drawn = np.empty((n_random, n_flat))
@@ -401,7 +402,7 @@ def solve(
         raise EquilibriumError(f"starts are shaped (batch, 2, {cs.offsets[-1]}), not {starts.shape}")
     if not np.all((starts >= 0) & (starts <= 1)):
         raise EquilibriumError("every start entry must lie in [0, 1]")
-    if not isinstance(max_iters, (int, np.integer)) or max_iters < 1:
+    if not eng.is_integer(max_iters) or max_iters < 1:
         raise EquilibriumError("max_iters must be an integer of at least 1")
     out, converged, _, iters = _dynamics_batch(cs, starts, max_iters)
     rests = {eng.profile_key(eng.flatten_profile(cs, p)): (p, r) for p, r in known}
@@ -491,12 +492,12 @@ def enumerate_pure_equilibria(scenario: Scenario) -> list[tuple[StrategyProfile,
     chunk = 1 << width
 
     def pure(idx: np.ndarray) -> np.ndarray:
-        batch = np.zeros((len(idx),) + cs.active.shape)
-        batch[:, 1] = 1.0  # a = t on cells enumeration does not touch
-        batch.reshape(len(idx), -1)[:, slots] = (idx[:, None] >> np.arange(n_slots)) & 1
-        return batch
+        sigma = np.zeros((cs.active.size, len(idx)))
+        sigma[cs.offsets[-1] :] = 1.0  # a = t on cells enumeration does not touch
+        sigma[slots] = (idx >> np.arange(n_slots)[:, None]) & 1
+        return sigma
 
-    cols = eng.column_pair(pure(np.arange(chunk)).reshape(chunk, -1).T)  # chunk 0
+    cols = eng.column_pair(pure(np.arange(chunk)))  # chunk 0
     keep = np.empty(1 << n_slots, dtype=bool)  # profile j's complement: keep[::-1][j]
     for start in range(0, len(keep) // 2, chunk):
         bits = (start >> np.arange(width, n_slots))[:, None] & 1
@@ -509,7 +510,7 @@ def enumerate_pure_equilibria(scenario: Scenario) -> list[tuple[StrategyProfile,
     for start in range(0, len(kept), fit):
         batch = pure(kept[start : start + fit])
         for b in np.nonzero(_floor_screen(cs, batch))[0]:
-            profile = eng.unflatten_profile(cs, batch[b])
+            profile = eng.unflatten_profile(cs, batch[:, b])
             report = certify_equilibrium(cs, profile)
             if report.passed:
                 results.append((profile, report))

@@ -141,9 +141,9 @@ class WitnessInstance:
         if self.eps is None:
             return None
         cs = self.compiled
-        stacked = eng.flatten_profile(cs, self.profile)
+        sigma = eng.flatten_profile(cs, self.profile).reshape(-1, 1)
         exponents = eng.cell_exponents(eng.schedule_table(cs, self.schedule), cs.offsets)
-        return eng.unflatten_profile(cs, eng.apply_compiled_trembles(stacked, exponents, self.eps))
+        return eng.unflatten_profile(cs, eng.apply_compiled_trembles(sigma, exponents, self.eps))
 
 
 def reverify(witness: WitnessInstance) -> EquilibriumReport:
@@ -378,6 +378,9 @@ class SearchConfig:
             raise WorstCaseError("fixed gamma must lie in [0, 1)")
         if not 0.0 < self.c < 1.0:
             raise WorstCaseError("c must lie in (0, 1)")
+        for name in ("n_covariates", "n_types", "restarts", "seed", "refine_top", "refine_rounds"):
+            if not eng.is_integer(getattr(self, name)):
+                raise WorstCaseError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_covariates < 1 or self.n_types < 1:
             raise WorstCaseError("need at least one covariate and one type")
         # a draw stacks at most n_types * 2**n_covariates condition cells S,

@@ -349,7 +349,7 @@ def test_criterion_12_consequential_mode_thresholds_and_scaling():
             )
             cs = eng.compile_scenario(scenario)
             stacked = eng.flatten_profile(cs, StrategyProfile.constant(scenario, 0.5))
-            effect, _, _, code = eng.best_replies(cs, stacked)
+            effect, _, _, code = (a[..., 0] for a in eng.column_replies(cs, eng.column_pair(stacked.reshape(-1, 1))))
             assert effect.tolist() == [0.0] and code[0, 0] == expected, beta
 
         cases = [

@@ -109,6 +109,17 @@ def test_cells_outside_a_covariates_range_raise():
             tab.delta_at(bad)
         with pytest.raises(ModelError, match="outside"):
             delta(s, prof, 0, bad)
+    # nor may a coordinate or type index that is not an integer be truncated
+    # to one (0.7 to cell 0) or read as one (True as type 1)
+    for bad in ((0.7,), {"x1": 0.7}, (True,), ("1",)):
+        with pytest.raises(ModelError, match="integer"):
+            tab.delta_at(bad)
+        with pytest.raises(ModelError, match="integer"):
+            delta(s, prof, 0, bad)
+    assert tab.delta_at((np.int64(1),)) == tab.delta_at((1,))
+    for bad in (1.5, True, -1, 2):
+        with pytest.raises(ModelError, match="no type"):
+            delta_table(s, prof, bad)
 
 
 def test_nonsimple_type_averages_over_unconditioned_data():
@@ -122,7 +133,7 @@ def test_nonsimple_type_averages_over_unconditioned_data():
 
 
 def no_covariate_replies(beta, c):
-    """``best_replies`` (scores, code) at the one cell of a no-covariate
+    """``column_replies`` (scores, code) at the one cell of a no-covariate
     consequential scenario whose action never moves the outcome, under the
     constant 0.5 profile: the effect there is exactly 0, so the taste-0
     score is beta - c and the taste-1 score beta + c.  The scenario is
@@ -132,11 +143,10 @@ def no_covariate_replies(beta, c):
         outcome_kind="consequential", beta=beta,
     )
     cs = eng.compile_scenario(s)
-    effect, defined, scores, code = eng.best_replies(
-        cs, eng.flatten_profile(cs, StrategyProfile.constant(s, 0.5))
-    )
-    assert defined.all() and effect.tolist() == [0.0]
-    return scores[:, 0], code[:, 0]
+    sigma = eng.flatten_profile(cs, StrategyProfile.constant(s, 0.5)).reshape(-1, 1)
+    effect, defined, scores, code = eng.column_replies(cs, eng.column_pair(sigma))
+    assert defined.all() and effect.tolist() == [[0.0]]
+    return scores[:, 0, 0], code[:, 0, 0]
 
 
 def test_score_and_best_reply_thresholds():

@@ -61,23 +61,39 @@ def test_compiled_trembles_match_object_level():
     # cells 0-2, type 1 cell 3
     offsets = (0, 3, 4)
     stacked = np.array([[0.0, 1.0, 0.4, 1.0], [0.0, 1.0, 0.4, 0.2]])
+    sigma = stacked.reshape(-1, 1)  # the profile as a column
     table = np.array([[2.0, 3.0], [1.0, 0.5]])  # rows tastes, columns types
     exponents = eng.cell_exponents(table, offsets)
-    out = eng.apply_compiled_trembles(stacked, exponents, np.array([0.01, 1.0]))
-    assert out.shape == (2, 2, 4)
+    out = eng.apply_compiled_trembles(sigma, exponents, np.array([0.01, 1.0]))
+    assert out.shape == (8, 2) and out.flags.c_contiguous  # column r: rung r
     # eps = 0.01: each slice mixes in eps**exponent of its opposite action
     want = [[1e-4, 1.0 - 1e-4, 0.40006, 1.0 - 1e-6], [0.01, 0.99, 0.406, 0.28]]
-    assert np.allclose(out[0], want, atol=1e-15)
+    assert np.allclose(out[:, 0].reshape(2, 4), want, atol=1e-15)
     # eps = 1: every slice lands on the opposite pure action
-    assert np.array_equal(out[1], [[1.0, 0.0, 1.0, 0.0], [1.0, 0.0, 1.0, 1.0]])
+    assert np.array_equal(out[:, 1].reshape(2, 4), [[1.0, 0.0, 1.0, 0.0], [1.0, 0.0, 1.0, 1.0]])
     # slices without an exponent (NaN) are bit-unchanged
     partial = np.array([[2.0, np.nan], [np.nan, 1.0]])
     exponents = eng.cell_exponents(partial, offsets)
-    still = np.isnan(exponents)
-    assert still.tolist() == [[False] * 3 + [True], [True] * 3 + [False]]
-    out = eng.apply_compiled_trembles(stacked, exponents, np.array([0.01, 1.0]))
-    assert np.array_equal(out[:, still], np.tile(stacked[still], (2, 1)))
-    assert np.array_equal(out[1][~still], 1.0 - stacked[~still].round())
+    still = np.isnan(exponents[:, 0])
+    assert still.reshape(2, 4).tolist() == [[False] * 3 + [True], [True] * 3 + [False]]
+    out = eng.apply_compiled_trembles(sigma, exponents, np.array([0.01, 1.0]))
+    assert np.array_equal(out[still], np.tile(sigma[still], (1, 2)))
+    assert np.array_equal(out[~still, 1], 1.0 - sigma[~still, 0].round())
+
+
+def test_trembled_rungs_are_rung_major_columns_of_the_batch():
+    # column r n + j is rung r of profile j, under profile j's own exponents
+    rng = np.random.default_rng(8)
+    sigma = rng.random((6, 4))
+    exponents = rng.uniform(0.5, 3.0, sigma.shape)
+    exponents[rng.random(sigma.shape) < 0.3] = np.nan
+    eps = np.array([0.2, 0.01, 1e-5])
+    out = eng.apply_compiled_trembles(sigma, exponents, eps)
+    assert out.shape == (6, 12) and out.flags.c_contiguous
+    for r, e in enumerate(eps):
+        for j in range(4):
+            one = eng.apply_compiled_trembles(sigma[:, j : j + 1], exponents[:, j : j + 1], e)
+            assert out[:, r * 4 + j].tobytes() == one[:, 0].tobytes()
 
 
 def test_schedule_table_checks_a_callers_table():
@@ -137,8 +153,9 @@ def test_tail_lengths_counts_passing_suffix_on_rung_axis():
 def test_taste_weighted_schedule_orients_exponents():
     s = prop4()
     cs = eng.compile_scenario(s)
-    table = eng.taste_weighted_schedule(cs, eng.flatten_profile(cs, StrategyProfile.matching(s)))
-    assert table.shape == (2, s.n_types)
+    sigma = eng.flatten_profile(cs, StrategyProfile.matching(s)).reshape(-1, 1)
+    table = eng.taste_weighted_schedule(cs, sigma)
+    assert table.shape == (2, s.n_types, 1)
     assert np.all((table == 1.0) | (table == 2.0))
 
 
@@ -151,11 +168,35 @@ def test_taste_weighted_majority_at_exactly_one_half_plays_action_one():
     )
     cs = eng.compile_scenario(s)
     half = eng.flatten_profile(cs, StrategyProfile((np.array([[1.0, 0.0], [1.0, 0.0]]),)))
-    table = eng.taste_weighted_schedule(cs, half)
+    table = eng.taste_weighted_schedule(cs, half.reshape(-1, 1))[..., 0]
     # a share of 1/2 is a majority for a = 1: it matches taste 1 (second-order
     # noise there) and not taste 0
     assert table.tolist() == [[1.0], [2.0]]
     assert cs.total.tolist() == [[0.5], [0.5]]
+
+
+def test_taste_weighted_shares_sum_each_slice_along_its_own_row():
+    # the column block's tables are those of per-profile row sums, each
+    # slice added along its own contiguous row: on equal-mass cell pairs, one
+    # of each pair playing 1, a share sits at 1/2 up to roundoff, so a sum
+    # down the block's cell axis, which rounds differently, moves majorities
+    rng = np.random.default_rng(1)
+    at_half = 0
+    for _ in range(40):
+        k = 2 * int(rng.integers(4, 20))
+        ptx = np.tile(rng.random((2, k // 2)), 2)
+        s = Scenario(("x",), (k,), ptx / ptx.sum(), np.full((2, k), 0.5),
+                     (DataTypeSpec(("x",), ("x",)),), (1.0,), 0.5)
+        cs = eng.compile_scenario(s)
+        pick = rng.integers(0, 2, (64, 2, k // 2)).astype(float)
+        stacked = np.concatenate([pick, 1.0 - pick], axis=-1)
+        table = eng.taste_weighted_schedule(cs, as_columns(stacked))
+        for j, row in enumerate(stacked):
+            share = [(row[t] * cs.weights[t]).sum() / cs.total[t, 0] for t in (0, 1)]
+            want = [2.0 if (share[t] >= 0.5) == (t == 1) else 1.0 for t in (0, 1)]
+            assert table[:, 0, j].tolist() == want
+            at_half += share.count(0.5)
+    assert at_half > 1000
 
 
 def test_flip_floor_gives_full_support():
@@ -251,11 +292,17 @@ def random_pure_batch(rng, cs, n):
     return rng.integers(0, 2, size=(n,) + cs.active.shape).astype(np.float64)
 
 
+def as_columns(stacked):
+    """A stacked batch (n, 2, S) as the engine's C-ordered column block
+    (2S, n), column j profile j's (taste, cell) strategy."""
+    return np.ascontiguousarray(stacked.reshape(len(stacked), -1).T)
+
+
 def kernel_columns(stacked, order="C"):
     """The belief kernel's input for a stacked batch (n, 2, S): the column
-    pair [1 - sigma | sigma], sigma's column j profile j's (taste, cell)
-    strategy, in C (the engine's layout) or Fortran order."""
-    sigma = stacked.reshape(len(stacked), -1).T
+    pair [1 - sigma | sigma] of its ``as_columns`` block, in C (the engine's
+    layout) or Fortran order."""
+    sigma = as_columns(stacked)
     return np.asarray(np.concatenate([1.0 - sigma, sigma], axis=1), order=order)
 
 
@@ -298,12 +345,12 @@ def test_score_margin_bounds_every_tremble_of_at_most_eps(eps):
         m[pick < 0.3] = eps  # the largest tremble, exactly
         m[pick > 0.9] = 0.0
         trembled = (1.0 - m) * pure + m * (1.0 - pure)
-        _, defined, before, _ = eng.best_replies(cs, pure)
-        _, _, after, _ = eng.best_replies(cs, trembled)
-        margin = eng._pure_scores(cs, kernel_columns(pure), eps)[1].T
+        _, defined, before, _ = eng.column_replies(cs, kernel_columns(pure))
+        _, _, after, _ = eng.column_replies(cs, kernel_columns(trembled))
+        margin = eng._pure_scores(cs, kernel_columns(pure), eps)[1]
         assert margin.shape == defined.shape
-        on = cs.active & defined[:, None, :]
-        bound = np.broadcast_to(margin[:, None, :], on.shape)
+        on = cs.active[..., None] & defined
+        bound = np.broadcast_to(margin, on.shape)
         assert (np.abs(after - before)[on] <= bound[on]).all()
         checked += int(on.sum())
     assert checked > 100_000
@@ -319,18 +366,19 @@ def test_every_try_list_schedule_trembles_pure_cells_by_at_most_the_floor(monkey
     rng = np.random.default_rng(5)
     for s in random_family_scenarios(rng, 12) + [example_3_1(), prop4()]:
         cs = eng.compile_scenario(s)
-        pure = random_pure_batch(rng, cs, 64)
+        pure = as_columns(random_pure_batch(rng, cs, 64))
         eps = cs.rungs[-1:]
-        for table in _try_list(cs, pure):
-            exponents = eng.cell_exponents(table, cs.offsets)
-            trembled = eng.apply_compiled_trembles(pure, exponents, eps)[0]
+        tables = _try_list(cs, pure)
+        for k in range(tables.shape[2]):
+            exponents = eng.cell_exponents(tables[:, :, k], cs.offsets)
+            trembled = eng.apply_compiled_trembles(pure, exponents, eps)
             assert (np.abs(trembled - pure) <= eps[0] + np.finfo(float).eps).all()
 
 
 def test_filter_reads_the_best_reply_scores_bit_for_bit():
     # the misfit filter and the verdicts read one belief kernel: on every
     # active cell whose effect is defined the filter's score is the score
-    # ``best_replies`` decides from, to the bit, and the two agree on which
+    # ``column_replies`` decides from, to the bit, and the two agree on which
     # effects are defined
     rng = np.random.default_rng(34)
     for s in random_family_scenarios(rng, 200):
@@ -340,10 +388,10 @@ def test_filter_reads_the_best_reply_scores_bit_for_bit():
         # the profiles' scores, then their complements', which share the
         # profiles' definedness
         for got, batch in zip(np.split(scores, 2, axis=-1), (pure, complements(cs, pure))):
-            _, want_defined, want, _ = eng.best_replies(cs, batch)
-            assert np.array_equal(defined.T, want_defined)
-            on = cs.active & want_defined[:, None, :]
-            assert np.array_equal(got.transpose(2, 0, 1)[on], want[on])
+            _, want_defined, want, _ = eng.column_replies(cs, kernel_columns(batch))
+            assert np.array_equal(defined, want_defined)
+            on = cs.active[..., None] & want_defined
+            assert np.array_equal(got[on], want[on])
 
 
 def test_pure_misfits_flag_only_strict_misplays_beyond_the_margin():
@@ -355,13 +403,14 @@ def test_pure_misfits_flag_only_strict_misplays_beyond_the_margin():
     pure = random_pure_batch(np.random.default_rng(2), cs, 256)
     pure[:, 1] = 1.0  # a = t on the inactive taste
     misfits = eng.pure_misfits(cs, kernel_columns(pure), 1e-6)
-    margin = eng._pure_scores(cs, kernel_columns(pure), 1e-6)[1].T
+    margin = eng._pure_scores(cs, kernel_columns(pure), 1e-6)[1]
     # row 0 flags the profiles, row 1 their complements
     for flagged, batch in zip(misfits, (pure, complements(cs, pure))):
-        _, defined, scores, code = eng.best_replies(cs, batch)
-        against = ((batch == 1) & (code == 0)) | ((batch == 0) & (code == 1))
-        far = np.abs(scores) > margin[:, None, :] + cs.tie_tol + 1e-12
-        assert flagged.tolist() == (against & far & cs.active & defined[:, None, :]).any(axis=(1, 2)).tolist()
+        _, defined, scores, code = eng.column_replies(cs, kernel_columns(batch))
+        sigma = as_columns(batch).reshape(code.shape)
+        against = ((sigma == 1) & (code == 0)) | ((sigma == 0) & (code == 1))
+        far = np.abs(scores) > margin + cs.tie_tol + 1e-12
+        assert flagged.tolist() == (against & far & cs.active[..., None] & defined).any(axis=(0, 1)).tolist()
         assert flagged.any() and not flagged.all()
 
 

@@ -53,7 +53,7 @@ from bci.worstcase import (
 )
 
 from test_causal import assert_same, compiled_path_cases, random_small_scenario
-from test_engine import kernel_columns, random_family_scenarios
+from test_engine import as_columns, kernel_columns, random_family_scenarios
 
 
 def test_eps_equilibrium_golden_two_covariates():
@@ -150,8 +150,8 @@ def test_certification_reports_the_try_list_table_it_passed(monkeypatch):
     corner = example_4_1_corner_profile(s)
     report = certify_equilibrium(cs, corner)
     assert report.passed and len(passed) > 1  # the corner needs a trembling schedule
-    tried = _try_list(cs, eng.flatten_profile(cs, corner))
-    assert np.array_equal(passed[-1], tried[len(passed) - 1], equal_nan=True)
+    tried = _try_list(cs, eng.flatten_profile(cs, corner).reshape(-1, 1))[..., 0]
+    assert np.array_equal(passed[-1], tried[..., len(passed) - 1], equal_nan=True)
     assert np.array_equal(report.schedule, passed[-1], equal_nan=True)
     assert not np.shares_memory(report.schedule, passed[-1])
 
@@ -206,8 +206,8 @@ def test_certification_is_first_passing_schedule_else_most_passing_rungs():
         rest = best_response_dynamics(s, prof, max_iters=200).profile
         pure = StrategyProfile(tuple(np.floor(2 * rng.random(x.shape)) for x in prof.sigmas))
         for p in (rest, StrategyProfile(tuple(np.round(x) for x in prof.sigmas)), pure):
-            stacked = eng.flatten_profile(cs, p)
-            reports = [verify_limit(s, p, table) for table in _try_list(cs, stacked)]
+            tried = _try_list(cs, eng.flatten_profile(cs, p).reshape(-1, 1))[..., 0]
+            reports = [verify_limit(s, p, table) for table in np.moveaxis(tried, -1, 0)]
             passing = [r for r in reports if r.passed]
             passes = [np.array([r.passed for r in rep.ladder_trace]) for rep in reports]
             most = [int(ok.sum()) for ok in passes]
@@ -307,7 +307,7 @@ def test_certification_walks_one_ladder_per_schedule_tried(monkeypatch):
     cs = eng.compile_scenario(s)
     matching = StrategyProfile.matching(s)
     assert not certify_equilibrium(cs, matching).passed
-    assert ladders == [len(cs.rungs)] * len(_try_list(cs, eng.flatten_profile(cs, matching)))
+    assert ladders == [len(cs.rungs)] * _try_list(cs, eng.flatten_profile(cs, matching).reshape(-1, 1)).shape[2]
 
 
 def test_dynamics_converges_to_known_interior():
@@ -374,8 +374,9 @@ def test_solve_rejects_a_single_unbatched_start():
 
 
 def test_solve_rejects_a_fractional_iteration_budget():
-    with pytest.raises(EquilibriumError, match="max_iters"):
-        _solve_example_3_1(np.full((1, 2, 1), 0.5), 2.5)
+    for bad in (2.5, True):  # True would run one iteration
+        with pytest.raises(EquilibriumError, match="max_iters"):
+            _solve_example_3_1(np.full((1, 2, 1), 0.5), bad)
 
 
 @pytest.mark.parametrize("entry", [1.5, np.nan])
@@ -388,10 +389,11 @@ def test_solve_rejects_start_entries_outside_the_unit_interval(entry):
 
 def test_dynamics_starts_reject_a_negative_count():
     s = example_3_1()
-    with pytest.raises(EquilibriumError, match="random starts"):
-        dynamics_starts(eng.compile_scenario(s), np.random.default_rng(0), -1)
-    with pytest.raises(EquilibriumError, match="random starts"):
-        verified_equilibria(s, np.random.default_rng(0), inner_inits=-1)
+    for bad in (-1, 2.5, True):
+        with pytest.raises(EquilibriumError, match="random starts"):
+            dynamics_starts(eng.compile_scenario(s), np.random.default_rng(0), bad)
+        with pytest.raises(EquilibriumError, match="random starts"):
+            verified_equilibria(s, np.random.default_rng(0), inner_inits=bad)
 
 
 def _key(cs, profile):
@@ -533,13 +535,16 @@ def exhaustive_floor_screen(s):
     cs = eng.compile_scenario(s)
     profiles = list(pure_profiles_in_index_order(s))
     batch = np.stack([eng.flatten_profile(cs, p) for p in profiles])
+    sigma = as_columns(batch)
     floor = cs.rungs[-1:]
     passing = np.zeros(len(batch), dtype=bool)
-    for table in _try_list(cs, batch):
-        trembled = eng.apply_compiled_trembles(batch, eng.cell_exponents(table, cs.offsets), floor)
-        passing |= eng.check_rungs(cs, trembled, floor)[0][0]
+    tables = _try_list(cs, sigma)
+    for k in range(tables.shape[2]):
+        exponents = eng.cell_exponents(tables[:, :, k], cs.offsets)
+        trembled = eng.apply_compiled_trembles(sigma, exponents, floor)
+        passing |= eng.check_rungs(cs, trembled, floor)[0]
     # the screen checks the three schedules in one call, with the same verdicts
-    assert np.array_equal(_floor_screen(cs, batch), passing)
+    assert np.array_equal(_floor_screen(cs, sigma), passing)
     return profiles, batch, passing
 
 
@@ -580,7 +585,7 @@ def test_exact_screen_sees_under_two_percent_of_pure_profiles(monkeypatch):
     seen = []
 
     def spy(cs, trembled, eps):
-        seen.append(int(np.prod(trembled.shape[1:-2])))  # profiles per rung
+        seen.append(trembled.shape[1] // len(eps))  # profiles per rung
         return check_rungs(cs, trembled, eps)
 
     monkeypatch.setattr(eng, "check_rungs", spy)
@@ -649,9 +654,9 @@ def test_the_first_pass_hands_the_kernel_each_chunk_as_its_pure_batch_columns(mo
             blocks.append(cols.copy(order="K"))  # memory layout included
             return pure_misfits(cs, cols, eps)
 
-        def spy_screen(cs, stacked):
-            screened.append(stacked.copy())
-            return floor_screen(cs, stacked)
+        def spy_screen(cs, sigma):
+            screened.append(sigma.T.copy())  # back to stacked rows
+            return floor_screen(cs, sigma)
 
         monkeypatch.setattr(eng, "pure_misfits", spy_misfits)
         monkeypatch.setattr(equilibrium, "_floor_screen", spy_screen)
@@ -698,9 +703,9 @@ def test_the_first_pass_keeps_what_a_pass_over_every_profile_keeps(monkeypatch):
         assert np.array_equal(every, np.concatenate([misfit, complement[::-1]]))
         screened = []
 
-        def spy_screen(cs, stacked):
-            screened.append(stacked.copy())
-            return floor_screen(cs, stacked)
+        def spy_screen(cs, sigma):
+            screened.append(sigma.T.copy())  # back to stacked rows
+            return floor_screen(cs, sigma)
 
         monkeypatch.setattr(equilibrium, "_floor_screen", spy_screen)
         enumerate_pure_equilibria(s)
@@ -713,8 +718,8 @@ def test_returned_profiles_own_their_arrays():
     # a profile holding a view of an engine batch would keep the whole batch alive
     s = prop4()
     cs = eng.compile_scenario(s)
-    batch = np.full((4,) + cs.active.shape, 0.25)
-    profiles = [eng.unflatten_profile(cs, batch[2])]
+    batch = np.full((cs.active.size, 4), 0.25)  # a column block
+    profiles = [eng.unflatten_profile(cs, batch[:, 2])]
     profiles += [p for p, _ in enumerate_pure_equilibria(s)]
     profiles.append(best_response_dynamics(s, StrategyProfile.matching(s)).profile)
     profiles += [p for p, _ in verified_equilibria(s, np.random.default_rng(0))]
@@ -902,13 +907,17 @@ def test_capped_starts_test_their_snaps_on_a_doubling_schedule(monkeypatch):
 
 def batch_first_dynamics(cs, stacked, max_iters):
     """A reference for ``_dynamics_batch``: the same damped update, rest-point
-    test and final snap, run on stacked (batch, 2, S) rows through
-    ``best_replies``.  Returns (state, converged, iters)."""
+    test and final snap, run on stacked (batch, 2, S) rows through a local
+    batch-first view of ``column_replies``.  Returns (state, converged, iters)."""
 
     def floored(rows):
         out = (1.0 - eng.BR_FLOOR) * rows
         np.add(out, eng.BR_FLOOR, out=out, where=rows < 0.5)
         return out
+
+    def codes(rows):
+        """The best-reply codes of floored stacked rows, (n, 2, S)."""
+        return np.moveaxis(eng.column_replies(cs, kernel_columns(floored(rows)))[3], -1, 0)
 
     def snap(state, code):
         out = state.copy()
@@ -924,7 +933,7 @@ def batch_first_dynamics(cs, stacked, max_iters):
     for it in range(max_iters):
         test = np.nonzero((due == it) & ~done)[0]
         rows = np.concatenate([state, snapped[test]]) if test.size else state
-        code = eng.best_replies(cs, floored(rows))[3]
+        code = codes(rows)
         code, test_code = code[:n], code[n:]
         target = snap(state, code)
         np.multiply(steps, 0.5, out=steps, where=(prev ^ code) == 1)
@@ -943,7 +952,7 @@ def batch_first_dynamics(cs, stacked, max_iters):
         done |= max_change < eng.CONVERGENCE_TOL
         if done.all():
             break
-    code = eng.best_replies(cs, floored(state))[3]
+    code = codes(state)
     return np.where(done[:, None, None], snap(state, code), state), done, iters
 
 
@@ -975,21 +984,54 @@ def test_column_dynamics_equal_the_batch_first_loop_byte_for_byte():
 
 def test_dynamics_hand_the_rule_c_ordered_pairs(monkeypatch):
     # every call, rest-point tests and the final snap included, and a single
-    # start as well as a batch
-    pairs = []
-    column_replies = eng.column_replies
+    # start as well as a batch; and on the rung path, every verifier, the
+    # enumeration screen and a witness's trembled profile hand the engine
+    # C-ordered blocks and get C-ordered rung checks back, with no transpose
+    pairs, checks, trembles = [], {}, []
+    column_replies, check_rungs = eng.column_replies, eng.check_rungs
+    apply_trembles = eng.apply_compiled_trembles
 
     def spy(cs, cols):
         pairs.append(cols)
         return column_replies(cs, cols)
+
+    def spy_rungs(cs, trembled, eps):
+        _, _, bad, replies = out = check_rungs(cs, trembled, eps)
+        checks.setdefault(caller, []).append((trembled, bad, *replies))
+        return out
+
+    def spy_trembles(sigma, exponents, eps):
+        trembles.append(apply_trembles(sigma, exponents, eps))
+        return trembles[-1]
 
     monkeypatch.setattr(eng, "column_replies", spy)
     for s, n in ((example_3_1(), 6), (example_4_1(0.8, 0.7), 4), (pandemic(), 1)):
         cs = eng.compile_scenario(s)
         _dynamics_batch(cs, np.random.default_rng(3).random((n,) + cs.active.shape), 40)
     assert len(pairs) > 40 and len({p.shape[1] for p in pairs}) > 3
+    monkeypatch.setattr(eng, "check_rungs", spy_rungs)
+    monkeypatch.setattr(eng, "apply_compiled_trembles", spy_trembles)
+    s = example_4_1(0.6, 0.5)
+    corner = example_4_1_corner_profile(s)
+    calls = {
+        "verify_eps_equilibrium": lambda: verify_eps_equilibrium(s, corner, 0.01),
+        "verify_limit": lambda: verify_limit(s, corner),
+        "certify_equilibrium": lambda: certify_equilibrium(s, corner),
+        "enumerate_pure_equilibria": lambda: enumerate_pure_equilibria(pandemic()),
+    }
+    for caller, call in calls.items():
+        call()
+    assert witness_incomplete_hetero().eps_profile is not None
+    assert sorted(checks) == sorted(calls) and len(trembles) > len(calls)
     for cols in pairs:
         assert cols.dtype == np.float64 and cols.flags.c_contiguous and cols.shape[1] % 2 == 0
+    for caller, arrays in checks.items():
+        for trembled, *results in arrays:  # results: bad, delta, defined, scores, code
+            assert trembled.flags.c_contiguous, caller
+            assert all(a.flags.c_contiguous for a in results), caller  # no transposed views
+            assert all(a.shape[-1] == trembled.shape[1] for a in results), caller
+    for block in trembles:
+        assert block.dtype == np.float64 and block.flags.c_contiguous
 
 
 def test_eps_and_limit_checks_keep_their_undefined_cell_policies():
@@ -1017,16 +1059,17 @@ def test_a_failing_ladder_is_diagnosed_from_its_deepest_failing_rung():
         s, prof = random_small_scenario(rng)
         cs = eng.compile_scenario(s)
         for p in (prof, StrategyProfile(tuple(np.round(x) for x in prof.sigmas))):
-            stacked = eng.flatten_profile(cs, p)
+            sigma = eng.flatten_profile(cs, p).reshape(-1, 1)
             for sched in (np.full((2, s.n_types), np.nan), np.ones((2, s.n_types))):
                 report = verify_limit(cs, p, sched)
                 if report.passed:
                     continue
                 exponents = eng.cell_exponents(sched, cs.offsets)
-                trembled = eng.apply_compiled_trembles(stacked, exponents, cs.rungs)
+                trembled = eng.apply_compiled_trembles(sigma, exponents, cs.rungs)
                 ok, _, bad, replies = eng.check_rungs(cs, trembled, cs.rungs)
-                r = np.nonzero(~ok)[0][-1]
-                delta, defined, scores, _ = (a[r] for a in replies)
+                r = np.nonzero(~ok)[0][-1]  # column r: rung r
+                delta, defined, scores, _ = (a[..., r] for a in replies)
+                bad, played = bad[..., r], trembled[:, r].reshape(scores.shape)
                 assert report.eps == cs.rungs[r]
                 want = {
                     (i, taste, cell)
@@ -1039,17 +1082,17 @@ def test_a_failing_ladder_is_diagnosed_from_its_deepest_failing_rung():
                 assert got == want
                 undefined_seen += bool(want)
                 w = report.witness
-                if not bad[r].any():
+                if not bad.any():
                     assert w is None
                     continue
                 i = w.type_index
                 k = cs.offsets[i] + (np.ravel_multi_index(w.cell, cs.c_cards[i]) if w.cell else 0)
-                assert bad[r][w.taste, k]
+                assert bad[w.taste, k]
                 assert w.score == scores[w.taste, k]
-                assert abs(w.score) == np.abs(scores)[bad[r]].max()
+                assert abs(w.score) == np.abs(scores)[bad].max()
                 assert w.delta == delta[k]
                 assert w.action == int(w.score < -cs.tie_tol)
-                play = trembled[r][w.taste, k]
+                play = played[w.taste, k]
                 assert w.played == (play if w.action == 1 else 1.0 - play)
                 assert w.eps == report.eps
                 witnessed += 1

@@ -244,15 +244,22 @@ def referenced_names(path: Path) -> dict[str, set[str]]:
     return out
 
 
+def package_callers(*skip: str) -> dict[str, set[str]]:
+    """``referenced_names`` merged over the package's source files, less the
+    files named in ``skip``."""
+    callers: dict[str, set[str]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name not in skip:
+            for name, where in referenced_names(path).items():
+                callers.setdefault(name, set()).update(where)
+    return callers
+
+
 def test_every_public_name_has_a_caller_or_a_readme_line():
     # dead public API cannot come back quietly: each exported name is read
     # somewhere in the package outside its own definition and the package's
     # re-export, or the README documents it
-    callers: dict[str, set[str]] = {}
-    for path in sorted(SRC.glob("*.py")):
-        if path.name != "__init__.py":
-            for name, where in referenced_names(path).items():
-                callers.setdefault(name, set()).update(where)
+    callers = package_callers("__init__.py")
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     unused = [
         name
@@ -261,3 +268,13 @@ def test_every_public_name_has_a_caller_or_a_readme_line():
         and not re.search(rf"\b{re.escape(name)}\b", readme)
     ]
     assert unused == []
+    # nor can dead engine code, such as an adapter or a view only tests call:
+    # each module-level function of the engine is read somewhere in the
+    # package outside its own definition (tests and the benchmark do not count)
+    callers = package_callers()
+    engine = [
+        name for name, obj in vars(bci._engine).items()
+        if inspect.isfunction(obj) and obj.__module__ == "bci._engine"
+    ]
+    assert len(engine) > 20
+    assert [name for name in engine if not callers.get(name, set()) - {name}] == []

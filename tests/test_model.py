@@ -370,7 +370,8 @@ def tremble(scenario, profile, schedule, eps):
     at ``eps``, on the engine's one tremble path."""
     cs = compile_scenario(scenario)
     exponents = cell_exponents(schedule_table(cs, schedule), cs.offsets)
-    return unflatten_profile(cs, apply_compiled_trembles(flatten_profile(cs, profile), exponents, eps))
+    sigma = flatten_profile(cs, profile).reshape(-1, 1)
+    return unflatten_profile(cs, apply_compiled_trembles(sigma, exponents, eps))
 
 
 def test_flip_tremble_rules():

@@ -131,6 +131,13 @@ def test_matching_on_own_covariate_requires_binary_view():
         matching_on_own_covariate(s)
 
 
+def replies(cs, profile):
+    """``column_replies`` at one profile: (delta, defined) shaped (S,),
+    (scores, code) shaped (2, S)."""
+    sigma = eng.flatten_profile(cs, profile).reshape(-1, 1)
+    return [a[..., 0] for a in eng.column_replies(cs, eng.column_pair(sigma))]
+
+
 def test_as_consequential_preserves_taste0_ties(monkeypatch):
     # the taste-0 score scales by (1 - beta) against an absolute tie band:
     # every baseline tie stays a tie and every strict converted reply is the
@@ -145,9 +152,9 @@ def test_as_consequential_preserves_taste0_ties(monkeypatch):
             base, prof = random_small_scenario(rng)
             beta = float(rng.uniform(0.05, 0.95))
             cs = eng.compile_scenario(base)
-            _, defined, base_scores, base_code = eng.best_replies(cs, eng.flatten_profile(cs, prof))
+            _, defined, base_scores, base_code = replies(cs, prof)
             conv = eng.compile_scenario(as_consequential(base, beta))
-            _, _, scores, code = eng.best_replies(conv, eng.flatten_profile(conv, prof))
+            _, _, scores, code = replies(conv, prof)
             assert np.allclose(scores[0], (1.0 - beta) * base_scores[0], rtol=0.0, atol=1e-14)
             assert np.all(code[0][base_code[0] == -1] == -1)
             strict = code[0] != -1

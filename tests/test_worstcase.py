@@ -202,11 +202,14 @@ def test_search_config_validation():
 @pytest.mark.parametrize(
     "field, value",
     [("param_scale", -1.0), ("param_scale", 0.0), ("param_scale", float("nan")),
-     ("refine_top", -1), ("refine_rounds", -1), ("seed", -1)],
+     ("refine_top", -1), ("refine_rounds", -1), ("seed", -1),
+     # counts that are not integers fail here, not later with a bare TypeError
+     ("restarts", 2.5), ("n_covariates", 2.0), ("refine_rounds", 1.5), ("seed", 1.5),
+     ("n_types", True)],
 )
 def test_search_config_rejects_bad_budgets(field, value):
     with pytest.raises(WorstCaseError, match=field):
-        SearchConfig(restarts=3, **{field: value})
+        SearchConfig(**{"restarts": 3, field: value})
 
 
 def test_search_config_caps_stacked_cells():
