@@ -77,13 +77,16 @@ profile and ``StrategyProfile`` copies them, so a returned profile owns its
 arrays and never keeps its batch alive.  Trembled rungs form one block,
 (2S, R n), column r n + j rung r of profile j, whose C-ordered
 ``column_replies`` results the rung checks read as they come.
-Enumeration's first pass hands ``pure_misfits`` column blocks of pure
-profiles; it flags the profiles, and their complements, that provably fail
-the floor rung, off the kernel's scores less a tremble margin, and the
-exact screen and certification see only the rest.  ``equilibrium._CHUNK_BYTES`` bounds the kernel's moments
-array, ``(2D, 2n)``, so that every chunk reuses the same cache-sized
-buffers; the exact screen, which sees few profiles, checks three schedules
-per profile, ``(2D, 6n)``.
+Enumeration first pins each cell ``forced_codes`` gives, whose reply taste
+decides under every profile, and enumerates the free cells only.  Its
+first pass hands ``pure_misfits`` column blocks of pure profiles; it flags
+the profiles, and their complements when nothing is pinned, that provably
+fail the floor rung, off the kernel's scores less a tremble margin, and
+the exact screen and certification see only the rest.
+``equilibrium._CHUNK_BYTES`` bounds the kernel's moments array,
+``(2D, 2n)``, so that every chunk reuses the same cache-sized buffers; the
+exact screen, which sees few profiles, checks three schedules per profile,
+``(2D, 6n)``.
 """
 
 from __future__ import annotations
@@ -505,7 +508,9 @@ def _pure_scores(cs: CompiledScenario, cols: np.ndarray, eps: float):
     scores and defined are those ``column_replies`` reads off ``_beliefs``.  A
     complement flips every active cell, so on the rows ``mass_map`` weighs its
     columns are ``[sigma | 1 - sigma]``: its effect is -delta to the bit, and
-    its margin and definedness (sums over both actions) are the profile's.  A
+    its margin and definedness (sums over both actions) are the profile's.
+    It flips any pinned cell too, so enumeration reads it only when
+    ``forced_codes`` pins nothing.  A
     tremble m <= eps moves action a's outcome rate at data cell d by at most
     eps / (1 - eps) * T(d) / M_a(d), where M_a(d) is the pure profile's mass
     of a at d and T(d) = M_0(d) + M_1(d); margin is that bound carried
@@ -548,3 +553,28 @@ def pure_misfits(cs: CompiledScenario, cols: np.ndarray, eps: float) -> np.ndarr
     scores[:, :, 1] *= -1.0  # a complement plays the other action
     misfit = (scores < -margin[:, None]) & (defined & cs.active[..., None])[:, :, None]
     return misfit.any(axis=(0, 1))
+
+
+def forced_codes(cs: CompiledScenario) -> np.ndarray:
+    """(2, S) int8: each active cell's strict best reply under every profile,
+    pure, mixed or trembled, where its effect is defined; -1 on a free or
+    inactive cell.
+
+    Under any profile, action a's outcome rate at data cell d averages the
+    ratios ``p(y=1 | row)`` of the ``mass_map`` rows with positive mass at
+    d, so the two rates differ by at most their spread, and |delta| by at
+    most ``adjust.T @ spread``.  Where the taste term clears that bound by
+    ``cs.tie_tol`` and roundoff slack, taste alone decides the reply.
+    """
+    n_d = cs.adjust.shape[0]
+    mass, ymass = cs.mass_map[:, :n_d], cs.mass_map[:, n_d:]
+    seen = mass > 0
+    ratio = np.divide(ymass, mass, out=np.zeros(mass.shape), where=seen)
+    hi = ratio.max(axis=0, where=seen, initial=-np.inf)
+    spread = np.where(seen.any(axis=0), hi - ratio.min(axis=0, where=seen, initial=np.inf), 0.0)
+    bound = cs.effect_weight * (cs.adjust.T @ spread)
+    slack = cs.tie_tol + _SCORE_ROUNDOFF
+    code = np.full(cs.active.shape, -1, dtype=np.int8)
+    code[(cs.score_base[:, None] - bound > slack) & cs.active] = 1
+    code[(cs.score_base[:, None] + bound < -slack) & cs.active] = 0
+    return code

@@ -441,7 +441,7 @@ ENUMERATION_CAP = 1 << 20
 # Bound on the largest per-chunk temporary of the first pass, the moments
 # array: two actions' data moments per profile, (2D, 2n) in
 # ``_engine._beliefs``.  A first-pass chunk is the largest power of two of
-# profiles whose moments fit, at most the half that pass scores, so it builds
+# profiles whose moments fit, at most as many as that pass scores, so it builds
 # its kernel columns once per call and each chunk rewrites its high-bit rows.
 # The exact screen takes as many kept profiles per chunk as fit, and checks
 # three schedules per profile, (2D, 6n).  Chunks this small reuse the same
@@ -449,9 +449,9 @@ ENUMERATION_CAP = 1 << 20
 # temporaries in anew, and smaller ones pay numpy's per-call cost more often.
 # On a 2-core x86 VM, when the first pass still scored all 4096 profiles of
 # the ``enumerate`` benchmark's 12-cell, 6-data-cell scenarios in 8 chunks of
-# 512 (4 now), a pass took under 200 page faults with this bound; 1024-profile
-# chunks (115k faults) ran 10-20 % slower, 256-profile ones 20-35 %, and 48,
-# 192 and 384 KiB slower.
+# 512 (4 when complements pair), a pass took under 200 page faults with this
+# bound; 1024-profile chunks (115k faults) ran 10-20 % slower, 256-profile
+# ones 20-35 %, and 48, 192 and 384 KiB slower.
 _CHUNK_BYTES = 96 << 10
 
 
@@ -460,26 +460,31 @@ def enumerate_pure_equilibria(scenario: Scenario) -> list[tuple[StrategyProfile,
 
     Pure assignments range over taste cells that occur with positive
     probability, bit by bit in (type, taste, cell) order; unreachable cells
-    are pinned to a = t.  Two passes run over chunks sized by
+    are pinned to a = t.  ``_engine.forced_codes`` pins each of those cells
+    whose reply taste decides under every profile, and only the free ones
+    are enumerated, in the same order.  Two passes run over chunks sized by
     ``_CHUNK_BYTES``.  The first drops every profile ``_engine.pure_misfits``
     flags at the floor rung, in power-of-two chunks, on kernel columns built
     once per call for every low-bit pattern, of which each chunk rewrites
-    only its high-bit rows.  It scores the profiles j < 2^(n_slots - 1),
-    whose last slot plays 0; the same columns flag each one's complement,
-    2^n_slots - 1 - j, which flips every slot.  The second runs over the
-    indices the first kept, as many as fit per chunk: an exact screen keeps
-    the profiles that pass
-    the floor rung under some schedule of the try-list, and
-    ``certify_equilibrium`` decides each of them.
+    only its high-bit rows.  When nothing is pinned, it scores the profiles
+    j < 2^(n_slots - 1), whose last slot plays 0, and the same columns flag
+    each one's complement, 2^n_slots - 1 - j, which flips every slot; else
+    it scores every free profile itself.  The second runs over the indices
+    the first kept, as many as fit per chunk: an exact screen keeps the
+    profiles that pass the floor rung under some schedule of the try-list,
+    and ``certify_equilibrium`` decides each of them.
 
-    Neither pass drops a profile that certification would pass.  A passing
+    No step drops a profile that certification would pass.  A passing
     ladder suffix always contains the floor rung.  At that rung every
-    schedule of the try-list trembles each cell by at most the floor, and a
-    flagged profile has a cell whose score no such tremble can move into or
-    across the tie band, so it fails the floor rung under all of them.
-    Every returned profile re-passes ``verify_limit`` independently, and
-    owns its arrays (``StrategyProfile`` copies them), so results do not pin
-    chunks.
+    schedule of the try-list trembles each cell by at most the floor.  A
+    profile that plays against a forced code there plays that action with
+    probability above the floor against a strict best reply, or leaves a
+    reachable effect undefined; a flagged profile has a cell whose score no
+    such tremble can move into or across the tie band.  Either fails the
+    floor rung under all schedules.  The ``ENUMERATION_CAP`` counts every
+    enumerable cell, pinned or free.  Every returned profile re-passes
+    ``verify_limit`` independently, and owns its arrays (``StrategyProfile``
+    copies them), so results do not pin chunks.
     """
     cs = eng.compile_scenario(scenario)
     order = cs.type_major
@@ -487,23 +492,30 @@ def enumerate_pure_equilibria(scenario: Scenario) -> list[tuple[StrategyProfile,
     n_slots = len(slots)
     if n_slots.bit_length() > 63 or 2**n_slots > ENUMERATION_CAP:
         raise EquilibriumError(f"instance-too-large: 2^{n_slots} pure profiles exceed the cap")
+    forced = eng.forced_codes(cs).reshape(-1)
+    free = slots[forced[slots] < 0]
+    n_free = len(free)
+    paired = 0 < n_free == n_slots  # a complement would flip a pinned cell
     fit = max(1, _CHUNK_BYTES // (2 * cs.mass_map[0].nbytes))  # profiles whose moments fit
-    width = min(n_slots - 1, fit.bit_length() - 1)
+    width = min(n_free - paired, fit.bit_length() - 1)
     chunk = 1 << width
 
     def pure(idx: np.ndarray) -> np.ndarray:
         sigma = np.zeros((cs.active.size, len(idx)))
         sigma[cs.offsets[-1] :] = 1.0  # a = t on cells enumeration does not touch
-        sigma[slots] = (idx >> np.arange(n_slots)[:, None]) & 1
+        sigma[slots] = forced[slots, None]  # each free cell's -1 is overwritten next
+        sigma[free] = (idx >> np.arange(n_free)[:, None]) & 1
         return sigma
 
     cols = eng.column_pair(pure(np.arange(chunk)))  # chunk 0
-    keep = np.empty(1 << n_slots, dtype=bool)  # profile j's complement: keep[::-1][j]
-    for start in range(0, len(keep) // 2, chunk):
-        bits = (start >> np.arange(width, n_slots))[:, None] & 1
-        cols[slots[width:], :chunk], cols[slots[width:], chunk:] = 1 - bits, bits
+    keep = np.empty(1 << n_free, dtype=bool)  # paired, profile j's complement: keep[::-1][j]
+    for start in range(0, len(keep) >> paired, chunk):
+        bits = (start >> np.arange(width, n_free))[:, None] & 1
+        cols[free[width:], :chunk], cols[free[width:], chunk:] = 1 - bits, bits
         fits = ~eng.pure_misfits(cs, cols, cs.rungs[-1])  # the profiles, their complements
-        keep[start : start + chunk], keep[::-1][start : start + chunk] = fits
+        keep[start : start + chunk] = fits[0]
+        if paired:
+            keep[::-1][start : start + chunk] = fits[1]
     kept = np.flatnonzero(keep)
 
     results: list[tuple[StrategyProfile, EquilibriumReport]] = []

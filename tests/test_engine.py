@@ -10,7 +10,7 @@ from bci import _engine as eng
 from bci.causal import delta_table
 from bci.model import DataTypeSpec, ModelError, Scenario, StrategyProfile
 from bci.equilibrium import _try_list
-from bci.scenarios import as_consequential, example_3_1, prop2_cycle, prop4
+from bci.scenarios import as_consequential, example_3_1, pandemic, prop2_cycle, prop4, prop5
 from bci.worstcase import SearchConfig, WorstCaseError, random_scenario
 
 from test_causal import random_small_scenario
@@ -412,6 +412,37 @@ def test_pure_misfits_flag_only_strict_misplays_beyond_the_margin():
         far = np.abs(scores) > margin + cs.tie_tol + 1e-12
         assert flagged.tolist() == (against & far & cs.active[..., None] & defined).any(axis=(0, 1)).tolist()
         assert flagged.any() and not flagged.all()
+
+
+def test_forced_codes_are_every_profiles_strict_best_reply():
+    # an outcome rate averages the outcome ratios of the mass_map rows that
+    # feed its data cell, so a forced cell's strict best reply is its forced
+    # code under every profile that defines its effect: pure, mixed and
+    # partly pure ones, exact and trembled at every rung under each schedule
+    # of the try-list
+    rng = np.random.default_rng(43)
+    cases = [example_3_1(), pandemic(), prop2_cycle(), prop4(), prop5(), as_consequential(prop4(), 0.4)]
+    cases += [random_small_scenario(rng)[0] for _ in range(30)] + random_family_scenarios(rng, 30)
+    checked = free = 0
+    for s in cases:
+        cs = eng.compile_scenario(s)
+        forced = eng.forced_codes(cs)
+        assert forced.dtype == np.int8 and (forced[~cs.active] == -1).all()
+        free += int((forced[cs.active] == -1).sum())
+        pure = as_columns(random_pure_batch(rng, cs, 24))
+        mixed = rng.random(pure.shape)
+        for sigma in (pure, mixed, np.where(rng.random(pure.shape) < 0.5, pure, mixed)):
+            tables = _try_list(cs, sigma)
+            batches = [sigma] + [
+                eng.apply_compiled_trembles(sigma, eng.cell_exponents(tables[:, :, k], cs.offsets), cs.rungs)
+                for k in range(tables.shape[2])
+            ]
+            for cols in batches:
+                _, defined, _, code = eng.column_replies(cs, eng.column_pair(cols))
+                on = (forced >= 0)[..., None] & defined
+                assert (code == forced[..., None])[on].all()
+                checked += int(on.sum())
+    assert checked > 100_000 and free
 
 
 def test_zero_taste_mass_cells_have_zero_mass_map_rows():

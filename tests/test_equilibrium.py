@@ -516,9 +516,13 @@ def assert_same_equilibria(got, expected):
 
 
 def test_enumeration_returns_exactly_the_certified_pure_profiles():
-    # the floor-rung screen must drop no profile that certification passes
-    found = 0
-    for s in enumeration_cases(9, 4, 8, seed=8):
+    # neither the forced codes nor the floor-rung screen may drop a profile
+    # that certification passes, whether every cell, some or none is pinned
+    found, kinds = 0, set()
+    for s in enumeration_cases(9, 4, 8, seed=8) + [example_1_1_collider()]:
+        cs = eng.compile_scenario(s)
+        pinned = int((eng.forced_codes(cs) >= 0).sum())
+        kinds.add("none" if not pinned else "all" if pinned == cs.active.sum() else "some")
         expected = [
             (p, r) for p in pure_profiles_in_index_order(s)
             if (r := certify_equilibrium(s, p)).passed
@@ -526,7 +530,7 @@ def test_enumeration_returns_exactly_the_certified_pure_profiles():
         got = enumerate_pure_equilibria(s)
         assert_same_equilibria(got, expected)
         found += len(got)
-    assert found
+    assert found and kinds == {"none", "some", "all"}
 
 
 def exhaustive_floor_screen(s):
@@ -633,21 +637,39 @@ def test_enumeration_does_not_depend_on_chunk_boundaries(monkeypatch, budget):
     assert all(whole)
 
 
+def first_pass_draws(seed: int) -> dict:
+    """``enumeration_cases`` draws, one for each active-cell count 1 to 12
+    with and without a cell ``_engine.forced_codes`` pins, where drawn."""
+    draws = {}
+    for s in enumeration_cases(300, 1, 12, seed=seed):
+        cs = eng.compile_scenario(s)
+        draws.setdefault((int(cs.active.sum()), bool((eng.forced_codes(cs) >= 0).any())), s)
+    assert {n for n, _ in draws} == set(range(1, 13))
+    assert {pinned for _, pinned in draws} == {False, True}
+    return draws
+
+
+def playing_forced_codes(cs, batch) -> np.ndarray:
+    """Which profiles of a stacked batch (n, 2, S) play every forced code."""
+    forced = eng.forced_codes(cs)
+    return ((forced < 0) | (batch == forced)).all(axis=(1, 2))
+
+
 @pytest.mark.parametrize("budget", [None, 3000])
 def test_the_first_pass_hands_the_kernel_each_chunk_as_its_pure_batch_columns(monkeypatch, budget):
     # every block the first pass scores is [1 - sigma | sigma] of its chunk's
     # stacked pure batch, C-ordered like every pair the engine hands the
-    # kernel; the blocks cover the profiles whose last slot plays 0, and the
-    # second pass sees exactly the indices those blocks keep, their
-    # complements' included
-    draws = {}
-    for s in enumeration_cases(300, 1, 12, seed=35):
-        draws.setdefault(int(eng.compile_scenario(s).active.sum()), s)
-    assert sorted(draws) == list(range(1, 13))
+    # kernel.  With no cell pinned, the blocks cover the profiles whose last
+    # slot plays 0, and the second pass sees exactly the indices those blocks
+    # keep, their complements' included.  With a cell pinned, the blocks
+    # cover each profile that plays every forced code once, in index order,
+    # and the second pass sees exactly those the blocks keep
     pure_misfits, floor_screen = eng.pure_misfits, equilibrium._floor_screen
-    for s in draws.values():
+    for (_, pinned), s in first_pass_draws(35).items():
         cs = eng.compile_scenario(s)
         batch = np.stack([eng.flatten_profile(cs, p) for p in pure_profiles_in_index_order(s)])
+        consistent = playing_forced_codes(cs, batch)
+        assert consistent.all() != pinned
         blocks, screened = [], []
 
         def spy_misfits(cs, cols, eps):
@@ -665,17 +687,20 @@ def test_the_first_pass_hands_the_kernel_each_chunk_as_its_pure_batch_columns(mo
         enumerate_pure_equilibria(s)
         monkeypatch.undo()
         chunk = blocks[0].shape[1] // 2
-        assert len(blocks) * chunk == len(batch) // 2
+        scored = batch[consistent]  # the profiles the blocks cover
+        assert len(blocks) * chunk == (len(scored) if pinned else len(batch) // 2)
         keep = np.zeros(len(batch), dtype=bool)
+        at = np.flatnonzero(consistent)  # index of each scored profile in batch
         for k, cols in enumerate(blocks):
-            chunk_batch = batch[k * chunk : (k + 1) * chunk]
+            chunk_batch = scored[k * chunk : (k + 1) * chunk]
             want = kernel_columns(chunk_batch)
             assert cols.flags.c_contiguous
             assert (cols.dtype, cols.strides) == (want.dtype, want.strides)
             assert cols.tobytes(order="A") == want.tobytes(order="A")
             misfit, complement = pure_misfits(cs, want, cs.rungs[-1])
-            keep[k * chunk : (k + 1) * chunk] = ~misfit
-            keep[len(batch) - 1 - k * chunk - np.arange(chunk)] = ~complement
+            keep[at[k * chunk : (k + 1) * chunk]] = ~misfit
+            if not pinned:
+                keep[len(batch) - 1 - k * chunk - np.arange(chunk)] = ~complement
         seen = np.concatenate(screened) if screened else batch[:0]
         assert seen.tobytes() == batch[keep].tobytes()
 
@@ -683,13 +708,11 @@ def test_the_first_pass_hands_the_kernel_each_chunk_as_its_pure_batch_columns(mo
 def test_the_first_pass_keeps_what_a_pass_over_every_profile_keeps(monkeypatch):
     # the complement flags of a block are the flags of the complements'
     # own column pair, and the kept set is that of a first pass that scores
-    # all 2^n_slots profiles itself
-    draws = {}
-    for s in enumeration_cases(300, 1, 12, seed=36):
-        draws.setdefault(int(eng.compile_scenario(s).active.sum()), s)
-    assert sorted(draws) == list(range(1, 13))
+    # all 2^n_slots profiles itself and drops those that play against a
+    # forced code, every one of which fails the exact floor screen
     floor_screen = equilibrium._floor_screen
-    for s in draws.values():
+    dropped = 0
+    for s in first_pass_draws(36).values():
         cs = eng.compile_scenario(s)
         batch = np.stack([eng.flatten_profile(cs, p) for p in pure_profiles_in_index_order(s)])
         half = batch[: len(batch) // 2]
@@ -701,6 +724,11 @@ def test_the_first_pass_keeps_what_a_pass_over_every_profile_keeps(monkeypatch):
 
         every, _ = eng.pure_misfits(cs, kernel_columns(batch), cs.rungs[-1])
         assert np.array_equal(every, np.concatenate([misfit, complement[::-1]]))
+        consistent = playing_forced_codes(cs, batch)
+        pinned_out = batch[~every & ~consistent]
+        if len(pinned_out):
+            assert not floor_screen(cs, as_columns(pinned_out)).any()
+        dropped += len(pinned_out)
         screened = []
 
         def spy_screen(cs, sigma):
@@ -711,7 +739,8 @@ def test_the_first_pass_keeps_what_a_pass_over_every_profile_keeps(monkeypatch):
         enumerate_pure_equilibria(s)
         monkeypatch.undo()
         seen = np.concatenate(screened) if screened else batch[:0]
-        assert seen.tobytes() == batch[~every].tobytes()
+        assert seen.tobytes() == batch[~every & consistent].tobytes()
+    assert dropped
 
 
 def test_returned_profiles_own_their_arrays():

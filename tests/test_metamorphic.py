@@ -10,8 +10,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bci import _engine as eng
 from bci.causal import delta_table
-from bci.equilibrium import best_response_dynamics, certify_equilibrium, verify_eps_equilibrium
+from bci.equilibrium import (
+    best_response_dynamics,
+    certify_equilibrium,
+    enumerate_pure_equilibria,
+    verify_eps_equilibrium,
+)
 from bci.model import Scenario, StrategyProfile
 
 from test_causal import random_small_scenario
@@ -117,3 +123,52 @@ def test_permuting_covariates_permutes_tables_and_keeps_verdicts(seed):
             moved = tab.values.transpose(axes)
             assert np.allclose(ttab.values[ok], moved[ok], rtol=0, atol=1e-12)
         assert _verdicts(t, tprof) == _verdicts(s, prof)
+
+
+def _forced_blocks(s):
+    """Per type, ``_engine.forced_codes`` shaped (2, *condition cards)."""
+    cs = eng.compile_scenario(s)
+    blocks = eng.split_cells(cs, eng.forced_codes(cs))
+    return [b.reshape((2,) + cards) for b, cards in zip(blocks, cs.c_cards)]
+
+
+def _shuffled(rng, n):
+    """A random order of n labels, the identity only when n is 1."""
+    order = tuple(int(k) for k in rng.permutation(n))
+    return order[::-1] if order == tuple(range(n)) else order
+
+
+def _profile_bytes(prof):
+    return tuple(np.ascontiguousarray(sig).tobytes() for sig in prof.sigmas)
+
+
+def test_relabelling_permutes_enumerated_equilibria_and_forced_codes():
+    # enumeration pins the forced cells and enumerates the rest: listing the
+    # types or the covariates in another order must map its returned set,
+    # and the forced codes, onto the relabelled scenario's
+    rng = np.random.default_rng(44)
+    kinds, found, cases, moved = set(), 0, 0, 0
+    while cases < 30:
+        s, _ = random_small_scenario(rng, max_covariates=3)
+        if eng.compile_scenario(s).active.sum() > 8:
+            continue
+        cases += 1
+        forced = _forced_blocks(s)
+        kinds.add(any((f >= 0).any() for f in forced))
+        enumerated = [p for p, _ in enumerate_pure_equilibria(s)]
+        found += len(enumerated)
+
+        types = _shuffled(rng, s.n_types)
+        t, _ = _with_types(s, StrategyProfile.matching(s), types, tuple(s.lam[k] for k in types))
+        assert all(np.array_equal(f, forced[k]) for f, k in zip(_forced_blocks(t), types))
+        want = {_profile_bytes(_with_types(s, p, types, t.lam)[1]) for p in enumerated}
+        assert {_profile_bytes(p) for p, _ in enumerate_pure_equilibria(t)} == want
+
+        covariates = _shuffled(rng, len(s.x_names))
+        moved += bool(enumerated) and len(types) > 1 and len(covariates) > 1
+        t, _, cell_axes = _with_covariates(s, StrategyProfile.matching(s), covariates)
+        for f, g, axes in zip(_forced_blocks(t), forced, cell_axes):
+            assert np.array_equal(f, g.transpose((0,) + tuple(1 + a for a in axes)))
+        want = {_profile_bytes(_with_covariates(s, p, covariates)[1]) for p in enumerated}
+        assert {_profile_bytes(p) for p, _ in enumerate_pure_equilibria(t)} == want
+    assert found and moved and kinds == {False, True}
