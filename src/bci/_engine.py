@@ -570,6 +570,7 @@ def forced_codes(cs: CompiledScenario) -> np.ndarray:
     mass, ymass = cs.mass_map[:, :n_d], cs.mass_map[:, n_d:]
     seen = mass > 0
     ratio = np.divide(ymass, mass, out=np.zeros(mass.shape), where=seen)
+    # a data cell no row feeds is never seen, and an effect weighing it is undefined
     hi = ratio.max(axis=0, where=seen, initial=-np.inf)
     spread = np.where(seen.any(axis=0), hi - ratio.min(axis=0, where=seen, initial=np.inf), 0.0)
     bound = cs.effect_weight * (cs.adjust.T @ spread)
