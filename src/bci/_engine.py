@@ -79,14 +79,13 @@ arrays and never keeps its batch alive.  Trembled rungs form one block,
 ``column_replies`` results the rung checks read as they come.
 Enumeration first pins each cell ``forced_codes`` gives, whose reply taste
 decides under every profile, and enumerates the free cells only.  Its
-first pass hands ``pure_misfits`` column blocks of pure profiles; it flags
-the profiles, and their complements when nothing is pinned, that provably
-fail the floor rung, off the kernel's scores less a tremble margin, and
-the exact screen and certification see only the rest.
-``equilibrium._CHUNK_BYTES`` bounds the kernel's moments array,
-``(2D, 2n)``, so that every chunk reuses the same cache-sized buffers; the
-exact screen, which sees few profiles, checks three schedules per profile,
-``(2D, 6n)``.
+first pass hands ``pure_misfits`` column blocks of consecutive pure
+profiles; it flags those that provably fail the floor rung, off the
+kernel's scores less a tremble margin, and the exact screen and
+certification see only the rest.  ``equilibrium._CHUNK_BYTES`` bounds the
+kernel's moments array, ``(2D, 2n)``, so that every chunk reuses the same
+cache-sized buffers; the exact screen, which sees few profiles, checks
+three schedules per profile, ``(2D, 6n)``.
 """
 
 from __future__ import annotations
@@ -185,14 +184,9 @@ class CompiledScenario:
     rungs = cached_property(lambda self: ladder_rungs())
 
     @cached_property
-    def weights(self) -> np.ndarray:
-        """(2, S) taste-cell mass on active cells, 0 elsewhere."""
-        return np.where(self.active, self.tcm, 0.0)
-
-    @cached_property
     def total(self) -> np.ndarray:
         """(2, n_types) active mass of each type's taste slice."""
-        return np.stack([w.sum(axis=-1) for w in split_cells(self, self.weights)], axis=-1)
+        return np.stack([w.sum(axis=-1) for w in split_cells(self, self.tcm)], axis=-1)
 
 
 def _ravel_cells(cards: tuple[int, ...], coords: np.ndarray) -> np.ndarray:
@@ -366,7 +360,7 @@ def taste_weighted_schedule(cs: CompiledScenario, sigma: np.ndarray) -> np.ndarr
     # per-block slice sums along a contiguous cell axis, as for ``cs.total``:
     # sums down the column block or a segmented reduction (np.add.reduceat)
     # would round differently and move majorities that sit exactly at one half
-    played = np.multiply(sigma.T.reshape((-1,) + cs.weights.shape), cs.weights, order="C")
+    played = np.multiply(sigma.T.reshape((-1,) + cs.tcm.shape), cs.tcm, order="C")
     mass = np.stack([p.sum(axis=-1) for p in split_cells(cs, played)], axis=-1)
     total = cs.total
     share = np.divide(mass, total, out=np.full(mass.shape, 0.5), where=total > 0)
@@ -499,23 +493,16 @@ _SCORE_ROUNDOFF = 1e-12
 
 
 def _pure_scores(cs: CompiledScenario, cols: np.ndarray, eps: float):
-    """Scores of pure profiles, as ``_beliefs`` columns (2S, 2n), and of
-    their complements, with the bound on how far trembles of at most ``eps``
-    per cell can move them.
+    """Scores of pure profiles, as ``_beliefs`` columns (2S, 2n), with the
+    bound on how far trembles of at most ``eps`` per cell can move them.
 
-    Returns (scores, margin, defined): scores shaped (2 tastes, S, 2n), the
-    profiles' then their complements', margin and defined shaped (S, n);
-    scores and defined are those ``column_replies`` reads off ``_beliefs``.  A
-    complement flips every active cell, so on the rows ``mass_map`` weighs its
-    columns are ``[sigma | 1 - sigma]``: its effect is -delta to the bit, and
-    its margin and definedness (sums over both actions) are the profile's.
-    It flips any pinned cell too, so enumeration reads it only when
-    ``forced_codes`` pins nothing.  A
-    tremble m <= eps moves action a's outcome rate at data cell d by at most
-    eps / (1 - eps) * T(d) / M_a(d), where M_a(d) is the pure profile's mass
-    of a at d and T(d) = M_0(d) + M_1(d); margin is that bound carried
-    through ``adjust`` and ``effect_weight``, on cells whose effect is
-    defined.
+    Returns (scores, margin, defined): scores shaped (2 tastes, S, n), margin
+    and defined (S, n); scores and defined are those ``column_replies`` reads
+    off ``_beliefs``.  A tremble m <= eps moves action a's outcome rate at
+    data cell d by at most eps / (1 - eps) * T(d) / M_a(d), where M_a(d) is
+    the pure profile's mass of a at d and T(d) = M_0(d) + M_1(d); margin is
+    that bound carried through ``adjust`` and ``effect_weight``, on cells
+    whose effect is defined.
     """
     n = cols.shape[1] // 2
     mass, belief, defined = _beliefs(cs, cols)
@@ -526,16 +513,14 @@ def _pure_scores(cs: CompiledScenario, cols: np.ndarray, eps: float):
     )
     margin = cs.adjust.T @ ratio.sum(axis=1)
     margin *= cs.effect_weight * eps / (1.0 - eps)
-    effect = cs.effect_weight * (belief[:, n:] - belief[:, :n])
-    scores = cs.score_base[:, None, None] + np.concatenate([effect, -effect], axis=1)
+    scores = cs.score_base[:, None, None] + cs.effect_weight * (belief[:, n:] - belief[:, :n])
     return scores, margin, defined[:, :n] & defined[:, n:]
 
 
-def pure_misfits(cs: CompiledScenario, cols: np.ndarray, eps: float) -> np.ndarray:
-    """(2, n) bool: pure profiles, as ``_beliefs`` columns (2S, 2n), in row
-    0, and their complements (see ``_pure_scores``) in row 1, that no
-    tremble of at most ``eps`` per cell can make pass ``check_rungs`` at
-    threshold ``eps``.
+def pure_misfits(cs: CompiledScenario, sigma: np.ndarray, eps: float) -> np.ndarray:
+    """(n,) bool: the pure profiles held as columns (2S, n) that no tremble
+    of at most ``eps`` per cell can make pass ``check_rungs`` at threshold
+    ``eps``.
 
     A profile is flagged where an active cell with a defined effect plays
     against a strict best reply by more than ``cs.tie_tol``, roundoff slack
@@ -544,14 +529,11 @@ def pure_misfits(cs: CompiledScenario, cols: np.ndarray, eps: float) -> np.ndarr
     eps < 1/2 the trembled cell still plays its action with probability
     1 - m > eps.
     """
-    scores, margin, defined = _pure_scores(cs, cols, eps)
+    scores, margin, defined = _pure_scores(cs, column_pair(sigma), eps)
     margin += cs.tie_tol + _SCORE_ROUNDOFF
-    n = cols.shape[1] // 2
     # the score of the action played over the other: a misfit is far below 0
-    played = (cols[:, n:] - cols[:, :n]).reshape(2, -1, 1, n)  # 2 sigma - 1
-    scores = scores.reshape(played.shape[:2] + (2, n)) * played
-    scores[:, :, 1] *= -1.0  # a complement plays the other action
-    misfit = (scores < -margin[:, None]) & (defined & cs.active[..., None])[:, :, None]
+    scores *= (2.0 * sigma - 1.0).reshape(scores.shape)
+    misfit = (scores < -margin) & defined & cs.active[..., None]
     return misfit.any(axis=(0, 1))
 
 

@@ -438,20 +438,16 @@ def best_response_dynamics(
 # -- exhaustive pure-profile enumeration -------------------------------------
 
 ENUMERATION_CAP = 1 << 20
-# Bound on the largest per-chunk temporary of the first pass, the moments
-# array: two actions' data moments per profile, (2D, 2n) in
-# ``_engine._beliefs``.  A first-pass chunk is the largest power of two of
-# profiles whose moments fit, at most as many as that pass scores, so it builds
-# its kernel columns once per call and each chunk rewrites its high-bit rows.
-# The exact screen takes as many kept profiles per chunk as fit, and checks
+# Bound on the largest per-chunk temporary of both passes, the moments array:
+# two actions' data moments per profile, (2D, 2n) in ``_engine._beliefs``.
+# Each pass takes as many profiles per chunk as fit; the exact screen checks
 # three schedules per profile, (2D, 6n).  Chunks this small reuse the same
 # few cache-sized buffers chunk after chunk; larger ones fault each chunk's
 # temporaries in anew, and smaller ones pay numpy's per-call cost more often.
-# On a 2-core x86 VM, when the first pass still scored all 4096 profiles of
-# the ``enumerate`` benchmark's 12-cell, 6-data-cell scenarios in 8 chunks of
-# 512 (4 when complements pair), a pass took under 200 page faults with this
-# bound; 1024-profile chunks (115k faults) ran 10-20 % slower, 256-profile
-# ones 20-35 %, and 48, 192 and 384 KiB slower.
+# On a 2-core x86 VM, a first pass that scored all 4096 pure profiles of a
+# 12-cell, 6-data-cell scenario in 8 chunks of 512 took under 200 page
+# faults with this bound; 1024-profile chunks (115k faults) ran 10-20 %
+# slower, 256-profile ones 20-35 %, and 48, 192 and 384 KiB slower.
 _CHUNK_BYTES = 96 << 10
 
 
@@ -462,17 +458,13 @@ def enumerate_pure_equilibria(scenario: Scenario) -> list[tuple[StrategyProfile,
     probability, bit by bit in (type, taste, cell) order; unreachable cells
     are pinned to a = t.  ``_engine.forced_codes`` pins each of those cells
     whose reply taste decides under every profile, and only the free ones
-    are enumerated, in the same order.  Two passes run over chunks sized by
-    ``_CHUNK_BYTES``.  The first drops every profile ``_engine.pure_misfits``
-    flags at the floor rung, in power-of-two chunks, on kernel columns built
-    once per call for every low-bit pattern, of which each chunk rewrites
-    only its high-bit rows.  When nothing is pinned, it scores the profiles
-    j < 2^(n_slots - 1), whose last slot plays 0, and the same columns flag
-    each one's complement, 2^n_slots - 1 - j, which flips every slot; else
-    it scores every free profile itself.  The second runs over the indices
-    the first kept, as many as fit per chunk: an exact screen keeps the
-    profiles that pass the floor rung under some schedule of the try-list,
-    and ``certify_equilibrium`` decides each of them.
+    are enumerated, in the same order.  Two passes run over chunks of as
+    many profiles as ``_CHUNK_BYTES`` fits.  The first scores every free
+    profile, consecutive indices per chunk, and drops those
+    ``_engine.pure_misfits`` flags at the floor rung.  The second runs over
+    the indices the first kept: an exact screen keeps the profiles that pass
+    the floor rung under some schedule of the try-list, and
+    ``certify_equilibrium`` decides each of them.
 
     No step drops a profile that certification would pass.  A passing
     ladder suffix always contains the floor rung.  At that rung every
@@ -494,29 +486,21 @@ def enumerate_pure_equilibria(scenario: Scenario) -> list[tuple[StrategyProfile,
         raise EquilibriumError(f"instance-too-large: 2^{n_slots} pure profiles exceed the cap")
     forced = eng.forced_codes(cs).reshape(-1)
     free = slots[forced[slots] < 0]
-    n_free = len(free)
-    paired = 0 < n_free == n_slots  # a complement would flip a pinned cell
     fit = max(1, _CHUNK_BYTES // (2 * cs.mass_map[0].nbytes))  # profiles whose moments fit
-    width = min(n_free - paired, fit.bit_length() - 1)
-    chunk = 1 << width
 
     def pure(idx: np.ndarray) -> np.ndarray:
         sigma = np.zeros((cs.active.size, len(idx)))
         sigma[cs.offsets[-1] :] = 1.0  # a = t on cells enumeration does not touch
         sigma[slots] = forced[slots, None]  # each free cell's -1 is overwritten next
-        sigma[free] = (idx >> np.arange(n_free)[:, None]) & 1
+        sigma[free] = (idx >> np.arange(len(free))[:, None]) & 1
         return sigma
 
-    cols = eng.column_pair(pure(np.arange(chunk)))  # chunk 0
-    keep = np.empty(1 << n_free, dtype=bool)  # paired, profile j's complement: keep[::-1][j]
-    for start in range(0, len(keep) >> paired, chunk):
-        bits = (start >> np.arange(width, n_free))[:, None] & 1
-        cols[free[width:], :chunk], cols[free[width:], chunk:] = 1 - bits, bits
-        fits = ~eng.pure_misfits(cs, cols, cs.rungs[-1])  # the profiles, their complements
-        keep[start : start + chunk] = fits[0]
-        if paired:
-            keep[::-1][start : start + chunk] = fits[1]
-    kept = np.flatnonzero(keep)
+    every = np.arange(1 << len(free))
+    keep = np.concatenate([
+        ~eng.pure_misfits(cs, pure(every[start : start + fit]), cs.rungs[-1])
+        for start in range(0, len(every), fit)
+    ])
+    kept = every[keep]
 
     results: list[tuple[StrategyProfile, EquilibriumReport]] = []
     for start in range(0, len(kept), fit):

@@ -41,6 +41,8 @@ class DominanceRelation:
         m = np.array(self.matrix, dtype=bool)  # a copy: the caller keeps its own array
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise OrderError("relation matrix must be square")
+        if not m.size:
+            raise OrderError("a relation needs at least one type")
         if not np.diagonal(m).all():
             raise OrderError("relation must be reflexive")
         object.__setattr__(self, "matrix", m)

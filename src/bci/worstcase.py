@@ -543,9 +543,10 @@ def verified_equilibria(
 ) -> list[tuple[StrategyProfile, EquilibriumReport]]:
     """Collect verified limit equilibria of one scenario.
 
-    Exhaustive over pure profiles when the reachable-cell count permits,
-    then ``solve`` from taste-matching, constant, and random starts, which
-    certifies each distinct rest point enumeration did not already list.
+    Exhaustive over pure profiles when the number of active (taste, cell)
+    slots permits, then ``solve`` from taste-matching, constant, and random
+    starts, which certifies each distinct rest point enumeration did not
+    already list.
     Enumeration's equilibria come first.  Coverage of mixed equilibria is
     heuristic.
     """

@@ -368,6 +368,15 @@ def test_exit_code_bad_order_types(capsys, types):
     assert out == ""
 
 
+def test_order_with_no_types_exits_1(capsys):
+    # an empty type list once printed a 0 x 0 relation as complete and
+    # quasitransitive, with no layers, and exited 0
+    code, out, err = run_cli(capsys, "order", "--types", "[]")
+    assert (code, out) == (1, "")
+    assert "invariant violation: a relation needs at least one type" in err
+    assert "Traceback" not in err
+
+
 def test_exit_code_infeasible_parameters(capsys):
     code, _, err = run_cli(capsys, "verify", "-b", "example_3_1", "--beta", "1.5")
     assert code == 1

@@ -192,7 +192,7 @@ def test_taste_weighted_shares_sum_each_slice_along_its_own_row():
         stacked = np.concatenate([pick, 1.0 - pick], axis=-1)
         table = eng.taste_weighted_schedule(cs, as_columns(stacked))
         for j, row in enumerate(stacked):
-            share = [(row[t] * cs.weights[t]).sum() / cs.total[t, 0] for t in (0, 1)]
+            share = [(row[t] * cs.tcm[t]).sum() / cs.total[t, 0] for t in (0, 1)]
             want = [2.0 if (share[t] >= 0.5) == (t == 1) else 1.0 for t in (0, 1)]
             assert table[:, 0, j].tolist() == want
             at_half += share.count(0.5)
@@ -325,11 +325,6 @@ def test_the_belief_kernel_gives_equal_bits_in_either_memory_order():
     assert {1, 512} <= widths
 
 
-def complements(cs, pure):
-    """A stacked pure batch with every active cell flipped, the rest held."""
-    return np.where(cs.active, 1.0 - pure, pure)
-
-
 @pytest.mark.parametrize("eps", [1e-6, 1e-3, 0.05, 0.2])
 def test_score_margin_bounds_every_tremble_of_at_most_eps(eps):
     # the filter's soundness: a per-cell tremble m in [0, eps] moves the score
@@ -384,14 +379,11 @@ def test_filter_reads_the_best_reply_scores_bit_for_bit():
     for s in random_family_scenarios(rng, 200):
         cs = eng.compile_scenario(s)
         pure = random_pure_batch(rng, cs, 64)
-        scores, _, defined = eng._pure_scores(cs, kernel_columns(pure), cs.rungs[-1])
-        # the profiles' scores, then their complements', which share the
-        # profiles' definedness
-        for got, batch in zip(np.split(scores, 2, axis=-1), (pure, complements(cs, pure))):
-            _, want_defined, want, _ = eng.column_replies(cs, kernel_columns(batch))
-            assert np.array_equal(defined, want_defined)
-            on = cs.active[..., None] & want_defined
-            assert np.array_equal(got[on], want[on])
+        got, _, defined = eng._pure_scores(cs, kernel_columns(pure), cs.rungs[-1])
+        _, want_defined, want, _ = eng.column_replies(cs, kernel_columns(pure))
+        assert np.array_equal(defined, want_defined)
+        on = cs.active[..., None] & want_defined
+        assert np.array_equal(got[on], want[on])
 
 
 def test_pure_misfits_flag_only_strict_misplays_beyond_the_margin():
@@ -402,16 +394,15 @@ def test_pure_misfits_flag_only_strict_misplays_beyond_the_margin():
     cs = eng.compile_scenario(s)
     pure = random_pure_batch(np.random.default_rng(2), cs, 256)
     pure[:, 1] = 1.0  # a = t on the inactive taste
-    misfits = eng.pure_misfits(cs, kernel_columns(pure), 1e-6)
+    flagged = eng.pure_misfits(cs, as_columns(pure), 1e-6)
     margin = eng._pure_scores(cs, kernel_columns(pure), 1e-6)[1]
-    # row 0 flags the profiles, row 1 their complements
-    for flagged, batch in zip(misfits, (pure, complements(cs, pure))):
-        _, defined, scores, code = eng.column_replies(cs, kernel_columns(batch))
-        sigma = as_columns(batch).reshape(code.shape)
-        against = ((sigma == 1) & (code == 0)) | ((sigma == 0) & (code == 1))
-        far = np.abs(scores) > margin + cs.tie_tol + 1e-12
-        assert flagged.tolist() == (against & far & cs.active[..., None] & defined).any(axis=(0, 1)).tolist()
-        assert flagged.any() and not flagged.all()
+    _, defined, scores, code = eng.column_replies(cs, kernel_columns(pure))
+    sigma = as_columns(pure).reshape(code.shape)
+    against = ((sigma == 1) & (code == 0)) | ((sigma == 0) & (code == 1))
+    far = np.abs(scores) > margin + cs.tie_tol + 1e-12
+    assert flagged.shape == (len(pure),)
+    assert flagged.tolist() == (against & far & cs.active[..., None] & defined).any(axis=(0, 1)).tolist()
+    assert flagged.any() and not flagged.all()
 
 
 def test_forced_codes_are_every_profiles_strict_best_reply():
@@ -446,8 +437,9 @@ def test_forced_codes_are_every_profiles_strict_best_reply():
 
 
 def test_zero_taste_mass_cells_have_zero_mass_map_rows():
-    # a complement's column pair differs from [sigma | 1 - sigma] only on
-    # cells with no taste mass, which the kernel must weigh by exactly 0
+    # what a cell with no taste mass plays moves no data moment: the kernel
+    # weighs it by exactly 0, so enumeration can hold such a cell at a = t
+    # and every belief is the one any other action there would give
     rng = np.random.default_rng(36)
     cases = random_family_scenarios(rng, 60) + [example_3_1(), prop4()]
     cases += [Scenario(("x",), (2,), ptx, np.full((2, 2), 0.5), (DataTypeSpec(("x",), ("x",)),), (1.0,), 0.5)

@@ -566,10 +566,8 @@ def test_misfit_filter_keeps_every_profile_the_exact_screen_passes():
     for s in cases:
         cs = eng.compile_scenario(s)
         profiles, batch, passing = exhaustive_floor_screen(s)
-        # profile j's complement is profile 2^n_slots - 1 - j
-        misfit, complement = eng.pure_misfits(cs, kernel_columns(batch), cs.rungs[-1])
+        misfit = eng.pure_misfits(cs, as_columns(batch), cs.rungs[-1])
         assert not (misfit & passing).any()
-        assert not (complement & passing[::-1]).any()
         expected = [
             (p, r) for p, ok in zip(profiles, passing)
             if ok and (r := certify_equilibrium(s, p)).passed
@@ -616,10 +614,10 @@ def moments_bytes(cs, n: int) -> int:
     ids=["1", "3000", "quarter", "half", "three-quarters", "all", "twice"],
 )
 def test_enumeration_does_not_depend_on_chunk_boundaries(monkeypatch, budget):
-    # a first-pass chunk is the widest power of two of profiles whose moments
-    # fit the budget, and at most the half of the profiles whose last slot
-    # plays 0: the budgets put it below, at and above 2^(n_slots - 1), and at
-    # budgets that are no power of two in profiles
+    # a chunk of either pass is as many profiles as the budget fits their
+    # moments: the budgets put it at one profile, at widths that are no power
+    # of two, and below, at and above the 2^n_slots profiles of a scenario
+    # with no cell pinned
     def run(cases, budget):
         out = []
         for s in cases:
@@ -657,24 +655,23 @@ def playing_forced_codes(cs, batch) -> np.ndarray:
 
 @pytest.mark.parametrize("budget", [None, 3000])
 def test_the_first_pass_hands_the_kernel_each_chunk_as_its_pure_batch_columns(monkeypatch, budget):
-    # every block the first pass scores is [1 - sigma | sigma] of its chunk's
-    # stacked pure batch, C-ordered like every pair the engine hands the
-    # kernel.  With no cell pinned, the blocks cover the profiles whose last
-    # slot plays 0, and the second pass sees exactly the indices those blocks
-    # keep, their complements' included.  With a cell pinned, the blocks
-    # cover each profile that plays every forced code once, in index order,
-    # and the second pass sees exactly those the blocks keep
+    # every block the first pass scores is the column block of consecutive
+    # profiles that play every forced code, in index order, as many per
+    # block as fit the budget (the last may hold fewer), C-ordered like every
+    # batch the engine holds; together the blocks cover each such profile
+    # once, and the second pass sees exactly those the blocks keep
     pure_misfits, floor_screen = eng.pure_misfits, equilibrium._floor_screen
     for (_, pinned), s in first_pass_draws(35).items():
         cs = eng.compile_scenario(s)
         batch = np.stack([eng.flatten_profile(cs, p) for p in pure_profiles_in_index_order(s)])
         consistent = playing_forced_codes(cs, batch)
         assert consistent.all() != pinned
+        fit = max(1, (budget or equilibrium._CHUNK_BYTES) // moments_bytes(cs, 1))
         blocks, screened = [], []
 
-        def spy_misfits(cs, cols, eps):
-            blocks.append(cols.copy(order="K"))  # memory layout included
-            return pure_misfits(cs, cols, eps)
+        def spy_misfits(cs, sigma, eps):
+            blocks.append(sigma.copy(order="K"))  # memory layout included
+            return pure_misfits(cs, sigma, eps)
 
         def spy_screen(cs, sigma):
             screened.append(sigma.T.copy())  # back to stacked rows
@@ -686,44 +683,31 @@ def test_the_first_pass_hands_the_kernel_each_chunk_as_its_pure_batch_columns(mo
             monkeypatch.setattr(equilibrium, "_CHUNK_BYTES", budget)
         enumerate_pure_equilibria(s)
         monkeypatch.undo()
-        chunk = blocks[0].shape[1] // 2
         scored = batch[consistent]  # the profiles the blocks cover
-        assert len(blocks) * chunk == (len(scored) if pinned else len(batch) // 2)
+        assert [b.shape[1] for b in blocks[:-1]] == [fit] * (len(blocks) - 1)
+        assert 0 < blocks[-1].shape[1] <= fit
         keep = np.zeros(len(batch), dtype=bool)
         at = np.flatnonzero(consistent)  # index of each scored profile in batch
-        for k, cols in enumerate(blocks):
-            chunk_batch = scored[k * chunk : (k + 1) * chunk]
-            want = kernel_columns(chunk_batch)
-            assert cols.flags.c_contiguous
-            assert (cols.dtype, cols.strides) == (want.dtype, want.strides)
-            assert cols.tobytes(order="A") == want.tobytes(order="A")
-            misfit, complement = pure_misfits(cs, want, cs.rungs[-1])
-            keep[at[k * chunk : (k + 1) * chunk]] = ~misfit
-            if not pinned:
-                keep[len(batch) - 1 - k * chunk - np.arange(chunk)] = ~complement
+        for k, sigma in enumerate(blocks):
+            want = as_columns(scored[k * fit : (k + 1) * fit])
+            assert sigma.flags.c_contiguous and sigma.dtype == want.dtype
+            assert sigma.tobytes(order="A") == want.tobytes(order="A")
+            keep[at[k * fit : (k + 1) * fit]] = ~pure_misfits(cs, want, cs.rungs[-1])
+        assert sum(b.shape[1] for b in blocks) == len(scored)
         seen = np.concatenate(screened) if screened else batch[:0]
         assert seen.tobytes() == batch[keep].tobytes()
 
 
 def test_the_first_pass_keeps_what_a_pass_over_every_profile_keeps(monkeypatch):
-    # the complement flags of a block are the flags of the complements'
-    # own column pair, and the kept set is that of a first pass that scores
-    # all 2^n_slots profiles itself and drops those that play against a
-    # forced code, every one of which fails the exact floor screen
+    # the kept set is that of a first pass that scores all 2^n_slots
+    # profiles itself and drops those that play against a forced code,
+    # every one of which fails the exact floor screen
     floor_screen = equilibrium._floor_screen
     dropped = 0
     for s in first_pass_draws(36).values():
         cs = eng.compile_scenario(s)
         batch = np.stack([eng.flatten_profile(cs, p) for p in pure_profiles_in_index_order(s)])
-        half = batch[: len(batch) // 2]
-        misfit, complement = eng.pure_misfits(cs, kernel_columns(half), cs.rungs[-1])
-        flipped = np.where(cs.active, 1.0 - half, half)
-        assert np.array_equal(flipped, batch[::-1][: len(half)])
-        own, _ = eng.pure_misfits(cs, kernel_columns(flipped), cs.rungs[-1])
-        assert np.array_equal(complement, own)
-
-        every, _ = eng.pure_misfits(cs, kernel_columns(batch), cs.rungs[-1])
-        assert np.array_equal(every, np.concatenate([misfit, complement[::-1]]))
+        every = eng.pure_misfits(cs, as_columns(batch), cs.rungs[-1])
         consistent = playing_forced_codes(cs, batch)
         pinned_out = batch[~every & ~consistent]
         if len(pinned_out):

@@ -26,6 +26,15 @@ def test_relation_must_be_square_and_reflexive():
         rel([[True, False], [False, False]])
 
 
+def test_a_relation_needs_at_least_one_type():
+    # a 0 x 0 relation was once complete and quasitransitive with no layers,
+    # where a scenario with no types is rejected
+    with pytest.raises(OrderError, match="at least one type"):
+        DominanceRelation(np.zeros((0, 0), dtype=bool))
+    with pytest.raises(OrderError, match="at least one type"):
+        build_relation(())
+
+
 def test_relation_copies_the_callers_matrix():
     # the relation neither freezes the caller's array nor follows later
     # writes to it, through a view or otherwise
