@@ -22,7 +22,7 @@ kernel's C-ordered column block (see ``column_pair``), (2S, n), column j
 profile j's (taste, cell) strategy: the dynamics loop, enumeration, the
 trembles and the rung checks hold it.  ``flatten_profile`` and
 ``unflatten_profile`` are the one boundary to per-type arrays, which remain
-only in ``StrategyProfile``, ``causal.DeltaTable`` and ``profile_effects``.
+only in ``StrategyProfile`` and ``causal.DeltaTable``.
 
 Compiled linear map
 -------------------
@@ -65,9 +65,10 @@ Trembles
 A tremble schedule is its ``(2, n_types)`` table of flip exponents: rows
 are tastes, columns types, and NaN leaves a slice exact.  ``schedule_table``
 is the one check of a caller's table (``None``: all NaN, no trembles).
-``cell_exponents`` repeats tables onto the stacked rows as columns, and
-``apply_compiled_trembles`` leaves a NaN cell exact.  Stacked tables tremble
-one batch under several schedules at once, as enumeration's screen does.
+Tables reach ``apply_compiled_trembles`` as they are; it repeats them onto
+the stacked rows as columns and leaves a NaN cell exact.  Stacked tables
+tremble one batch under several schedules at once, as enumeration's screen
+does.
 
 Batches and results
 -------------------
@@ -114,12 +115,6 @@ CONVERGENCE_TOL = 1e-10
 # routinely place mass of exactly eps on a non-best reply, and 1-(1-eps)
 # reproduces eps only up to roundoff.
 PLAY_SLACK = 1e-12
-
-
-def is_integer(value) -> bool:
-    """An int or numpy integer, but not a bool: the one test of a count or
-    index a caller passes (int() would truncate 0.7, and True acts as 1)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def tie_tolerance() -> float:
@@ -342,12 +337,6 @@ def schedule_table(cs: CompiledScenario, schedule) -> np.ndarray:
     return table
 
 
-def cell_exponents(table: np.ndarray, offsets) -> np.ndarray:
-    """(2, n_types, ...) exponent tables expanded onto the stacked rows whose
-    type blocks ``offsets`` bounds: (2S, m), a column per trailing index."""
-    return np.repeat(table, np.diff(offsets), axis=1).reshape(2 * offsets[-1], -1)
-
-
 def taste_weighted_schedule(cs: CompiledScenario, sigma: np.ndarray) -> np.ndarray:
     """Flip trembles that fade faster where the slice already matches taste.
 
@@ -369,14 +358,16 @@ def taste_weighted_schedule(cs: CompiledScenario, sigma: np.ndarray) -> np.ndarr
 
 
 def apply_compiled_trembles(
-    sigma: np.ndarray, exponents: np.ndarray, eps: np.ndarray
+    cs: CompiledScenario, sigma: np.ndarray, table: np.ndarray, eps: np.ndarray
 ) -> np.ndarray:
     """Trembled copies of profiles held as columns, (2S, n), at noise levels
     ``eps``, scalar or (R,): (2S, R n), column r n + j rung r of profile j.
 
-    ``exponents`` holds each cell's flip exponent (NaN: exact) as columns,
-    (2S, n) or (2S, 1) for one schedule shared by the batch.
+    ``table`` holds the (taste, type) flip exponents (NaN: exact), one
+    (2, n_types) table shared by the batch or (2, n_types, n), one per
+    profile; each stacked cell trembles by its own slice's exponent.
     """
+    exponents = np.repeat(table, np.diff(cs.offsets), axis=1).reshape(2 * cs.offsets[-1], -1)
     eps = np.asarray(eps, dtype=np.float64).reshape(-1, 1)
     m = np.minimum(eps ** exponents[:, None], 1.0)  # (2S, R, n)
     # not m's own NaN: 1 ** NaN is 1
@@ -447,14 +438,11 @@ def column_replies(cs: CompiledScenario, cols: np.ndarray):
     return delta, defined, scores, code
 
 
-def profile_effects(cs: CompiledScenario, flats: list[np.ndarray]):
-    """Per-type (delta, defined) lists of per-type arrays (batch..., 2, nc),
-    such as the ``split_cells`` views of a stacked batch: ``column_effects``
-    of their column pair, batch-first and split the same way."""
-    stacked = np.concatenate(flats, axis=-1)
-    results = column_effects(cs, column_pair(stacked.reshape(-1, 2 * cs.offsets[-1]).T))
-    delta, defined = (a.T.reshape(stacked.shape[:-2] + (-1,)) for a in results)
-    return list(zip(split_cells(cs, delta), split_cells(cs, defined)))
+def profile_effects(cs: CompiledScenario, stacked: np.ndarray):
+    """(delta, defined) of one stacked (2, S) profile, both (S,): the
+    ``column_effects`` of its column pair."""
+    delta, defined = column_effects(cs, column_pair(stacked.reshape(-1, 1)))
+    return delta[:, 0], defined[:, 0]
 
 
 def check_rungs(cs: CompiledScenario, trembled: np.ndarray, eps: np.ndarray):
@@ -475,11 +463,6 @@ def check_rungs(cs: CompiledScenario, trembled: np.ndarray, eps: np.ndarray):
     undef = (~defined & cs.reachable[:, None]).any(axis=0)
     ok = ~bad.any(axis=(0, 1)) & ~undef
     return ok, undef, bad, replies
-
-
-def tail_lengths(passes: np.ndarray) -> np.ndarray:
-    """Length of the passing suffix along the leading (rung) axis."""
-    return np.cumprod(passes[::-1], axis=0).sum(axis=0)
 
 
 # -- pure-profile filter ----------------------------------------------------

@@ -18,9 +18,9 @@ values propagate as ``None`` (``delta``) or masked entries (``delta_table``);
 nothing is imputed.
 
 Every effect here is read from the compiled engine
-(``_engine.profile_effects``, a per-type view of the one belief kernel), the
-same computation that decides equilibrium verdicts; this module only lays
-its output out per type and condition cell.
+(``_engine.profile_effects``, the one belief kernel on a stacked profile),
+the same computation that decides equilibrium verdicts; this module only
+lays its output out per type and condition cell.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import _engine as eng
-from .model import ModelError, Scenario, StrategyProfile
+from .model import ModelError, Scenario, StrategyProfile, is_integer
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,7 +69,7 @@ def _cell_index(
         idx = tuple(cell)
         if len(idx) != len(names):
             raise ModelError(f"cell must assign {len(names)} values for {names}")
-    if not all(map(eng.is_integer, idx)):
+    if not all(map(is_integer, idx)):
         raise ModelError(f"cell {idx} must assign integer coordinates to {names}")
     idx = tuple(int(v) for v in idx)
     # a negative index would wrap around to another cell
@@ -78,37 +78,23 @@ def _cell_index(
     return idx
 
 
-def _check_type(scenario: Scenario, type_index: int) -> None:
-    if not (eng.is_integer(type_index) and 0 <= type_index < scenario.n_types):
-        raise ModelError(f"no type with index {type_index!r}")
-
-
 def delta_table(
-    scenario: Scenario | eng.CompiledScenario,
-    profile: StrategyProfile,
-    type_index: int | None = None,
-) -> DeltaTable | tuple[DeltaTable, ...]:
-    """Perceived effects per condition cell: one type, or all when unspecified.
+    scenario: Scenario | eng.CompiledScenario, profile: StrategyProfile
+) -> tuple[DeltaTable, ...]:
+    """Perceived effects per condition cell, one table per type in type order.
 
     ``scenario`` may also be its ``CompiledScenario``, which is then not
     compiled again.
     """
     cs = eng.compiled(scenario)
-    if type_index is not None:
-        _check_type(cs.scenario, type_index)
-    effects = eng.profile_effects(cs, eng.split_cells(cs, eng.flatten_profile(cs, profile)))
-    reachable = eng.split_cells(cs, cs.reachable)
-    tables = tuple(
-        DeltaTable(
-            i,
-            cs.scenario.c_names(i),
-            np.where(ok, d, np.nan).reshape(cs.c_cards[i]),
-            ok.reshape(cs.c_cards[i]),
-            reachable[i].reshape(cs.c_cards[i]),
-        )
-        for i, (d, ok) in enumerate(effects)
+    effect, defined = eng.profile_effects(cs, eng.flatten_profile(cs, profile))
+    per_type = [
+        [block.reshape(cards) for block, cards in zip(eng.split_cells(cs, a), cs.c_cards)]
+        for a in (np.where(defined, effect, np.nan), defined, cs.reachable)
+    ]
+    return tuple(
+        DeltaTable(i, cs.scenario.c_names(i), *arrays) for i, arrays in enumerate(zip(*per_type))
     )
-    return tables if type_index is None else tables[type_index]
 
 
 def delta(
@@ -121,4 +107,7 @@ def delta(
 
     ``scenario`` may also be its ``CompiledScenario``, as for ``delta_table``.
     """
-    return delta_table(scenario, profile, type_index).delta_at(cell)
+    cs = eng.compiled(scenario)
+    if not (is_integer(type_index) and 0 <= type_index < cs.scenario.n_types):
+        raise ModelError(f"no type with index {type_index!r}")
+    return delta_table(cs, profile)[type_index].delta_at(cell)

@@ -596,7 +596,7 @@ def _emit_run(args, name: str, values: dict[str, Any], payload: dict[str, Any]) 
         payload["profile"] = docmod.to_jsonable(profile)
     if report is not None:
         payload["report"] = _report_payload(cs.scenario, report)
-    payload["scenario"] = docmod.document_from_scenario(cs.scenario).to_dict()
+    payload["scenario"] = docmod.document_from_scenario(cs.scenario)
     _emit(payload, args.format)
     return 0 if report is not None else 2
 
@@ -640,7 +640,7 @@ def _cmd_worstcase(args) -> int:
         "best_error_probability": best.claimed_error_probability,
         "best_profile": docmod.to_jsonable(best.profile),
         "evaluations": len(trace),
-        "scenario": docmod.document_from_scenario(best.scenario).to_dict(),
+        "scenario": docmod.document_from_scenario(best.scenario),
     }
     if checked is not None:
         payload["bound"] = checked.bound_value

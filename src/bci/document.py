@@ -1,6 +1,7 @@
 """Text-document format for scenarios, plus JSON/CSV export helpers.
 
-A scenario document is a JSON object with fields:
+A scenario document is a JSON object, held as the dict ``json`` reads it
+into, with fields:
 
 - ``schema_version``: currently 1
 - ``variables``: list of ``{"name": str, "cardinality": int}`` in declared order
@@ -22,10 +23,11 @@ Worked index-order example with variables x1 (cardinality 2) and x2
     (t=1,x1=0,x2=0), ... , (t=1,x1=1,x2=2)
 
 Loading reports every violation at once.  The format checks its own field
-kinds, schema version, list lengths and 1-based indices; every value rule
-is ``model.scenario_violations``.  Export writes floats through ``repr``
-(shortest round-trip form, at most 17 significant digits), so
-load(export(s)) is bit-exact on every decimal field.
+kinds (``loads``, ``to_scenario`` and ``validate`` each run that check),
+schema version, list lengths and 1-based indices; every value rule is
+``model.scenario_violations``.  ``export_json`` writes a document, floats
+through ``repr`` (shortest round-trip form, at most 17 significant digits),
+so load(export(s)) is bit-exact on every decimal field.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, is_dataclass, fields as dc_fields
+from dataclasses import is_dataclass, fields as dc_fields
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -48,12 +50,10 @@ __all__ = [
     "SCHEMA_VERSION",
     "DocumentError",
     "DocumentParseError",
-    "ScenarioDocument",
     "document_from_scenario",
     "validate",
     "to_scenario",
     "loads",
-    "dumps",
     "load_scenario",
     "profile_from_document",
     "to_jsonable",
@@ -74,53 +74,31 @@ class DocumentError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
-@dataclass(frozen=True)
-class ScenarioDocument:
-    schema_version: int
-    variables: tuple[tuple[str, int], ...]  # (name, cardinality)
-    p_tx: tuple[float, ...]
-    outcome: Mapping[str, Any]
-    types: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]  # 1-based (C, D)
-    lam: tuple[float, ...]
-    c: float
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "schema_version": self.schema_version,
-            "variables": [
-                {"name": n, "cardinality": k} for n, k in self.variables
-            ],
-            "p_tx": list(self.p_tx),
-            "outcome": dict(self.outcome),
-            "types": [{"C": list(c), "D": list(d)} for c, d in self.types],
-            "lambda": list(self.lam),
-            "c": self.c,
-        }
-
-
-def document_from_scenario(scenario: Scenario) -> ScenarioDocument:
-    """Serialize a validated scenario; deterministic field order."""
+def document_from_scenario(scenario: Scenario) -> dict[str, Any]:
+    """The scenario's document, a JSON-ready dict with deterministic field order."""
     name_index = {n: i + 1 for i, n in enumerate(scenario.x_names)}
     kernel = [float(v) for v in scenario.kernel.ravel()]
     if scenario.outcome_kind == "baseline":
         outcome: dict[str, Any] = {"kind": "baseline", "y_given_tx": kernel}
     else:
         outcome = {"kind": "consequential", "z_given_tx": kernel, "beta": float(scenario.beta)}
-    return ScenarioDocument(
-        schema_version=SCHEMA_VERSION,
-        variables=tuple((n, k) for n, k in zip(scenario.x_names, scenario.x_cards)),
-        p_tx=tuple(float(v) for v in scenario.ptx.ravel()),
-        outcome=outcome,
-        types=tuple(
-            (
-                tuple(name_index[n] for n in spec.condition_set),
-                tuple(name_index[n] for n in spec.data_set),
-            )
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "variables": [
+            {"name": n, "cardinality": k} for n, k in zip(scenario.x_names, scenario.x_cards)
+        ],
+        "p_tx": [float(v) for v in scenario.ptx.ravel()],
+        "outcome": outcome,
+        "types": [
+            {
+                "C": [name_index[n] for n in spec.condition_set],
+                "D": [name_index[n] for n in spec.data_set],
+            }
             for spec in scenario.types
-        ),
-        lam=tuple(float(v) for v in scenario.lam),
-        c=float(scenario.c),
-    )
+        ],
+        "lambda": [float(v) for v in scenario.lam],
+        "c": float(scenario.c),
+    }
 
 
 def _is_int(value: Any) -> bool:
@@ -133,45 +111,40 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, float) or (_is_int(value) and abs(value) <= _FLOAT_MAX)
 
 
-def _parse_raw(raw: Mapping[str, Any]) -> ScenarioDocument:
+def _check_kinds(doc: Any) -> None:
+    """Raise ``DocumentParseError`` listing every field of the wrong kind."""
+    if not isinstance(doc, dict):
+        raise DocumentParseError("document must be a JSON object")
     problems: list[str] = []
 
-    def need(key: str, kind, where: Mapping[str, Any] = raw):
-        if key not in where:
+    def need(key: str, kind) -> Any:
+        if key not in doc:
             problems.append(f"missing field {key!r}")
             return None
-        value = where[key]
+        value = doc[key]
         if kind is float:
             if not _is_number(value):
                 problems.append(f"field {key!r} must be a number")
-                return None
-            return float(value)
-        if not isinstance(value, kind) or isinstance(value, bool):
+        elif not isinstance(value, kind) or isinstance(value, bool):
             problems.append(f"field {key!r} has the wrong type")
             return None
         return value
 
-    version = need("schema_version", int)
-    variables: list[tuple[str, int]] = []
-    raw_vars = need("variables", list)
-    if raw_vars is not None:
-        for i, entry in enumerate(raw_vars):
-            if (
-                not isinstance(entry, dict)
-                or not isinstance(entry.get("name"), str)
-                or not _is_int(entry.get("cardinality"))
-            ):
-                problems.append(f"variables[{i}] must be {{name, cardinality}}")
-            else:
-                variables.append((entry["name"], entry["cardinality"]))
+    need("schema_version", int)
+    for i, entry in enumerate(need("variables", list) or ()):
+        if (
+            not isinstance(entry, dict)
+            or not isinstance(entry.get("name"), str)
+            or not _is_int(entry.get("cardinality"))
+        ):
+            problems.append(f"variables[{i}] must be {{name, cardinality}}")
     p_tx = need("p_tx", list)
     if p_tx is not None and not all(_is_number(v) for v in p_tx):
         problems.append("p_tx entries must be numbers")
-        p_tx = None
     outcome = need("outcome", dict)
-    kernel_key = None
     if outcome is not None:
         kind = outcome.get("kind")
+        kernel_key = None
         if kind == "baseline":
             kernel_key = "y_given_tx"
         elif kind == "consequential":
@@ -184,96 +157,79 @@ def _parse_raw(raw: Mapping[str, Any]) -> ScenarioDocument:
             problems.append(f"outcome.{kernel_key} must be a flat list")
         elif kernel_key is not None and not all(_is_number(v) for v in outcome[kernel_key]):
             problems.append(f"outcome.{kernel_key} entries must be numbers")
-    types: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    raw_types = need("types", list)
-    if raw_types is not None:
-        for i, entry in enumerate(raw_types):
-            if (
-                not isinstance(entry, dict)
-                or not isinstance(entry.get("C"), list)
-                or not isinstance(entry.get("D"), list)
-                or not all(_is_int(v) for v in entry["C"] + entry["D"])
-            ):
-                problems.append(f"types[{i}] must be {{C: index list, D: index list}}")
-            else:
-                types.append((tuple(entry["C"]), tuple(entry["D"])))
+    for i, entry in enumerate(need("types", list) or ()):
+        if (
+            not isinstance(entry, dict)
+            or not isinstance(entry.get("C"), list)
+            or not isinstance(entry.get("D"), list)
+            or not all(_is_int(v) for v in entry["C"] + entry["D"])
+        ):
+            problems.append(f"types[{i}] must be {{C: index list, D: index list}}")
     lam = need("lambda", list)
     if lam is not None and not all(_is_number(v) for v in lam):
         problems.append("lambda entries must be numbers")
-        lam = None
-    c = need("c", float)
-
+    need("c", float)
     if problems:
         raise DocumentParseError("; ".join(problems))
-    return ScenarioDocument(
-        schema_version=int(version),
-        variables=tuple(variables),
-        p_tx=tuple(float(v) for v in p_tx),
-        outcome=outcome,
-        types=tuple(types),
-        lam=tuple(float(v) for v in lam),
-        c=float(c),
-    )
 
 
-def loads(text: str) -> ScenarioDocument:
+def loads(text: str) -> dict[str, Any]:
     """Parse document text; raises DocumentParseError on malformed input."""
     try:
-        raw = json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentParseError(f"not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise DocumentParseError("document must be a JSON object")
-    return _parse_raw(raw)
+    _check_kinds(doc)
+    return doc
 
 
-def dumps(doc: ScenarioDocument, indent: int | None = 2) -> str:
-    return json.dumps(doc.to_dict(), indent=indent)
-
-
-def to_scenario(doc: ScenarioDocument) -> Scenario:
-    """Validated scenario, or DocumentError listing every violation: the
+def to_scenario(doc: dict[str, Any]) -> Scenario:
+    """Validated scenario, or an error: ``DocumentParseError`` for a field of
+    the wrong kind, else ``DocumentError`` listing every violation, the
     format's own first, then the model's.  The model gets only the tables of
     the right length and each type's in-range names without repeats, so a
     bad list is reported once, in the document's words."""
+    _check_kinds(doc)
     problems: list[str] = []
-    if doc.schema_version != SCHEMA_VERSION:
+    if doc["schema_version"] != SCHEMA_VERSION:
         problems.append(
-            f"schema_version {doc.schema_version} unsupported (expected {SCHEMA_VERSION})"
+            f"schema_version {doc['schema_version']} unsupported (expected {SCHEMA_VERSION})"
         )
-    names = tuple(n for n, _ in doc.variables)
-    cards = tuple(k for _, k in doc.variables)
+    names = tuple(v["name"] for v in doc["variables"])
+    cards = tuple(v["cardinality"] for v in doc["variables"])
     # counted in Python ints, so a huge cardinality neither overflows nor wraps
     n_cells = 2 * int(np.prod(cards, dtype=object))
-    kind = doc.outcome.get("kind")
+    outcome = doc["outcome"]
+    kind = outcome["kind"]
     kernel_key = "y_given_tx" if kind == "baseline" else "z_given_tx"
     tables = []
-    lists = (("p_tx", doc.p_tx), (f"outcome.{kernel_key}", doc.outcome.get(kernel_key, ())))
-    for label, values in lists:
+    for label, values in (("p_tx", doc["p_tx"]), (f"outcome.{kernel_key}", outcome[kernel_key])):
         table = None
         if len(values) != n_cells:
             problems.append(f"{label} needs {n_cells} entries, got {len(values)}")
         else:
             try:
-                table = np.array(values, dtype=float).reshape((2, *cards))
+                table = np.array([float(v) for v in values]).reshape((2, *cards))
             except ValueError:  # a cardinality below 1, which the model reports
                 pass
         tables.append(table)
 
-    def names_at(indices: tuple[int, ...]) -> tuple[str, ...]:
+    def names_at(indices: list[int]) -> tuple[str, ...]:
         # without repeats: two indices name one variable only where the
         # variable names repeat, which the model reports
         return tuple(dict.fromkeys(names[k - 1] for k in sorted(indices) if 1 <= k <= len(names)))
 
-    for i, (cond, data) in enumerate(doc.types):
+    for i, entry in enumerate(doc["types"]):
+        cond, data = entry["C"], entry["D"]
         for k in cond + data:
             if not 1 <= k <= len(names):
                 problems.append(f"types[{i}] index {k} out of range 1..{len(names)}")
         if len(set(cond)) != len(cond) or len(set(data)) != len(data):
             problems.append(f"types[{i}] has repeated indices")
-    types = [(names_at(cond), names_at(data)) for cond, data in doc.types]
-    beta = float(doc.outcome.get("beta", np.nan)) if kind == "consequential" else 0.0
-    args = (names, cards, *tables, types, doc.lam, doc.c, kind, beta)
+    types = [(names_at(entry["C"]), names_at(entry["D"])) for entry in doc["types"]]
+    lam = tuple(float(v) for v in doc["lambda"])
+    beta = float(outcome["beta"]) if kind == "consequential" else 0.0
+    args = (names, cards, *tables, types, lam, float(doc["c"]), kind, beta)
     problems += scenario_violations(*args)
     if problems:
         raise DocumentError(problems)
@@ -286,8 +242,9 @@ def _build_scenario(args: tuple) -> Scenario:
     return Scenario(names, cards, ptx, kernel, tuple(DataTypeSpec(c, d) for c, d in types), *rest)
 
 
-def validate(doc: ScenarioDocument) -> list[str]:
-    """Every invariant violation in the document, in a stable order."""
+def validate(doc: dict[str, Any]) -> list[str]:
+    """Every invariant violation in the document, in a stable order; a field
+    of the wrong kind raises ``DocumentParseError``."""
     try:
         to_scenario(doc)
     except DocumentError as exc:
@@ -352,10 +309,8 @@ def to_jsonable(obj: Any) -> Any:
         return float(obj)
     if isinstance(obj, np.ndarray):
         return to_jsonable(obj.tolist())
-    if isinstance(obj, ScenarioDocument):
-        return obj.to_dict()
     if isinstance(obj, Scenario):
-        return document_from_scenario(obj).to_dict()
+        return document_from_scenario(obj)
     if isinstance(obj, StrategyProfile):
         return [to_jsonable(np.asarray(s)) for s in obj.sigmas]
     if is_dataclass(obj) and not isinstance(obj, type):

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _engine as eng
 from .causal import DeltaTable, delta_table
-from .model import Scenario, StrategyProfile, error_probability, welfare_loss
+from .model import Scenario, StrategyProfile, error_probability, is_integer, welfare_loss
 
 __all__ = [
     "EquilibriumError",
@@ -153,7 +153,8 @@ def _profile_stats(cs: eng.CompiledScenario, profile: StrategyProfile):
 def _reaches_floor(ok: np.ndarray) -> np.ndarray:
     """The ladder rule on per-rung passes (R, batch...): a passing suffix of
     ``DEFAULT_TAIL_MIN`` rungs, or of every rung on a shorter ladder."""
-    return eng.tail_lengths(ok) >= min(eng.DEFAULT_TAIL_MIN, len(ok))
+    suffix = np.cumprod(ok[::-1], axis=0).sum(axis=0)  # passing rungs up to the floor
+    return suffix >= min(eng.DEFAULT_TAIL_MIN, len(ok))
 
 
 def _ladder(cs, profile, table, rungs):
@@ -166,8 +167,7 @@ def _ladder(cs, profile, table, rungs):
     the ladder passes ``_reaches_floor``.
     """
     sigma = eng.flatten_profile(cs, profile).reshape(-1, 1)
-    exponents = eng.cell_exponents(table, cs.offsets)
-    trembled = eng.apply_compiled_trembles(sigma, exponents, rungs)  # column r: rung r
+    trembled = eng.apply_compiled_trembles(cs, sigma, table, rungs)  # column r: rung r
     ok, undef, bad, replies = eng.check_rungs(cs, trembled, rungs)
     viol = np.where(bad, np.abs(replies[2]), 0.0).max(axis=(0, 1))
     trace = tuple(
@@ -256,8 +256,7 @@ def _floor_screen(cs: eng.CompiledScenario, sigma: np.ndarray) -> np.ndarray:
     """(n,) bool: profiles held as columns (2S, n) that pass the floor rung
     under some schedule of the try-list, all three in one rung check."""
     floor = cs.rungs[-1:]
-    exponents = eng.cell_exponents(_try_list(cs, sigma), cs.offsets)
-    trembled = eng.apply_compiled_trembles(np.tile(sigma, 3), exponents, floor)
+    trembled = eng.apply_compiled_trembles(cs, np.tile(sigma, 3), _try_list(cs, sigma), floor)
     return eng.check_rungs(cs, trembled, floor)[0].reshape(3, -1).any(axis=0)
 
 
@@ -372,7 +371,7 @@ def dynamics_starts(
     The fixed starts come first, then ``n_random`` uniform draws from
     ``rng``, drawn in (start, type, taste, cell) order.
     """
-    if not eng.is_integer(n_random) or n_random < 0:
+    if not is_integer(n_random) or n_random < 0:
         raise EquilibriumError("the number of random starts must be a nonnegative integer")
     n_flat = cs.active.size
     fixed = np.repeat(np.array(list(_FIXED_STARTS.values()))[:, :, None], n_flat // 2, axis=2)
@@ -402,7 +401,7 @@ def solve(
         raise EquilibriumError(f"starts are shaped (batch, 2, {cs.offsets[-1]}), not {starts.shape}")
     if not np.all((starts >= 0) & (starts <= 1)):
         raise EquilibriumError("every start entry must lie in [0, 1]")
-    if not eng.is_integer(max_iters) or max_iters < 1:
+    if not is_integer(max_iters) or max_iters < 1:
         raise EquilibriumError("max_iters must be an integer of at least 1")
     out, converged, _, iters = _dynamics_batch(cs, starts, max_iters)
     rests = {eng.profile_key(eng.flatten_profile(cs, p)): (p, r) for p, r in known}
@@ -482,7 +481,7 @@ def enumerate_pure_equilibria(scenario: Scenario) -> list[tuple[StrategyProfile,
     order = cs.type_major
     slots = order[cs.active.reshape(-1)[order]]
     n_slots = len(slots)
-    if n_slots.bit_length() > 63 or 2**n_slots > ENUMERATION_CAP:
+    if 2**n_slots > ENUMERATION_CAP:
         raise EquilibriumError(f"instance-too-large: 2^{n_slots} pure profiles exceed the cap")
     forced = eng.forced_codes(cs).reshape(-1)
     free = slots[forced[slots] < 0]

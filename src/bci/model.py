@@ -40,6 +40,12 @@ class ModelError(ValueError):
     """Raised for malformed scenarios, types, profiles, or tremble schedules."""
 
 
+def is_integer(value) -> bool:
+    """An int or numpy integer, but not a bool: the one test of a count or
+    index a caller passes (int() would truncate 0.7, and True acts as 1)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _type_violations(
     condition_set: Sequence[str], data_set: Sequence[str], known: set[str] | None = None
 ) -> list[str]:
@@ -82,8 +88,8 @@ def scenario_violations(
     for name in dict.fromkeys(n for n in x_names if n in RESERVED_NAMES):
         problems.append(f"variable name {name!r} is reserved")
     for name, card in zip(x_names, x_cards):
-        if not card >= 1:
-            problems.append(f"variable {name!r} needs cardinality >= 1")
+        if not (is_integer(card) and card >= 1):
+            problems.append(f"variable {name!r} needs an integer cardinality >= 1")
     shape = (2, *x_cards)
     for label, table in (("p_tx", ptx), ("kernel", kernel)):
         if table is not None and table.shape != shape:
@@ -132,11 +138,6 @@ class DataTypeSpec:
         if problems:
             raise ModelError("; ".join(problems))
 
-    @property
-    def simple(self) -> bool:
-        """A type is simple when it conditions on everything in its dataset."""
-        return set(self.condition_set) == set(self.data_set)
-
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
@@ -164,6 +165,7 @@ class Scenario:
                                        self.c, self.outcome_kind, self.beta)
         if problems:
             raise ModelError("; ".join(problems))
+        object.__setattr__(self, "x_cards", tuple(map(int, self.x_cards)))
         object.__setattr__(self, "ptx", ptx)
         object.__setattr__(self, "kernel", kernel)
         object.__setattr__(self, "lam", lam)

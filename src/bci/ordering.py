@@ -57,9 +57,6 @@ class DominanceRelation:
         """Asymmetric part P*: iP*j iff iPj and not jPi."""
         return self.matrix & ~self.matrix.T
 
-    def holds(self, i: int, j: int) -> bool:
-        return bool(self.matrix[i, j])
-
 
 @dataclass(frozen=True)
 class LayerPartition:

@@ -42,6 +42,7 @@ from .model import (
     StrategyProfile,
     error_probability,
     induced_joint,
+    is_integer,
     welfare_loss,
 )
 from .ordering import build_relation, is_complete, is_quasitransitive
@@ -142,8 +143,8 @@ class WitnessInstance:
             return None
         cs = self.compiled
         sigma = eng.flatten_profile(cs, self.profile).reshape(-1, 1)
-        exponents = eng.cell_exponents(eng.schedule_table(cs, self.schedule), cs.offsets)
-        return eng.unflatten_profile(cs, eng.apply_compiled_trembles(sigma, exponents, self.eps))
+        table = eng.schedule_table(cs, self.schedule)
+        return eng.unflatten_profile(cs, eng.apply_compiled_trembles(cs, sigma, table, self.eps))
 
 
 def reverify(witness: WitnessInstance) -> EquilibriumReport:
@@ -156,21 +157,29 @@ def reverify(witness: WitnessInstance) -> EquilibriumReport:
     return verify_limit(witness.compiled, witness.profile, witness.schedule)
 
 
+def _annotated_index(value, n: int, what: str) -> int:
+    """An annotation's index, checked: an integer in 0..n-1."""
+    if not (is_integer(value) and 0 <= value < n):
+        raise WorstCaseError(f"no {what} with index {value!r} (need an integer in 0..{n - 1})")
+    return int(value)
+
+
 def check_annotations(witness: WitnessInstance) -> float:
     """Max |closed form - computed| over the witness's effect and posterior
     annotations; effects are read from one delta table per annotated
-    profile, posteriors recomputed from the induced joint."""
+    profile, posteriors recomputed from the induced joint.  A type index,
+    action or covariate level that is not an integer in range raises
+    ``WorstCaseError``."""
     tables = {}  # trembled flag -> the delta tables of that profile
     worst = 0.0
     for ann in witness.delta_annotations:
+        i = _annotated_index(ann.type_index, witness.scenario.n_types, "type")
         if ann.trembled not in tables:
             prof = witness.eps_profile if ann.trembled else witness.profile
             if prof is None:
                 raise WorstCaseError("annotation marked trembled but the witness has no eps")
             tables[ann.trembled] = delta_table(witness.compiled, prof)
-        if not 0 <= ann.type_index < witness.scenario.n_types:
-            raise ModelError(f"no type with index {ann.type_index}")
-        got = tables[ann.trembled][ann.type_index].delta_at(ann.cell)
+        got = tables[ann.trembled][i].delta_at(ann.cell)
         if got is None:
             raise WorstCaseError(
                 f"annotated effect undefined at type {ann.type_index}, cell {ann.cell}"
@@ -179,7 +188,9 @@ def check_annotations(witness: WitnessInstance) -> float:
     if witness.posterior_annotations:
         joint = induced_joint(witness.compiled, witness.profile)
     for post in witness.posterior_annotations:
-        at = joint.marginalize(("t", post.covariate, "a")).probs[:, post.level, post.action]
+        probs = joint.marginalize(("t", post.covariate, "a")).probs
+        level = _annotated_index(post.level, probs.shape[1], f"{post.covariate} level")
+        at = probs[:, level, _annotated_index(post.action, 2, "action")]
         if not at.sum() > 0:
             raise WorstCaseError(f"annotated posterior {post.label} conditions on a null event")
         worst = max(worst, abs(at[1] / at.sum() - post.value))
@@ -379,7 +390,7 @@ class SearchConfig:
         if not 0.0 < self.c < 1.0:
             raise WorstCaseError("c must lie in (0, 1)")
         for name in ("n_covariates", "n_types", "restarts", "seed", "refine_top", "refine_rounds"):
-            if not eng.is_integer(getattr(self, name)):
+            if not is_integer(getattr(self, name)):
                 raise WorstCaseError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_covariates < 1 or self.n_types < 1:
             raise WorstCaseError("need at least one covariate and one type")
@@ -553,7 +564,7 @@ def verified_equilibria(
     cs = eng.compile_scenario(scenario)
     _, starts = dynamics_starts(cs, rng, inner_inits)
     n_slots = int(cs.active.sum())
-    enumerable = n_slots < 63 and 2**n_slots <= _ENUMERATION_LIMIT
+    enumerable = 2**n_slots <= _ENUMERATION_LIMIT
     known = enumerate_pure_equilibria(scenario) if enumerable else ()
     return solve(cs, starts, _MAX_ITERS, known)[1]
 

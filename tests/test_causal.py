@@ -101,7 +101,7 @@ def test_undefined_when_conditioning_cell_unreached():
 def test_cells_outside_a_covariates_range_raise():
     s = example_3_1()
     prof = example_3_1_profile(s)
-    tab = delta_table(s, prof, 0)
+    tab = delta_table(s, prof)[0]
     assert tab.delta_at((1,)) == tab.delta_at({"x1": 1}) == pytest.approx(8.0 / 9.0, abs=1e-12)
     # a negative coordinate must not wrap around to another cell
     for bad in ((-1,), (2,), {"x1": -1}, {"x1": 2}):
@@ -119,7 +119,7 @@ def test_cells_outside_a_covariates_range_raise():
     assert tab.delta_at((np.int64(1),)) == tab.delta_at((1,))
     for bad in (1.5, True, -1, 2):
         with pytest.raises(ModelError, match="no type"):
-            delta_table(s, prof, bad)
+            delta(s, prof, bad, (1,))
 
 
 def test_nonsimple_type_averages_over_unconditioned_data():
@@ -278,11 +278,10 @@ def test_compiled_scenario_gives_the_same_delta_tables():
         for p in profiles:
             assert_same(delta_table(cs, p), delta_table(s, p))
             for i in range(s.n_types):
-                assert_same(delta_table(cs, p, i), delta_table(s, p, i))
                 for cell in np.ndindex(s.sigma_shape(i)[1:]):
                     got = delta(cs, p, i, cell)
                     assert got == delta(s, p, i, cell)
                     undefined += got is None
     assert undefined  # the corpus reaches undefined cells
     with pytest.raises(ModelError):
-        delta_table(cs, profiles[0], s.n_types)
+        delta(cs, profiles[0], s.n_types, ())

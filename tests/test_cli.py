@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import bci
 from bci._engine import profile_key
 from bci.cli import BUILTINS, main
-from bci.document import document_from_scenario, dumps, to_jsonable
+from bci.document import document_from_scenario, export_json, to_jsonable
 from bci.equilibrium import certify_equilibrium
 from bci.model import StrategyProfile
 from bci.scenarios import example_3_1, example_3_1_profile
@@ -483,7 +483,7 @@ def test_empty_equilibrium_csv_keeps_its_header(capsys, argv, code):
 
 def test_verify_from_document_file(tmp_path, capsys):
     doc_path = tmp_path / "scenario.json"
-    doc_path.write_text(dumps(document_from_scenario(example_3_1())))
+    doc_path.write_text(export_json(document_from_scenario(example_3_1())))
     payload = run_json(
         capsys, "verify", "-s", str(doc_path), "--profile", "covariate"
     )
@@ -492,7 +492,7 @@ def test_verify_from_document_file(tmp_path, capsys):
 
 
 def test_verify_from_stdin(monkeypatch, capsys):
-    text = dumps(document_from_scenario(example_3_1()))
+    text = export_json(document_from_scenario(example_3_1()))
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     payload = run_json(capsys, "verify", "-s", "-", "--profile", "covariate")
     assert payload["verdict"] == "epsilon_equilibrium"
@@ -517,7 +517,7 @@ def test_parse_error_exits_3(tmp_path, capsys):
 
 
 def test_invalid_document_exits_1(tmp_path, capsys):
-    raw = json.loads(dumps(document_from_scenario(example_3_1())))
+    raw = document_from_scenario(example_3_1())
     raw["lambda"] = [0.9, 0.9]
     bad = tmp_path / "invalid.json"
     bad.write_text(json.dumps(raw))
@@ -530,7 +530,7 @@ def test_invalid_document_exits_1(tmp_path, capsys):
 def test_nan_probability_document_exits_1(tmp_path, capsys, command):
     # a NaN mass once passed validation and came back as an equilibrium
     # with NaN welfare loss
-    raw = json.loads(dumps(document_from_scenario(example_3_1())))
+    raw = document_from_scenario(example_3_1())
     raw["p_tx"][0] = float("nan")
     bad = tmp_path / "nan.json"
     bad.write_text(json.dumps(raw))
@@ -544,7 +544,7 @@ def test_nan_probability_document_exits_1(tmp_path, capsys, command):
 )
 def test_huge_cardinality_reports_its_true_cell_count(tmp_path, capsys, cards, n_cells):
     # the count once overflowed int64 (2**64) or wrapped around to 0 (2**62 * 4)
-    raw = json.loads(dumps(document_from_scenario(example_3_1())))
+    raw = document_from_scenario(example_3_1())
     for variable, card in zip(raw["variables"], cards):
         variable["cardinality"] = card
     bad = tmp_path / "huge.json"
@@ -593,7 +593,7 @@ def _mangle(raw: dict, op: str, k: int, value) -> None:
     )
 )
 def test_a_mangled_document_keeps_the_exit_code_contract(tmp_path_factory, edits):
-    raw = json.loads(dumps(document_from_scenario(example_3_1())))
+    raw = document_from_scenario(example_3_1())
     for op, k, value in edits:
         _mangle(raw, op, k, value)
     path = tmp_path_factory.getbasetemp() / "mangled.json"

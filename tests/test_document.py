@@ -22,9 +22,7 @@ import bci.document
 from bci.document import (
     DocumentError,
     DocumentParseError,
-    ScenarioDocument,
     document_from_scenario,
-    dumps,
     export_csv,
     export_json,
     load_scenario,
@@ -88,7 +86,7 @@ def test_load_scenario_builds_the_scenario_once(monkeypatch):
         return real(doc)
 
     monkeypatch.setattr(bci.document, "_build_scenario", spy)
-    load_scenario(dumps(document_from_scenario(example_3_1())))
+    load_scenario(export_json(document_from_scenario(example_3_1())))
     assert len(built) == 1
 
 
@@ -96,7 +94,7 @@ def test_load_scenario_builds_the_scenario_once(monkeypatch):
 def test_round_trip_is_bit_exact(build):
     scenario = build()
     doc = document_from_scenario(scenario)
-    text = dumps(doc)
+    text = export_json(doc)
     again = loads(text)
     assert again == doc  # every float survives repr -> JSON -> float intact
     rebuilt = to_scenario(again)
@@ -111,11 +109,11 @@ def test_round_trip_is_bit_exact(build):
     ]
     # a second pass through the document layer is the identity
     assert document_from_scenario(rebuilt) == doc
-    assert dumps(document_from_scenario(rebuilt)) == text
+    assert export_json(document_from_scenario(rebuilt)) == text
 
 
 def test_load_scenario_from_text():
-    text = dumps(document_from_scenario(example_3_1()))
+    text = export_json(document_from_scenario(example_3_1()))
     scenario = load_scenario(text)
     assert scenario.x_names == ("x1", "x2")
     assert scenario.ptx.shape == (2, 2, 2)
@@ -124,24 +122,24 @@ def test_load_scenario_from_text():
 def test_awkward_floats_survive():
     # masses with no short decimal representation
     third = 1.0 / 3.0
-    doc = ScenarioDocument(
-        schema_version=1,
-        variables=(("x1", 2),),
-        p_tx=(third / 2, third / 2, third, 1.0 - third - third / 2 - third / 2),
-        outcome={"kind": "baseline", "y_given_tx": [0.1 + 0.2, 0.0, 1.0, third]},
-        types=(((1,), (1,)),),
-        lam=(1.0,),
-        c=0.7,
-    )
+    doc = {
+        "schema_version": 1,
+        "variables": [{"name": "x1", "cardinality": 2}],
+        "p_tx": [third / 2, third / 2, third, 1.0 - third - third / 2 - third / 2],
+        "outcome": {"kind": "baseline", "y_given_tx": [0.1 + 0.2, 0.0, 1.0, third]},
+        "types": [{"C": [1], "D": [1]}],
+        "lambda": [1.0],
+        "c": 0.7,
+    }
     assert not validate(doc)
-    again = loads(dumps(doc))
-    assert again.p_tx == doc.p_tx
-    assert again.outcome["y_given_tx"][0] == 0.1 + 0.2  # 0.30000000000000004
-    assert "0.30000000000000004" in dumps(doc)
+    again = loads(export_json(doc))
+    assert again["p_tx"] == doc["p_tx"]
+    assert again["outcome"]["y_given_tx"][0] == 0.1 + 0.2  # 0.30000000000000004
+    assert "0.30000000000000004" in export_json(doc)
 
 
 def _valid_raw() -> dict:
-    return json.loads(dumps(document_from_scenario(example_3_1())))
+    return document_from_scenario(example_3_1())
 
 
 def test_validate_reports_every_violation_at_once():
@@ -214,37 +212,71 @@ def test_validate_outcome_fields():
     assert any("schema_version 99 unsupported" in p for p in problems)
 
 
-@pytest.mark.parametrize(
-    "mangle",
-    [
-        lambda raw: raw.pop("p_tx"),
-        lambda raw: raw.pop("lambda"),
-        lambda raw: raw.__setitem__("p_tx", ["a", "b"]),
-        lambda raw: raw.__setitem__("types", [{"C": [1]}]),
-        lambda raw: raw.__setitem__("outcome", {"kind": "mystery"}),
-        lambda raw: raw.__setitem__(
-            "outcome", {"kind": "consequential", "z_given_tx": []}
-        ),
-        lambda raw: raw.__setitem__("variables", [{"name": 3, "cardinality": 2}]),
-        lambda raw: raw.__setitem__("c", "cheap"),
-        # JSON true is not a cardinality, although Python's bool is an int
-        lambda raw: raw["variables"][0].__setitem__("cardinality", True),
-        # nor a type index, an outcome-kernel entry or a schema version
-        lambda raw: raw["types"][0].__setitem__("C", [True]),
-        lambda raw: raw.__setitem__("outcome", {
-            "kind": "consequential",
-            "z_given_tx": [True] + raw["outcome"]["y_given_tx"][1:],
-            "beta": 0.5,
-        }),
-        lambda raw: raw.__setitem__("schema_version", True),
-        lambda raw: raw["outcome"]["y_given_tx"].__setitem__(0, "a"),
-    ],
-)
+MANGLES = [
+    lambda raw: raw.pop("p_tx"),
+    lambda raw: raw.pop("lambda"),
+    lambda raw: raw.__setitem__("p_tx", ["a", "b"]),
+    lambda raw: raw.__setitem__("types", [{"C": [1]}]),
+    lambda raw: raw.__setitem__("outcome", {"kind": "mystery"}),
+    lambda raw: raw.__setitem__(
+        "outcome", {"kind": "consequential", "z_given_tx": []}
+    ),
+    lambda raw: raw.__setitem__("variables", [{"name": 3, "cardinality": 2}]),
+    lambda raw: raw.__setitem__("c", "cheap"),
+    # JSON true is not a cardinality, although Python's bool is an int
+    lambda raw: raw["variables"][0].__setitem__("cardinality", True),
+    # nor a type index, an outcome-kernel entry or a schema version
+    lambda raw: raw["types"][0].__setitem__("C", [True]),
+    lambda raw: raw.__setitem__("outcome", {
+        "kind": "consequential",
+        "z_given_tx": [True] + raw["outcome"]["y_given_tx"][1:],
+        "beta": 0.5,
+    }),
+    lambda raw: raw.__setitem__("schema_version", True),
+    lambda raw: raw["outcome"]["y_given_tx"].__setitem__(0, "a"),
+]
+
+
+@pytest.mark.parametrize("mangle", MANGLES)
 def test_malformed_documents_raise_parse_error(mangle):
     raw = _valid_raw()
     mangle(raw)
     with pytest.raises(DocumentParseError):
         loads(json.dumps(raw))
+
+
+@pytest.mark.parametrize("mangle", MANGLES)
+def test_a_dict_with_a_field_of_the_wrong_kind_raises_parse_error(mangle):
+    # a document is its dict, and the calls that take one check its field
+    # kinds themselves: a dict that never went through ``loads`` is no escape
+    raw = _valid_raw()
+    mangle(raw)
+    with pytest.raises(DocumentParseError):
+        to_scenario(raw)
+    with pytest.raises(DocumentParseError):
+        validate(raw)
+    for not_an_object in ([1, 2, 3], "text", None):
+        with pytest.raises(DocumentParseError, match="JSON object"):
+            to_scenario(not_an_object)
+
+
+@pytest.mark.parametrize("card", [True, 2.0, 2.5, "2"])
+def test_a_scenario_needs_integer_cardinalities(card):
+    # JSON has no such cardinality: a scenario built with one could not
+    # round-trip through its document
+    shape = (2, 2)
+    with pytest.raises(ModelError, match="integer cardinality"):
+        Scenario(("x1",), (card,), np.full(shape, 0.25), np.full(shape, 0.5),
+                 (DataTypeSpec(("x1",), ("x1",)),), (1.0,), 0.5)
+
+
+def test_a_numpy_integer_cardinality_is_stored_as_an_int_and_round_trips():
+    shape = (2, 2)
+    s = Scenario(("x1",), (np.int64(2),), np.full(shape, 0.25), np.full(shape, 0.5),
+                 (DataTypeSpec(("x1",), ("x1",)),), (1.0,), 0.5)
+    assert s.x_cards == (2,) and type(s.x_cards[0]) is int
+    text = export_json(document_from_scenario(s))
+    assert load_scenario(text).x_cards == (2,)
 
 
 def test_parse_error_on_non_json_and_non_object():
@@ -297,7 +329,7 @@ def test_to_jsonable_handles_numpy_and_dataclasses():
     assert to_jsonable(np.array([[1, 2], [3, 4]])) == [[1, 2], [3, 4]]
     assert to_jsonable({1: (2, 3)}) == {"1": [2, 3]}
     assert to_jsonable({3, 1, 2}) == [1, 2, 3]
-    assert to_jsonable(scenario) == document_from_scenario(scenario).to_dict()
+    assert to_jsonable(scenario) == document_from_scenario(scenario)
 
 
 def test_to_jsonable_takes_a_0d_array():
@@ -320,10 +352,8 @@ def reference_to_jsonable(obj: Any) -> Any:
         return float(obj)
     if isinstance(obj, np.ndarray):
         return [reference_to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, ScenarioDocument):
-        return obj.to_dict()
     if isinstance(obj, Scenario):
-        return document_from_scenario(obj).to_dict()
+        return document_from_scenario(obj)
     if isinstance(obj, StrategyProfile):
         return [reference_to_jsonable(np.asarray(s)) for s in obj.sigmas]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
@@ -501,25 +531,25 @@ def test_a_bad_index_list_is_reported_once_in_the_documents_words():
     ]
 
 
-def _scenario_from_fields(doc: ScenarioDocument) -> Scenario:
+def _scenario_from_fields(doc: dict) -> Scenario:
     """The scenario a document's fields describe, built without the document layer."""
-    names = tuple(n for n, _ in doc.variables)
-    shape = (2,) + tuple(k for _, k in doc.variables)
-    kind = doc.outcome["kind"]
-    kernel = doc.outcome["y_given_tx" if kind == "baseline" else "z_given_tx"]
+    names = tuple(v["name"] for v in doc["variables"])
+    shape = (2,) + tuple(v["cardinality"] for v in doc["variables"])
+    outcome = doc["outcome"]
+    kernel = outcome["y_given_tx" if outcome["kind"] == "baseline" else "z_given_tx"]
     return Scenario(
         names,
         shape[1:],
-        np.reshape(doc.p_tx, shape),
+        np.reshape(doc["p_tx"], shape),
         np.reshape(kernel, shape),
         tuple(
-            DataTypeSpec(tuple(names[i - 1] for i in c), tuple(names[i - 1] for i in d))
-            for c, d in doc.types
+            DataTypeSpec(tuple(names[i - 1] for i in t["C"]), tuple(names[i - 1] for i in t["D"]))
+            for t in doc["types"]
         ),
-        doc.lam,
-        doc.c,
-        kind,
-        doc.outcome.get("beta", 0.0),
+        doc["lambda"],
+        doc["c"],
+        outcome["kind"],
+        outcome.get("beta", 0.0),
     )
 
 
@@ -558,7 +588,7 @@ _PERTURBATIONS = st.one_of(
 def test_validate_is_empty_exactly_when_the_scenario_builds(build, edits):
     # NaN, negative entries and sums off by 1e-13 to 1e-6, on both sides of
     # the one tolerance
-    raw = json.loads(dumps(document_from_scenario(build())))
+    raw = document_from_scenario(build())
     for field, position, (how, value) in edits:
         container, key = _slot(raw, field, position)
         container[key] = value if how == "set" else container[key] + value

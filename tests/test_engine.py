@@ -30,7 +30,7 @@ def assert_effects_match_oracle(s, prof):
     """Engine effects and beliefs, and the causal tables over them, against the oracle."""
     cs = eng.compile_scenario(s)
     stacked = eng.flatten_profile(cs, prof)
-    effects = eng.profile_effects(cs, eng.split_cells(cs, stacked))
+    effects = zip(*(eng.split_cells(cs, a) for a in eng.profile_effects(cs, stacked)))
     # the belief kernel takes profiles as columns, [1 - sigma | sigma], and
     # returns (cell, action) arrays
     kernel = eng._beliefs(cs, kernel_columns(stacked[None]))[1:]
@@ -55,16 +55,23 @@ def test_profile_effects_match_delta_table(rng):
         assert_effects_match_oracle(s, prof)
 
 
+def three_and_one_cells():
+    """A compiled scenario whose type 0 owns stacked cells 0-2 and type 1 cell 3."""
+    types = (DataTypeSpec(("x1",), ("x1",)), DataTypeSpec((), ("x1",)))
+    ptx, kernel = np.full((2, 3), 1 / 6), np.full((2, 3), 0.5)
+    cs = eng.compile_scenario(Scenario(("x1",), (3,), ptx, kernel, types, (0.5, 0.5), 0.5))
+    assert cs.offsets == (0, 3, 4)
+    return cs
+
+
 def test_compiled_trembles_match_object_level():
-    # a schedule's (taste, type) exponents, compiled onto the stacked cells,
-    # tremble each cell by its own slice's exponent; type 0 owns stacked
-    # cells 0-2, type 1 cell 3
-    offsets = (0, 3, 4)
+    # a schedule's (taste, type) exponents tremble each stacked cell by its
+    # own slice's exponent
+    cs = three_and_one_cells()
     stacked = np.array([[0.0, 1.0, 0.4, 1.0], [0.0, 1.0, 0.4, 0.2]])
     sigma = stacked.reshape(-1, 1)  # the profile as a column
     table = np.array([[2.0, 3.0], [1.0, 0.5]])  # rows tastes, columns types
-    exponents = eng.cell_exponents(table, offsets)
-    out = eng.apply_compiled_trembles(sigma, exponents, np.array([0.01, 1.0]))
+    out = eng.apply_compiled_trembles(cs, sigma, table, np.array([0.01, 1.0]))
     assert out.shape == (8, 2) and out.flags.c_contiguous  # column r: rung r
     # eps = 0.01: each slice mixes in eps**exponent of its opposite action
     want = [[1e-4, 1.0 - 1e-4, 0.40006, 1.0 - 1e-6], [0.01, 0.99, 0.406, 0.28]]
@@ -73,26 +80,25 @@ def test_compiled_trembles_match_object_level():
     assert np.array_equal(out[:, 1].reshape(2, 4), [[1.0, 0.0, 1.0, 0.0], [1.0, 0.0, 1.0, 1.0]])
     # slices without an exponent (NaN) are bit-unchanged
     partial = np.array([[2.0, np.nan], [np.nan, 1.0]])
-    exponents = eng.cell_exponents(partial, offsets)
-    still = np.isnan(exponents[:, 0])
-    assert still.reshape(2, 4).tolist() == [[False] * 3 + [True], [True] * 3 + [False]]
-    out = eng.apply_compiled_trembles(sigma, exponents, np.array([0.01, 1.0]))
+    still = np.array([[False] * 3 + [True], [True] * 3 + [False]]).reshape(-1)
+    out = eng.apply_compiled_trembles(cs, sigma, partial, np.array([0.01, 1.0]))
     assert np.array_equal(out[still], np.tile(sigma[still], (1, 2)))
     assert np.array_equal(out[~still, 1], 1.0 - sigma[~still, 0].round())
 
 
 def test_trembled_rungs_are_rung_major_columns_of_the_batch():
-    # column r n + j is rung r of profile j, under profile j's own exponents
+    # column r n + j is rung r of profile j, under profile j's own table
+    cs = three_and_one_cells()
     rng = np.random.default_rng(8)
-    sigma = rng.random((6, 4))
-    exponents = rng.uniform(0.5, 3.0, sigma.shape)
-    exponents[rng.random(sigma.shape) < 0.3] = np.nan
+    sigma = rng.random((8, 4))
+    tables = rng.uniform(0.5, 3.0, (2, 2, 4))
+    tables[rng.random(tables.shape) < 0.3] = np.nan
     eps = np.array([0.2, 0.01, 1e-5])
-    out = eng.apply_compiled_trembles(sigma, exponents, eps)
-    assert out.shape == (6, 12) and out.flags.c_contiguous
+    out = eng.apply_compiled_trembles(cs, sigma, tables, eps)
+    assert out.shape == (8, 12) and out.flags.c_contiguous
     for r, e in enumerate(eps):
         for j in range(4):
-            one = eng.apply_compiled_trembles(sigma[:, j : j + 1], exponents[:, j : j + 1], e)
+            one = eng.apply_compiled_trembles(cs, sigma[:, j : j + 1], tables[..., j], e)
             assert out[:, r * 4 + j].tobytes() == one[:, 0].tobytes()
 
 
@@ -137,17 +143,6 @@ def test_ladder_floor_env_override(monkeypatch):
         monkeypatch.setenv("BCI_LADDER_FLOOR", bad)
         with pytest.raises(ModelError, match="BCI_LADDER_FLOOR"):
             eng.ladder_rungs()
-
-
-def test_tail_lengths_counts_passing_suffix_on_rung_axis():
-    passes = np.array(
-        [
-            [True, True, False, False],
-            [True, False, False, True],
-            [True, True, False, True],
-        ]
-    )
-    assert eng.tail_lengths(passes).tolist() == [3, 1, 0, 2]
 
 
 def test_taste_weighted_schedule_orients_exponents():
@@ -226,13 +221,13 @@ def test_batch_axis_broadcasts(rng):
         StrategyProfile(tuple(rng.random(s.sigma_shape(i)) for i in range(s.n_types)))
         for _ in range(5)
     ]
+    # one profile's effects are its column of the batch's effects
     stacked = np.stack([eng.flatten_profile(cs, p) for p in profs])
-    batch = eng.profile_effects(cs, eng.split_cells(cs, stacked))
+    d_batch, ok_batch = eng.column_effects(cs, eng.column_pair(as_columns(stacked)))
     for b, p in enumerate(profs):
-        single = eng.profile_effects(cs, eng.split_cells(cs, eng.flatten_profile(cs, p)))
-        for (d_batch, ok_batch), (d_one, ok_one) in zip(batch, single):
-            assert np.array_equal(ok_batch[b], ok_one)
-            assert np.allclose(d_batch[b], d_one, atol=1e-15)
+        d_one, ok_one = eng.profile_effects(cs, eng.flatten_profile(cs, p))
+        assert np.array_equal(ok_batch[:, b], ok_one)
+        assert np.allclose(d_batch[:, b], d_one, atol=1e-15)
 
 
 ONE_ULP_SHORT = -1.1102230246251565e-16  # sum(lam) - 1 one ulp below 1
@@ -365,8 +360,7 @@ def test_every_try_list_schedule_trembles_pure_cells_by_at_most_the_floor(monkey
         eps = cs.rungs[-1:]
         tables = _try_list(cs, pure)
         for k in range(tables.shape[2]):
-            exponents = eng.cell_exponents(tables[:, :, k], cs.offsets)
-            trembled = eng.apply_compiled_trembles(pure, exponents, eps)
+            trembled = eng.apply_compiled_trembles(cs, pure, tables[:, :, k], eps)
             assert (np.abs(trembled - pure) <= eps[0] + np.finfo(float).eps).all()
 
 
@@ -425,7 +419,7 @@ def test_forced_codes_are_every_profiles_strict_best_reply():
         for sigma in (pure, mixed, np.where(rng.random(pure.shape) < 0.5, pure, mixed)):
             tables = _try_list(cs, sigma)
             batches = [sigma] + [
-                eng.apply_compiled_trembles(sigma, eng.cell_exponents(tables[:, :, k], cs.offsets), cs.rungs)
+                eng.apply_compiled_trembles(cs, sigma, tables[:, :, k], cs.rungs)
                 for k in range(tables.shape[2])
             ]
             for cols in batches:

@@ -161,7 +161,6 @@ def test_ladder_rule_needs_a_passing_suffix_of_tail_min_rungs():
     n_rungs = 17
     assert len(eng.ladder_rungs()) == n_rungs
     ok = np.arange(n_rungs)[:, None] >= n_rungs - np.arange(n_rungs + 1)
-    assert eng.tail_lengths(ok).tolist() == list(range(n_rungs + 1))
     reached = _reaches_floor(ok)
     assert not reached[: eng.DEFAULT_TAIL_MIN].any()  # suffixes of 1-5 rungs fail
     assert reached[eng.DEFAULT_TAIL_MIN :].all()  # 6 rungs and more pass
@@ -169,6 +168,17 @@ def test_ladder_rule_needs_a_passing_suffix_of_tail_min_rungs():
     short = np.ones((eng.DEFAULT_TAIL_MIN - 2, 2), dtype=bool)
     short[0, 1] = False
     assert _reaches_floor(short).tolist() == [True, False]
+    # only the passing suffix counts: passes above a failing rung do not
+    passes = np.array(
+        [
+            [True, True, False, False],
+            [True, False, False, True],
+            [True, True, False, True],
+        ]
+    )
+    assert _reaches_floor(passes).tolist() == [True, False, False, False]
+    passes = np.vstack([passes, np.ones((eng.DEFAULT_TAIL_MIN - 2, 4), dtype=bool)])
+    assert _reaches_floor(passes).tolist() == [True, False, False, True]
 
 
 def test_tail_rule_rejects_transient_passes():
@@ -211,7 +221,7 @@ def test_certification_is_first_passing_schedule_else_most_passing_rungs():
             passing = [r for r in reports if r.passed]
             passes = [np.array([r.passed for r in rep.ladder_trace]) for rep in reports]
             most = [int(ok.sum()) for ok in passes]
-            suffix = [int(eng.tail_lengths(ok)) for ok in passes]
+            suffix = [int(np.cumprod(ok[::-1]).sum()) for ok in passes]
             expected = passing[0] if passing else reports[most.index(max(most))]
             got = certify_equilibrium(s, p)
             for f in fields:
@@ -544,8 +554,7 @@ def exhaustive_floor_screen(s):
     passing = np.zeros(len(batch), dtype=bool)
     tables = _try_list(cs, sigma)
     for k in range(tables.shape[2]):
-        exponents = eng.cell_exponents(tables[:, :, k], cs.offsets)
-        trembled = eng.apply_compiled_trembles(sigma, exponents, floor)
+        trembled = eng.apply_compiled_trembles(cs, sigma, tables[:, :, k], floor)
         passing |= eng.check_rungs(cs, trembled, floor)[0]
     # the screen checks the three schedules in one call, with the same verdicts
     assert np.array_equal(_floor_screen(cs, sigma), passing)
@@ -1013,8 +1022,8 @@ def test_dynamics_hand_the_rule_c_ordered_pairs(monkeypatch):
         checks.setdefault(caller, []).append((trembled, bad, *replies))
         return out
 
-    def spy_trembles(sigma, exponents, eps):
-        trembles.append(apply_trembles(sigma, exponents, eps))
+    def spy_trembles(cs, sigma, table, eps):
+        trembles.append(apply_trembles(cs, sigma, table, eps))
         return trembles[-1]
 
     monkeypatch.setattr(eng, "column_replies", spy)
@@ -1077,8 +1086,7 @@ def test_a_failing_ladder_is_diagnosed_from_its_deepest_failing_rung():
                 report = verify_limit(cs, p, sched)
                 if report.passed:
                     continue
-                exponents = eng.cell_exponents(sched, cs.offsets)
-                trembled = eng.apply_compiled_trembles(sigma, exponents, cs.rungs)
+                trembled = eng.apply_compiled_trembles(cs, sigma, sched, cs.rungs)
                 ok, _, bad, replies = eng.check_rungs(cs, trembled, cs.rungs)
                 r = np.nonzero(~ok)[0][-1]  # column r: rung r
                 delta, defined, scores, _ = (a[..., r] for a in replies)

@@ -7,6 +7,7 @@ hold arrays keep identity equality."""
 import ast
 import contextlib
 import dataclasses
+import functools
 import importlib.util
 import inspect
 import io
@@ -278,3 +279,29 @@ def test_every_public_name_has_a_caller_or_a_readme_line():
     ]
     assert len(engine) > 20
     assert [name for name in engine if not callers.get(name, set()) - {name}] == []
+
+
+def test_every_public_method_of_an_exported_class_has_a_reader():
+    # nor can a dead method or property of an exported class: each public
+    # one is read as an attribute somewhere in the package or the benchmark
+    # (tests do not count), or the README names it in code, after a dot or
+    # a backtick
+    reads = set()
+    for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    kinds = (property, functools.cached_property, classmethod, staticmethod)
+    checked, unread = 0, []
+    for name in bci.__all__:
+        cls = getattr(bci, name)
+        if not inspect.isclass(cls):
+            continue
+        for attr, value in vars(cls).items():
+            if attr.startswith("_") or not (inspect.isfunction(value) or isinstance(value, kinds)):
+                continue
+            checked += 1
+            if attr not in reads and not re.search(rf"[.`]{re.escape(attr)}\b", readme):
+                unread.append(f"{name}.{attr}")
+    assert checked >= 20
+    assert unread == []

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 import oracles
 from bci._engine import (
     apply_compiled_trembles,
-    cell_exponents,
     compile_scenario,
     flatten_profile,
     population_rates,
@@ -49,8 +48,6 @@ def test_type_spec_rejects_bad_sets():
         DataTypeSpec(("x1",), ())  # conditions outside the data
     with pytest.raises(ModelError):
         DataTypeSpec(("t",), ("t",))  # reserved name
-    assert DataTypeSpec(("x1",), ("x1", "x2")).simple is False
-    assert DataTypeSpec(("x1",), ("x1",)).simple is True
 
 
 @pytest.mark.parametrize(
@@ -369,9 +366,9 @@ def tremble(scenario, profile, schedule, eps):
     """The profile trembled by the schedule, a (taste, type) exponent table,
     at ``eps``, on the engine's one tremble path."""
     cs = compile_scenario(scenario)
-    exponents = cell_exponents(schedule_table(cs, schedule), cs.offsets)
     sigma = flatten_profile(cs, profile).reshape(-1, 1)
-    return unflatten_profile(cs, apply_compiled_trembles(sigma, exponents, eps))
+    table = schedule_table(cs, schedule)
+    return unflatten_profile(cs, apply_compiled_trembles(cs, sigma, table, eps))
 
 
 def test_flip_tremble_rules():

@@ -41,7 +41,7 @@ def test_relation_copies_the_callers_matrix():
     own = np.eye(2, dtype=bool)
     r = DominanceRelation(own)
     own[0, 1] = True
-    assert own.flags.writeable and not r.holds(0, 1)
+    assert own.flags.writeable and not r.matrix[0, 1]
     base = np.array([True, False, False, True])
     r = DominanceRelation(base.reshape(2, 2))
     base[1] = base[2] = True
@@ -58,9 +58,9 @@ def test_build_relation_reads_data_coverage():
     )
     r = build_relation(types)
     # i covers j iff D_i includes C_j
-    assert r.holds(0, 1) and r.holds(0, 2)
-    assert not r.holds(1, 0)
-    assert r.holds(1, 2) and r.holds(2, 0) is False
+    assert r.matrix[0, 1] and r.matrix[0, 2]
+    assert not r.matrix[1, 0]
+    assert r.matrix[1, 2] and not r.matrix[2, 0]
     assert is_complete(r) and is_quasitransitive(r)
     assert layer_partition(r).layers == ((0,), (1,), (2,))
 
@@ -68,7 +68,7 @@ def test_build_relation_reads_data_coverage():
 def test_two_blind_like_types_tie_into_one_layer():
     types = (DataTypeSpec(("x1",), ("x1",)), DataTypeSpec(("x1",), ("x1", "x2")))
     r = build_relation(types)
-    assert r.holds(0, 1) and r.holds(1, 0)
+    assert r.matrix[0, 1] and r.matrix[1, 0]
     assert layer_partition(r).layers == ((0, 1),)
 
 

@@ -135,7 +135,7 @@ def test_check_annotations_recomputes_posterior_claims():
 def test_check_annotations_rejects_an_annotation_naming_no_type():
     w = witness_incomplete(0.01, 0.5, 0.9)
     ann = dataclasses.replace(w.delta_annotations[0], type_index=w.scenario.n_types)
-    with pytest.raises(ModelError, match="no type with index"):
+    with pytest.raises(WorstCaseError, match="no type with index"):
         check_annotations(dataclasses.replace(w, delta_annotations=(ann,)))
     # nor a cell outside the type's covariate range
     for cell in ((2,), (-1,)):
@@ -143,6 +143,29 @@ def test_check_annotations_rejects_an_annotation_naming_no_type():
         with pytest.raises(ModelError, match="outside"):
             check_annotations(dataclasses.replace(w, delta_annotations=(ann,)))
 
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("action", -1), ("action", 2), ("action", True), ("action", 1.0),
+        ("level", 3), ("level", -1), ("level", True),
+        ("type_index", True), ("type_index", 0.0), ("type_index", -1),
+    ],
+)
+def test_check_annotations_rejects_an_index_that_is_not_an_integer_in_range(field, value):
+    # one rule for every annotation index: an integer, not a bool, in range;
+    # a negative action must not wrap around to action 1, nor True read as 1
+    w = witness_incomplete_hetero()
+    if field == "type_index":
+        ann = dataclasses.replace(w.delta_annotations[0], type_index=value)
+        w = dataclasses.replace(w, delta_annotations=(ann,))
+    else:
+        (post,) = w.posterior_annotations
+        post = dataclasses.replace(post, **{field: value})
+        w = dataclasses.replace(w, posterior_annotations=(post,))
+    with pytest.raises(WorstCaseError, match="index"):
+        check_annotations(w)
 
 def test_witness_full_loss_has_both_types_wrong():
     w = witness_full_loss(0.5, 0.001, 0.9)
@@ -329,7 +352,7 @@ def test_check_bound_rejects_a_ceiling_that_is_not_finite(monkeypatch):
 def test_mixed_type_draws_name_plain_strings():
     # condition sets drawn from the smallest data set hold str names, so a
     # drawn scenario's digest survives the round trip through its document
-    from bci.document import document_from_scenario, dumps, load_scenario
+    from bci.document import document_from_scenario, export_json, load_scenario
 
     cfg = SearchConfig(simple_types=False, n_types=3, n_covariates=3)
     s = random_scenario(cfg, np.random.default_rng(4))
@@ -338,5 +361,5 @@ def test_mixed_type_draws_name_plain_strings():
         type(n) is str for spec in s.types for n in spec.condition_set + spec.data_set
     )
     p = StrategyProfile.matching(s)
-    back = load_scenario(dumps(document_from_scenario(s)))
+    back = load_scenario(export_json(document_from_scenario(s)))
     assert instance_digest(back, p) == instance_digest(s, p)
