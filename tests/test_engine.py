@@ -9,7 +9,7 @@ import oracles
 from bci import _engine as eng
 from bci.causal import delta_table
 from bci.model import DataTypeSpec, ModelError, Scenario, StrategyProfile
-from bci.equilibrium import _try_list
+from bci.equilibrium import _reaches_floor, _try_list
 from bci.scenarios import as_consequential, example_3_1, pandemic, prop2_cycle, prop4, prop5
 from bci.worstcase import SearchConfig, WorstCaseError, random_scenario
 
@@ -143,6 +143,22 @@ def test_ladder_floor_env_override(monkeypatch):
         monkeypatch.setenv("BCI_LADDER_FLOOR", bad)
         with pytest.raises(ModelError, match="BCI_LADDER_FLOOR"):
             eng.ladder_rungs()
+
+
+def test_tail_lengths_counts_passing_suffix_on_rung_axis():
+    # rungs run down axis 0; the suffixes pass 3, 1, 0 and 2 rungs, and only
+    # the passing suffix counts: passes above a failing rung do not
+    passes = np.array(
+        [
+            [True, True, False, False],
+            [True, False, False, True],
+            [True, True, False, True],
+        ]
+    )
+    assert _reaches_floor(passes).tolist() == [True, False, False, False]
+    # DEFAULT_TAIL_MIN - 2 more passing rungs bring suffixes of 3 and 2 to the floor
+    passes = np.vstack([passes, np.ones((eng.DEFAULT_TAIL_MIN - 2, 4), dtype=bool)])
+    assert _reaches_floor(passes).tolist() == [True, False, False, True]
 
 
 def test_taste_weighted_schedule_orients_exponents():
